@@ -19,25 +19,39 @@ cross terms vanish because Im R lies in Ker U*, leaving V*U = I (a
 dual) and V*V = S^{-1} + (I - S^{-1}) restricted appropriately = I
 (Parseval).
 
-Necessity is not certified algebraically here; `best_parseval_dual_residual`
-provides the numerical counterpart by searching the full dual
-parametrization for a Parseval member and reporting the closest miss.
+Necessity comes from the same parametrization.  Every dual has the
+analysis matrix V = U S^{-1} + QW, with Q the projection onto the
+synthesis kernel; the cross terms vanish as before, so
+
+    V*V - I = -(I - S^{-1}) + (QW)*(QW),
+
+and as W varies, (QW)*(QW) takes exactly the PSD matrices of rank at
+most k, the excess.  Let mu_1 >= ... >= mu_d be the eigenvalues of
+I - S^{-1}.  By Weyl's inequalities, subtracting a PSD matrix of rank
+<= k from I - S^{-1} leaves its largest eigenvalue at least mu_{k+1}
+and its smallest at most mu_d, so every dual has
+
+    ||V*V - I|| >= max(mu_{k+1}^+, (-mu_d)^+).
+
+The construction attains this bound when it corrects only the first
+min(k, #{eigenvalues of S above 1}) deviating eigenvectors, in
+descending eigenvalue order.  The bound is 0 exactly when A >= 1 and
+dim Im(S - I) <= k, so a frame failing either condition has no Parseval
+dual, and `best_parseval_dual_residual` reports by how much every dual
+misses.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import NoParsevalDualError, NotAFrameError
 from .frames import (
-    COMPLEX,
     Frame,
     ToleranceConfig,
-    analysis_matrix,
     derived_frame,
     excess,
     frame_bounds,
@@ -45,7 +59,7 @@ from .frames import (
     is_frame,
     kernel_of_synthesis,
 )
-from .duals import dual_from_free_operator
+from .duals import canonical_dual_analysis
 from .linalg import adjoint, fix_phase, operator_norm
 
 
@@ -95,16 +109,39 @@ def nonexistence_reasons(report: ParsevalDualReport,
     return reasons
 
 
+def _nearest_parseval_dual(f: Frame, tol: ToleranceConfig) -> Tuple[Frame, float]:
+    """The dual of f with the smallest ||V*V - I|| (operator norm), and
+    that norm as measured on the returned dual.
+
+    The eigenvectors of S with eigenvalue above the eig_one_atol band
+    around 1, taken in descending eigenvalue order, phase-fixed for
+    determinism and cut to the first `excess` of them, are paired by the
+    partial isometry R with the leading synthesis-kernel vectors and
+    corrected by g(t) = sqrt(1 - 1/t).  Eigenvalues inside the band are
+    left alone, so g never sees an argument below 1.
+    """
+    if not is_frame(f, tol):
+        raise NotAFrameError("nearest Parseval dual needs a frame")
+    lam, vecs = np.linalg.eigh(frame_operator(f))
+    above = np.flatnonzero(lam - 1.0 > tol.eig_one_atol)
+    above = above[np.argsort(-lam[above], kind="stable")]
+    kernel = kernel_of_synthesis(f, tol) if above.size else []
+    above = above[: len(kernel)]
+    v = canonical_dual_analysis(f)
+    if above.size:
+        u_plus = np.column_stack([fix_phase(vecs[:, i]) for i in above])
+        g_vals = np.sqrt(1.0 - 1.0 / lam[above])
+        k_cols = np.column_stack(kernel[: above.size])
+        v = v + k_cols @ (g_vals[:, None] * adjoint(u_plus))
+    residual = operator_norm(adjoint(v) @ v - np.eye(f.dim))
+    return derived_frame(f.field, np.conj(v), tol), residual
+
+
 def construct_parseval_dual(f: Frame, tol: ToleranceConfig) -> ParsevalDualReport:
     """Build a Parseval dual following the sufficiency proof.
 
-    Eigenvectors of S with eigenvalue in the eig_one_atol band around 1
-    form the identity part; the remaining (deviating) eigenvectors,
-    taken in descending eigenvalue order and phase-fixed for
-    determinism, are paired by the partial isometry R with the leading
-    synthesis-kernel vectors.  Borderline eigenvalues land in the
-    identity part so g(t) = sqrt(1 - 1/t) never sees an argument
-    below 1.
+    Raises NoParsevalDualError, naming the failed conditions, when the
+    existence test fails; otherwise the nearest Parseval dual is one.
 
     The returned report carries the dual; its defining properties
     (V*V = I and V*U = I within atol) are deliberately left to the
@@ -115,19 +152,7 @@ def construct_parseval_dual(f: Frame, tol: ToleranceConfig) -> ParsevalDualRepor
     if not report.exists:
         raise NoParsevalDualError(
             "no Parseval dual: " + "; ".join(nonexistence_reasons(report, tol)))
-    s = frame_operator(f)
-    lam, vecs = np.linalg.eigh(s)
-    plus_idx = np.flatnonzero(np.abs(lam - 1.0) > tol.eig_one_atol)
-    plus_idx = plus_idx[np.argsort(-lam[plus_idx], kind="stable")]
-    u = analysis_matrix(f)
-    v = adjoint(np.linalg.solve(s, adjoint(u)))
-    if plus_idx.size:
-        u_plus = np.column_stack([fix_phase(vecs[:, i]) for i in plus_idx])
-        g_vals = np.sqrt(np.maximum(0.0, 1.0 - 1.0 / np.real(lam[plus_idx])))
-        kernel = kernel_of_synthesis(f, tol)[: plus_idx.size]
-        k_cols = np.column_stack(kernel)
-        v = v + k_cols @ (g_vals[:, None] * adjoint(u_plus))
-    dual = derived_frame(f.field, np.conj(v), tol)
+    dual, _ = _nearest_parseval_dual(f, tol)
     return ParsevalDualReport(exists=True, a_opt=report.a_opt,
                               deviation_dim=report.deviation_dim,
                               excess_val=report.excess_val, dual=dual)
@@ -148,42 +173,12 @@ def rescale_to_admissible(f: Frame, tol: ToleranceConfig) -> tuple:
     return derived_frame(f.field, c * f.vectors, tol), float(c)
 
 
-def best_parseval_dual_residual(f: Frame, tol: ToleranceConfig, *,
-                                attempts: int = 4, seed: int = 0,
-                                maxiter: int = 400) -> float:
-    """Search all duals of f for a Parseval one; return the smallest
-    ||V*V - I|| (operator norm) found.
+def best_parseval_dual_residual(f: Frame, tol: ToleranceConfig) -> float:
+    """Smallest ||V*V - I|| (operator norm) over all duals of f.
 
-    The search runs over the free-operator parametrization, which sweeps
-    out every dual, so a large minimum is numerical evidence that no
-    Parseval dual exists.  Quasi-Newton descent from the canonical dual
-    plus seeded random starts; intended for small instances.
+    This is max(mu_{k+1}^+, (-mu_d)^+) in the notation of the module
+    docstring, measured on the nearest Parseval dual: 0 up to rounding
+    when a Parseval dual exists, and a certificate of how far every dual
+    is from Parseval when one does not.
     """
-    if not is_frame(f, tol):
-        raise NotAFrameError("dual search needs a frame")
-    n, d = f.n, f.dim
-    complex_w = f.field == COMPLEX
-    size = n * d * (2 if complex_w else 1)
-
-    def unpack(x: np.ndarray) -> np.ndarray:
-        if complex_w:
-            return x[: n * d].reshape(n, d) + 1j * x[n * d:].reshape(n, d)
-        return x.reshape(n, d)
-
-    def gram_residual(x: np.ndarray) -> np.ndarray:
-        dual = dual_from_free_operator(f, unpack(x), tol)
-        v = analysis_matrix(dual)
-        return adjoint(v) @ v - np.eye(d)
-
-    def objective(x: np.ndarray) -> float:
-        return float(np.linalg.norm(gram_residual(x)))
-
-    rng = np.random.default_rng(seed)
-    starts = [np.zeros(size)]
-    starts += [rng.standard_normal(size) for _ in range(max(0, attempts - 1))]
-    best = np.inf
-    for x0 in starts:
-        result = minimize(objective, x0, method="L-BFGS-B",
-                          options={"maxiter": maxiter})
-        best = min(best, operator_norm(gram_residual(result.x)))
-    return float(best)
+    return _nearest_parseval_dual(f, tol)[1]

@@ -1,15 +1,18 @@
 """Shared test utilities: independent oracles and seeded ensemble builders.
 
 The oracles deliberately avoid the library's own numerics: rank over
-exact rationals, excess by exhaustive deletion.
+exact rationals, excess by exhaustive deletion, the nearest Parseval
+dual by numerical search instead of the closed form.
 """
 
 from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
+from scipy.optimize import minimize
 
 import framekit as fk
+from framekit.linalg import adjoint, operator_norm
 
 TOL = fk.ToleranceConfig()
 
@@ -55,6 +58,37 @@ def deletion_excess(frame, rtol=1e-10):
             if np.count_nonzero(s > rtol * s[0]) == d:
                 return k
     return 0
+
+
+def searched_parseval_dual_residual(frame, tol=TOL):
+    """Smallest ||V*V - I|| (operator norm) found by searching all duals.
+
+    The search runs over the free-operator parametrization, which sweeps
+    out every dual: L-BFGS descent from the canonical dual plus three
+    seeded random starts.  Small instances only.
+    """
+    n, d = frame.n, frame.dim
+    complex_w = frame.field == "complex"
+    size = n * d * (2 if complex_w else 1)
+
+    def gram_residual(x):
+        w = x[: n * d].reshape(n, d)
+        if complex_w:
+            w = w + 1j * x[n * d:].reshape(n, d)
+        v = fk.analysis_matrix(fk.dual_from_free_operator(frame, w, tol))
+        return adjoint(v) @ v - np.eye(d)
+
+    def objective(x):
+        return float(np.linalg.norm(gram_residual(x)))
+
+    rng = np.random.default_rng(0)
+    starts = [np.zeros(size)] + [rng.standard_normal(size) for _ in range(3)]
+    best = np.inf
+    for x0 in starts:
+        result = minimize(objective, x0, method="L-BFGS-B",
+                          options={"maxiter": 400})
+        best = min(best, operator_norm(gram_residual(result.x)))
+    return float(best)
 
 
 def gaussian(rng, rows, cols, complex_valued):

@@ -44,6 +44,13 @@ def test_canonical_dual_reconstructs(tol):
             orthonormal_range(fk.analysis_matrix(g), tol.rank_rtol)) <= 1e-10
 
 
+def test_canonical_dual_exact_on_ill_conditioned_frame(tol):
+    # cond(U) ~ 3e4: normal equations S X = U* missed V*U = I by 2.4e-8
+    f = fk.random_frame(4, 4, seed=1688094018, field="real")
+    report = fk.check_duality(f, fk.canonical_dual(f, tol), tol)
+    assert report.is_exact_dual, report.deviation_norm
+
+
 def test_check_duality_exact(e1e2e1, tol):
     g = fk.canonical_dual(e1e2e1, tol)
     report = fk.check_duality(e1e2e1, g, tol)

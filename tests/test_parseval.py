@@ -1,10 +1,14 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 import framekit as fk
 from framekit.linalg import adjoint, matrix_rank, operator_norm
-from helpers import admissible_frame, scaled
+from helpers import admissible_frame, scaled, searched_parseval_dual_residual
 
 
 def two_e1_e2():
@@ -146,9 +150,36 @@ def test_search_finds_parseval_dual_when_it_exists(mb3, e1e2e1, tol):
 
 
 def test_search_residual_positive_when_conditions_fail(mb3, tol):
-    # deviation exceeds excess: best over all duals stays at 3/4
-    residual = fk.best_parseval_dual_residual(two_e1_e2(), tol)
-    assert residual == pytest.approx(0.75, abs=1e-5)
-    # lower bound below 1: best over all duals stays at 3
-    residual = fk.best_parseval_dual_residual(scaled(mb3, 0.5), tol)
-    assert residual == pytest.approx(3.0, abs=1e-5)
+    # the best over all duals is max(mu_{k+1}^+, (-mu_d)^+), with
+    # mu_1 >= ... >= mu_d the eigenvalues of I - S^{-1} and k the excess
+    cases = [
+        # deviation exceeds excess: S = diag(4, 1), k = 0
+        (two_e1_e2(), 0.75),
+        # lower bound below 1: S = I/4, k = 1
+        (scaled(mb3, 0.5), 3.0),
+        # only the top eigenvalue is corrected: S = diag(4, 2), k = 1
+        (fk.Frame(dim=2, field="real", vectors=[[2, 0], [0, 1], [0, 1]]), 0.5),
+        # one eigenvalue above 1, one below: S = diag(4, 1/2), k = 1
+        (fk.Frame(dim=2, field="real",
+                  vectors=[[2, 0], [0, np.sqrt(0.5)], [0, 0]]), 1.0),
+        # S = diag(9, 4, 1), k = 1
+        (fk.Frame(dim=3, field="real",
+                  vectors=np.vstack([np.diag([3.0, 2.0, 1.0]), np.zeros(3)])),
+         0.75),
+    ]
+    for f, expected in cases:
+        residual = fk.best_parseval_dual_residual(f, tol)
+        assert residual == pytest.approx(expected, abs=1e-10)
+        assert residual == pytest.approx(
+            searched_parseval_dual_residual(f, tol), abs=1e-5)
+
+
+def test_import_loads_no_scipy():
+    # numpy is the only runtime dependency; scipy serves the test oracles
+    code = ("import sys, framekit; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(fk.__file__)))
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "[]"
