@@ -9,6 +9,10 @@ S = (synthesis)(analysis).  The extreme eigenvalues of S are the
 optimal frame bounds; the system spans the space exactly when the
 lower bound is positive.
 
+Every spectral fact comes from one thin SVD U = P Sigma R* of the
+analysis matrix, cached on the frame (`Frame.svd`): S has eigenvalues
+Sigma^2 and eigenvectors R, and P spans the analysis range.
+
 The number of vectors beyond a minimal spanning set -- the dimension
 of the synthesis kernel, n - rank -- is called the excess and is the
 quantity most of the higher-level results in this package revolve
@@ -18,7 +22,8 @@ around.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
+from functools import cached_property
+from typing import List, NamedTuple
 
 import numpy as np
 
@@ -29,12 +34,7 @@ from .errors import (
     NotAFrameError,
     NotParsevalError,
 )
-from .linalg import (
-    adjoint,
-    operator_norm,
-    orthonormal_nullspace,
-    rank_from_singular_values,
-)
+from .linalg import adjoint, fix_phase, rank_from_singular_values
 
 REAL = "real"
 COMPLEX = "complex"
@@ -44,6 +44,16 @@ _FIELDS = (REAL, COMPLEX)
 @dataclass(frozen=True)
 class ToleranceConfig:
     """Numerical knobs shared by every predicate in the package.
+
+    Every decision about a frame reads the singular values
+    sigma_1 >= ... of its analysis matrix U (the cached `Frame.svd`):
+
+    * rank r = #{i : sigma_i > rank_rtol * sigma_1}; the vectors span
+      (`is_frame`) exactly when r = dim, and the excess is n - r; being
+      relative to sigma_1, neither verdict changes when f is scaled;
+    * the eigenvalues of S are the sigma_i^2, zero-padded to dim; an
+      eigenvalue "equals one" when |sigma_i^2 - 1| <= eig_one_atol, and
+      the frame is Parseval when all lie within atol of 1.
 
     Parameters
     ----------
@@ -67,6 +77,23 @@ class ToleranceConfig:
             if not 0.0 < value < 1.0:
                 raise BadParametersError(
                     f"{name} must lie strictly between 0 and 1, got {value!r}")
+
+
+class ThinSVD(NamedTuple):
+    """U = p @ diag(sigma) @ rh, with the min(n, d) singular values of the
+    (n, d) analysis matrix U in descending order; tolerance-free."""
+
+    p: np.ndarray
+    sigma: np.ndarray
+    rh: np.ndarray  # R*: its conjugated rows are eigenvectors of S
+
+    @property
+    def eigenvalues(self) -> np.ndarray:
+        """Eigenvalues of S = U*U in descending order: sigma^2, zero-padded
+        to d."""
+        lam = np.zeros(self.rh.shape[1])
+        lam[: self.sigma.size] = self.sigma ** 2
+        return lam
 
 
 @dataclass(frozen=True, eq=False)
@@ -106,6 +133,15 @@ class Frame:
     def n(self) -> int:
         """Number of vectors."""
         return self.vectors.shape[0]
+
+    @cached_property
+    def svd(self) -> ThinSVD:
+        """Thin SVD of the analysis matrix, computed once per frame; safe
+        to cache because the frame and its vectors are immutable."""
+        parts = np.linalg.svd(analysis_matrix(self), full_matrices=False)
+        for part in parts:
+            part.setflags(write=False)
+        return ThinSVD(*parts)
 
 
 def derived_frame(field: str, vectors: np.ndarray, tol: ToleranceConfig) -> Frame:
@@ -169,24 +205,21 @@ def gram_matrix(f: Frame) -> np.ndarray:
 
 
 def frame_bounds(f: Frame) -> FrameBounds:
-    """Extreme eigenvalues of the frame operator (clamped at 0 against
-    rounding); a_opt = 0 signals that the system does not span."""
-    eigs = np.linalg.eigvalsh(frame_operator(f))
-    return FrameBounds(a_opt=max(float(eigs[0]), 0.0),
-                       b_opt=max(float(eigs[-1]), 0.0))
+    """Extreme eigenvalues of the frame operator; a_opt = 0 signals that
+    the system does not span."""
+    lam = f.svd.eigenvalues
+    return FrameBounds(a_opt=float(lam[-1]), b_opt=float(lam[0]))
 
 
 def is_frame(f: Frame, tol: ToleranceConfig) -> bool:
-    """True when the vectors span the whole space, i.e. the optimal lower
-    bound clears the rank cutoff relative to the upper bound."""
-    b = frame_bounds(f)
-    return b.a_opt > tol.rank_rtol * b.b_opt
+    """True when the vectors span the whole space: the rank cutoff keeps
+    all dim singular values."""
+    return rank_from_singular_values(f.svd.sigma, tol.rank_rtol) == f.dim
 
 
 def is_parseval(f: Frame, tol: ToleranceConfig) -> bool:
     """True when the frame operator is the identity within atol."""
-    s = frame_operator(f)
-    return operator_norm(s - np.eye(f.dim)) <= tol.atol
+    return float(np.max(np.abs(f.svd.eigenvalues - 1.0))) <= tol.atol
 
 
 def excess(f: Frame, tol: ToleranceConfig) -> ExcessReport:
@@ -198,22 +231,23 @@ def excess(f: Frame, tol: ToleranceConfig) -> ExcessReport:
     """
     if not is_frame(f, tol):
         raise NotAFrameError("excess is defined for frames only")
-    s = np.linalg.svd(analysis_matrix(f), compute_uv=False)
-    rank = rank_from_singular_values(s, tol.rank_rtol)
+    s = f.svd.sigma
     padded = np.zeros(f.n)
     padded[: s.size] = s
-    return ExcessReport(excess=f.n - rank, rank=rank,
+    return ExcessReport(excess=f.n - f.dim, rank=f.dim,
                         singular_values=[float(v) for v in padded],
                         tolerance_used=tol.rank_rtol)
 
 
-def kernel_of_synthesis(f: Frame, tol: ToleranceConfig) -> List[np.ndarray]:
+def kernel_of_synthesis(f: Frame, tol: ToleranceConfig) -> np.ndarray:
     """Orthonormal basis of the synthesis kernel, i.e. the coefficient
     sequences c with sum c_k f_k = 0 (the orthogonal complement of the
-    analysis range).  Phase-fixed so repeated runs return identical
-    vectors."""
-    basis = orthonormal_nullspace(synthesis_matrix(f), tol.rank_rtol)
-    return [basis[:, j].copy() for j in range(basis.shape[1])]
+    analysis range), as the columns of an (n, n - rank) array: one QR
+    completes the range basis of the cached SVD to a unitary.  Columns
+    are phase-fixed so repeated runs return identical vectors."""
+    r = rank_from_singular_values(f.svd.sigma, tol.rank_rtol)
+    q, _ = np.linalg.qr(f.svd.p[:, :r], mode="complete")
+    return fix_phase(q[:, r:])
 
 
 def excess_from_norms(f: Frame, tol: ToleranceConfig) -> float:

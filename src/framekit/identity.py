@@ -193,8 +193,8 @@ def tail_threshold(f: Frame, eps: float, tol: ToleranceConfig) -> int:
     Always lands in {0, ..., n}: the empty tail sums to 0.  A frame of
     unit-norm vectors returns 0 for every eps.
     """
-    if eps <= 0.0:
-        raise BadParametersError(f"eps must be positive, got {eps!r}")
+    if not 0.0 < eps < np.inf:
+        raise BadParametersError(f"eps must be positive and finite, got {eps!r}")
     if not is_parseval(f, tol):
         raise NotParsevalError("tail threshold is stated for Parseval frames")
     deficits = 1.0 - np.sum(np.abs(f.vectors) ** 2, axis=1)

@@ -40,20 +40,22 @@ def matrix_rank(m: np.ndarray, rtol: float) -> int:
 
 
 def fix_phase(v: np.ndarray) -> np.ndarray:
-    """Scale a vector by a unit-modulus factor so its largest-magnitude
-    entry becomes real and positive. Deterministic representative of the
-    phase equivalence class; a no-op for the zero vector."""
+    """Scale a vector, or each column of a matrix, by a unit-modulus
+    factor so its largest-magnitude entry becomes real and positive.
+    Deterministic representative of the phase equivalence class; zero
+    vectors are left as they are."""
     v = np.asarray(v)
-    i = int(np.argmax(np.abs(v)))
-    a = v[i]
-    if a == 0:
-        return v
-    return v * (np.conj(a) / abs(a))
+    lead = np.take_along_axis(v, np.argmax(np.abs(v), axis=0)[None], axis=0)[0]
+    mag = np.abs(lead)
+    return v * np.divide(np.conj(lead), mag, out=np.ones_like(lead), where=mag > 0)
 
 
 def orthonormal_range(m: np.ndarray, rtol: float) -> np.ndarray:
-    """Orthonormal basis (columns) of the column space of m."""
+    """Orthonormal basis (columns) of the column space of m; a matrix
+    without columns gives an (m.shape[0], 0) array."""
     m = np.atleast_2d(np.asarray(m))
+    if m.shape[1] == 0:
+        return m.copy()
     u, s, _ = np.linalg.svd(m, full_matrices=False)
     r = rank_from_singular_values(s, rtol)
     return u[:, :r]
@@ -68,25 +70,6 @@ def orthonormal_nullspace(m: np.ndarray, rtol: float) -> np.ndarray:
     for j in range(basis.shape[1]):
         basis[:, j] = fix_phase(basis[:, j])
     return basis
-
-
-def orthonormalize_columns(m: np.ndarray, rtol: float) -> np.ndarray:
-    """Orthonormal basis for span(columns of m); empty input gives an
-    (m.shape[0], 0) array."""
-    m = np.atleast_2d(np.asarray(m))
-    if m.shape[1] == 0:
-        return m.copy()
-    return orthonormal_range(m, rtol)
-
-
-def projection_onto_columns(q: np.ndarray) -> np.ndarray:
-    """Orthogonal projection Q Q* onto the span of orthonormal columns q;
-    returns the zero matrix for an empty basis."""
-    q = np.atleast_2d(np.asarray(q))
-    n = q.shape[0]
-    if q.shape[1] == 0:
-        return np.zeros((n, n), dtype=q.dtype)
-    return q @ adjoint(q)
 
 
 def subspace_distance(q1: np.ndarray, q2: np.ndarray) -> float:
@@ -104,18 +87,6 @@ def subspace_distance(q1: np.ndarray, q2: np.ndarray) -> float:
     # rounding in the cosines to ~1e-8 for subspaces that are actually equal
     residual = q2 - q1 @ (adjoint(q1) @ q2)
     return min(1.0, operator_norm(residual))
-
-
-def subspaces_intersect_trivially(q1: np.ndarray, q2: np.ndarray,
-                                  rtol: float) -> bool:
-    """True when span(q1) and span(q2) meet only at 0 (rank additivity of
-    the concatenated bases)."""
-    d1 = q1.shape[1] if q1.ndim == 2 else 0
-    d2 = q2.shape[1] if q2.ndim == 2 else 0
-    if d1 == 0 or d2 == 0:
-        return True
-    combined = np.hstack([q1, q2])
-    return matrix_rank(combined, rtol) == d1 + d2
 
 
 def gaussian_matrix(rng: np.random.Generator, rows: int, cols: int,

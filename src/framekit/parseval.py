@@ -55,7 +55,6 @@ from .frames import (
     derived_frame,
     excess,
     frame_bounds,
-    frame_operator,
     is_frame,
     kernel_of_synthesis,
 )
@@ -80,7 +79,7 @@ def deviation_dimension(f: Frame, tol: ToleranceConfig) -> int:
     not 1 (within eig_one_atol)."""
     if not is_frame(f, tol):
         raise NotAFrameError("deviation dimension needs a frame")
-    eigs = np.linalg.eigvalsh(frame_operator(f))
+    eigs = f.svd.eigenvalues
     return int(np.count_nonzero(np.abs(eigs - 1.0) > tol.eig_one_atol))
 
 
@@ -122,16 +121,13 @@ def _nearest_parseval_dual(f: Frame, tol: ToleranceConfig) -> Tuple[Frame, float
     """
     if not is_frame(f, tol):
         raise NotAFrameError("nearest Parseval dual needs a frame")
-    lam, vecs = np.linalg.eigh(frame_operator(f))
-    above = np.flatnonzero(lam - 1.0 > tol.eig_one_atol)
-    above = above[np.argsort(-lam[above], kind="stable")]
-    kernel = kernel_of_synthesis(f, tol) if above.size else []
-    above = above[: len(kernel)]
+    lam = f.svd.eigenvalues
+    above = np.flatnonzero(lam - 1.0 > tol.eig_one_atol)[: f.n - f.dim]
     v = canonical_dual_analysis(f)
     if above.size:
-        u_plus = np.column_stack([fix_phase(vecs[:, i]) for i in above])
+        u_plus = fix_phase(adjoint(f.svd.rh[above]))
         g_vals = np.sqrt(1.0 - 1.0 / lam[above])
-        k_cols = np.column_stack(kernel[: above.size])
+        k_cols = kernel_of_synthesis(f, tol)[:, : above.size]
         v = v + k_cols @ (g_vals[:, None] * adjoint(u_plus))
     residual = operator_norm(adjoint(v) @ v - np.eye(f.dim))
     return derived_frame(f.field, np.conj(v), tol), residual

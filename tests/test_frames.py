@@ -90,7 +90,8 @@ def test_frame_bounds_examples(mb3, e1e2e1):
     assert b.a_opt == pytest.approx(1.0, abs=1e-12)
     assert b.b_opt == pytest.approx(1.0, abs=1e-12)
     b = fk.frame_bounds(e1e2e1)
-    assert (b.a_opt, b.b_opt) == (1.0, 2.0)
+    # sigma_1^2 = fl(sqrt 2)^2 is one ulp above 2
+    assert (b.a_opt, b.b_opt) == (1.0, pytest.approx(2.0, rel=1e-15))
     b = fk.frame_bounds(fk.Frame(dim=2, field="real", vectors=[[1, 0]]))
     assert (b.a_opt, b.b_opt) == (0.0, 1.0)
 
@@ -100,6 +101,42 @@ def test_is_frame(mb3, tol):
     assert not fk.is_frame(fk.Frame(dim=2, field="real", vectors=[[1, 0]]), tol)
     with_zero = fk.Frame(dim=2, field="real", vectors=[[1, 0], [0, 1], [0, 0]])
     assert fk.is_frame(with_zero, tol)
+
+
+def test_spanning_verdict_follows_the_rank_cutoff_at_every_scale(tol):
+    # singular-value ratio 7e-7 clears rank_rtol; the eigenvalue ratio
+    # 5e-13 of the frame operator would not
+    base = np.array([[1.0, 0.0], [0.0, 1e-6], [1.0, 0.0]])
+    for scale in (1.0, 1e-3, 1e3):
+        f = fk.Frame(dim=2, field="real", vectors=scale * base)
+        assert fk.is_frame(f, tol)
+        report = fk.excess(f, tol)
+        assert (report.excess, report.rank) == (1, 2)
+
+
+def test_one_factorization_per_frame(monkeypatch, tol):
+    calls = {name: [] for name in ("svd", "eigvalsh", "eigh", "qr")}
+    for name, args in calls.items():
+        def counted(a, *rest, _kernel=getattr(np.linalg, name), _args=args, **kw):
+            _args.append(np.array(a))
+            return _kernel(a, *rest, **kw)
+        monkeypatch.setattr(np.linalg, name, counted)
+    # S = diag(2, 1) with excess 1: the Parseval dual needs a kernel vector
+    f = fk.Frame(dim=2, field="real", vectors=[[1, 0], [0, 1], [1, 0]])
+    fk.frame_bounds(f)
+    fk.is_frame(f, tol)
+    fk.is_parseval(f, tol)
+    fk.excess(f, tol)
+    fk.canonical_dual(f, tol)
+    fk.deviation_dimension(f, tol)
+    assert fk.parseval_dual_exists(f, tol).exists
+    fk.construct_parseval_dual(f, tol)
+    assert len(calls["svd"]) == 1
+    npt.assert_array_equal(calls["svd"][0], fk.analysis_matrix(f))
+    assert calls["eigvalsh"] == [] and calls["eigh"] == []
+    # the kernel basis: one QR of the range basis, never of U
+    assert len(calls["qr"]) == 1
+    npt.assert_array_equal(calls["qr"][0], f.svd.p)
 
 
 def test_is_parseval(mb3, basis2, e1e2e1, tol):
@@ -126,22 +163,21 @@ def test_excess_requires_frame(tol):
 
 
 def test_kernel_of_synthesis(basis2, e1e2e1, mb3, tol):
-    assert fk.kernel_of_synthesis(basis2, tol) == []
-    (k,) = fk.kernel_of_synthesis(e1e2e1, tol)
+    assert fk.kernel_of_synthesis(basis2, tol).shape == (2, 0)
+    (k,) = fk.kernel_of_synthesis(e1e2e1, tol).T
     npt.assert_allclose(k, np.array([1.0, 0.0, -1.0]) / np.sqrt(2), atol=1e-15)
-    (k,) = fk.kernel_of_synthesis(mb3, tol)
+    (k,) = fk.kernel_of_synthesis(mb3, tol).T
     npt.assert_allclose(k, np.full(3, 1.0 / np.sqrt(3)), atol=1e-15)
 
 
 def test_kernel_annihilates_and_is_orthonormal(tol):
     for seed in range(6):
         f = fk.random_frame(3, 6, seed=seed, field="complex" if seed % 2 else "real")
-        kernel = fk.kernel_of_synthesis(f, tol)
-        assert len(kernel) == fk.excess(f, tol).excess
+        basis = fk.kernel_of_synthesis(f, tol)
+        assert basis.shape == (f.n, fk.excess(f, tol).excess)
         syn = fk.synthesis_matrix(f)
-        basis = np.column_stack(kernel)
         assert np.linalg.norm(syn @ basis) <= tol.atol
-        npt.assert_allclose(np.conj(basis).T @ basis, np.eye(len(kernel)),
+        npt.assert_allclose(np.conj(basis).T @ basis, np.eye(basis.shape[1]),
                             atol=1e-12)
 
 

@@ -278,7 +278,7 @@ def test_projected_basis_frame_properties(tol):
         npt.assert_allclose(norms_sq, 1.0 - np.abs(alpha) ** 2, atol=1e-12)
         assert fk.excess_from_norms(f, tol) == pytest.approx(1.0, abs=1e-9)
         # the synthesis kernel is the line spanned by the coefficients
-        (k,) = fk.kernel_of_synthesis(f, tol)
+        (k,) = fk.kernel_of_synthesis(f, tol).T
         assert abs(np.conj(k) @ alpha) == pytest.approx(1.0, abs=1e-10)
 
 

@@ -154,6 +154,20 @@ def test_cli_analyze_non_frame(files, capsys):
     assert payload["singular_values"] is None
 
 
+def test_cli_analyze_thin_but_spanning(capsys, tmp_path):
+    base = np.array([[1.0, 0.0], [0.0, 1e-6], [1.0, 0.0]])
+    for scale in (1.0, 1e-3, 1e3):
+        path = write(tmp_path / f"thin{scale}.json",
+                     fk.Frame(dim=2, field="real", vectors=scale * base))
+        code, out, _ = run(capsys, "analyze", path)
+        assert code == 0
+        payload = json.loads(out)["payload"]
+        assert payload["is_frame"] is True
+        assert (payload["excess"], payload["rank"]) == (1, 2)
+        code, out, _ = run(capsys, "parseval-dual", path)
+        assert code == 0 and json.loads(out)["payload"]["exists"] is False
+
+
 def test_cli_dual_canonical(files, capsys, tmp_path):
     out_path = str(tmp_path / "dual.json")
     code, out, _ = run(capsys, "dual", files["e1e2e1"], "--out", out_path)
@@ -313,6 +327,13 @@ def test_cli_tail(files, capsys):
     assert code == 2
     code, _, err = run(capsys, "tail", files["mb3"], "--eps", "0.5", "--j", "2")
     assert code == 2 and "error" in err
+
+
+def test_cli_tail_rejects_non_finite_eps(files, capsys):
+    for eps in ("nan", "inf"):
+        code, out, err = run(capsys, "tail", files["mb3"], "--eps", eps)
+        assert code == 2 and out == ""
+        assert err.startswith("error: eps") and err.count("\n") == 1
 
 
 def test_cli_lemma(files, capsys, tmp_path):
