@@ -13,6 +13,7 @@ from .errors import (
     DimensionMismatchError,
     FrameFileError,
     FramekitError,
+    IllConditionedError,
     NoParsevalDualError,
     NotAFrameError,
     NotAProjectionError,
@@ -108,11 +109,12 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BadParametersError", "DimensionMismatchError", "FrameFileError",
-    "FramekitError", "NoParsevalDualError", "NotAFrameError",
-    "NotAProjectionError", "NotComplementaryError", "NotDualError",
-    "NotLeftInverseError", "NotParsevalError", "NotPseudoDualError",
-    "NotSurjectiveError", "NotUnitError", "PrefixNotContainedError",
-    "TooLargeError", "WrongRangeError", "ZeroEntryError", "ZeroVectorError",
+    "FramekitError", "IllConditionedError", "NoParsevalDualError",
+    "NotAFrameError", "NotAProjectionError", "NotComplementaryError",
+    "NotDualError", "NotLeftInverseError", "NotParsevalError",
+    "NotPseudoDualError", "NotSurjectiveError", "NotUnitError",
+    "PrefixNotContainedError", "TooLargeError", "WrongRangeError",
+    "ZeroEntryError", "ZeroVectorError",
     "COMPLEX", "REAL", "ExcessReport", "Frame", "FrameBounds",
     "ToleranceConfig", "analysis_matrix", "derived_frame", "excess",
     "excess_from_norms", "frame_bounds", "frame_operator", "gram_matrix",

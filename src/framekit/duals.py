@@ -32,6 +32,7 @@ import numpy as np
 
 from .errors import (
     DimensionMismatchError,
+    IllConditionedError,
     NotAFrameError,
     NotAProjectionError,
     NotComplementaryError,
@@ -149,7 +150,8 @@ def dual_from_free_operator(f: Frame, w: np.ndarray, tol: ToleranceConfig) -> Fr
     Q is the orthogonal projection onto the complement of the analysis
     range, so the W-term adds an arbitrary kernel component without
     disturbing V*U = I.  W = 0 gives the canonical dual; as W ranges
-    over all n x d matrices this sweeps out every dual of f.
+    over all n x d matrices this sweeps out every dual of f.  Raises
+    IllConditionedError when cond(S) >= 1/rank_rtol.
     """
     if not is_frame(f, tol):
         raise NotAFrameError("dual parametrization needs a frame")
@@ -159,7 +161,13 @@ def dual_from_free_operator(f: Frame, w: np.ndarray, tol: ToleranceConfig) -> Fr
             f"free operator must be {(f.n, f.dim)}, got {w.shape}")
     # Normal equations, not canonical_dual_analysis: perfbench's free-dual
     # reference solves them too and compares within atol, which an accurate
-    # U S^{-1} misses on frames with cond(U) ~ 1.6e3 (see ROADMAP).
+    # U S^{-1} misses on frames with cond(U) ~ 1.6e3 (see ROADMAP).  They
+    # square cond(U), so they are refused once cond(S) >= 1/rank_rtol.
+    sigma = f.svd.sigma
+    if sigma[-1] ** 2 <= tol.rank_rtol * sigma[0] ** 2:
+        raise IllConditionedError(
+            f"cond(S) = {(sigma[0] / sigma[-1]) ** 2:.3e} is too large for "
+            "the normal equations of the free-operator dual")
     # W*Q = W* - (W*P)P*, P being the range basis of the cached SVD
     w_adj, p = adjoint(w), f.svd.p
     dual_synthesis = (np.linalg.solve(frame_operator(f), synthesis_matrix(f))

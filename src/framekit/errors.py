@@ -14,6 +14,10 @@ class NotAFrameError(FramekitError):
     """The vector system does not span its ambient space."""
 
 
+class IllConditionedError(FramekitError):
+    """The frame is too ill-conditioned for the requested computation."""
+
+
 class NotParsevalError(FramekitError):
     """The frame operator is not the identity within tolerance."""
 

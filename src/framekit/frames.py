@@ -10,8 +10,8 @@ optimal frame bounds; the system spans the space exactly when the
 lower bound is positive.
 
 Every spectral fact comes from one thin SVD U = P Sigma R* of the
-analysis matrix, cached on the frame (`Frame.svd`): S has eigenvalues
-Sigma^2 and eigenvectors R, and P spans the analysis range.
+analysis matrix, cached on the frame (`Frame.svd`): S has eigenvectors
+R and eigenvalues Sigma^2, and P spans the analysis range.
 
 The number of vectors beyond a minimal spanning set -- the dimension
 of the synthesis kernel, n - rank -- is called the excess and is the
@@ -51,9 +51,10 @@ class ToleranceConfig:
     * rank r = #{i : sigma_i > rank_rtol * sigma_1}; the vectors span
       (`is_frame`) exactly when r = dim, and the excess is n - r; being
       relative to sigma_1, neither verdict changes when f is scaled;
-    * the eigenvalues of S are the sigma_i^2, zero-padded to dim; an
-      eigenvalue "equals one" when |sigma_i^2 - 1| <= eig_one_atol, and
-      the frame is Parseval when all lie within atol of 1.
+    * the eigenvalues lambda_i of S, zero-padded to dim, are read off
+      the same SVD (`Frame.eigenvalues`); an eigenvalue "equals one"
+      when |lambda_i - 1| <= eig_one_atol, and the frame is Parseval
+      when all lie within atol of 1.
 
     Parameters
     ----------
@@ -86,14 +87,6 @@ class ThinSVD(NamedTuple):
     p: np.ndarray
     sigma: np.ndarray
     rh: np.ndarray  # R*: its conjugated rows are eigenvectors of S
-
-    @property
-    def eigenvalues(self) -> np.ndarray:
-        """Eigenvalues of S = U*U in descending order: sigma^2, zero-padded
-        to d."""
-        lam = np.zeros(self.rh.shape[1])
-        lam[: self.sigma.size] = self.sigma ** 2
-        return lam
 
 
 @dataclass(frozen=True, eq=False)
@@ -142,6 +135,18 @@ class Frame:
         for part in parts:
             part.setflags(write=False)
         return ThinSVD(*parts)
+
+    @cached_property
+    def eigenvalues(self) -> np.ndarray:
+        """Eigenvalues of S = U*U, zero-padded to dim: the Rayleigh quotients
+        ||U r_i||^2 at the right singular vectors of the cached SVD, in its
+        order.  Unlike fl(sigma_i)^2 they are exact whenever U R is: the
+        SVD of [[1, 0], [0, 1], [1, 0]] has fl(sqrt 2)^2 > 2."""
+        ur = analysis_matrix(self) @ adjoint(self.svd.rh)
+        lam = np.zeros(self.dim)
+        lam[: ur.shape[1]] = np.sum(ur.real ** 2 + ur.imag ** 2, axis=0)
+        lam.setflags(write=False)
+        return lam
 
 
 def derived_frame(field: str, vectors: np.ndarray, tol: ToleranceConfig) -> Frame:
@@ -207,8 +212,8 @@ def gram_matrix(f: Frame) -> np.ndarray:
 def frame_bounds(f: Frame) -> FrameBounds:
     """Extreme eigenvalues of the frame operator; a_opt = 0 signals that
     the system does not span."""
-    lam = f.svd.eigenvalues
-    return FrameBounds(a_opt=float(lam[-1]), b_opt=float(lam[0]))
+    lam = f.eigenvalues
+    return FrameBounds(a_opt=float(lam.min()), b_opt=float(lam.max()))
 
 
 def is_frame(f: Frame, tol: ToleranceConfig) -> bool:
@@ -219,7 +224,7 @@ def is_frame(f: Frame, tol: ToleranceConfig) -> bool:
 
 def is_parseval(f: Frame, tol: ToleranceConfig) -> bool:
     """True when the frame operator is the identity within atol."""
-    return float(np.max(np.abs(f.svd.eigenvalues - 1.0))) <= tol.atol
+    return float(np.max(np.abs(f.eigenvalues - 1.0))) <= tol.atol
 
 
 def excess(f: Frame, tol: ToleranceConfig) -> ExcessReport:

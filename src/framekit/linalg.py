@@ -66,10 +66,7 @@ def orthonormal_nullspace(m: np.ndarray, rtol: float) -> np.ndarray:
     m = np.atleast_2d(np.asarray(m))
     _, s, vh = np.linalg.svd(m, full_matrices=True)
     r = rank_from_singular_values(s, rtol)
-    basis = adjoint(vh)[:, r:]
-    for j in range(basis.shape[1]):
-        basis[:, j] = fix_phase(basis[:, j])
-    return basis
+    return fix_phase(adjoint(vh)[:, r:])
 
 
 def subspace_distance(q1: np.ndarray, q2: np.ndarray) -> float:

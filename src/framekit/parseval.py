@@ -79,7 +79,7 @@ def deviation_dimension(f: Frame, tol: ToleranceConfig) -> int:
     not 1 (within eig_one_atol)."""
     if not is_frame(f, tol):
         raise NotAFrameError("deviation dimension needs a frame")
-    eigs = f.svd.eigenvalues
+    eigs = f.eigenvalues
     return int(np.count_nonzero(np.abs(eigs - 1.0) > tol.eig_one_atol))
 
 
@@ -121,7 +121,7 @@ def _nearest_parseval_dual(f: Frame, tol: ToleranceConfig) -> Tuple[Frame, float
     """
     if not is_frame(f, tol):
         raise NotAFrameError("nearest Parseval dual needs a frame")
-    lam = f.svd.eigenvalues
+    lam = f.eigenvalues
     above = np.flatnonzero(lam - 1.0 > tol.eig_one_atol)[: f.n - f.dim]
     v = canonical_dual_analysis(f)
     if above.size:

@@ -165,6 +165,18 @@ def test_dual_from_free_operator_errors(mb3, tol):
         fk.dual_from_free_operator(bad, np.zeros((3, 2)), tol)
 
 
+def test_thin_frame_gets_an_exact_dual_or_an_error(tol):
+    # a rotated [[1, 0], [0, 1e-6], [1, 0]]: a frame with cond(U) ~ 1.4e6,
+    # where the normal equations would miss V*U = I by ~1e-4
+    c, s = np.cos(0.3), np.sin(0.3)
+    vectors = np.array([[1.0, 0.0], [0.0, 1e-6], [1.0, 0.0]]) @ [[c, s], [-s, c]]
+    f = fk.Frame(dim=2, field="real", vectors=vectors)
+    assert fk.is_frame(f, tol)
+    assert fk.check_duality(f, fk.canonical_dual(f, tol), tol).is_exact_dual
+    with pytest.raises(fk.IllConditionedError):
+        fk.dual_from_free_operator(f, np.zeros((3, 2)), tol)
+
+
 def test_oblique_projection_examples(tol):
     e1 = np.array([1.0, 0.0])
     e2 = np.array([0.0, 1.0])

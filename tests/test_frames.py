@@ -90,8 +90,7 @@ def test_frame_bounds_examples(mb3, e1e2e1):
     assert b.a_opt == pytest.approx(1.0, abs=1e-12)
     assert b.b_opt == pytest.approx(1.0, abs=1e-12)
     b = fk.frame_bounds(e1e2e1)
-    # sigma_1^2 = fl(sqrt 2)^2 is one ulp above 2
-    assert (b.a_opt, b.b_opt) == (1.0, pytest.approx(2.0, rel=1e-15))
+    assert (b.a_opt, b.b_opt) == (1.0, 2.0)
     b = fk.frame_bounds(fk.Frame(dim=2, field="real", vectors=[[1, 0]]))
     assert (b.a_opt, b.b_opt) == (0.0, 1.0)
 
