@@ -4,19 +4,21 @@ Every subcommand reads frames from JSON files, delegates all numerics
 to the library, and prints a single deterministic JSON report on
 stdout.  Exit codes: 0 when the verdict is "pass" or "n/a", 1 when a
 verified property fails (a tolerance problem or a bug -- the underlying
-statements are theorems), 2 for usage or input errors.  Diagnostics go
-to stderr.
-
-The default seed comes from the FRAMEKIT_SEED environment variable when
---seed is absent; with neither, seed 0 is used.
+statements are theorems), 2 for usage or input errors and for results
+that cannot be serialized (a non-finite number).  Diagnostics go to
+stderr.  Every subcommand argument is echoed in the report's inputs
+(the tolerances in a section of their own); seed is the resolved one:
+--seed, else the FRAMEKIT_SEED environment variable, else 0, and never
+negative.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
-from typing import Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -58,17 +60,22 @@ from .io import Report, read_frame, read_matrix, rows_obj, vector_obj, write_fra
 from .linalg import adjoint, gaussian_matrix, operator_norm
 
 
+Outcome = Tuple[str, Dict[str, Any]]  # (verdict, payload)
+_TOLERANCES = tuple(field.name for field in dataclasses.fields(ToleranceConfig))
+_NOT_ECHOED = {"command", "handler", "seed", *_TOLERANCES}
+
+
 def _resolve_seed(args: argparse.Namespace) -> int:
-    if getattr(args, "seed", None) is not None:
-        return int(args.seed)
-    raw = os.environ.get("FRAMEKIT_SEED", "").strip()
-    if not raw:
-        return 0
+    source, raw = "--seed", args.seed
+    if raw is None:
+        source, raw = "FRAMEKIT_SEED", os.environ.get("FRAMEKIT_SEED", "").strip() or "0"
     try:
-        return int(raw)
+        seed = int(raw)
     except ValueError as exc:
-        raise BadParametersError(
-            f"FRAMEKIT_SEED must be an integer, got {raw!r}") from exc
+        raise BadParametersError(f"{source} must be an integer, got {raw!r}") from exc
+    if seed < 0:
+        raise BadParametersError(f"{source} must be non-negative, got {seed}")
+    return seed
 
 
 def _parse_index_list(text: str, n: int) -> IndexSet:
@@ -99,7 +106,7 @@ def _random_unit_vectors(rng: np.random.Generator, dim: int, count: int,
     return x / np.linalg.norm(x, axis=1, keepdims=True)
 
 
-def _cmd_analyze(args: argparse.Namespace, tol: ToleranceConfig, seed: int) -> Report:
+def _cmd_analyze(args: argparse.Namespace, tol: ToleranceConfig, seed: int) -> Outcome:
     f = read_frame(args.frame)
     bounds = frame_bounds(f)
     spanning = is_frame(f, tol)
@@ -122,11 +129,10 @@ def _cmd_analyze(args: argparse.Namespace, tol: ToleranceConfig, seed: int) -> R
         payload["excess"] = None
         payload["rank"] = None
         payload["singular_values"] = None
-    return Report(command="analyze", inputs={"frame": args.frame, "seed": seed},
-                  verdict="n/a", payload=payload, tolerances=tol)
+    return "n/a", payload
 
 
-def _cmd_dual(args: argparse.Namespace, tol: ToleranceConfig, seed: int) -> Report:
+def _cmd_dual(args: argparse.Namespace, tol: ToleranceConfig, seed: int) -> Outcome:
     f = read_frame(args.frame)
     if args.mode == "canonical":
         g = canonical_dual(f, tol)
@@ -155,14 +161,10 @@ def _cmd_dual(args: argparse.Namespace, tol: ToleranceConfig, seed: int) -> Repo
         "excess_g": excess(g, tol).excess,
         "excess_equal": equal,
     }
-    verdict = "pass" if report.is_exact_dual and equal else "fail"
-    inputs = {"frame": args.frame, "mode": args.mode, "proj": args.proj,
-              "w": args.w, "out": args.out, "seed": seed}
-    return Report(command="dual", inputs=inputs, verdict=verdict,
-                  payload=payload, tolerances=tol)
+    return "pass" if report.is_exact_dual and equal else "fail", payload
 
 
-def _cmd_check(args: argparse.Namespace, tol: ToleranceConfig, seed: int) -> Report:
+def _cmd_check(args: argparse.Namespace, tol: ToleranceConfig, seed: int) -> Outcome:
     f = read_frame(args.frame)
     g = read_frame(args.other)
     report = check_duality(f, g, tol)
@@ -182,13 +184,11 @@ def _cmd_check(args: argparse.Namespace, tol: ToleranceConfig, seed: int) -> Rep
     else:
         payload["excess_equal"] = None
         verdict = "n/a"
-    inputs = {"frame": args.frame, "other": args.other, "seed": seed}
-    return Report(command="check", inputs=inputs, verdict=verdict,
-                  payload=payload, tolerances=tol)
+    return verdict, payload
 
 
 def _cmd_parseval_dual(args: argparse.Namespace, tol: ToleranceConfig,
-                       seed: int) -> Report:
+                       seed: int) -> Outcome:
     f = read_frame(args.frame)
     existence = parseval_dual_exists(f, tol)
     payload = {
@@ -212,12 +212,10 @@ def _cmd_parseval_dual(args: argparse.Namespace, tol: ToleranceConfig,
             verdict = "fail"
         if args.out:
             write_frame(g, args.out)
-    inputs = {"frame": args.frame, "out": args.out, "seed": seed}
-    return Report(command="parseval-dual", inputs=inputs, verdict=verdict,
-                  payload=payload, tolerances=tol)
+    return verdict, payload
 
 
-def _cmd_nu(args: argparse.Namespace, tol: ToleranceConfig, seed: int) -> Report:
+def _cmd_nu(args: argparse.Namespace, tol: ToleranceConfig, seed: int) -> Outcome:
     f = read_frame(args.frame)
     lower = 0.75 - tol.atol
     if args.global_min:
@@ -225,7 +223,6 @@ def _cmd_nu(args: argparse.Namespace, tol: ToleranceConfig, seed: int) -> Report
         payload = {"mode": "global", "nu_minus": value,
                    "witness_j": list(witness.members)}
         verdict = "pass" if value >= lower else "fail"
-        j_echo = None
     else:
         j = _parse_index_list(args.j, f.n)
         bounds = nu_bounds(f, j, tol)
@@ -240,14 +237,10 @@ def _cmd_nu(args: argparse.Namespace, tol: ToleranceConfig, seed: int) -> Report
             "in_range": in_range,
         }
         verdict = "pass" if in_range else "fail"
-        j_echo = args.j
-    inputs = {"frame": args.frame, "j": j_echo,
-              "global_min": bool(args.global_min), "seed": seed}
-    return Report(command="nu", inputs=inputs, verdict=verdict,
-                  payload=payload, tolerances=tol)
+    return verdict, payload
 
 
-def _cmd_identity(args: argparse.Namespace, tol: ToleranceConfig, seed: int) -> Report:
+def _cmd_identity(args: argparse.Namespace, tol: ToleranceConfig, seed: int) -> Outcome:
     f = read_frame(args.frame)
     if args.trials < 1:
         raise BadParametersError("--trials must be at least 1")
@@ -259,13 +252,10 @@ def _cmd_identity(args: argparse.Namespace, tol: ToleranceConfig, seed: int) -> 
         lhs, rhs = identity_sides(f, j, x, tol)
         worst = max(worst, abs(lhs - rhs))
     payload = {"j": list(j.members), "trials": args.trials, "max_residual": worst}
-    verdict = "pass" if worst <= tol.atol else "fail"
-    inputs = {"frame": args.frame, "j": args.j, "trials": args.trials, "seed": seed}
-    return Report(command="identity", inputs=inputs, verdict=verdict,
-                  payload=payload, tolerances=tol)
+    return "pass" if worst <= tol.atol else "fail", payload
 
 
-def _cmd_tail(args: argparse.Namespace, tol: ToleranceConfig, seed: int) -> Report:
+def _cmd_tail(args: argparse.Namespace, tol: ToleranceConfig, seed: int) -> Outcome:
     f = read_frame(args.frame)
     n0 = tail_threshold(f, args.eps, tol)
     if args.j is not None:
@@ -281,13 +271,10 @@ def _cmd_tail(args: argparse.Namespace, tol: ToleranceConfig, seed: int) -> Repo
         "bound": 1.0 - args.eps,
         "holds": holds,
     }
-    inputs = {"frame": args.frame, "eps": args.eps, "j": args.j, "seed": seed}
-    return Report(command="tail", inputs=inputs,
-                  verdict="pass" if holds else "fail",
-                  payload=payload, tolerances=tol)
+    return "pass" if holds else "fail", payload
 
 
-def _cmd_lemma(args: argparse.Namespace, tol: ToleranceConfig, seed: int) -> Report:
+def _cmd_lemma(args: argparse.Namespace, tol: ToleranceConfig, seed: int) -> Outcome:
     f = read_frame(args.frame)
     g = read_frame(args.other)
     if args.probes < 1:
@@ -300,14 +287,10 @@ def _cmd_lemma(args: argparse.Namespace, tol: ToleranceConfig, seed: int) -> Rep
         "direct_sum_residual": report.direct_sum_residual,
         "idempotent_residual": report.idempotent_residual,
     }
-    verdict = "pass" if max(residuals.values()) <= tol.atol else "fail"
-    inputs = {"frame": args.frame, "other": args.other,
-              "probes": args.probes, "seed": seed}
-    return Report(command="lemma", inputs=inputs, verdict=verdict,
-                  payload=residuals, tolerances=tol)
+    return "pass" if max(residuals.values()) <= tol.atol else "fail", residuals
 
 
-def _cmd_gen(args: argparse.Namespace, tol: ToleranceConfig, seed: int) -> Report:
+def _cmd_gen(args: argparse.Namespace, tol: ToleranceConfig, seed: int) -> Outcome:
     frame = generate(args.kind, dim=args.dim, n=args.n, seed=seed,
                      field=args.field, k=args.k, alpha=_parse_alpha(args.alpha),
                      tol=tol)
@@ -321,11 +304,7 @@ def _cmd_gen(args: argparse.Namespace, tol: ToleranceConfig, seed: int) -> Repor
         "is_parseval": is_parseval(frame, tol),
         "out": args.out,
     }
-    inputs = {"kind": args.kind, "dim": args.dim, "n": args.n, "k": args.k,
-              "alpha": args.alpha, "field": args.field, "out": args.out,
-              "seed": seed}
-    return Report(command="gen", inputs=inputs, verdict="n/a",
-                  payload=payload, tolerances=tol)
+    return "n/a", payload
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -334,11 +313,12 @@ def build_parser() -> argparse.ArgumentParser:
         description="Finite frame toolkit: bounds, excess, duals, Parseval "
                     "duals, and subset quantity bounds.")
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--rank-rtol", type=float, default=1e-10,
+    common.add_argument("--rank-rtol", type=float, default=ToleranceConfig.rank_rtol,
                         help="relative singular-value cutoff for rank decisions")
-    common.add_argument("--atol", type=float, default=1e-8,
+    common.add_argument("--atol", type=float, default=ToleranceConfig.atol,
                         help="absolute comparison tolerance")
-    common.add_argument("--eig-one-atol", type=float, default=1e-8,
+    common.add_argument("--eig-one-atol", type=float,
+                        default=ToleranceConfig.eig_one_atol,
                         help="band half-width for eigenvalue-equals-1 tests")
     common.add_argument("--seed", type=int, default=None,
                         help="RNG seed (default: FRAMEKIT_SEED or 0)")
@@ -420,18 +400,21 @@ def run_command(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:
-        tol = ToleranceConfig(rank_rtol=args.rank_rtol, atol=args.atol,
-                              eig_one_atol=args.eig_one_atol)
+        tol = ToleranceConfig(**{name: getattr(args, name) for name in _TOLERANCES})
         seed = _resolve_seed(args)
-        report = args.handler(args, tol, seed)
-    except FramekitError as exc:
+        # overflow reaches the report as inf, which serialization rejects
+        with np.errstate(all="ignore"):
+            verdict, payload = args.handler(args, tol, seed)
+        inputs = {key: value for key, value in vars(args).items()
+                  if key not in _NOT_ECHOED}
+        inputs["seed"] = seed
+        text = Report(command=args.command, inputs=inputs, verdict=verdict,
+                      payload=payload, tolerances=tol).to_json()
+    except (FramekitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    print(report.to_json())
-    return 0 if report.verdict in ("pass", "n/a") else 1
+    print(text)
+    return 0 if verdict in ("pass", "n/a") else 1
 
 
 def main() -> None:

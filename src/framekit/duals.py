@@ -43,6 +43,7 @@ from .errors import (
     WrongRangeError,
 )
 from .frames import (
+    COMPLEX,
     Frame,
     ToleranceConfig,
     analysis_matrix,
@@ -57,8 +58,8 @@ from .linalg import (
     adjoint,
     matrix_rank,
     operator_norm,
-    orthonormal_nullspace,
     orthonormal_range,
+    rank_from_singular_values,
     subspace_distance,
 )
 
@@ -242,6 +243,24 @@ def projection_from_dual_pair(f: Frame, g: Frame, tol: ToleranceConfig) -> np.nd
     return analysis_matrix(f) @ synthesis_matrix(g)
 
 
+def _range_basis(f: Frame, tol: ToleranceConfig) -> np.ndarray:
+    """The columns of the cached P that the rank cutoff keeps."""
+    return f.svd.p[:, :rank_from_singular_values(f.svd.sigma, tol.rank_rtol)]
+
+
+def _kernel_identity_gap(f: Frame, g: Frame, tol: ToleranceConfig) -> float:
+    """Subspace distance between Ker V* and (I - UV*)(Ker U*), U and V
+    being the analysis matrices of f and g: 1 for unequal dimensions,
+    else ||P* mapped||, P spanning Im V = (Ker V*)^perp."""
+    ker_u = kernel_of_synthesis(f, tol)
+    mapped = orthonormal_range(
+        ker_u - analysis_matrix(f) @ (synthesis_matrix(g) @ ker_u), tol.rank_rtol)
+    p_g = _range_basis(g, tol)
+    if mapped.shape[1] != g.n - p_g.shape[1]:
+        return 1.0
+    return min(1.0, operator_norm(adjoint(p_g) @ mapped))
+
+
 def verify_lemma_decomposition(t: np.ndarray, s: np.ndarray, probes: int,
                                seed: int, tol: ToleranceConfig) -> LemmaReport:
     """Check the decomposition lemma for a left-inverse pair ST = I.
@@ -250,7 +269,9 @@ def verify_lemma_decomposition(t: np.ndarray, s: np.ndarray, probes: int,
     identity Ker S = (I - TS)(Ker T*), the direct sum
     (coefficient space) = Im T (+) Ker S probed on seeded random
     vectors, and idempotency of TS.  The direct-sum residual is the
-    worst recomposition/membership defect over the probes.
+    worst recomposition/membership defect over the probes.  Im T and
+    Ker S = (Im S*)^perp come from the cached SVDs of two frames whose
+    analysis matrices are T and S*.
     """
     t = np.asarray(t, dtype=np.complex128)
     s = np.asarray(s, dtype=np.complex128)
@@ -259,35 +280,32 @@ def verify_lemma_decomposition(t: np.ndarray, s: np.ndarray, probes: int,
             f"left inverse of a {t.shape} matrix must be {(t.shape[1], t.shape[0])}")
     if probes < 1:
         raise DimensionMismatchError("at least one probe vector is required")
-    n = t.shape[0]
-    st_residual = operator_norm(s @ t - np.eye(t.shape[1]))
+    n, d = t.shape
+    st_residual = operator_norm(s @ t - np.eye(d))
     if st_residual > tol.atol:
         raise NotLeftInverseError(f"S T deviates from identity by {st_residual:.3e}")
     ts = t @ s
     idem_residual = operator_norm(ts @ ts - ts)
 
-    ker_s = orthonormal_nullspace(s, tol.rank_rtol)
-    ker_t_adj = orthonormal_nullspace(adjoint(t), tol.rank_rtol)
-    mapped = orthonormal_range((np.eye(n) - ts) @ ker_t_adj, tol.rank_rtol)
-    kernel_residual = subspace_distance(ker_s, mapped)
+    f = Frame(dim=d, field=COMPLEX, vectors=np.conj(t))
+    g = Frame(dim=d, field=COMPLEX, vectors=s.T)
+    kernel_residual = _kernel_identity_gap(f, g, tol)
 
-    im_t = orthonormal_range(t, tol.rank_rtol)
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(probes):
-        y = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        y /= np.linalg.norm(y)
-        u_part = ts @ y
-        v_part = y - u_part
-        defect = max(
-            float(np.linalg.norm(y - (u_part + v_part))),
-            float(np.linalg.norm(u_part - im_t @ (adjoint(im_t) @ u_part))),
-            float(np.linalg.norm(v_part - ker_s @ (adjoint(ker_s) @ v_part))),
-        )
-        worst = max(worst, defect)
+    im_t, im_s_adj = _range_basis(f, tol), _range_basis(g, tol)
+    draws = np.random.default_rng(seed).standard_normal((probes, 2, n))
+    y = (draws[:, 0] + 1j * draws[:, 1]).T
+    y /= np.linalg.norm(y, axis=0)
+    u_part = ts @ y
+    v_part = y - u_part
+    # per probe: recomposition, u_part in Im T, v_part in Ker S
+    defects = np.stack([
+        np.linalg.norm(y - (u_part + v_part), axis=0),
+        np.linalg.norm(u_part - im_t @ (adjoint(im_t) @ u_part), axis=0),
+        np.linalg.norm(adjoint(im_s_adj) @ v_part, axis=0),
+    ])
     return LemmaReport(st_is_identity_residual=float(st_residual),
                        kernel_match_residual=float(kernel_residual),
-                       direct_sum_residual=worst,
+                       direct_sum_residual=float(defects.max()),
                        idempotent_residual=float(idem_residual))
 
 
@@ -313,19 +331,13 @@ def verify_excess_equality(f: Frame, g: Frame, tol: ToleranceConfig) -> bool:
     """Check that a (pseudo-)dual pair carries the same excess.
 
     For exact dual pairs the finer kernel identity
-    Ker V* = (I - UV*)(Ker U*) is verified as well: equal dimensions,
-    and a subspace distance ||P* mapped|| within atol, where P spans
-    Im V = (Ker V*)^perp; the returned flag is the conjunction.
+    Ker V* = (I - UV*)(Ker U*) is verified as well, as a subspace
+    distance within atol; the returned flag is the conjunction.
     """
     report = check_duality(f, g, tol)
     if not report.is_pseudo_dual:
         raise NotPseudoDualError("excess equality is claimed for pseudo-dual pairs")
-    excess_g = excess(g, tol).excess
-    equal = excess(f, tol).excess == excess_g
+    equal = excess(f, tol).excess == excess(g, tol).excess
     if not report.is_exact_dual:
         return equal
-    ker_u = kernel_of_synthesis(f, tol)
-    mapped = orthonormal_range(
-        ker_u - analysis_matrix(f) @ (synthesis_matrix(g) @ ker_u), tol.rank_rtol)
-    return (equal and mapped.shape[1] == excess_g
-            and operator_norm(adjoint(g.svd.p) @ mapped) <= tol.atol)
+    return equal and _kernel_identity_gap(f, g, tol) <= tol.atol

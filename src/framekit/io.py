@@ -14,7 +14,7 @@ bytes, which the CLI relies on for reproducible reports.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Any, Dict, List
 
 import numpy as np
@@ -172,11 +172,7 @@ class Report:
             "inputs": self.inputs,
             "verdict": self.verdict,
             "payload": self.payload,
-            "tolerances": {
-                "rank_rtol": self.tolerances.rank_rtol,
-                "atol": self.tolerances.atol,
-                "eig_one_atol": self.tolerances.eig_one_atol,
-            },
+            "tolerances": asdict(self.tolerances),
         }
 
     def to_json(self) -> str:

@@ -284,6 +284,23 @@ def test_lemma_plain_matrices(tol):
                report.direct_sum_residual, report.idempotent_residual) <= 1e-12
 
 
+def test_lemma_reads_the_cached_svds(monkeypatch, tol):
+    f, g = random_dual_pair(3, 6, 0)
+    t, s = fk.analysis_matrix(f), fk.synthesis_matrix(g)
+    calls = []
+
+    def counted(a, *rest, _svd=np.linalg.svd, **kw):
+        calls.append(kw.get("full_matrices", rest[0] if rest else True))
+        return _svd(a, *rest, **kw)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    report = fk.verify_lemma_decomposition(t, s, probes=5, seed=0, tol=tol)
+    assert report.kernel_match_residual <= 1e-12
+    # one thin SVD of T, one of S*, one for the mapped kernel basis
+    assert len(calls) <= 3
+    assert True not in calls
+
+
 def test_lemma_rejects_non_left_inverse(e1e2e1, tol):
     t = fk.analysis_matrix(e1e2e1)
     s = 1.5 * fk.synthesis_matrix(fk.canonical_dual(e1e2e1, tol))

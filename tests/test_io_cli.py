@@ -385,6 +385,13 @@ def test_cli_error_paths(files, capsys, tmp_path):
     code, _, _ = run(capsys, "no-such-command")
     assert code == 2
 
+    # b_opt overflows to inf: the report cannot be serialized
+    big = tmp_path / "big.json"
+    big.write_text('{"dim":2,"field":"real","vectors":[[1e200,0],[0,1],[1,1]]}')
+    code, out, err = run(capsys, "analyze", str(big))
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error:")
+
     code, _, _ = run(capsys, "--help")
     assert code == 0
 
@@ -412,6 +419,50 @@ def test_cli_seed_resolution(files, capsys, monkeypatch):
     _, zero_explicit, _ = run(capsys, "identity", files["mb3"], "--j", "1",
                               "--seed", "0")
     assert zero_default == zero_explicit
+
+    # a negative seed, from either source, is a usage error
+    monkeypatch.setenv("FRAMEKIT_SEED", "-1")
+    code, out, err = run(capsys, "identity", files["mb3"], "--j", "1")
+    assert code == 2 and out == "" and err.count("\n") == 1
+    assert "FRAMEKIT_SEED" in err
+    monkeypatch.delenv("FRAMEKIT_SEED", raising=False)
+    for argv in (("identity", files["mb3"], "--j", "1", "--seed", "-1"),
+                 ("dual", files["mb3"], "--mode", "random", "--seed", "-1"),
+                 ("gen", "--kind", "random", "--dim", "2", "--n", "3",
+                  "--out", str(files["dir"] / "neg.json"), "--seed", "-5")):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and err.count("\n") == 1
+        assert "--seed" in err
+
+
+def test_cli_echoes_every_argument(files, capsys, monkeypatch, tmp_path):
+    monkeypatch.setenv("FRAMEKIT_SEED", "12")
+    g_path = write(tmp_path / "echo_g.json",
+                   fk.canonical_dual(fk.read_frame(files["e1e2e1"]),
+                                     fk.ToleranceConfig()))
+    cases = [
+        (("analyze", files["mb3"]), ["frame"]),
+        (("dual", files["e1e2e1"]), ["frame", "mode", "proj", "w", "out"]),
+        (("check", files["e1e2e1"], g_path), ["frame", "other"]),
+        (("parseval-dual", files["e1e2e1"]), ["frame", "out"]),
+        (("nu", files["mb3"], "--global-min"), ["frame", "j", "global_min"]),
+        (("identity", files["mb3"], "--j", "1", "--trials", "3"),
+         ["frame", "j", "trials"]),
+        (("tail", files["mb3"], "--eps", "0.5"), ["frame", "eps", "j"]),
+        (("lemma", files["e1e2e1"], g_path), ["frame", "other", "probes"]),
+        (("gen", "--kind", "random", "--dim", "2", "--n", "3",
+          "--out", str(tmp_path / "echo_gen.json")),
+         ["kind", "dim", "n", "k", "alpha", "field", "out"]),
+    ]
+    for argv, keys in cases:
+        code, out, _ = run(capsys, *argv)
+        assert code == 0, argv
+        inputs = json.loads(out)["inputs"]
+        assert list(inputs) == keys + ["seed"], argv
+        assert inputs["seed"] == 12
+    code, out, _ = run(capsys, "nu", files["mb3"], "--global-min", "--seed", "4")
+    assert json.loads(out)["inputs"] == {"frame": files["mb3"], "j": None,
+                                         "global_min": True, "seed": 4}
 
 
 def test_cli_reports_are_deterministic(files, capsys, monkeypatch):
