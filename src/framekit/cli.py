@@ -6,10 +6,10 @@ stdout.  Exit codes: 0 when the verdict is "pass" or "n/a", 1 when a
 verified property fails (a tolerance problem or a bug -- the underlying
 statements are theorems), 2 for usage or input errors and for results
 that cannot be serialized (a non-finite number).  Diagnostics go to
-stderr.  Every subcommand argument is echoed in the report's inputs
-(the tolerances in a section of their own); seed is the resolved one:
---seed, else the FRAMEKIT_SEED environment variable, else 0, and never
-negative.
+stderr, one line each, usage errors included.  Every subcommand
+argument is echoed in the report's inputs (the tolerances in a section
+of their own); seed is the resolved one: --seed, else the FRAMEKIT_SEED
+environment variable, else 0, and never negative.
 """
 
 from __future__ import annotations
@@ -307,8 +307,16 @@ def _cmd_gen(args: argparse.Namespace, tol: ToleranceConfig, seed: int) -> Outco
     return "n/a", payload
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error in one stderr line, without the usage block;
+    subcommand parsers inherit this class from `add_subparsers`."""
+
+    def error(self, message: str):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="framekit",
         description="Finite frame toolkit: bounds, excess, duals, Parseval "
                     "duals, and subset quantity bounds.")

@@ -12,6 +12,16 @@ are extreme eigenvalues.  For Parseval frames S_{J^c} = I - S_J, hence
 the spectrum of M_J is {t + (1-t)^2 : t eigenvalue of S_J} and always
 lies in [3/4, 1].
 
+`nu_minus_global` minimizes nu_minus(J) over all 2^n subsets in two
+steps.  A screen reads nu_minus(J) = 3/4 + min (t - 1/2)^2 off the
+eigenvalues t of S_J, on the 2^(n-1) subsets without index n (since
+nu_minus(J) = nu_minus(J^c)).  A certify step evaluates M_J itself on
+the subsets that screen near the minimum, and on their complements,
+with a window that covers rounding and the frame's distance from
+Parseval, e = max |lambda_i(S) - 1|.  The result is the exhaustive
+minimum and its first minimizer in binary-counter order, exactly as if
+every M_J had been evaluated.
+
 When the frame has small norm deficits past some threshold n_0 (the
 tail sum of 1 - ||f_k||^2 is below eps), every J containing {1..n_0}
 pushes nu_minus(J) above 1 - eps; `tail_threshold` and
@@ -51,7 +61,11 @@ from .frames import (
 from .linalg import fix_phase, orthonormal_nullspace
 
 GLOBAL_SWEEP_LIMIT = 20
-_SWEEP_CHUNK = 1 << 14
+# The global sweep screens S_J as low[a] + high[b]: `low` holds the
+# partial frame operators over the first _LOW_BITS indices.
+_LOW_BITS = 14
+# Rounding allowance of the certify window, in units of d * n * eps.
+_ROUNDING = 16
 
 
 @dataclass(frozen=True)
@@ -154,11 +168,31 @@ def nu_bounds(f: Frame, j: IndexSet, tol: ToleranceConfig) -> NuBounds:
 
 
 def nu_minus_global(f: Frame, tol: ToleranceConfig) -> Tuple[float, IndexSet]:
-    """Minimize nu_minus(J) over all 2^n subsets J (exhaustively).
+    """Minimize nu_minus(J) over all 2^n subsets J, exhaustively.
 
-    Subsets are swept in binary-counter order and ties keep the first
-    minimizer, so the reported witness is deterministic.  Refuses
-    instances beyond GLOBAL_SWEEP_LIMIT vectors.
+    The value and the witness are those of an evaluation of every
+    eigvalsh(M_J): the minimum, and the first minimizer in binary-counter
+    order (bit k - 1 of the counter is index k).  Two steps reach them:
+
+    * Screen.  For a Parseval frame S_{J^c} = I - S_J, so
+      nu_minus(J) = 3/4 + min over t in spec(S_J) of (t - 1/2)^2 and
+      nu_minus(J) = nu_minus(J^c).  Only the 2^(n-1) subsets without
+      index n are screened, from the eigenvalues of S_J alone (real
+      arithmetic for a real frame).  S_J is low[a] + high[b], two
+      subset-sum tables over the first _LOW_BITS indices and over the
+      rest below n.
+    * Certify.  With e = max |lambda_i(S) - 1|, S = I + E and
+      ||I - S_J|| <= 1 + e, so M_J differs from S_J + (I - S_J)^2 by at
+      most delta = 2e(1 + e) + e^2.  Rounding in either evaluation is
+      allowed _ROUNDING * d * n * eps: an entry of S_J or M_J sums up
+      to n terms of size at most about 1, and a d x d error matrix has
+      norm at most d times its largest entry.  Every exact minimizer
+      therefore screens within 2(delta + rounding) of the best screened
+      value.  Those subsets and their complements are evaluated with
+      the exact M_J arithmetic of `_exact_nu_minus`, which decides the
+      value and the tie.
+
+    Refuses instances beyond GLOBAL_SWEEP_LIMIT vectors.
     """
     if not is_parseval(f, tol):
         raise NotParsevalError("nu bounds are stated for Parseval frames")
@@ -166,25 +200,54 @@ def nu_minus_global(f: Frame, tol: ToleranceConfig) -> Tuple[float, IndexSet]:
     if n > GLOBAL_SWEEP_LIMIT:
         raise TooLargeError(
             f"exhaustive sweep limited to {GLOBAL_SWEEP_LIMIT} vectors, got {n}")
+    vectors = f.vectors.real if f.field == REAL else f.vectors
+    outer = np.einsum("ki,kj->kij", vectors, np.conj(vectors))
+    low_bits = min(_LOW_BITS, n - 1)
+    low = _subset_sums(outer[:low_bits])
+    high = _subset_sums(outer[low_bits:n - 1])
+    screen = np.empty((len(high), len(low)))
+    for b, s_high in enumerate(high):
+        t = np.linalg.eigvalsh(low + s_high)
+        screen[b] = np.min(np.abs(t - 0.5), axis=1)
+    screen = 0.75 + screen.reshape(-1) ** 2
+    e = float(np.max(np.abs(f.eigenvalues - 1.0)))
+    delta = 2.0 * e * (1.0 + e) + e * e
+    rounding = _ROUNDING * d * n * np.finfo(np.float64).eps
+    near = np.flatnonzero(screen <= screen.min() + 2.0 * (delta + rounding))
+    codes = np.union1d(near, near ^ ((1 << n) - 1))
+    values = _exact_nu_minus(f, codes)
+    k = int(np.argmin(values))
+    members = tuple(i + 1 for i in range(n) if (int(codes[k]) >> i) & 1)
+    return float(values[k]), IndexSet(members=members, n=n)
+
+
+def _subset_sums(outer: np.ndarray) -> np.ndarray:
+    """Partial frame operators over every subset of the given outer
+    products, indexed by their binary-counter code."""
+    sums = np.zeros((1,) + outer.shape[1:], dtype=outer.dtype)
+    for term in outer:
+        sums = np.concatenate([sums, sums + term])
+    return sums
+
+
+def _exact_nu_minus(f: Frame, codes: np.ndarray) -> np.ndarray:
+    """Smallest eigenvalue of M_J = S_J + S_{J^c}^2 for each subset code,
+    from complex outer products and a batched eigvalsh of M_J, in
+    batches no larger than the screen's (exact ties can certify all
+    2^n subsets)."""
+    n, d = f.n, f.dim
     outer = np.einsum("ki,kj->kij", f.vectors, np.conj(f.vectors))
     s_total = outer.sum(axis=0)
     flat = outer.reshape(n, d * d)
     bit_positions = np.arange(n, dtype=np.int64)
-    best_val = np.inf
-    best_code = 0
-    for start in range(0, 1 << n, _SWEEP_CHUNK):
-        codes = np.arange(start, min(start + _SWEEP_CHUNK, 1 << n), dtype=np.int64)
-        picks = ((codes[:, None] >> bit_positions) & 1).astype(np.float64)
+    mins = []
+    for start in range(0, len(codes), 1 << _LOW_BITS):
+        chunk = codes[start:start + (1 << _LOW_BITS)]
+        picks = ((chunk[:, None] >> bit_positions) & 1).astype(np.float64)
         s_in = (picks @ flat).reshape(-1, d, d)
         s_out = s_total - s_in
-        m = s_in + s_out @ s_out
-        mins = np.linalg.eigvalsh(m)[:, 0]
-        k = int(np.argmin(mins))
-        if mins[k] < best_val:
-            best_val = float(mins[k])
-            best_code = int(codes[k])
-    members = tuple(k + 1 for k in range(n) if (best_code >> k) & 1)
-    return best_val, IndexSet(members=members, n=n)
+        mins.append(np.linalg.eigvalsh(s_in + s_out @ s_out)[:, 0])
+    return np.concatenate(mins)
 
 
 def tail_threshold(f: Frame, eps: float, tol: ToleranceConfig) -> int:

@@ -2,7 +2,8 @@
 
 The oracles deliberately avoid the library's own numerics: rank over
 exact rationals, excess by exhaustive deletion, the nearest Parseval
-dual by numerical search instead of the closed form.
+dual by numerical search instead of the closed form, the global subset
+minimum by evaluating M_J on every subset.
 """
 
 from fractions import Fraction
@@ -89,6 +90,35 @@ def searched_parseval_dual_residual(frame, tol=TOL):
                           options={"maxiter": 400})
         best = min(best, operator_norm(gram_residual(result.x)))
     return float(best)
+
+
+def exhaustive_nu_minus_global(frame, chunk=1 << 14):
+    """Minimum of eigvalsh(S_J + S_{J^c}^2) over all 2^n subsets, with the
+    first minimizer in binary-counter order (bit k - 1 is index k).
+
+    Builds and diagonalizes M_J for every subset, in chunks, with no
+    Parseval shortcut; (value, IndexSet) as `nu_minus_global` returns.
+    """
+    n, d = frame.n, frame.dim
+    outer = np.einsum("ki,kj->kij", frame.vectors, np.conj(frame.vectors))
+    s_total = outer.sum(axis=0)
+    flat = outer.reshape(n, d * d)
+    bit_positions = np.arange(n, dtype=np.int64)
+    best_val = np.inf
+    best_code = 0
+    for start in range(0, 1 << n, chunk):
+        codes = np.arange(start, min(start + chunk, 1 << n), dtype=np.int64)
+        picks = ((codes[:, None] >> bit_positions) & 1).astype(np.float64)
+        s_in = (picks @ flat).reshape(-1, d, d)
+        s_out = s_total - s_in
+        m = s_in + s_out @ s_out
+        mins = np.linalg.eigvalsh(m)[:, 0]
+        k = int(np.argmin(mins))
+        if mins[k] < best_val:
+            best_val = float(mins[k])
+            best_code = int(codes[k])
+    members = tuple(k + 1 for k in range(n) if (best_code >> k) & 1)
+    return best_val, fk.IndexSet(members=members, n=n)
 
 
 def gaussian(rng, rows, cols, complex_valued):

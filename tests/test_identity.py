@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 import framekit as fk
 from framekit.linalg import adjoint
-from helpers import TOL, direct_sum_frames, sharpness_frame, sort_rows_by_deficit
+from helpers import (TOL, direct_sum_frames, exhaustive_nu_minus_global,
+                     sharpness_frame, sort_rows_by_deficit)
 
 
 def all_subsets(n):
@@ -183,6 +184,70 @@ def test_nu_minus_global_matches_subset_loop(tol):
         assert value == pytest.approx(brute, abs=1e-12)
         assert fk.nu_bounds(f, witness, tol).nu_minus == pytest.approx(value,
                                                                        abs=1e-12)
+
+
+def near_parseval(f, seed):
+    """f plus 7e-10 Gaussian noise: still Parseval within atol, with
+    ||S - I|| of a few 1e-9."""
+    rng = np.random.default_rng(100 + seed)
+    noise = rng.standard_normal(f.vectors.shape)
+    if f.field == "complex":
+        noise = noise + 1j * rng.standard_normal(f.vectors.shape)
+    return fk.Frame(dim=f.dim, field=f.field, vectors=f.vectors + 7e-10 * noise)
+
+
+def sweep_cases(mb3):
+    for dim, n in ((2, 12), (3, 10), (4, 10)):
+        for field in ("real", "complex"):
+            for seed in range(3):
+                f = fk.parseval_projection_frame(dim, n, seed=seed, field=field)
+                yield f
+                yield near_parseval(f, seed)
+    basis = fk.Frame(dim=3, field="real", vectors=np.eye(3))
+    yield basis
+    yield fk.Frame(dim=3, field="complex", vectors=1j * np.eye(3))
+    yield mb3
+    # exact ties broken by noise: the screen and M_J may order them
+    # differently, so the certify window must cover ||S - I||
+    for seed in range(4):
+        yield near_parseval(basis, seed)
+        yield near_parseval(mb3, seed)
+    for m in (4, 6, 8):
+        for rep in range(4):
+            field = "real" if rep % 2 == 0 else "complex"
+            alpha = fk.random_unit_alpha(m, seed=1_000 * m + rep, field=field)
+            yield fk.projected_basis_frame(alpha, TOL)
+
+
+def test_nu_minus_global_matches_the_exhaustive_sweep(mb3, tol):
+    # Bit for bit, value and witness.  Several near-Parseval witnesses
+    # contain index n, which the screen never visits itself: they are
+    # found only through the complements in the certify set.
+    witnesses_with_n = 0
+    for f in sweep_cases(mb3):
+        value, witness = fk.nu_minus_global(f, tol)
+        oracle_value, oracle_witness = exhaustive_nu_minus_global(f)
+        assert repr(value) == repr(oracle_value)
+        assert witness.members == oracle_witness.members
+        witnesses_with_n += f.n in witness.members
+    assert witnesses_with_n >= 1
+
+
+def test_nu_minus_global_screens_half_the_subsets(monkeypatch, tol):
+    matrices = []
+    kernel = np.linalg.eigvalsh
+
+    def counted(a, *rest, **kw):
+        matrices.append(int(np.prod(np.shape(a)[:-2])))
+        return kernel(a, *rest, **kw)
+
+    f = fk.parseval_projection_frame(3, 14, seed=0)
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    value, witness = fk.nu_minus_global(f, tol)
+    monkeypatch.undo()
+    assert sum(matrices) <= (1 << 13) + 64
+    assert fk.nu_bounds(f, witness, tol).nu_minus == pytest.approx(value,
+                                                                   abs=1e-12)
 
 
 def test_nu_minus_global_refuses_large_sweeps(tol):

@@ -292,10 +292,13 @@ def test_cli_nu(files, capsys):
     payload = json.loads(out)["payload"]
     assert payload["nu_minus"] == pytest.approx(7 / 9, abs=1e-9)
 
-    code, _, err = run(capsys, "nu", files["mb3"])
-    assert code == 2
-    code, _, err = run(capsys, "nu", files["mb3"], "--j", "1", "--global-min")
-    assert code == 2
+    code, out, err = run(capsys, "nu", files["mb3"])
+    assert code == 2 and out == ""
+    assert err == ("framekit nu: error: one of the arguments --j "
+                   "--global-min is required\n")
+    code, out, err = run(capsys, "nu", files["mb3"], "--j", "1", "--global-min")
+    assert code == 2 and out == ""
+    assert err.startswith("framekit nu: error:") and err.count("\n") == 1
 
 
 def test_cli_identity(files, capsys):
@@ -382,8 +385,12 @@ def test_cli_error_paths(files, capsys, tmp_path):
     code, _, err = run(capsys, "analyze", files["mb3"], "--atol", "0")
     assert code == 2
 
-    code, _, _ = run(capsys, "no-such-command")
-    assert code == 2
+    code, _, err = run(capsys, "no-such-command")
+    assert code == 2 and err.startswith("framekit: error:")
+    assert err.count("\n") == 1
+    code, _, err = run(capsys, "analyze")
+    assert code == 2 and err == ("framekit analyze: error: the following "
+                                 "arguments are required: frame\n")
 
     # b_opt overflows to inf: the report cannot be serialized
     big = tmp_path / "big.json"
@@ -392,8 +399,8 @@ def test_cli_error_paths(files, capsys, tmp_path):
     assert code == 2 and out == ""
     assert err.count("\n") == 1 and err.startswith("error:")
 
-    code, _, _ = run(capsys, "--help")
-    assert code == 0
+    code, out, err = run(capsys, "--help")
+    assert code == 0 and out.startswith("usage: framekit") and err == ""
 
 
 def test_cli_seed_resolution(files, capsys, monkeypatch):
