@@ -56,7 +56,7 @@ from .identity import (
     verify_tail_bound,
 )
 from .generators import KINDS, generate
-from .io import Report, read_frame, read_matrix, rows_obj, vector_obj, write_frame
+from .io import Report, read_frame, read_matrix, rows_obj, write_frame
 from .linalg import adjoint, gaussian_matrix, operator_norm
 
 
@@ -232,8 +232,8 @@ def _cmd_nu(args: argparse.Namespace, tol: ToleranceConfig, seed: int) -> Outcom
             "j": list(j.members),
             "nu_minus": bounds.nu_minus,
             "nu_plus": bounds.nu_plus,
-            "argmin_vector": vector_obj(bounds.argmin_vector, f.field),
-            "argmax_vector": vector_obj(bounds.argmax_vector, f.field),
+            "argmin_vector": rows_obj(bounds.argmin_vector, f.field),
+            "argmax_vector": rows_obj(bounds.argmax_vector, f.field),
             "in_range": in_range,
         }
         verdict = "pass" if in_range else "fail"

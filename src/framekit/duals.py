@@ -56,6 +56,7 @@ from .frames import (
 )
 from .linalg import (
     adjoint,
+    inexact,
     matrix_rank,
     operator_norm,
     orthonormal_range,
@@ -186,8 +187,8 @@ def oblique_projection(range_basis: Sequence[np.ndarray],
     parallel to span(complement_basis); it is orthogonal exactly when
     the two spans are orthogonal.
     """
-    r_cols = np.column_stack([np.asarray(v, dtype=np.complex128) for v in range_basis])
-    c_cols = np.column_stack([np.asarray(v, dtype=np.complex128) for v in complement_basis])
+    r_cols = inexact(np.column_stack(range_basis))
+    c_cols = inexact(np.column_stack(complement_basis))
     if r_cols.shape[0] != c_cols.shape[0]:
         raise DimensionMismatchError("range and complement live in different spaces")
     ambient = r_cols.shape[0]
@@ -214,7 +215,7 @@ def dual_from_projection(f: Frame, proj: np.ndarray, tol: ToleranceConfig) -> Fr
     """
     if not is_frame(f, tol):
         raise NotAFrameError("dual parametrization needs a frame")
-    proj = np.asarray(proj, dtype=np.complex128)
+    proj = inexact(proj)
     if proj.shape != (f.n, f.n):
         raise DimensionMismatchError(
             f"projection must be {(f.n, f.n)}, got {proj.shape}")

@@ -38,7 +38,7 @@ from .linalg import adjoint, fix_phase, rank_from_singular_values
 
 REAL = "real"
 COMPLEX = "complex"
-_FIELDS = (REAL, COMPLEX)
+FIELD_DTYPES = {REAL: np.float64, COMPLEX: np.complex128}
 
 
 @dataclass(frozen=True)
@@ -93,9 +93,9 @@ class ThinSVD(NamedTuple):
 class Frame:
     """An ordered system of n vectors in a d-dimensional space.
 
-    Vectors are the rows of an (n, d) complex array.  Real-field frames
-    use the same storage with every imaginary part exactly zero, so all
-    operations run through a single code path.  Zero rows are legal:
+    Vectors are the rows of an (n, d) float64 array for a real frame and
+    complex128 for a complex one: one code path, and numpy's dtype
+    dispatch runs real frames in real LAPACK/BLAS.  Zero rows are legal:
     some constructions below legitimately emit the zero vector.
     """
 
@@ -104,9 +104,14 @@ class Frame:
     vectors: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.field not in _FIELDS:
+        if self.field not in FIELD_DTYPES:
             raise FramekitError(f"unknown scalar field {self.field!r}")
-        arr = np.array(self.vectors, dtype=np.complex128)
+        arr = np.asarray(self.vectors)
+        if self.field == REAL and np.iscomplexobj(arr):
+            if np.any(arr.imag != 0.0):
+                raise FramekitError("real-field frame carries nonzero imaginary parts")
+            arr = arr.real
+        arr = np.array(arr, dtype=FIELD_DTYPES[self.field])
         if arr.ndim != 2:
             raise DimensionMismatchError("vectors must form a 2-d array of rows")
         n, d = arr.shape
@@ -115,10 +120,8 @@ class Frame:
         if self.dim < 1 or d != self.dim:
             raise DimensionMismatchError(
                 f"expected rows of length {self.dim}, got {d}")
-        if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
+        if not np.all(np.isfinite(arr)):
             raise FramekitError("frame entries must be finite")
-        if self.field == REAL and np.any(arr.imag != 0.0):
-            raise FramekitError("real-field frame carries nonzero imaginary parts")
         arr.setflags(write=False)
         object.__setattr__(self, "vectors", arr)
 
@@ -152,18 +155,18 @@ class Frame:
 def derived_frame(field: str, vectors: np.ndarray, tol: ToleranceConfig) -> Frame:
     """Package vectors produced by an operation as a frame over `field`.
 
-    Complex arithmetic can leave imaginary dust on data that is
-    mathematically real; for real-field results the dust is checked
-    against atol and stripped so the real-mode invariant (imaginary
-    parts exactly zero) survives derived constructions.
+    On a real frame the operations run in real arithmetic, but complex
+    operands (a complex free operator or transform, say) give complex
+    results.  For a real field those carry imaginary parts that should
+    be rounding dust: the dust is checked against atol and stripped.
     """
-    arr = np.asarray(vectors, dtype=np.complex128)
-    if field == REAL:
+    arr = np.asarray(vectors)
+    if field == REAL and np.iscomplexobj(arr):
         dust = float(np.max(np.abs(arr.imag))) if arr.size else 0.0
         if dust > tol.atol:
             raise FramekitError(
                 f"operation on real-field data produced imaginary parts of size {dust:.3e}")
-        arr = np.asarray(arr.real, dtype=np.complex128)
+        arr = arr.real
     return Frame(dim=arr.shape[1], field=field, vectors=arr)
 
 

@@ -90,12 +90,10 @@ def random_unit_alpha(m: int, seed: int, field: str = REAL,
                            first_sq_min + 0.9 * (1.0 - first_sq_min))
     rest = rng.uniform(0.2, 1.0, size=m - 1)
     rest *= np.sqrt(1.0 - first_sq) / np.linalg.norm(rest)
-    alpha = np.concatenate([[np.sqrt(first_sq)], rest]).astype(np.complex128)
+    alpha = np.concatenate([[np.sqrt(first_sq)], rest])
     if field == COMPLEX:
-        alpha *= np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=m))
-    else:
-        alpha *= rng.choice([-1.0, 1.0], size=m)
-    return alpha
+        return alpha * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=m))
+    return alpha * rng.choice([-1.0, 1.0], size=m)
 
 
 def generate(kind: str, *, dim: Optional[int] = None, n: Optional[int] = None,
@@ -127,5 +125,6 @@ def generate(kind: str, *, dim: Optional[int] = None, n: Optional[int] = None,
             alpha = random_unit_alpha(n, seed, field)
         elif n is not None and len(np.atleast_1d(alpha)) != n:
             raise BadParametersError("explicit alpha disagrees with n")
-        return projected_basis_frame(np.atleast_1d(alpha), tol)
+        frame = projected_basis_frame(np.atleast_1d(alpha), tol)
+        return Frame(dim=frame.dim, field=field, vectors=frame.vectors)
     raise BadParametersError(f"unknown generator kind {kind!r}; choose from {KINDS}")

@@ -58,7 +58,7 @@ from .frames import (
     is_parseval,
     synthesis_matrix,
 )
-from .linalg import fix_phase, orthonormal_nullspace
+from .linalg import fix_phase, inexact, orthonormal_nullspace
 
 GLOBAL_SWEEP_LIMIT = 20
 # The global sweep screens S_J as low[a] + high[b]: `low` holds the
@@ -127,7 +127,7 @@ def identity_sides(f: Frame, j: IndexSet, x: np.ndarray,
     if not is_parseval(f, tol):
         raise NotParsevalError("the identity is stated for Parseval frames")
     _check_universe(f, j)
-    x = np.asarray(x, dtype=np.complex128).reshape(-1)
+    x = inexact(x).reshape(-1)
     if x.shape[0] != f.dim:
         raise DimensionMismatchError(f"x must have length {f.dim}")
     if not np.linalg.norm(x) > 0.0:
@@ -178,7 +178,7 @@ def nu_minus_global(f: Frame, tol: ToleranceConfig) -> Tuple[float, IndexSet]:
       nu_minus(J) = 3/4 + min over t in spec(S_J) of (t - 1/2)^2 and
       nu_minus(J) = nu_minus(J^c).  Only the 2^(n-1) subsets without
       index n are screened, from the eigenvalues of S_J alone (real
-      arithmetic for a real frame).  S_J is low[a] + high[b], two
+      arithmetic for a real frame, as in every step).  S_J is low[a] + high[b], two
       subset-sum tables over the first _LOW_BITS indices and over the
       rest below n.
     * Certify.  With e = max |lambda_i(S) - 1|, S = I + E and
@@ -200,8 +200,7 @@ def nu_minus_global(f: Frame, tol: ToleranceConfig) -> Tuple[float, IndexSet]:
     if n > GLOBAL_SWEEP_LIMIT:
         raise TooLargeError(
             f"exhaustive sweep limited to {GLOBAL_SWEEP_LIMIT} vectors, got {n}")
-    vectors = f.vectors.real if f.field == REAL else f.vectors
-    outer = np.einsum("ki,kj->kij", vectors, np.conj(vectors))
+    outer = np.einsum("ki,kj->kij", f.vectors, np.conj(f.vectors))
     low_bits = min(_LOW_BITS, n - 1)
     low = _subset_sums(outer[:low_bits])
     high = _subset_sums(outer[low_bits:n - 1])
@@ -215,7 +214,7 @@ def nu_minus_global(f: Frame, tol: ToleranceConfig) -> Tuple[float, IndexSet]:
     rounding = _ROUNDING * d * n * np.finfo(np.float64).eps
     near = np.flatnonzero(screen <= screen.min() + 2.0 * (delta + rounding))
     codes = np.union1d(near, near ^ ((1 << n) - 1))
-    values = _exact_nu_minus(f, codes)
+    values = _exact_nu_minus(outer, codes)
     k = int(np.argmin(values))
     members = tuple(i + 1 for i in range(n) if (int(codes[k]) >> i) & 1)
     return float(values[k]), IndexSet(members=members, n=n)
@@ -230,13 +229,12 @@ def _subset_sums(outer: np.ndarray) -> np.ndarray:
     return sums
 
 
-def _exact_nu_minus(f: Frame, codes: np.ndarray) -> np.ndarray:
+def _exact_nu_minus(outer: np.ndarray, codes: np.ndarray) -> np.ndarray:
     """Smallest eigenvalue of M_J = S_J + S_{J^c}^2 for each subset code,
-    from complex outer products and a batched eigvalsh of M_J, in
+    from the n outer products f_k f_k^* and a batched eigvalsh of M_J, in
     batches no larger than the screen's (exact ties can certify all
     2^n subsets)."""
-    n, d = f.n, f.dim
-    outer = np.einsum("ki,kj->kij", f.vectors, np.conj(f.vectors))
+    n, d = outer.shape[:2]
     s_total = outer.sum(axis=0)
     flat = outer.reshape(n, d * d)
     bit_positions = np.arange(n, dtype=np.int64)
@@ -299,11 +297,11 @@ def projected_basis_frame(alpha: np.ndarray, tol: ToleranceConfig) -> Frame:
     sum to 1, making it the canonical worked example for the tail
     bounds above.
     """
-    alpha = np.asarray(alpha, dtype=np.complex128).reshape(-1)
+    alpha = inexact(alpha).reshape(-1)
     m = alpha.shape[0]
     if m < 2:
         raise BadParametersError("need at least two coefficients")
-    if not np.all(np.isfinite(alpha.real)) or not np.all(np.isfinite(alpha.imag)):
+    if not np.all(np.isfinite(alpha)):
         raise BadParametersError("coefficients must be finite")
     if np.any(alpha == 0.0):
         raise ZeroEntryError("every coefficient must be nonzero")

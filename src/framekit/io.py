@@ -20,7 +20,7 @@ from typing import Any, Dict, List
 import numpy as np
 
 from .errors import FrameFileError, FramekitError
-from .frames import COMPLEX, REAL, Frame, ToleranceConfig
+from .frames import COMPLEX, FIELD_DTYPES, REAL, Frame, ToleranceConfig
 
 _VERDICTS = ("pass", "fail", "n/a")
 
@@ -55,18 +55,11 @@ def canonical_json(value: Any) -> str:
 
 
 def rows_obj(vectors: np.ndarray, field: str) -> List[list]:
-    """Rows of a complex array in frame-file form for the given field."""
-    rows = []
-    for row in np.asarray(vectors, dtype=np.complex128):
-        if field == REAL:
-            rows.append([float(z.real) for z in row])
-        else:
-            rows.append([[float(z.real), float(z.imag)] for z in row])
-    return rows
-
-
-def vector_obj(vec: np.ndarray, field: str) -> list:
-    return rows_obj(np.asarray(vec).reshape(1, -1), field)[0]
+    """A matrix (row by row) or a vector in frame-file form for the field."""
+    arr = np.asarray(vectors)
+    if field == REAL:
+        return arr.real.tolist()
+    return np.stack([arr.real, arr.imag], axis=-1).tolist()
 
 
 def frame_to_obj(f: Frame) -> Dict[str, Any]:
@@ -97,7 +90,7 @@ def parse_frame_obj(obj: Any) -> Frame:
     rows = obj["vectors"]
     if not isinstance(rows, list) or not rows:
         raise FrameFileError("vectors must be a nonempty list of rows")
-    data = np.zeros((len(rows), dim), dtype=np.complex128)
+    data = np.zeros((len(rows), dim), dtype=FIELD_DTYPES[field])
     for i, row in enumerate(rows):
         if not isinstance(row, list) or len(row) != dim:
             raise FrameFileError(f"row {i}: expected {dim} entries")
@@ -148,7 +141,7 @@ def write_frame(f: Frame, path: str) -> None:
 
 def read_matrix(path: str) -> np.ndarray:
     """Read a matrix stored in the frame-file container; returns the rows
-    as a complex (n, dim) array."""
+    as an (n, dim) array, float64 for a real file, complex128 for a complex one."""
     return np.array(read_frame(path).vectors)
 
 

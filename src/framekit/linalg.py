@@ -15,6 +15,12 @@ def adjoint(m: np.ndarray) -> np.ndarray:
     return np.conj(m).T
 
 
+def inexact(m) -> np.ndarray:
+    """m as float64 when real (or integer), complex128 when complex."""
+    m = np.asarray(m)
+    return m.astype(np.result_type(m, np.float64), copy=False)
+
+
 def operator_norm(m: np.ndarray) -> float:
     """Largest singular value (spectral norm)."""
     m = np.atleast_2d(np.asarray(m))

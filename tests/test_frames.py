@@ -25,6 +25,67 @@ def test_frame_validation():
     assert f.n == 1
 
 
+def test_real_frames_are_stored_as_float64(tmp_path):
+    rows = [[1, 0], [0, 1], [1, 2]]
+    sources = (rows, np.array(rows, dtype=float), np.array(rows, dtype=complex))
+    path = tmp_path / "real.json"
+    path.write_text('{"dim":2,"field":"real","vectors":[[1,0],[0,1],[1,2]]}')
+    frames = [fk.Frame(dim=2, field="real", vectors=v) for v in sources]
+    for f in frames + [fk.read_frame(str(path))]:
+        assert f.vectors.dtype == np.float64
+        npt.assert_array_equal(f.vectors, rows)
+        assert [part.dtype for part in f.svd] == [np.float64] * 3
+    for v in sources:
+        f = fk.Frame(dim=2, field="complex", vectors=v)
+        assert f.vectors.dtype == np.complex128
+        assert [part.dtype for part in f.svd] == [np.complex128, np.float64, np.complex128]
+    for bad in ([[1.0, 1e-300j]], [[np.nan, 0.0]], [[complex(np.nan, 0.0), 0.0]]):
+        with pytest.raises(fk.FramekitError):
+            fk.Frame(dim=2, field="real", vectors=bad)
+
+
+def test_real_frames_run_real_linear_algebra(monkeypatch, tol):
+    # every numpy.linalg call made on a real frame's data gets float64
+    seen = []
+    for name in ("svd", "qr", "solve", "inv", "norm", "eigh", "eigvalsh"):
+        def spy(a, *rest, _kernel=getattr(np.linalg, name), **kw):
+            seen.append(np.asarray(a).dtype)
+            return _kernel(a, *rest, **kw)
+        monkeypatch.setattr(np.linalg, name, spy)
+    f = fk.random_frame(3, 6, seed=1)
+    w = np.random.default_rng(2).standard_normal((6, 3))
+    h = fk.dual_from_free_operator(f, w, tol)
+    proj = fk.projection_from_dual_pair(f, h, tol)
+    oblique = fk.oblique_projection(list(fk.analysis_matrix(f).T),
+                                    list(fk.kernel_of_synthesis(h, tol).T), tol)
+    npt.assert_allclose(oblique, proj, atol=1e-10)
+    admissible, _ = fk.rescale_to_admissible(f, tol)
+    p = fk.parseval_projection_frame(2, 5, seed=0)
+    j = fk.IndexSet(members=(1, 4), n=5)
+    lhs, rhs = fk.identity_sides(p, j, np.array([0.6, 0.8]), tol)
+    assert abs(lhs - rhs) <= 1e-12
+    fk.nu_bounds(p, j, tol)
+    fk.nu_minus_global(p, tol)
+    assert fk.verify_excess_equality(f, h, tol)
+    frames = [
+        fk.canonical_dual(f, tol), h, fk.dual_from_projection(f, proj, tol),
+        fk.pseudo_dual_to_exact(f, fk.Frame(dim=3, field="real", vectors=2 * h.vectors), tol),
+        fk.transform_frame(f, np.array([[1.0, 2.0, 0.0], [0.0, 1.0, -1.0]]), tol),
+        fk.construct_parseval_dual(admissible, tol).dual, admissible,
+        fk.projected_basis_frame(np.array([0.6, 0.8]), tol),
+        fk.generate("random", dim=3, n=6, field="real"),
+        fk.generate("parseval-projection", dim=3, n=6, field="real"),
+        fk.generate("near-riesz", dim=3, k=2, field="real"),
+        fk.generate("projected-basis", n=4, field="real"),
+    ]
+    for g in frames:
+        assert g.field == "real" and g.vectors.dtype == np.float64
+        assert g.svd.p.dtype == np.float64
+    assert oblique.dtype == proj.dtype == np.float64
+    assert fk.kernel_of_synthesis(f, tol).dtype == np.float64
+    assert seen and set(seen) == {np.dtype(np.float64)}
+
+
 def test_tolerance_validation():
     with pytest.raises(fk.BadParametersError):
         fk.ToleranceConfig(atol=0.0)

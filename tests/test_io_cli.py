@@ -59,7 +59,8 @@ def test_frame_file_round_trip_on_disk(tmp_path, mb3):
     path = write(tmp_path / "f.json", mb3)
     back = fk.read_frame(path)
     assert np.array_equal(back.vectors, mb3.vectors)
-    raw = open(path, "rb").read()
+    with open(path, "rb") as handle:
+        raw = handle.read()
     assert raw.endswith(b"\n") and b" " not in raw
 
 
@@ -365,6 +366,16 @@ def test_cli_gen_all_kinds(capsys, tmp_path):
         assert (payload["n"], payload["dim"]) == (n, dim)
         f = fk.read_frame(out_path)
         assert (f.n, f.dim) == (n, dim)
+    # --field holds with an explicit alpha too: the same vectors, complex
+    paths = {}
+    for field in ("real", "complex"):
+        paths[field] = str(tmp_path / f"pb_{field}.json")
+        code, out, _ = run(capsys, "gen", "--kind", "projected-basis", "--alpha",
+                           "0.6,0.8", "--field", field, "--out", paths[field])
+        assert code == 0 and json.loads(out)["payload"]["field"] == field
+        assert fk.read_frame(paths[field]).field == field
+    npt.assert_array_equal(fk.read_frame(paths["complex"]).vectors,
+                           fk.read_frame(paths["real"]).vectors)
     code, _, err = run(capsys, "gen", "--kind", "near-riesz", "--dim", "3",
                        "--n", "7", "--k", "2", "--out", str(tmp_path / "x.json"))
     assert code == 2 and "error" in err
