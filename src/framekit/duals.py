@@ -119,19 +119,30 @@ def canonical_dual(f: Frame, tol: ToleranceConfig) -> Frame:
 
 
 def check_duality(f: Frame, g: Frame, tol: ToleranceConfig) -> DualityReport:
-    """Classify (f, g) as exact / approximate / pseudo dual via V*U."""
+    """Classify (f, g) as exact / approximate / pseudo dual via V*U.
+
+    The report is computed once per (g, tol) and kept in
+    `f.duality_reports`, so the callers that grade a pair and then check
+    its excess equality, projection or upgrade share one V*U product
+    and one d x d SVD.  The table holds g weakly.  Shape and `is_frame`
+    errors are raised before the lookup.
+    """
     _require_pair(f, g)
     if not is_frame(f, tol) or not is_frame(g, tol):
         raise NotAFrameError("duality is assessed between frames")
+    reports = f.duality_reports.setdefault(g, {})
+    if tol in reports:
+        return reports[tol]
     vu = synthesis_matrix(g) @ analysis_matrix(f)
     deviation = operator_norm(vu - np.eye(f.dim))
     min_sv = float(np.linalg.svd(vu, compute_uv=False)[-1])
     is_exact = deviation <= tol.atol
     is_approx = deviation < 1.0
     is_pseudo = min_sv > tol.atol or is_approx
-    return DualityReport(is_exact_dual=is_exact, is_pseudo_dual=is_pseudo,
-                         is_approx_dual=is_approx, deviation_norm=deviation,
-                         min_singular_vu=min_sv)
+    reports[tol] = DualityReport(is_exact_dual=is_exact, is_pseudo_dual=is_pseudo,
+                                 is_approx_dual=is_approx, deviation_norm=deviation,
+                                 min_singular_vu=min_sv)
+    return reports[tol]
 
 
 def pseudo_dual_to_exact(f: Frame, g: Frame, tol: ToleranceConfig) -> Frame:
@@ -252,13 +263,22 @@ def _range_basis(f: Frame, tol: ToleranceConfig) -> np.ndarray:
 def _kernel_identity_gap(f: Frame, g: Frame, tol: ToleranceConfig) -> float:
     """Subspace distance between Ker V* and (I - UV*)(Ker U*), U and V
     being the analysis matrices of f and g: 1 for unequal dimensions,
-    else ||P* mapped||, P spanning Im V = (Ker V*)^perp."""
+    else ||P* Q||, P spanning Im V = (Ker V*)^perp and Q the mapped kernel.
+
+    For x in Ker U*, UV*x lies in Im U, orthogonal to x, so
+    ||(I - UV*)x||^2 = ||x||^2 + ||UV*x||^2: every singular value of
+    M = (I - UV*)K, K the kernel basis, is at least 1.  M thus has full
+    column rank n - rank(f), and a reduced QR of M spans its range; no
+    rank decision is needed.  The dimensions compared are therefore
+    n - rank(f) and n - rank(g).  A rank cutoff on M would agree unless
+    ||UV*|| >= 1/rank_rtol.  The same holds for (I - U M^{-1} V*)K.
+    """
     ker_u = kernel_of_synthesis(f, tol)
-    mapped = orthonormal_range(
-        ker_u - analysis_matrix(f) @ (synthesis_matrix(g) @ ker_u), tol.rank_rtol)
     p_g = _range_basis(g, tol)
-    if mapped.shape[1] != g.n - p_g.shape[1]:
+    if ker_u.shape[1] != g.n - p_g.shape[1]:
         return 1.0
+    mapped, _ = np.linalg.qr(
+        ker_u - analysis_matrix(f) @ (synthesis_matrix(g) @ ker_u))
     return min(1.0, operator_norm(adjoint(p_g) @ mapped))
 
 

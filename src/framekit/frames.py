@@ -11,7 +11,9 @@ lower bound is positive.
 
 Every spectral fact comes from one thin SVD U = P Sigma R* of the
 analysis matrix, cached on the frame (`Frame.svd`): S has eigenvectors
-R and eigenvalues Sigma^2, and P spans the analysis range.
+R and eigenvalues Sigma^2, and P spans the analysis range.  One
+complete QR of P, also cached (`Frame.range_complement`), spans the rest
+of the coefficient space; every synthesis-kernel basis is read from it.
 
 The number of vectors beyond a minimal spanning set -- the dimension
 of the synthesis kernel, n - rank -- is called the excess and is the
@@ -21,6 +23,7 @@ around.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 from typing import List, NamedTuple
@@ -151,6 +154,31 @@ class Frame:
         lam.setflags(write=False)
         return lam
 
+    @cached_property
+    def range_complement(self) -> np.ndarray:
+        """Orthonormal basis of the complement of span P (P from the cached
+        SVD), as the trailing columns of one complete QR of P, phase-fixed
+        and read-only; tolerance-free, like the SVD it completes."""
+        p = self.svd.p
+        q, _ = np.linalg.qr(p, mode="complete")
+        basis = fix_phase(q[:, p.shape[1]:])
+        basis.setflags(write=False)
+        return basis
+
+    @cached_property
+    def duality_reports(self) -> weakref.WeakKeyDictionary:
+        """`check_duality` reports with this frame as f: partner frame g ->
+        {ToleranceConfig: report}.  Keyed weakly, so no partner is kept
+        alive; safe because frames and tolerances are immutable."""
+        return weakref.WeakKeyDictionary()
+
+    def __getstate__(self) -> dict:
+        """Pickle without `duality_reports`: weak references cannot be
+        pickled, and the table is rebuilt on demand."""
+        state = dict(self.__dict__)
+        state.pop("duality_reports", None)
+        return state
+
 
 def derived_frame(field: str, vectors: np.ndarray, tol: ToleranceConfig) -> Frame:
     """Package vectors produced by an operation as a frame over `field`.
@@ -250,12 +278,16 @@ def excess(f: Frame, tol: ToleranceConfig) -> ExcessReport:
 def kernel_of_synthesis(f: Frame, tol: ToleranceConfig) -> np.ndarray:
     """Orthonormal basis of the synthesis kernel, i.e. the coefficient
     sequences c with sum c_k f_k = 0 (the orthogonal complement of the
-    analysis range), as the columns of an (n, n - rank) array: one QR
-    completes the range basis of the cached SVD to a unitary.  Columns
-    are phase-fixed so repeated runs return identical vectors."""
+    analysis range), as the columns of an (n, n - rank) array.
+
+    The columns of the cached P below the rank cutoff come first, then
+    `Frame.range_complement`, which is computed once per frame whatever
+    the tolerance.  For a frame (rank = dim) that is the complement
+    alone.  Columns are phase-fixed so repeated runs return identical
+    vectors.
+    """
     r = rank_from_singular_values(f.svd.sigma, tol.rank_rtol)
-    q, _ = np.linalg.qr(f.svd.p[:, :r], mode="complete")
-    return fix_phase(q[:, r:])
+    return np.hstack([fix_phase(f.svd.p[:, r:]), f.range_complement])
 
 
 def excess_from_norms(f: Frame, tol: ToleranceConfig) -> float:

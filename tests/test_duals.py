@@ -1,3 +1,6 @@
+import gc
+import pickle
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -90,6 +93,25 @@ def test_check_duality_errors(mb3, basis2, tol):
     bad = fk.Frame(dim=2, field="real", vectors=[[1, 0], [1, 0], [1, 0]])
     with pytest.raises(fk.NotAFrameError):
         fk.check_duality(mb3, bad, tol)
+    assert len(mb3.duality_reports) == 0
+
+
+def test_check_duality_memo_is_per_tolerance_and_weak(mb3):
+    loose, tight = fk.ToleranceConfig(atol=1e-8), fk.ToleranceConfig(atol=1e-10)
+    g = scaled(mb3, 1.0 + 1e-9)  # V*U = (1 + 1e-9) S, S = I up to rounding
+    report = fk.check_duality(mb3, g, loose)
+    assert report.is_exact_dual
+    assert report.deviation_norm == pytest.approx(1e-9, rel=1e-5)
+    assert fk.check_duality(mb3, g, fk.ToleranceConfig(atol=1e-8)) is report
+    assert not fk.check_duality(mb3, g, tight).is_exact_dual
+    assert fk.check_duality(mb3, g, loose).is_exact_dual
+    assert len(mb3.duality_reports[g]) == 2
+    copy = pickle.loads(pickle.dumps(mb3))
+    npt.assert_array_equal(copy.vectors, mb3.vectors)
+    assert len(copy.duality_reports) == 0
+    del g, report
+    gc.collect()
+    assert len(mb3.duality_reports) == 0
 
 
 def test_pseudo_dual_to_exact(mb3, tol):

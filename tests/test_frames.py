@@ -178,7 +178,7 @@ def test_one_factorization_per_frame(monkeypatch, tol):
     calls = {name: [] for name in ("svd", "eigvalsh", "eigh", "qr")}
     for name, args in calls.items():
         def counted(a, *rest, _kernel=getattr(np.linalg, name), _args=args, **kw):
-            _args.append(np.array(a))
+            _args.append((np.array(a), kw))
             return _kernel(a, *rest, **kw)
         monkeypatch.setattr(np.linalg, name, counted)
     # S = diag(2, 1) with excess 1: the Parseval dual needs a kernel vector
@@ -192,11 +192,30 @@ def test_one_factorization_per_frame(monkeypatch, tol):
     assert fk.parseval_dual_exists(f, tol).exists
     fk.construct_parseval_dual(f, tol)
     assert len(calls["svd"]) == 1
-    npt.assert_array_equal(calls["svd"][0], fk.analysis_matrix(f))
+    npt.assert_array_equal(calls["svd"][0][0], fk.analysis_matrix(f))
     assert calls["eigvalsh"] == [] and calls["eigh"] == []
     # the kernel basis: one QR of the range basis, never of U
     assert len(calls["qr"]) == 1
-    npt.assert_array_equal(calls["qr"][0], f.svd.p)
+    npt.assert_array_equal(calls["qr"][0][0], f.svd.p)
+
+    # a dual pair, both SVDs cached: one complete QR, one sigma-only SVD of
+    # V*U, and no SVD of the mapped kernel (4 columns here, U and V have 3)
+    f = fk.rescale_to_admissible(fk.random_frame(3, 7, seed=3), tol)[0]
+    w = np.random.default_rng(4).standard_normal((7, 3))
+    g = fk.dual_from_free_operator(f, w, tol)
+    fk.is_frame(g, tol)
+    for args in calls.values():
+        args.clear()
+    assert fk.check_duality(f, g, tol).is_exact_dual
+    assert fk.verify_excess_equality(f, g, tol)
+    assert fk.construct_parseval_dual(f, tol).dual is not None
+    assert calls["eigvalsh"] == [] and calls["eigh"] == []
+    complete = [a for a, kw in calls["qr"] if kw.get("mode") == "complete"]
+    assert len(complete) == 1
+    npt.assert_array_equal(complete[0], f.svd.p)
+    sigma_only = [a.shape for a, kw in calls["svd"] if kw.get("compute_uv") is False]
+    assert sigma_only == [(3, 3)]
+    assert not [a for a, _ in calls["svd"] if a.shape[1] == f.n - f.dim]
 
 
 def test_is_parseval(mb3, basis2, e1e2e1, tol):
@@ -238,6 +257,20 @@ def test_kernel_annihilates_and_is_orthonormal(tol):
         syn = fk.synthesis_matrix(f)
         assert np.linalg.norm(syn @ basis) <= tol.atol
         npt.assert_allclose(np.conj(basis).T @ basis, np.eye(basis.shape[1]),
+                            atol=1e-12)
+    # rank < dim: exact rank 1, a row scaled below rank_rtol, n < dim, and
+    # a complex frame of rank 2 in C^3
+    deficient = [([[1, 0], [2, 0], [0, 0]], 1),
+                 ([[1, 0], [0, 1e-12], [1, 0]], 1),
+                 ([[1, 0, 0], [0, 1e-12, 0]], 1),
+                 ([[1, 0, 0], [0, 1e-12j, 1], [1j, 0, 0], [0, 0, 0]], 2)]
+    for rows, rank in deficient:
+        field = "complex" if np.iscomplexobj(rows) else "real"
+        f = fk.Frame(dim=len(rows[0]), field=field, vectors=rows)
+        basis = fk.kernel_of_synthesis(f, tol)
+        assert basis.shape == (f.n, f.n - rank)
+        assert np.linalg.norm(fk.synthesis_matrix(f) @ basis, 2) <= tol.atol
+        npt.assert_allclose(np.conj(basis).T @ basis, np.eye(f.n - rank),
                             atol=1e-12)
 
 
