@@ -14,6 +14,8 @@ analysis matrix, cached on the frame (`Frame.svd`): S has eigenvectors
 R and eigenvalues Sigma^2, and P spans the analysis range.  One
 complete QR of P, also cached (`Frame.range_complement`), spans the rest
 of the coefficient space; every synthesis-kernel basis is read from it.
+Nothing cached on a frame depends on a tolerance; pair-level results
+are kept by the pair checks in `duals.py`.
 
 The number of vectors beyond a minimal spanning set -- the dimension
 of the synthesis kernel, n - rank -- is called the excess and is the
@@ -23,7 +25,6 @@ around.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 from functools import cached_property
 from typing import List, NamedTuple
@@ -99,7 +100,8 @@ class Frame:
     Vectors are the rows of an (n, d) float64 array for a real frame and
     complex128 for a complex one: one code path, and numpy's dtype
     dispatch runs real frames in real LAPACK/BLAS.  Zero rows are legal:
-    some constructions below legitimately emit the zero vector.
+    some constructions below legitimately emit the zero vector.  Its
+    cached properties are tolerance-free facts of the vectors alone.
     """
 
     dim: int
@@ -164,20 +166,6 @@ class Frame:
         basis = fix_phase(q[:, p.shape[1]:])
         basis.setflags(write=False)
         return basis
-
-    @cached_property
-    def duality_reports(self) -> weakref.WeakKeyDictionary:
-        """`check_duality` reports with this frame as f: partner frame g ->
-        {ToleranceConfig: report}.  Keyed weakly, so no partner is kept
-        alive; safe because frames and tolerances are immutable."""
-        return weakref.WeakKeyDictionary()
-
-    def __getstate__(self) -> dict:
-        """Pickle without `duality_reports`: weak references cannot be
-        pickled, and the table is rebuilt on demand."""
-        state = dict(self.__dict__)
-        state.pop("duality_reports", None)
-        return state
 
 
 def derived_frame(field: str, vectors: np.ndarray, tol: ToleranceConfig) -> Frame:

@@ -89,7 +89,8 @@ class IndexSet:
         return cls(members=tuple(members), n=n)
 
     def complement(self) -> "IndexSet":
-        missing = tuple(k for k in range(1, self.n + 1) if k not in set(self.members))
+        members = set(self.members)
+        missing = tuple(k for k in range(1, self.n + 1) if k not in members)
         return IndexSet(members=missing, n=self.n)
 
     def mask(self) -> np.ndarray:

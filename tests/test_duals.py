@@ -1,5 +1,6 @@
 import gc
 import pickle
+import weakref
 
 import numpy as np
 import numpy.testing as npt
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import framekit as fk
+import framekit.duals
 from framekit.linalg import adjoint, operator_norm, subspace_distance, orthonormal_range
 from helpers import TOL, deletion_excess, gaussian, random_dual_pair, scaled, well_conditioned_invertible
 
@@ -93,7 +95,7 @@ def test_check_duality_errors(mb3, basis2, tol):
     bad = fk.Frame(dim=2, field="real", vectors=[[1, 0], [1, 0], [1, 0]])
     with pytest.raises(fk.NotAFrameError):
         fk.check_duality(mb3, bad, tol)
-    assert len(mb3.duality_reports) == 0
+    assert mb3 not in framekit.duals._DUALITY_REPORTS
 
 
 def test_check_duality_memo_is_per_tolerance_and_weak(mb3):
@@ -103,15 +105,22 @@ def test_check_duality_memo_is_per_tolerance_and_weak(mb3):
     assert report.is_exact_dual
     assert report.deviation_norm == pytest.approx(1e-9, rel=1e-5)
     assert fk.check_duality(mb3, g, fk.ToleranceConfig(atol=1e-8)) is report
-    assert not fk.check_duality(mb3, g, tight).is_exact_dual
-    assert fk.check_duality(mb3, g, loose).is_exact_dual
-    assert len(mb3.duality_reports[g]) == 2
+    # a separate report per tolerance, each kept
+    tight_report = fk.check_duality(mb3, g, tight)
+    assert tight_report is not report and not tight_report.is_exact_dual
+    assert fk.check_duality(mb3, g, tight) is tight_report
+    assert fk.check_duality(mb3, g, loose) is report
+    # a graded frame pickles; its copy starts afresh and re-grades equally
     copy = pickle.loads(pickle.dumps(mb3))
     npt.assert_array_equal(copy.vectors, mb3.vectors)
-    assert len(copy.duality_reports) == 0
-    del g, report
+    copy_report = fk.check_duality(copy, g, loose)
+    assert copy_report is not report and copy_report == report
+    # the table keeps neither frame alive
+    g_ref, f_ref = weakref.ref(g), weakref.ref(copy)
+    del g, copy
     gc.collect()
-    assert len(mb3.duality_reports) == 0
+    assert g_ref() is None
+    assert f_ref() is None
 
 
 def test_pseudo_dual_to_exact(mb3, tol):
@@ -307,20 +316,32 @@ def test_lemma_plain_matrices(tol):
 
 
 def test_lemma_reads_the_cached_svds(monkeypatch, tol):
-    f, g = random_dual_pair(3, 6, 0)
-    t, s = fk.analysis_matrix(f), fk.synthesis_matrix(g)
-    calls = []
+    calls, dtypes = [], []
 
     def counted(a, *rest, _svd=np.linalg.svd, **kw):
         calls.append(kw.get("full_matrices", rest[0] if rest else True))
+        dtypes.append(np.asarray(a).dtype)
         return _svd(a, *rest, **kw)
 
+    def qr(a, *rest, _qr=np.linalg.qr, **kw):
+        dtypes.append(np.asarray(a).dtype)
+        return _qr(a, *rest, **kw)
+
     monkeypatch.setattr(np.linalg, "svd", counted)
-    report = fk.verify_lemma_decomposition(t, s, probes=5, seed=0, tol=tol)
-    assert report.kernel_match_residual <= 1e-12
-    # one thin SVD of T, one of S*, one for the mapped kernel basis
-    assert len(calls) <= 3
-    assert True not in calls
+    monkeypatch.setattr(np.linalg, "qr", qr)
+    # the factorizations run in the pair's own field; the probes (not
+    # spied on) are complex either way
+    for field, dtype in (("real", np.float64), ("complex", np.complex128)):
+        f, g = random_dual_pair(3, 6, 0, field)
+        t, s = fk.analysis_matrix(f), fk.synthesis_matrix(g)
+        calls.clear()
+        dtypes.clear()
+        report = fk.verify_lemma_decomposition(t, s, probes=5, seed=0, tol=tol)
+        assert report.kernel_match_residual <= 1e-12
+        # one thin SVD of T, one of S*, one for the mapped kernel basis
+        assert len(calls) <= 3
+        assert True not in calls
+        assert dtypes and set(dtypes) == {np.dtype(dtype)}, (field, dtypes)
 
 
 def test_lemma_rejects_non_left_inverse(e1e2e1, tol):
