@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import framekit as fk
+from framekit.identity import _half_gap_bound
 from framekit.linalg import adjoint
 from helpers import (TOL, direct_sum_frames, exhaustive_nu_minus_global,
                      sharpness_frame, sort_rows_by_deficit)
@@ -28,6 +29,13 @@ def test_index_set_basics():
         fk.IndexSet(members=(4,), n=3)
     with pytest.raises(fk.BadParametersError):
         fk.IndexSet(members=(), n=0)
+
+
+def test_index_set_requires_integers():
+    assert fk.IndexSet(members=(np.int64(2), 1), n=np.int64(3)).members == (1, 2)
+    for members, n in (((1.5,), 3), (("2",), 3), ((1.0,), 3), ((1,), 3.0)):
+        with pytest.raises(fk.BadParametersError):
+            fk.IndexSet(members=members, n=n)
 
 
 def test_identity_sides_empty_set_is_norm(mb3, tol):
@@ -197,12 +205,15 @@ def near_parseval(f, seed):
 
 
 def sweep_cases(mb3):
-    for dim, n in ((2, 12), (3, 10), (4, 10)):
+    for dim, n in ((1, 9), (2, 12), (3, 10), (4, 10)):
         for field in ("real", "complex"):
             for seed in range(3):
                 f = fk.parseval_projection_frame(dim, n, seed=seed, field=field)
                 yield f
                 yield near_parseval(f, seed)
+    f = fk.parseval_projection_frame(5, 12, seed=0, field="complex")
+    yield f
+    yield near_parseval(f, 0)
     basis = fk.Frame(dim=3, field="real", vectors=np.eye(3))
     yield basis
     yield fk.Frame(dim=3, field="complex", vectors=1j * np.eye(3))
@@ -248,6 +259,41 @@ def test_nu_minus_global_screens_half_the_subsets(monkeypatch, tol):
     assert sum(matrices) <= (1 << 13) + 64
     assert fk.nu_bounds(f, witness, tol).nu_minus == pytest.approx(value,
                                                                    abs=1e-12)
+
+
+def test_nu_minus_global_prunes_the_screen(monkeypatch, tol):
+    matrices = []
+    kernel = np.linalg.eigvalsh
+
+    def counted(a, *rest, **kw):
+        matrices.append(int(np.prod(np.shape(a)[:-2])))
+        return kernel(a, *rest, **kw)
+
+    f = fk.parseval_projection_frame(3, 14, seed=0)
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    value, _ = fk.nu_minus_global(f, tol)
+    monkeypatch.undo()
+    assert sum(matrices) <= 1 << 8
+    assert repr(value) == repr(exhaustive_nu_minus_global(f)[0])
+
+
+def test_half_gap_bound_is_a_lower_bound():
+    # on every subset: the det bound, lowered by its rounding allowance,
+    # never exceeds min |t - 1/2| over the eigvalsh eigenvalues of S_J
+    for d in range(1, 7):
+        n = d + 5
+        for field in ("real", "complex"):
+            for seed in range(2):
+                clean = fk.parseval_projection_frame(d, n, seed=seed, field=field)
+                for f in (clean, near_parseval(clean, seed)):
+                    outer = np.einsum("ki,kj->kij", f.vectors, np.conj(f.vectors))
+                    codes = np.arange(1 << n)
+                    picks = ((codes[:, None] >> np.arange(n)) & 1).astype(float)
+                    s_j = (picks @ outer.reshape(n, d * d)).reshape(-1, d, d)
+                    e = float(np.max(np.abs(f.eigenvalues - 1.0)))
+                    t = np.linalg.eigvalsh(s_j)
+                    gap = np.min(np.abs(t - 0.5), axis=1)
+                    assert np.all(_half_gap_bound(s_j, e, n) <= gap)
 
 
 def test_nu_minus_global_refuses_large_sweeps(tol):
