@@ -9,7 +9,9 @@ that cannot be serialized (a non-finite number).  Diagnostics go to
 stderr, one line each, usage errors included.  Every subcommand
 argument is echoed in the report's inputs (the tolerances in a section
 of their own); seed is the resolved one: --seed, else the FRAMEKIT_SEED
-environment variable, else 0, and never negative.
+environment variable, else 0, and never negative.  Each handler
+imports the library functions it runs, so that a start loads only the
+modules of its subcommand.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import numpy as np
 from .errors import BadParametersError, FramekitError
 from .frames import (
     COMPLEX,
-    Frame,
+    KINDS,
     ToleranceConfig,
     analysis_matrix,
     excess,
@@ -34,28 +36,6 @@ from .frames import (
     is_parseval,
     synthesis_matrix,
 )
-from .duals import (
-    canonical_dual,
-    check_duality,
-    dual_from_free_operator,
-    dual_from_projection,
-    verify_excess_equality,
-    verify_lemma_decomposition,
-)
-from .parseval import (
-    construct_parseval_dual,
-    nonexistence_reasons,
-    parseval_dual_exists,
-)
-from .identity import (
-    IndexSet,
-    identity_sides,
-    nu_bounds,
-    nu_minus_global,
-    tail_threshold,
-    verify_tail_bound,
-)
-from .generators import KINDS, generate
 from .io import Report, read_frame, read_matrix, rows_obj, write_frame
 from .linalg import adjoint, gaussian_matrix, operator_norm
 
@@ -78,7 +58,9 @@ def _resolve_seed(args: argparse.Namespace) -> int:
     return seed
 
 
-def _parse_index_list(text: str, n: int) -> IndexSet:
+def _parse_index_list(text: str, n: int):
+    from .identity import IndexSet
+
     text = text.strip()
     if not text:
         return IndexSet(members=(), n=n)
@@ -133,6 +115,9 @@ def _cmd_analyze(args: argparse.Namespace, tol: ToleranceConfig, seed: int) -> O
 
 
 def _cmd_dual(args: argparse.Namespace, tol: ToleranceConfig, seed: int) -> Outcome:
+    from .duals import (canonical_dual, check_duality, dual_from_free_operator,
+                        dual_from_projection, verify_excess_equality)
+
     f = read_frame(args.frame)
     if args.mode == "canonical":
         g = canonical_dual(f, tol)
@@ -165,6 +150,8 @@ def _cmd_dual(args: argparse.Namespace, tol: ToleranceConfig, seed: int) -> Outc
 
 
 def _cmd_check(args: argparse.Namespace, tol: ToleranceConfig, seed: int) -> Outcome:
+    from .duals import check_duality, verify_excess_equality
+
     f = read_frame(args.frame)
     g = read_frame(args.other)
     report = check_duality(f, g, tol)
@@ -189,6 +176,9 @@ def _cmd_check(args: argparse.Namespace, tol: ToleranceConfig, seed: int) -> Out
 
 def _cmd_parseval_dual(args: argparse.Namespace, tol: ToleranceConfig,
                        seed: int) -> Outcome:
+    from .parseval import (construct_parseval_dual, nonexistence_reasons,
+                           parseval_dual_exists)
+
     f = read_frame(args.frame)
     existence = parseval_dual_exists(f, tol)
     payload = {
@@ -216,6 +206,8 @@ def _cmd_parseval_dual(args: argparse.Namespace, tol: ToleranceConfig,
 
 
 def _cmd_nu(args: argparse.Namespace, tol: ToleranceConfig, seed: int) -> Outcome:
+    from .identity import nu_bounds, nu_minus_global
+
     f = read_frame(args.frame)
     lower = 0.75 - tol.atol
     if args.global_min:
@@ -241,6 +233,8 @@ def _cmd_nu(args: argparse.Namespace, tol: ToleranceConfig, seed: int) -> Outcom
 
 
 def _cmd_identity(args: argparse.Namespace, tol: ToleranceConfig, seed: int) -> Outcome:
+    from .identity import identity_sides
+
     f = read_frame(args.frame)
     if args.trials < 1:
         raise BadParametersError("--trials must be at least 1")
@@ -256,6 +250,8 @@ def _cmd_identity(args: argparse.Namespace, tol: ToleranceConfig, seed: int) -> 
 
 
 def _cmd_tail(args: argparse.Namespace, tol: ToleranceConfig, seed: int) -> Outcome:
+    from .identity import IndexSet, nu_bounds, tail_threshold, verify_tail_bound
+
     f = read_frame(args.frame)
     n0 = tail_threshold(f, args.eps, tol)
     if args.j is not None:
@@ -275,6 +271,8 @@ def _cmd_tail(args: argparse.Namespace, tol: ToleranceConfig, seed: int) -> Outc
 
 
 def _cmd_lemma(args: argparse.Namespace, tol: ToleranceConfig, seed: int) -> Outcome:
+    from .duals import verify_lemma_decomposition
+
     f = read_frame(args.frame)
     g = read_frame(args.other)
     if args.probes < 1:
@@ -291,6 +289,8 @@ def _cmd_lemma(args: argparse.Namespace, tol: ToleranceConfig, seed: int) -> Out
 
 
 def _cmd_gen(args: argparse.Namespace, tol: ToleranceConfig, seed: int) -> Outcome:
+    from .generators import generate
+
     frame = generate(args.kind, dim=args.dim, n=args.n, seed=seed,
                      field=args.field, k=args.k, alpha=_parse_alpha(args.alpha),
                      tol=tol)

@@ -42,6 +42,9 @@ from .linalg import adjoint, fix_phase, rank_from_singular_values
 
 REAL = "real"
 COMPLEX = "complex"
+# Generator kinds of `generators.generate`, kept here so that the CLI
+# parser can offer them without loading the generators.
+KINDS = ("random", "parseval-projection", "near-riesz", "projected-basis")
 FIELD_DTYPES = {REAL: np.float64, COMPLEX: np.complex128}
 
 

@@ -10,12 +10,9 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import BadParametersError
-from .frames import COMPLEX, REAL, Frame, ToleranceConfig
-from .identity import projected_basis_frame
-from .linalg import gaussian_matrix
-
-KINDS = ("random", "parseval-projection", "near-riesz", "projected-basis")
+from .errors import BadParametersError, NotUnitError, ZeroEntryError
+from .frames import COMPLEX, KINDS, REAL, Frame, ToleranceConfig, derived_frame
+from .linalg import gaussian_matrix, inexact, orthonormal_nullspace
 
 
 def _check_field(field: str) -> None:
@@ -94,6 +91,33 @@ def random_unit_alpha(m: int, seed: int, field: str = REAL,
     if field == COMPLEX:
         return alpha * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=m))
     return alpha * rng.choice([-1.0, 1.0], size=m)
+
+
+def projected_basis_frame(alpha: np.ndarray, tol: ToleranceConfig) -> Frame:
+    """Orthonormal basis projected off a unit coefficient vector.
+
+    For a unit vector a with all entries nonzero, project each basis
+    vector e_k onto the hyperplane {x : <x, a> = 0} and express the
+    result in an orthonormal coordinate system of that hyperplane.  The
+    outcome is a Parseval frame of m vectors in dimension m - 1 with
+    ||f_k||^2 = 1 - |alpha_k|^2 and excess exactly 1; its norm deficits
+    sum to 1, making it the canonical worked example for the tail
+    bounds of `identity`.
+    """
+    alpha = inexact(alpha).reshape(-1)
+    m = alpha.shape[0]
+    if m < 2:
+        raise BadParametersError("need at least two coefficients")
+    if not np.all(np.isfinite(alpha)):
+        raise BadParametersError("coefficients must be finite")
+    if np.any(alpha == 0.0):
+        raise ZeroEntryError("every coefficient must be nonzero")
+    norm = float(np.linalg.norm(alpha))
+    if abs(norm - 1.0) > tol.atol:
+        raise NotUnitError(f"coefficient vector must have unit norm, got {norm!r}")
+    field = REAL if np.all(alpha.imag == 0.0) else COMPLEX
+    hyperplane = orthonormal_nullspace(np.conj(alpha)[None, :], tol.rank_rtol)
+    return derived_frame(field, np.conj(hyperplane), tol)
 
 
 def generate(kind: str, *, dim: Optional[int] = None, n: Optional[int] = None,

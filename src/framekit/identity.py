@@ -28,10 +28,7 @@ exactly as if every M_J had been evaluated.
 When the frame has small norm deficits past some threshold n_0 (the
 tail sum of 1 - ||f_k||^2 is below eps), every J containing {1..n_0}
 pushes nu_minus(J) above 1 - eps; `tail_threshold` and
-`verify_tail_bound` quantify and check this.  `projected_basis_frame`
-builds the classic unit-excess example -- an orthonormal basis
-projected onto the hyperplane orthogonal to a unit coefficient vector
--- on which all of these quantities are explicit.
+`verify_tail_bound` quantify and check this.
 """
 
 from __future__ import annotations
@@ -46,23 +43,18 @@ from .errors import (
     BadParametersError,
     DimensionMismatchError,
     NotParsevalError,
-    NotUnitError,
     PrefixNotContainedError,
     TooLargeError,
-    ZeroEntryError,
     ZeroVectorError,
 )
 from .frames import (
     Frame,
-    REAL,
-    COMPLEX,
     ToleranceConfig,
     analysis_matrix,
-    derived_frame,
     is_parseval,
     synthesis_matrix,
 )
-from .linalg import fix_phase, inexact, orthonormal_nullspace
+from .linalg import fix_phase, inexact
 
 GLOBAL_SWEEP_LIMIT = 20
 # The global sweep screens S_J as low[a] + high[b]: `low` holds the
@@ -268,7 +260,9 @@ def nu_minus_global(f: Frame, tol: ToleranceConfig) -> Tuple[float, IndexSet]:
         screen[start:start + len(chunk)] = _screen(
             low[chunk & ((1 << low_bits) - 1)] + high[chunk >> low_bits])
     near = codes[screen <= screen.min() + window]
-    codes = np.union1d(near, near ^ ((1 << n) - 1))
+    # near is ascending and lacks index n, so the complements, reversed,
+    # follow it in ascending order (np.union1d would also load numpy.ma)
+    codes = np.concatenate([near, (near ^ ((1 << n) - 1))[::-1]])
     values = _exact_nu_minus(outer, codes)
     k = int(np.argmin(values))
     members = tuple(i + 1 for i in range(n) if (int(codes[k]) >> i) & 1)
@@ -303,20 +297,26 @@ def _subset_sums(outer: np.ndarray) -> np.ndarray:
     return sums
 
 
+def _partial_operators(outer: np.ndarray, codes: np.ndarray) -> np.ndarray:
+    """S_J for each subset code, from the n outer products f_k f_k^*.
+
+    einsum, not a matrix product: BLAS may round a row differently in a
+    different batch, and the certify step needs bits that do not depend
+    on which codes share its batch."""
+    n, d = outer.shape[:2]
+    picks = ((codes[:, None] >> np.arange(n, dtype=np.int64)) & 1).astype(np.float64)
+    return np.einsum("bk,kx->bx", picks, outer.reshape(n, d * d)).reshape(-1, d, d)
+
+
 def _exact_nu_minus(outer: np.ndarray, codes: np.ndarray) -> np.ndarray:
     """Smallest eigenvalue of M_J = S_J + S_{J^c}^2 for each subset code,
     from the n outer products f_k f_k^* and a batched eigvalsh of M_J, in
     batches no larger than the screen's (exact ties can certify all
     2^n subsets)."""
-    n, d = outer.shape[:2]
     s_total = outer.sum(axis=0)
-    flat = outer.reshape(n, d * d)
-    bit_positions = np.arange(n, dtype=np.int64)
     mins = []
     for start in range(0, len(codes), 1 << _LOW_BITS):
-        chunk = codes[start:start + (1 << _LOW_BITS)]
-        picks = ((chunk[:, None] >> bit_positions) & 1).astype(np.float64)
-        s_in = (picks @ flat).reshape(-1, d, d)
+        s_in = _partial_operators(outer, codes[start:start + (1 << _LOW_BITS)])
         s_out = s_total - s_in
         mins.append(np.linalg.eigvalsh(s_in + s_out @ s_out)[:, 0])
     return np.concatenate(mins)
@@ -358,30 +358,3 @@ def verify_tail_bound(f: Frame, eps: float, j: IndexSet,
     direct = nu_bounds(f, j, tol).nu_minus
     mirrored = nu_bounds(f, j.complement(), tol).nu_minus
     return direct > bound and mirrored > bound
-
-
-def projected_basis_frame(alpha: np.ndarray, tol: ToleranceConfig) -> Frame:
-    """Orthonormal basis projected off a unit coefficient vector.
-
-    For a unit vector a with all entries nonzero, project each basis
-    vector e_k onto the hyperplane {x : <x, a> = 0} and express the
-    result in an orthonormal coordinate system of that hyperplane.  The
-    outcome is a Parseval frame of m vectors in dimension m - 1 with
-    ||f_k||^2 = 1 - |alpha_k|^2 and excess exactly 1; its norm deficits
-    sum to 1, making it the canonical worked example for the tail
-    bounds above.
-    """
-    alpha = inexact(alpha).reshape(-1)
-    m = alpha.shape[0]
-    if m < 2:
-        raise BadParametersError("need at least two coefficients")
-    if not np.all(np.isfinite(alpha)):
-        raise BadParametersError("coefficients must be finite")
-    if np.any(alpha == 0.0):
-        raise ZeroEntryError("every coefficient must be nonzero")
-    norm = float(np.linalg.norm(alpha))
-    if abs(norm - 1.0) > tol.atol:
-        raise NotUnitError(f"coefficient vector must have unit norm, got {norm!r}")
-    field = REAL if np.all(alpha.imag == 0.0) else COMPLEX
-    hyperplane = orthonormal_nullspace(np.conj(alpha)[None, :], tol.rank_rtol)
-    return derived_frame(field, np.conj(hyperplane), tol)

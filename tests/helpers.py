@@ -109,7 +109,8 @@ def exhaustive_nu_minus_global(frame, chunk=1 << 14):
     for start in range(0, 1 << n, chunk):
         codes = np.arange(start, min(start + chunk, 1 << n), dtype=np.int64)
         picks = ((codes[:, None] >> bit_positions) & 1).astype(np.float64)
-        s_in = (picks @ flat).reshape(-1, d, d)
+        # einsum, whose rounding of a row does not depend on the batch
+        s_in = np.einsum("bk,kx->bx", picks, flat).reshape(-1, d, d)
         s_out = s_total - s_in
         m = s_in + s_out @ s_out
         mins = np.linalg.eigvalsh(m)[:, 0]

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import framekit as fk
-from framekit.identity import _half_gap_bound
+from framekit.identity import _half_gap_bound, _partial_operators
 from framekit.linalg import adjoint
 from helpers import (TOL, direct_sum_frames, exhaustive_nu_minus_global,
                      sharpness_frame, sort_rows_by_deficit)
@@ -214,6 +214,12 @@ def sweep_cases(mb3):
     f = fk.parseval_projection_frame(5, 12, seed=0, field="complex")
     yield f
     yield near_parseval(f, 0)
+    # one column: a matrix product forming S_J rounded these differently
+    # in the certify batch and in the oracle's
+    for seed in (15, 59, 130):
+        f = fk.parseval_projection_frame(1, 12, seed=seed, field="real")
+        noise = np.random.default_rng(seed).standard_normal(f.vectors.shape)
+        yield fk.Frame(dim=1, field="real", vectors=f.vectors + 1e-10 * noise)
     basis = fk.Frame(dim=3, field="real", vectors=np.eye(3))
     yield basis
     yield fk.Frame(dim=3, field="complex", vectors=1j * np.eye(3))
@@ -242,6 +248,18 @@ def test_nu_minus_global_matches_the_exhaustive_sweep(mb3, tol):
         assert witness.members == oracle_witness.members
         witnesses_with_n += f.n in witness.members
     assert witnesses_with_n >= 1
+
+
+def test_partial_operators_do_not_depend_on_the_batch():
+    rng = np.random.default_rng(7)
+    for dim, n, field in ((1, 12, "real"), (2, 9, "complex"), (3, 14, "real")):
+        f = near_parseval(fk.parseval_projection_frame(dim, n, seed=1, field=field), 1)
+        outer = np.einsum("ki,kj->kij", f.vectors, np.conj(f.vectors))
+        codes = rng.integers(0, 1 << n, size=2000)
+        together = _partial_operators(outer, codes)
+        alone = np.concatenate([_partial_operators(outer, codes[i:i + 1])
+                                for i in range(len(codes))])
+        assert np.array_equal(together, alone)
 
 
 def test_nu_minus_global_screens_half_the_subsets(monkeypatch, tol):

@@ -1,4 +1,8 @@
+import importlib
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import numpy.testing as npt
@@ -505,3 +509,67 @@ def test_cli_reports_are_deterministic(files, capsys, monkeypatch):
         assert code == 0
         json.loads(out)  # every report is one valid JSON document
         assert out.count("\n") == 1
+
+
+# ------------------------------------------------ package namespace
+
+
+def test_every_public_name_resolves_to_its_submodule():
+    for module, names in fk._PUBLIC.items():
+        sub = importlib.import_module(f"framekit.{module}")
+        for name in names:
+            obj = getattr(fk, name)
+            assert obj is getattr(sub, name)
+            if hasattr(obj, "__module__"):
+                assert obj.__module__ == sub.__name__, name
+    # no name is listed under two submodules
+    assert len(fk.__all__) == sum(len(names) for names in fk._PUBLIC.values())
+    assert set(fk.__all__) <= set(dir(fk))
+
+
+def test_star_import_binds_every_name():
+    namespace = {}
+    exec("from framekit import *", namespace)
+    assert all(namespace[name] is getattr(fk, name) for name in fk.__all__)
+
+
+def test_unknown_attribute_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        fk.no_such_name
+    assert not hasattr(fk, "no_such_name")
+
+
+def loaded_modules(tmp_path, *args):
+    """Modules a fresh `python -X importtime ARGS` imports, by name."""
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(fk.__file__)))
+    env.pop("FRAMEKIT_SEED", None)
+    proc = subprocess.run([sys.executable, "-X", "importtime", *args],
+                          cwd=tmp_path, env=env, capture_output=True,
+                          text=True, check=True)
+    return {line.rsplit("|", 1)[1].strip()
+            for line in proc.stderr.splitlines() if line.startswith("import time:")}
+
+
+def test_bare_import_loads_no_submodule(tmp_path):
+    loaded = loaded_modules(tmp_path, "-c", "import framekit")
+    assert "framekit" in loaded
+    assert not {m for m in loaded if m.startswith("framekit.")}
+
+
+def test_cli_analyze_loads_only_its_modules(tmp_path, mb3):
+    loaded = loaded_modules(tmp_path, "-m", "framekit", "analyze",
+                            write(tmp_path / "f.json", mb3))
+    assert "framekit.frames" in loaded
+    for name in ("framekit.duals", "framekit.parseval", "framekit.identity",
+                 "framekit.generators", "numpy.ma"):
+        assert name not in loaded
+
+
+def test_cli_global_min_loads_no_masked_arrays(tmp_path):
+    p = fk.parseval_projection_frame(3, 10, seed=2, field="complex")
+    loaded = loaded_modules(tmp_path, "-m", "framekit", "nu",
+                            write(tmp_path / "p.json", p), "--global-min")
+    assert "framekit.identity" in loaded
+    for name in ("numpy.ma", "framekit.duals", "framekit.parseval"):
+        assert name not in loaded
