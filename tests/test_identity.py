@@ -214,12 +214,12 @@ def sweep_cases(mb3):
     f = fk.parseval_projection_frame(5, 12, seed=0, field="complex")
     yield f
     yield near_parseval(f, 0)
-    # one column: a matrix product forming S_J rounded these differently
-    # in the certify batch and in the oracle's
-    for seed in (15, 59, 130):
-        f = fk.parseval_projection_frame(1, 12, seed=seed, field="real")
+    # a matrix product forming S_J rounded these differently in the
+    # certify batch and in the oracle's
+    for dim, n, seed in ((1, 12, 15), (1, 12, 59), (1, 12, 130), (2, 16, 5)):
+        f = fk.parseval_projection_frame(dim, n, seed=seed, field="real")
         noise = np.random.default_rng(seed).standard_normal(f.vectors.shape)
-        yield fk.Frame(dim=1, field="real", vectors=f.vectors + 1e-10 * noise)
+        yield fk.Frame(dim=dim, field="real", vectors=f.vectors + 1e-10 * noise)
     basis = fk.Frame(dim=3, field="real", vectors=np.eye(3))
     yield basis
     yield fk.Frame(dim=3, field="complex", vectors=1j * np.eye(3))
