@@ -198,21 +198,33 @@ def nu_minus_global(f: Frame, tol: ToleranceConfig) -> Tuple[float, IndexSet]:
 
           min |t - 1/2| >= |det(S_J - I/2)| / (1/2 + e)^(d - 1).
 
-      `_half_gap_bound` evaluates this with a batched det, 4-5x cheaper
-      per matrix than eigvalsh, and lowers it by
+      `_half_gap_bound` evaluates this and lowers it by
       eta = _DET_ROUNDING * d^2 * n * eps.  With H = S_J - I/2,
-      m = min |t - 1/2| and R = max |t - 1/2|: LU with partial pivoting
-      returns det(H + F), with ||F|| of order d^2 eps for entries of
-      size at most 1 (the rounding of the 1/2 shift included), and by
-      Weyl's inequality for singular values
-      |det(H + F)| <= (m + ||F||) (R + ||F||)^(d - 1).  The computed S_J
-      and e stray from exact ones by order d n eps, so R may pass
-      1/2 + e by that much, which costs up to d - 1 times as much in
-      the bound.  eigvalsh's own error is of order d eps.  Every term is
-      at most of order d^2 n eps (n >= d), so 3/4 + max(bound, 0)^2 is
-      at most the screened value.  The subset with the smallest bound
-      in each high row is screened; the least of those values, U, is at
-      least the screen minimum.  Then only the subsets whose
+      m = min |t - 1/2| and R = max |t - 1/2|, the computed det is
+      det(H + F), F the rounding of the 1/2 shift and of the det
+      itself, plus an evaluation error, and by Weyl's inequality for
+      singular values |det(H + F)| <= (m + ||F||) (R + ||F||)^(d - 1).
+      For d >= 4 numpy's batched det, LU with partial pivoting, has no
+      evaluation error and ||F|| of order d^2 eps for entries of size
+      at most 1.  For d <= 3 `_shifted_det` expands the cofactors in
+      closed form: S_J is exactly Hermitian with a real diagonal, as
+      each f_k f_k^* and their sums are formed elementwise, so F is the
+      shift's rounding alone, of order eps.  The expansion sums at most
+      six products of d entries, each entry at most R <= 1/2 + e in
+      size, and each product is rounded by at most about 10 eps
+      relative, so it strays from det(H + F) by about
+      10 eps * 6 (1/2 + e)^d; after the division by (1/2 + e)^(d - 1)
+      that is far below eta.  Per matrix, in stacks of _DET_BLOCK and
+      on one BLAS thread, the closed form costs about 1-30 ns, the
+      LAPACK det 70-400 ns and eigvalsh 30-1600 ns for d <= 3.  The
+      computed S_J and e stray from exact ones by order d n eps, so R
+      may pass 1/2 + e by that much, which costs up to d - 1 times as
+      much in the bound.  eigvalsh's own error is of order d eps.
+      Every term is at most of order d^2 n eps (n >= d), so
+      3/4 + max(bound, 0)^2 is at most the screened value.  The subset
+      with the smallest bound in each high row is screened; the least
+      of those values, U, is at least the screen minimum.  Then only
+      the subsets whose
       3/4 + max(bound, 0)^2 is at most U + 2(delta + rounding), the
       certify window below, are screened.  They hold every subset that
       screens within the window of the minimum, so the near set, and
@@ -283,9 +295,41 @@ def _half_gap_bound(s_j: np.ndarray, e: float, n: int) -> np.ndarray:
     lowered by _DET_ROUNDING * d^2 * n * eps (see `nu_minus_global`).
     It may be negative."""
     d = s_j.shape[-1]
-    det = np.abs(np.linalg.det(s_j - 0.5 * np.eye(d)))
+    det = np.abs(_shifted_det(s_j))
     eta = _DET_ROUNDING * d * d * n * np.finfo(np.float64).eps
     return det / (0.5 + e) ** (d - 1) - eta
+
+
+def _shifted_det(s_j: np.ndarray) -> np.ndarray:
+    """det(S_J - I/2) for each Hermitian S_J in a stack.
+
+    For d <= 3 the cofactor expansion of H = S_J - I/2, read off its
+    lower triangle (the one eigvalsh reads) with real diagonal:
+    h00 h11 h22 + 2 Re(h10 h21 conj(h20)) - h00 |h21|^2 - h11 |h20|^2
+    - h22 |h10|^2, and its d = 1, 2 truncations, in elementwise numpy
+    arithmetic; numpy's batched det would pay a LAPACK call per matrix.
+    For d >= 4 the expansion has d! terms, so the LAPACK det stays."""
+    d = s_j.shape[-1]
+    if d > 3:
+        return np.linalg.det(s_j - 0.5 * np.eye(d))
+    h00 = s_j[:, 0, 0].real - 0.5
+    if d == 1:
+        return h00
+    h11 = s_j[:, 1, 1].real - 0.5
+    h10 = s_j[:, 1, 0]
+    if d == 2:
+        return h00 * h11 - _abs2(h10)
+    h22 = s_j[:, 2, 2].real - 0.5
+    h20, h21 = s_j[:, 2, 0], s_j[:, 2, 1]
+    return (h00 * h11 * h22 + 2.0 * (h10 * h21 * np.conj(h20)).real
+            - h00 * _abs2(h21) - h11 * _abs2(h20) - h22 * _abs2(h10))
+
+
+def _abs2(z: np.ndarray) -> np.ndarray:
+    """|z|^2 elementwise, without the square root of np.abs."""
+    if np.iscomplexobj(z):
+        return z.real * z.real + z.imag * z.imag
+    return z * z
 
 
 def _subset_sums(outer: np.ndarray) -> np.ndarray:

@@ -44,7 +44,7 @@ misses.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 import numpy as np
 
@@ -108,9 +108,9 @@ def nonexistence_reasons(report: ParsevalDualReport,
     return reasons
 
 
-def _nearest_parseval_dual(f: Frame, tol: ToleranceConfig) -> Tuple[Frame, float]:
-    """The dual of f with the smallest ||V*V - I|| (operator norm), and
-    that norm as measured on the returned dual.
+def _nearest_parseval_dual(f: Frame, tol: ToleranceConfig) -> np.ndarray:
+    """Analysis matrix V of the dual of f with the smallest ||V*V - I||
+    (operator norm).
 
     The eigenvectors of S with eigenvalue above the eig_one_atol band
     around 1, taken in descending eigenvalue order, phase-fixed for
@@ -129,8 +129,7 @@ def _nearest_parseval_dual(f: Frame, tol: ToleranceConfig) -> Tuple[Frame, float
         g_vals = np.sqrt(1.0 - 1.0 / lam[above])
         k_cols = kernel_of_synthesis(f, tol)[:, : above.size]
         v = v + k_cols @ (g_vals[:, None] * adjoint(u_plus))
-    residual = operator_norm(adjoint(v) @ v - np.eye(f.dim))
-    return derived_frame(f.field, np.conj(v), tol), residual
+    return v
 
 
 def construct_parseval_dual(f: Frame, tol: ToleranceConfig) -> ParsevalDualReport:
@@ -148,7 +147,7 @@ def construct_parseval_dual(f: Frame, tol: ToleranceConfig) -> ParsevalDualRepor
     if not report.exists:
         raise NoParsevalDualError(
             "no Parseval dual: " + "; ".join(nonexistence_reasons(report, tol)))
-    dual, _ = _nearest_parseval_dual(f, tol)
+    dual = derived_frame(f.field, np.conj(_nearest_parseval_dual(f, tol)), tol)
     return ParsevalDualReport(exists=True, a_opt=report.a_opt,
                               deviation_dim=report.deviation_dim,
                               excess_val=report.excess_val, dual=dual)
@@ -177,4 +176,5 @@ def best_parseval_dual_residual(f: Frame, tol: ToleranceConfig) -> float:
     when a Parseval dual exists, and a certificate of how far every dual
     is from Parseval when one does not.
     """
-    return _nearest_parseval_dual(f, tol)[1]
+    v = _nearest_parseval_dual(f, tol)
+    return operator_norm(adjoint(v) @ v - np.eye(f.dim))

@@ -3,7 +3,8 @@
 The oracles deliberately avoid the library's own numerics: rank over
 exact rationals, excess by exhaustive deletion, the nearest Parseval
 dual by numerical search instead of the closed form, the global subset
-minimum by evaluating M_J on every subset.
+minimum by evaluating M_J on every subset, determinants by elimination
+over exact (Gaussian) rationals.
 """
 
 from fractions import Fraction
@@ -45,6 +46,40 @@ def rational_rank(rows):
         if row == n_rows:
             break
     return rank
+
+
+def exact_det(matrix, shift):
+    """det(matrix - shift I) for a square float matrix, real or complex,
+    taken over the exact values of its entries and of shift: Gaussian
+    elimination over Gaussian rationals, each held as a (real, imaginary)
+    pair of Fractions."""
+    m = [[(Fraction(float(np.real(x))), Fraction(float(np.imag(x)))) for x in row]
+         for row in np.asarray(matrix)]
+    for i, row in enumerate(m):
+        row[i] = (row[i][0] - Fraction(shift), row[i][1])
+
+    def mul(a, b):
+        return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
+
+    def div(a, b):
+        norm = b[0] * b[0] + b[1] * b[1]
+        return ((a[0] * b[0] + a[1] * b[1]) / norm,
+                (a[1] * b[0] - a[0] * b[1]) / norm)
+
+    det = (Fraction(1), Fraction(0))
+    for col in range(len(m)):
+        pivot = next((r for r in range(col, len(m)) if m[r][col] != (0, 0)), None)
+        if pivot is None:
+            return Fraction(0), Fraction(0)
+        if pivot != col:
+            m[col], m[pivot] = m[pivot], m[col]
+            det = (-det[0], -det[1])
+        det = mul(det, m[col][col])
+        for r in range(col + 1, len(m)):
+            factor = div(m[r][col], m[col][col])
+            m[r] = [(a[0] - p[0], a[1] - p[1])
+                    for a, p in zip(m[r], (mul(factor, b) for b in m[col]))]
+    return det
 
 
 def deletion_excess(frame, rtol=1e-10):

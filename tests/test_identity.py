@@ -1,4 +1,5 @@
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import numpy.testing as npt
@@ -6,10 +7,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import framekit as fk
-from framekit.identity import _half_gap_bound, _partial_operators
+from framekit.identity import _half_gap_bound, _partial_operators, _shifted_det
 from framekit.linalg import adjoint
-from helpers import (TOL, direct_sum_frames, exhaustive_nu_minus_global,
-                     sharpness_frame, sort_rows_by_deficit)
+from helpers import (TOL, direct_sum_frames, exact_det,
+                     exhaustive_nu_minus_global, sharpness_frame,
+                     sort_rows_by_deficit)
 
 
 def all_subsets(n):
@@ -312,6 +314,58 @@ def test_half_gap_bound_is_a_lower_bound():
                     t = np.linalg.eigvalsh(s_j)
                     gap = np.min(np.abs(t - 0.5), axis=1)
                     assert np.all(_half_gap_bound(s_j, e, n) <= gap)
+
+
+def rational_hermitian_stack(rng, d, complex_valued):
+    """S = I/2 + H for Hermitian H: 40 with entries p/q (|p| <= 9,
+    1 <= q <= 9) rounded to floats, then 10 with exact det(H) = 0, H a
+    Gram matrix of d - 1 small integer vectors over 4."""
+    def integers(*shape):
+        z = rng.integers(-9, 10, size=shape).astype(float)
+        if complex_valued:
+            z = z + 1j * rng.integers(-9, 10, size=shape)
+        return z
+
+    h = integers(40, d, d) / rng.integers(1, 10, size=(40, d, d))
+    h = np.tril(h) + np.conj(np.swapaxes(np.tril(h, -1), 1, 2))
+    h[:, range(d), range(d)] = h[:, range(d), range(d)].real
+    vectors = integers(10, d, d - 1) if d > 1 else np.zeros((10, 1, 1))
+    singular = vectors @ np.conj(np.swapaxes(vectors, 1, 2)) / 4
+    return np.concatenate([h, singular]) + 0.5 * np.eye(d)
+
+
+def test_shifted_det_matches_the_exact_determinant():
+    # the closed form against elimination over the exact values of the
+    # same float entries
+    eps = np.finfo(np.float64).eps
+    rng = np.random.default_rng(11)
+    singular = 0
+    for d in (1, 2, 3):
+        for complex_valued in (False, True):
+            s = rational_hermitian_stack(rng, d, complex_valued)
+            closed = _shifted_det(s)
+            for s_j, value in zip(s, closed):
+                exact_re, exact_im = exact_det(s_j, shift=0.5)
+                assert exact_im == 0
+                size = np.max(np.abs(s_j - 0.5 * np.eye(d)))
+                assert abs(Fraction(float(value)) - exact_re) <= 64 * eps * size ** d
+                singular += exact_re == 0
+    assert singular >= 60
+
+
+def test_nu_minus_global_calls_lapack_det_only_from_d_4(monkeypatch, tol):
+    stacks = []
+    kernel = np.linalg.det
+
+    def counted(a, *rest, **kw):
+        stacks.append(np.shape(a))
+        return kernel(a, *rest, **kw)
+
+    monkeypatch.setattr(np.linalg, "det", counted)
+    fk.nu_minus_global(fk.parseval_projection_frame(3, 14, seed=0), tol)
+    assert stacks == []
+    fk.nu_minus_global(fk.parseval_projection_frame(4, 10, seed=0), tol)
+    assert stacks and all(shape[1:] == (4, 4) for shape in stacks)
 
 
 def test_nu_minus_global_refuses_large_sweeps(tol):
