@@ -73,10 +73,12 @@ class DualityReport:
     """Classification of a frame pair by its cross operator V*U.
 
     The three flags are nested: exact implies approximate implies
-    pseudo.  The pseudo flag is the minimum-singular-value test, forced
-    true whenever the approximate test passes so the nesting holds even
-    at the tolerance boundary (||V*U - I|| < 1 already certifies
-    invertibility).
+    pseudo.  The pseudo flag is the rank rule of `ToleranceConfig` on
+    the singular values of V*U, sigma_min > rank_rtol * sigma_max, so
+    like invertibility it does not change when f or g is scaled.  It is
+    forced true whenever the approximate test passes so the nesting
+    holds even at the tolerance boundary (||V*U - I|| < 1 already
+    certifies invertibility).
     """
 
     is_exact_dual: bool
@@ -145,13 +147,13 @@ def check_duality(f: Frame, g: Frame, tol: ToleranceConfig) -> DualityReport:
         return reports[tol]
     vu = synthesis_matrix(g) @ analysis_matrix(f)
     deviation = operator_norm(vu - np.eye(f.dim))
-    min_sv = float(np.linalg.svd(vu, compute_uv=False)[-1])
+    sigma = np.linalg.svd(vu, compute_uv=False)
     is_exact = deviation <= tol.atol
     is_approx = deviation < 1.0
-    is_pseudo = min_sv > tol.atol or is_approx
+    is_pseudo = rank_from_singular_values(sigma, tol.rank_rtol) == f.dim or is_approx
     reports[tol] = DualityReport(is_exact_dual=is_exact, is_pseudo_dual=is_pseudo,
                                  is_approx_dual=is_approx, deviation_norm=deviation,
-                                 min_singular_vu=min_sv)
+                                 min_singular_vu=float(sigma[-1]))
     return reports[tol]
 
 
@@ -363,9 +365,11 @@ def verify_excess_equality(f: Frame, g: Frame, tol: ToleranceConfig) -> bool:
 
     In finite dimension this is automatic (two frames of one shape both
     have excess n - d), so a pseudo-dual pair that is not exact returns
-    True; that verdict gets real content from ROADMAP item 2.  For an
-    exact pair, the kernel identity Ker V* = (I - UV*)(Ker U*) is checked
-    as a subspace distance within atol.
+    True without a check; its kernel identity with M = V*U,
+    Ker V* = (I - U M^{-1} V*)(Ker U*), would give that verdict content
+    and is not checked yet.  For an exact pair, the kernel identity
+    Ker V* = (I - UV*)(Ker U*) is checked as a subspace distance within
+    atol.
     """
     report = check_duality(f, g, tol)
     if not report.is_pseudo_dual:

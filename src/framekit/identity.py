@@ -33,6 +33,7 @@ pushes nu_minus(J) above 1 - eps; `tail_threshold` and
 
 from __future__ import annotations
 
+import itertools
 import operator
 from dataclasses import dataclass
 from typing import Iterable, Tuple
@@ -64,8 +65,8 @@ _LOW_BITS = 14
 _ROUNDING = 16
 # Rounding allowance of the determinant bound, in units of d^2 * n * eps.
 _DET_ROUNDING = 64
-# Subsets per batched det of the determinant bound.
-_DET_BLOCK = 1 << 11
+# Subsets per block of the determinant bound.
+_DET_BLOCK = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -188,7 +189,8 @@ def nu_minus_global(f: Frame, tol: ToleranceConfig) -> Tuple[float, IndexSet]:
       index n are screened, from the eigenvalues of S_J alone (real
       arithmetic for a real frame, as in every step).  S_J is
       low[a] + high[b], two subset-sum tables over the first _LOW_BITS
-      indices and over the rest below n.
+      indices and over the rest below n, kept as entry planes: one row
+      per entry of the lower triangle, the one eigvalsh reads.
     * Prune.  The screen's eigvalsh runs only where a cheaper bound
       cannot rule a subset out.  Let e = max |lambda_i(S) - 1|.  S_J
       and S - S_J = S_{J^c} are positive semidefinite and
@@ -204,19 +206,28 @@ def nu_minus_global(f: Frame, tol: ToleranceConfig) -> Tuple[float, IndexSet]:
       det(H + F), F the rounding of the 1/2 shift and of the det
       itself, plus an evaluation error, and by Weyl's inequality for
       singular values |det(H + F)| <= (m + ||F||) (R + ||F||)^(d - 1).
-      For d >= 4 numpy's batched det, LU with partial pivoting, has no
+      For d >= 6 numpy's batched det, LU with partial pivoting, has no
       evaluation error and ||F|| of order d^2 eps for entries of size
-      at most 1.  For d <= 3 `_shifted_det` expands the cofactors in
-      closed form: S_J is exactly Hermitian with a real diagonal, as
-      each f_k f_k^* and their sums are formed elementwise, so F is the
-      shift's rounding alone, of order eps.  The expansion sums at most
-      six products of d entries, each entry at most R <= 1/2 + e in
-      size, and each product is rounded by at most about 10 eps
-      relative, so it strays from det(H + F) by about
-      10 eps * 6 (1/2 + e)^d; after the division by (1/2 + e)^(d - 1)
-      that is far below eta.  Per matrix, in stacks of _DET_BLOCK and
-      on one BLAS thread, the closed form costs about 1-30 ns, the
-      LAPACK det 70-400 ns and eigvalsh 30-1600 ns for d <= 3.  The
+      at most 1.  For d <= 5 `_shifted_det` expands in minors.  It reads
+      H off the lower triangle, the upper one as its conjugate and the
+      diagonal as real, so H is exactly Hermitian and F is the shift's
+      rounding alone, of order eps.  Each term of det(H + F), a product
+      of d entries, passes d - 1 multiplications and at most
+      d (d - 1) / 2 additions, each rounded by at most eps/2 relative,
+      a complex product by at most sqrt(2) eps (Higham, Lemma 3.5).  So
+      the computed value strays from det(H + F) by at most about
+      c d eps per(|H|), with c = (d - 1)(d + 2) / (4d) <= 1.4 for real
+      and c = (d - 1)(sqrt(2) + d/4) / d <= 2.2 for complex entries
+      (d <= 5).  As per(|H|) <= prod_i ||row_i||_1 <= (sqrt(d) R)^d,
+      after the division by (1/2 + e)^(d - 1) that is about
+      c d^(d/2 + 1) eps R: 280c eps R at d = 5, against
+      eta >= 8,000 eps.  The ratio eta / (c d^(d/2 + 1) eps) is
+      64 n / (c d^(d/2 - 1)); with n >= d and the complex c it is 13 at
+      d = 5, 4.4 at d = 6, 1.3 at d = 7 and below 1 from d = 8, while
+      the products double with each d, so the expansion stops at d = 5.
+      Per matrix, in stacks of _DET_BLOCK on one BLAS thread, it costs
+      about 1-130 ns real and 2-220 ns complex for d = 1-5, against
+      70-630 and 140-1060 ns for the LAPACK det.  The
       computed S_J and e stray from exact ones by order d n eps, so R
       may pass 1/2 + e by that much, which costs up to d - 1 times as
       much in the bound.  eigvalsh's own error is of order d eps.
@@ -251,26 +262,29 @@ def nu_minus_global(f: Frame, tol: ToleranceConfig) -> Tuple[float, IndexSet]:
         raise TooLargeError(
             f"exhaustive sweep limited to {GLOBAL_SWEEP_LIMIT} vectors, got {n}")
     outer = np.einsum("ki,kj->kij", f.vectors, np.conj(f.vectors))
+    rows, cols = np.tril_indices(d)
+    entries = outer[:, rows, cols]
     low_bits = min(_LOW_BITS, n - 1)
-    low = _subset_sums(outer[:low_bits])
-    high = _subset_sums(outer[low_bits:n - 1])
+    low = _subset_sums(entries[:low_bits])
+    high = _subset_sums(entries[low_bits:n - 1])
     e = float(np.max(np.abs(f.eigenvalues - 1.0)))
     delta = 2.0 * e * (1.0 + e) + e * e
     rounding = _ROUNDING * d * n * np.finfo(np.float64).eps
     window = 2.0 * (delta + rounding)
-    bound = np.empty((len(high), len(low)))
-    for b, s_high in enumerate(high):
-        for start in range(0, len(low), _DET_BLOCK):
-            gap = _half_gap_bound(low[start:start + _DET_BLOCK] + s_high, e, n)
+    bound = np.empty((high.shape[1], low.shape[1]))
+    for b in range(high.shape[1]):
+        for start in range(0, low.shape[1], _DET_BLOCK):
+            gap = _half_gap_bound(low[:, start:start + _DET_BLOCK] + high[:, b, None],
+                                  e, n)
             bound[b, start:start + _DET_BLOCK] = 0.75 + np.maximum(gap, 0.0) ** 2
     lowest = np.argmin(bound, axis=1)
-    upper = _screen(low[lowest] + high).min()
+    upper = _screen(low[:, lowest] + high).min()
     codes = np.flatnonzero(bound.reshape(-1) <= upper + window)
     screen = np.empty(len(codes))
     for start in range(0, len(codes), 1 << _LOW_BITS):
         chunk = codes[start:start + (1 << _LOW_BITS)]
         screen[start:start + len(chunk)] = _screen(
-            low[chunk & ((1 << low_bits) - 1)] + high[chunk >> low_bits])
+            low[:, chunk & ((1 << low_bits) - 1)] + high[:, chunk >> low_bits])
     near = codes[screen <= screen.min() + window]
     # near is ascending and lacks index n, so the complements, reversed,
     # follow it in ascending order (np.union1d would also load numpy.ma)
@@ -283,61 +297,85 @@ def nu_minus_global(f: Frame, tol: ToleranceConfig) -> Tuple[float, IndexSet]:
 
 def _screen(s_j: np.ndarray) -> np.ndarray:
     """Screened value 3/4 + min (t - 1/2)^2 over the eigenvalues t of
-    each S_J in a stack."""
-    t = np.linalg.eigvalsh(s_j)
+    each S_J in an entry-plane stack (see `_subset_sums`)."""
+    t = np.linalg.eigvalsh(_matrices(s_j))
     return 0.75 + np.min(np.abs(t - 0.5), axis=1) ** 2
 
 
 def _half_gap_bound(s_j: np.ndarray, e: float, n: int) -> np.ndarray:
     """Lower bound on min |t - 1/2| over the eigvalsh eigenvalues t of
-    each S_J in a stack, for a frame of n vectors with
+    each S_J in an entry-plane stack, for a frame of n vectors with
     e = max |lambda_i(S) - 1|: |det(S_J - I/2)| / (1/2 + e)^(d - 1),
     lowered by _DET_ROUNDING * d^2 * n * eps (see `nu_minus_global`).
     It may be negative."""
-    d = s_j.shape[-1]
+    d = _dim(s_j)
     det = np.abs(_shifted_det(s_j))
     eta = _DET_ROUNDING * d * d * n * np.finfo(np.float64).eps
     return det / (0.5 + e) ** (d - 1) - eta
 
 
 def _shifted_det(s_j: np.ndarray) -> np.ndarray:
-    """det(S_J - I/2) for each Hermitian S_J in a stack.
+    """det(S_J - I/2) for each S_J in an entry-plane stack.
 
-    For d <= 3 the cofactor expansion of H = S_J - I/2, read off its
-    lower triangle (the one eigvalsh reads) with real diagonal:
-    h00 h11 h22 + 2 Re(h10 h21 conj(h20)) - h00 |h21|^2 - h11 |h20|^2
-    - h22 |h10|^2, and its d = 1, 2 truncations, in elementwise numpy
-    arithmetic; numpy's batched det would pay a LAPACK call per matrix.
-    For d >= 4 the expansion has d! terms, so the LAPACK det stays."""
-    d = s_j.shape[-1]
-    if d > 3:
-        return np.linalg.det(s_j - 0.5 * np.eye(d))
-    h00 = s_j[:, 0, 0].real - 0.5
-    if d == 1:
-        return h00
-    h11 = s_j[:, 1, 1].real - 0.5
-    h10 = s_j[:, 1, 0]
-    if d == 2:
-        return h00 * h11 - _abs2(h10)
-    h22 = s_j[:, 2, 2].real - 0.5
-    h20, h21 = s_j[:, 2, 0], s_j[:, 2, 1]
-    return (h00 * h11 * h22 + 2.0 * (h10 * h21 * np.conj(h20)).real
-            - h00 * _abs2(h21) - h11 * _abs2(h20) - h22 * _abs2(h10))
+    For d <= 5 the expansion in minors of H = S_J - I/2 (see
+    `nu_minus_global`): the minors of the bottom row are its entries,
+    and each k x k minor of the bottom k rows expands along its top row
+    in the (k - 1) x (k - 1) ones (d 2^(d-1) - d products, 75 at d = 5).
+    For d >= 6 the LAPACK det."""
+    d = _dim(s_j)
+    if d > 5:
+        shifted = _matrices(s_j)
+        shifted[:, range(d), range(d)] -= 0.5
+        return np.linalg.det(shifted)
+
+    def h(i: int, k: int) -> np.ndarray:
+        if i < k:
+            return np.conj(s_j[k * (k + 1) // 2 + i])
+        if i == k:
+            return s_j[i * (i + 1) // 2 + i].real - 0.5
+        return s_j[i * (i + 1) // 2 + k]
+
+    minors = {(k,): h(d - 1, k) for k in range(d)}
+    for i in range(d - 2, -1, -1):
+        row = [h(i, k) for k in range(d)]
+        expanded = {}
+        for cols in itertools.combinations(range(d), d - i):
+            acc = row[cols[0]] * minors[cols[1:]]
+            for p in range(1, len(cols)):
+                term = row[cols[p]] * minors[cols[:p] + cols[p + 1:]]
+                sign = np.subtract if p % 2 else np.add
+                acc = sign(acc, term, out=term)
+            expanded[cols] = acc
+        minors = expanded
+    return minors[tuple(range(d))].real
 
 
-def _abs2(z: np.ndarray) -> np.ndarray:
-    """|z|^2 elementwise, without the square root of np.abs."""
-    if np.iscomplexobj(z):
-        return z.real * z.real + z.imag * z.imag
-    return z * z
+def _dim(s_j: np.ndarray) -> int:
+    """d of an entry-plane stack, which has d (d + 1) / 2 rows."""
+    return int(np.sqrt(2 * len(s_j)))
 
 
-def _subset_sums(outer: np.ndarray) -> np.ndarray:
+def _matrices(s_j: np.ndarray) -> np.ndarray:
+    """The Hermitian matrices of an entry-plane stack: its entries in the
+    lower triangle, their conjugates in the upper one."""
+    d = _dim(s_j)
+    rows, cols = np.tril_indices(d)
+    out = np.empty((d, d, s_j.shape[1]), dtype=s_j.dtype)
+    out[cols, rows] = np.conj(s_j)
+    out[rows, cols] = s_j
+    return out.transpose(2, 0, 1)
+
+
+def _subset_sums(entries: np.ndarray) -> np.ndarray:
     """Partial frame operators over every subset of the given outer
-    products, indexed by their binary-counter code."""
-    sums = np.zeros((1,) + outer.shape[1:], dtype=outer.dtype)
-    for term in outer:
-        sums = np.concatenate([sums, sums + term])
+    products (rows of `entries`), as an entry-plane stack: row
+    i (i + 1) / 2 + k holds entry (i, k), i >= k, column c the subset
+    with binary-counter code c.  Code c + 2^t is code c plus term t, so
+    the table doubles in place and sums each entry in index order."""
+    sums = np.empty((entries.shape[1], 1 << len(entries)), dtype=entries.dtype)
+    sums[:, 0] = 0.0
+    for t, term in enumerate(entries):
+        np.add(sums[:, :1 << t], term[:, None], out=sums[:, 1 << t:2 << t])
     return sums
 
 

@@ -89,6 +89,24 @@ def test_check_duality_degenerate(tol):
     assert report.deviation_norm == pytest.approx(GOLDEN, abs=1e-12)
 
 
+def test_pseudo_dual_grade_does_not_depend_on_scale(tol):
+    # V*U = -c I is invertible for every c > 0; an absolute cutoff on
+    # sigma_min graded c = 1e-6 pseudo-dual and c = 1e-8 not
+    f = fk.random_frame(3, 6, 1)
+    dual = fk.canonical_dual(f, tol)
+    for c in (1e-6, 1e-8):
+        g = scaled(dual, -c)
+        report = fk.check_duality(f, g, tol)
+        assert report.is_pseudo_dual and not report.is_approx_dual
+        upgraded = fk.pseudo_dual_to_exact(f, g, tol)
+        assert fk.check_duality(upgraded, g, tol).is_exact_dual
+    # an unrelated random pair keeps its grade when g shrinks
+    f, g = fk.random_frame(3, 6, 10), fk.random_frame(3, 6, 11)
+    assert fk.check_duality(f, g, tol).is_pseudo_dual
+    for c in (1e-6, 1e-8):
+        assert fk.check_duality(f, scaled(g, c), tol).is_pseudo_dual
+
+
 def test_check_duality_errors(mb3, basis2, tol):
     with pytest.raises(fk.DimensionMismatchError):
         fk.check_duality(mb3, basis2, tol)
