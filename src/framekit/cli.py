@@ -2,8 +2,10 @@
 
 Every subcommand reads frames from JSON files, delegates all numerics
 to the library, and prints a single deterministic JSON report on
-stdout.  Exit codes: 0 when the verdict is "pass" or "n/a", 1 when a
-verified property fails (a tolerance problem or a bug -- the underlying
+stdout; its bytes repeat exactly under the same numpy build, BLAS and
+number of BLAS threads, and otherwise agree up to rounding.  Exit
+codes: 0 when the verdict is "pass" or "n/a", 1 when a verified
+property fails (a tolerance problem or a bug -- the underlying
 statements are theorems), 2 for usage or input errors and for results
 that cannot be serialized (a non-finite number).  Diagnostics go to
 stderr, one line each, usage errors included.  Every subcommand

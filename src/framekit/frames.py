@@ -128,7 +128,7 @@ class Frame:
         if self.dim < 1 or d != self.dim:
             raise DimensionMismatchError(
                 f"expected rows of length {self.dim}, got {d}")
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise FramekitError("frame entries must be finite")
         arr.setflags(write=False)
         object.__setattr__(self, "vectors", arr)
@@ -214,14 +214,14 @@ def analysis_matrix(f: Frame) -> np.ndarray:
 
 def synthesis_matrix(f: Frame) -> np.ndarray:
     """Matrix of (c_k) -> sum c_k f_k: the conjugate transpose of the
-    analysis matrix (d x n); its columns are the frame vectors."""
-    return adjoint(analysis_matrix(f))
+    analysis matrix (d x n); its columns are the frame vectors.  It is a
+    read-only view of `f.vectors`, not a copy."""
+    return f.vectors.T
 
 
 def frame_operator(f: Frame) -> np.ndarray:
     """S = (synthesis)(analysis) = sum_k f_k f_k^*; Hermitian PSD, d x d."""
-    u = analysis_matrix(f)
-    return adjoint(u) @ u
+    return synthesis_matrix(f) @ analysis_matrix(f)
 
 
 def gram_matrix(f: Frame) -> np.ndarray:
@@ -240,13 +240,15 @@ def frame_bounds(f: Frame) -> FrameBounds:
 
 def is_frame(f: Frame, tol: ToleranceConfig) -> bool:
     """True when the vectors span the whole space: the rank cutoff keeps
-    all dim singular values."""
-    return rank_from_singular_values(f.svd.sigma, tol.rank_rtol) == f.dim
+    all dim singular values, that is, there are dim of them and the
+    smallest exceeds rank_rtol * sigma_1."""
+    sigma = f.svd.sigma
+    return sigma.size == f.dim and bool(sigma[-1] > tol.rank_rtol * sigma[0])
 
 
 def is_parseval(f: Frame, tol: ToleranceConfig) -> bool:
     """True when the frame operator is the identity within atol."""
-    return float(np.max(np.abs(f.eigenvalues - 1.0))) <= tol.atol
+    return bool(np.abs(f.eigenvalues - 1.0).max() <= tol.atol)
 
 
 def excess(f: Frame, tol: ToleranceConfig) -> ExcessReport:
@@ -262,7 +264,7 @@ def excess(f: Frame, tol: ToleranceConfig) -> ExcessReport:
     padded = np.zeros(f.n)
     padded[: s.size] = s
     return ExcessReport(excess=f.n - f.dim, rank=f.dim,
-                        singular_values=[float(v) for v in padded],
+                        singular_values=padded.tolist(),
                         tolerance_used=tol.rank_rtol)
 
 
@@ -273,12 +275,16 @@ def kernel_of_synthesis(f: Frame, tol: ToleranceConfig) -> np.ndarray:
 
     The columns of the cached P below the rank cutoff come first, then
     `Frame.range_complement`, which is computed once per frame whatever
-    the tolerance.  For a frame (rank = dim) that is the complement
-    alone.  Columns are phase-fixed so repeated runs return identical
-    vectors.
+    the tolerance.  When every column of P clears the cutoff (for a
+    frame, rank = dim) the result is that read-only cached array itself,
+    not a copy: copy it before writing to it.  Columns are phase-fixed so
+    repeated runs return identical vectors.
     """
+    p = f.svd.p
     r = rank_from_singular_values(f.svd.sigma, tol.rank_rtol)
-    return np.hstack([fix_phase(f.svd.p[:, r:]), f.range_complement])
+    if r == p.shape[1]:
+        return f.range_complement
+    return np.hstack([fix_phase(p[:, r:]), f.range_complement])
 
 
 def excess_from_norms(f: Frame, tol: ToleranceConfig) -> float:

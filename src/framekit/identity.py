@@ -144,9 +144,11 @@ def identity_sides(f: Frame, j: IndexSet, x: np.ndarray,
     coeff = analysis_matrix(f) @ x
     syn = synthesis_matrix(f)
     mask = j.mask()
-    inside = float(np.sum(np.abs(coeff[mask]) ** 2))
-    outside = float(np.sum(np.abs(coeff[~mask]) ** 2))
-    tail_out = float(np.linalg.norm(syn @ np.where(~mask, coeff, 0.0)) ** 2)
+    not_j = ~mask
+    power = np.abs(coeff) ** 2
+    inside = float(power[mask].sum())
+    outside = float(power[not_j].sum())
+    tail_out = float(np.linalg.norm(syn @ np.where(not_j, coeff, 0.0)) ** 2)
     tail_in = float(np.linalg.norm(syn @ np.where(mask, coeff, 0.0)) ** 2)
     return inside + tail_out, outside + tail_in
 

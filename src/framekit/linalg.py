@@ -26,7 +26,7 @@ def operator_norm(m: np.ndarray) -> float:
     m = np.atleast_2d(np.asarray(m))
     if m.size == 0:
         return 0.0
-    return float(np.linalg.norm(m, 2))
+    return float(np.linalg.svd(m, compute_uv=False)[0])
 
 
 def rank_from_singular_values(s: np.ndarray, rtol: float) -> int:

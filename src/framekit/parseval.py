@@ -53,7 +53,6 @@ from .frames import (
     Frame,
     ToleranceConfig,
     derived_frame,
-    excess,
     frame_bounds,
     is_frame,
     kernel_of_synthesis,
@@ -87,9 +86,10 @@ def parseval_dual_exists(f: Frame, tol: ToleranceConfig) -> ParsevalDualReport:
     """Evaluate the two existence conditions without constructing anything."""
     if not is_frame(f, tol):
         raise NotAFrameError("Parseval-dual existence needs a frame")
-    a_opt = frame_bounds(f).a_opt
+    # a frame: A is the least eigenvalue (`frame_bounds`), the excess n - dim
+    a_opt = float(f.eigenvalues.min())
     dev = deviation_dimension(f, tol)
-    exc = excess(f, tol).excess
+    exc = f.n - f.dim
     exists = a_opt >= 1.0 - tol.eig_one_atol and dev <= exc
     return ParsevalDualReport(exists=exists, a_opt=a_opt,
                               deviation_dim=dev, excess_val=exc)

@@ -10,6 +10,9 @@ to the real stdout (bypassing capture), then asserts.
 
 import itertools
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -325,6 +328,25 @@ def test_acceptance_12_cli_determinism(tmp_path, capsys, monkeypatch, mb3,
     codes2, outs2 = run_all()
     codes_ok = codes1 == codes2 == [c for c, _ in fixed]
     bytes_ok = outs1 == outs2
+
+    # the same invocations in two fresh processes, one on one BLAS thread
+    # and one on two, each making all of its calls in-process
+    script = ("import contextlib, io, json, sys\n"
+              "import framekit as fk\n"
+              "results = []\n"
+              "for argv in json.load(sys.stdin):\n"
+              "    with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+              "        code = fk.run_command(argv)\n"
+              "    results.append([code, out.getvalue()])\n"
+              "print(json.dumps(results))\n")
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(fk.__file__)))
+    env.pop("FRAMEKIT_SEED", None)
+    fresh = [json.loads(subprocess.run(
+        [sys.executable, "-c", script], input=json.dumps([a for _, a in fixed]),
+        env=dict(env, OPENBLAS_NUM_THREADS=threads), capture_output=True,
+        text=True, check=True).stdout) for threads in ("1", "2")]
+    threads_ok = fresh[0] == fresh[1] == [list(r) for r in zip(codes1, outs1)]
     for code, out in zip(codes1, outs1):
         if code in (0, 1):
             json.loads(out)
@@ -336,6 +358,7 @@ def test_acceptance_12_cli_determinism(tmp_path, capsys, monkeypatch, mb3,
     via_env = capsys.readouterr().out
     seed_ok = flagged == via_env
 
-    announce(12, codes_ok and bytes_ok and seed_ok,
+    announce(12, codes_ok and bytes_ok and threads_ok and seed_ok,
              f"{len(fixed)} fixed invocations: exit codes as contracted, "
-             f"reports byte-identical across runs, FRAMEKIT_SEED == --seed")
+             f"reports byte-identical across runs and in fresh processes "
+             f"on 1 and 2 BLAS threads, FRAMEKIT_SEED == --seed")

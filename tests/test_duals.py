@@ -89,6 +89,26 @@ def test_check_duality_degenerate(tol):
     assert report.deviation_norm == pytest.approx(GOLDEN, abs=1e-12)
 
 
+def test_check_duality_matches_separate_norm_and_svd(mb3, tol):
+    # both numbers come from one batched SVD of [V*U - I, V*U]; they equal
+    # numpy's spectral norm of V*U - I and least singular value of V*U
+    pairs = [random_dual_pair(3, 6, 0, "real"),
+             random_dual_pair(3, 6, 1, "complex"),
+             (mb3, scaled(mb3, 3.0)),
+             (fk.random_frame(3, 6, 10), fk.random_frame(3, 6, 11)),
+             (fk.random_frame(3, 6, 10, "complex"),
+              fk.random_frame(3, 6, 11, "complex")),
+             non_pseudo_pair()]
+    grades = set()
+    for f, g in pairs:
+        report = fk.check_duality(f, g, tol)
+        grades.add((report.is_exact_dual, report.is_pseudo_dual))
+        vu = np.conj(fk.analysis_matrix(g)).T @ fk.analysis_matrix(f)
+        assert report.deviation_norm == np.linalg.norm(vu - np.eye(f.dim), 2)
+        assert report.min_singular_vu == np.linalg.svd(vu, compute_uv=False)[-1]
+    assert grades == {(True, True), (False, True), (False, False)}
+
+
 def test_pseudo_dual_grade_does_not_depend_on_scale(tol):
     # V*U = -c I is invertible for every c > 0; an absolute cutoff on
     # sigma_min graded c = 1e-6 pseudo-dual and c = 1e-8 not
@@ -337,7 +357,9 @@ def test_lemma_reads_the_cached_svds(monkeypatch, tol):
     calls, dtypes = [], []
 
     def counted(a, *rest, _svd=np.linalg.svd, **kw):
-        calls.append(kw.get("full_matrices", rest[0] if rest else True))
+        # only the SVDs that compute vectors; operator norms take sigma-only ones
+        if kw.get("compute_uv", True):
+            calls.append(kw.get("full_matrices", rest[0] if rest else True))
         dtypes.append(np.asarray(a).dtype)
         return _svd(a, *rest, **kw)
 
@@ -356,8 +378,8 @@ def test_lemma_reads_the_cached_svds(monkeypatch, tol):
         dtypes.clear()
         report = fk.verify_lemma_decomposition(t, s, probes=5, seed=0, tol=tol)
         assert report.kernel_match_residual <= 1e-12
-        # one thin SVD of T, one of S*, one for the mapped kernel basis
-        assert len(calls) <= 3
+        # one thin SVD of T and one of S*; the mapped kernel basis is a QR
+        assert len(calls) <= 2
         assert True not in calls
         assert dtypes and set(dtypes) == {np.dtype(dtype)}, (field, dtypes)
 

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import framekit as fk
-from helpers import rational_rank
+from framekit.linalg import operator_norm, rank_from_singular_values
+from helpers import gaussian, rational_rank, scaled
 
 SQ23 = np.sqrt(2.0 / 3.0)
 
@@ -163,6 +164,38 @@ def test_is_frame(mb3, tol):
     assert fk.is_frame(with_zero, tol)
 
 
+def test_is_frame_agrees_with_the_rank_count(tol):
+    # is_frame compares sigma_d with rank_rtol * sigma_1 instead of counting
+    # the singular values above the cutoff; the verdicts must agree
+    systems = [[[1, 0, 0], [0, 1, 0]],  # n < d
+               [[0, 0], [0, 0], [0, 0]],
+               [[1, 0], [0, 0], [0, 1]],  # with a zero row
+               [[1, 0, 0], [2, 0, 0], [0, 1, 1], [0, 2, 2]],  # rank 2 in R^3
+               [[1, 0], [0, 1e-6], [1, 0]],
+               [[1, 0], [0, 1e-11], [1, 0]]]
+    frames = [fk.Frame(dim=len(rows[0]), field="real", vectors=rows)
+              for rows in systems]
+    frames += [fk.random_frame(3, 5, seed=s, field=field)
+               for s, field in ((0, "real"), (1, "complex"))]
+    frames += [scaled(f, c) for f in frames for c in (1e-200, 1e200)]
+    verdicts = []
+    for f in frames:
+        verdicts.append(fk.is_frame(f, tol))
+        assert verdicts[-1] is (
+            rank_from_singular_values(f.svd.sigma, tol.rank_rtol) == f.dim)
+    assert True in verdicts and False in verdicts
+
+
+def test_operator_norm_is_numpys_spectral_norm():
+    # sigma_1 of a sigma-only SVD; numpy's ord=2 norm is the max of the
+    # same singular values, so the two agree bit for bit
+    rng = np.random.default_rng(5)
+    for shape in ((1, 1), (4, 4), (7, 3), (3, 7), (0, 3), (3, 0)):
+        for complex_valued in (False, True):
+            m = gaussian(rng, *shape, complex_valued)
+            assert operator_norm(m) == np.linalg.norm(m, 2)
+
+
 def test_spanning_verdict_follows_the_rank_cutoff_at_every_scale(tol):
     # singular-value ratio 7e-7 clears rank_rtol; the eigenvalue ratio
     # 5e-13 of the frame operator would not
@@ -199,7 +232,8 @@ def test_one_factorization_per_frame(monkeypatch, tol):
     npt.assert_array_equal(calls["qr"][0][0], f.svd.p)
 
     # a dual pair, both SVDs cached: one complete QR, one sigma-only SVD of
-    # V*U, and no SVD of the mapped kernel (4 columns here, U and V have 3)
+    # the stack [V*U - I, V*U], one of P_g* Q for the kernel-identity gap,
+    # and no SVD of the mapped kernel (4 columns here, U and V have 3)
     f = fk.rescale_to_admissible(fk.random_frame(3, 7, seed=3), tol)[0]
     w = np.random.default_rng(4).standard_normal((7, 3))
     g = fk.dual_from_free_operator(f, w, tol)
@@ -214,8 +248,8 @@ def test_one_factorization_per_frame(monkeypatch, tol):
     assert len(complete) == 1
     npt.assert_array_equal(complete[0], f.svd.p)
     sigma_only = [a.shape for a, kw in calls["svd"] if kw.get("compute_uv") is False]
-    assert sigma_only == [(3, 3)]
-    assert not [a for a, _ in calls["svd"] if a.shape[1] == f.n - f.dim]
+    assert sigma_only == [(2, 3, 3), (3, 4)]
+    assert not [a for a, _ in calls["svd"] if a.shape == (f.n, f.n - f.dim)]
 
 
 def test_is_parseval(mb3, basis2, e1e2e1, tol):
@@ -254,6 +288,8 @@ def test_kernel_annihilates_and_is_orthonormal(tol):
         f = fk.random_frame(3, 6, seed=seed, field="complex" if seed % 2 else "real")
         basis = fk.kernel_of_synthesis(f, tol)
         assert basis.shape == (f.n, fk.excess(f, tol).excess)
+        # a frame's kernel basis is the read-only cached complement itself
+        assert basis is f.range_complement and not basis.flags.writeable
         syn = fk.synthesis_matrix(f)
         assert np.linalg.norm(syn @ basis) <= tol.atol
         npt.assert_allclose(np.conj(basis).T @ basis, np.eye(basis.shape[1]),
@@ -269,6 +305,8 @@ def test_kernel_annihilates_and_is_orthonormal(tol):
         f = fk.Frame(dim=len(rows[0]), field=field, vectors=rows)
         basis = fk.kernel_of_synthesis(f, tol)
         assert basis.shape == (f.n, f.n - rank)
+        assert basis.flags.writeable
+        assert not np.shares_memory(basis, f.range_complement)
         assert np.linalg.norm(fk.synthesis_matrix(f) @ basis, 2) <= tol.atol
         npt.assert_allclose(np.conj(basis).T @ basis, np.eye(f.n - rank),
                             atol=1e-12)
