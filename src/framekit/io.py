@@ -14,6 +14,7 @@ bytes, which the CLI relies on for reproducible reports.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass
 from typing import Any, Dict, List
 
@@ -69,9 +70,13 @@ def frame_to_obj(f: Frame) -> Dict[str, Any]:
 def _require_number(value: Any, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise FrameFileError(f"{where}: expected a number, got {value!r}")
-    if not np.isfinite(value):
+    try:
+        number = float(value)
+    except OverflowError:  # an integer beyond the float range
+        raise FrameFileError(f"{where}: number out of float range") from None
+    if not math.isfinite(number):
         raise FrameFileError(f"{where}: non-finite number")
-    return float(value)
+    return number
 
 
 def parse_frame_obj(obj: Any) -> Frame:
@@ -90,20 +95,23 @@ def parse_frame_obj(obj: Any) -> Frame:
     rows = obj["vectors"]
     if not isinstance(rows, list) or not rows:
         raise FrameFileError("vectors must be a nonempty list of rows")
-    data = np.zeros((len(rows), dim), dtype=FIELD_DTYPES[field])
+    # every row is checked before the array is allocated, so a huge dim
+    # with short rows is refused without asking for memory
+    data = []
     for i, row in enumerate(rows):
         if not isinstance(row, list) or len(row) != dim:
             raise FrameFileError(f"row {i}: expected {dim} entries")
         for j, entry in enumerate(row):
             where = f"row {i}, entry {j}"
             if field == REAL:
-                data[i, j] = _require_number(entry, where)
+                data.append(_require_number(entry, where))
             else:
                 if not isinstance(entry, list) or len(entry) != 2:
                     raise FrameFileError(f"{where}: expected an [re, im] pair")
-                data[i, j] = complex(_require_number(entry[0], where),
-                                     _require_number(entry[1], where))
-    return Frame(dim=dim, field=field, vectors=data)
+                data.append(complex(_require_number(entry[0], where),
+                                    _require_number(entry[1], where)))
+    vectors = np.array(data, dtype=FIELD_DTYPES[field]).reshape(len(rows), dim)
+    return Frame(dim=dim, field=field, vectors=vectors)
 
 
 def _reject_constant(name: str) -> float:
@@ -115,6 +123,8 @@ def loads_frame(text: str) -> Frame:
         obj = json.loads(text, parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
         raise FrameFileError(f"invalid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise FrameFileError("invalid JSON: nested too deeply") from exc
     return parse_frame_obj(obj)
 
 
@@ -122,7 +132,7 @@ def read_frame(path: str) -> Frame:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise FrameFileError(f"{path}: {exc}") from exc
     try:
         return loads_frame(text)

@@ -2,21 +2,26 @@
 
 The oracles deliberately avoid the library's own numerics: rank over
 exact rationals, excess by exhaustive deletion, the nearest Parseval
-dual by numerical search instead of the closed form, the global subset
-minimum by evaluating M_J on every subset, determinants by elimination
-over exact (Gaussian) rationals.
+dual by a Levenberg-Marquardt search over all duals (numpy only)
+instead of the closed form, the global subset minimum by evaluating M_J
+on every subset, determinants by elimination over exact (Gaussian)
+rationals.
 """
 
 from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
-from scipy.optimize import minimize
 
 import framekit as fk
-from framekit.linalg import adjoint, operator_norm
 
 TOL = fk.ToleranceConfig()
+
+# Levenberg-Marquardt constants of searched_parseval_dual_residual: the
+# iteration cap per start and the damping's floor and give-up ceiling
+_LM_ITERATIONS = 200
+_LM_MIN_DAMPING = 1e-12
+_LM_MAX_DAMPING = 1e16
 
 
 def scaled(frame, c):
@@ -96,34 +101,51 @@ def deletion_excess(frame, rtol=1e-10):
     return 0
 
 
-def searched_parseval_dual_residual(frame, tol=TOL):
-    """Smallest ||V*V - I|| (operator norm) found by searching all duals.
+def searched_parseval_dual_residual(frame):
+    """Smallest ||V*V - I|| (operator norm) found by searching all duals
+    of a real frame.
 
-    The search runs over the free-operator parametrization, which sweeps
-    out every dual: L-BFGS descent from the canonical dual plus three
-    seeded random starts.  Small instances only.
+    Every dual has analysis matrix V = V0 + QW, with V0 = U S^{-1} the
+    canonical dual and Q = I - UU^+ the projection onto the synthesis
+    kernel, both from numpy's pseudo-inverse of the analysis matrix U.
+    Levenberg-Marquardt minimizes the Frobenius norm of V*V - I over W
+    from W = 0 and three seeded random starts; the residual's Jacobian,
+    dW*QV + V*Q dW, is exact.  Small instances only.
     """
-    n, d = frame.n, frame.dim
-    complex_w = frame.field == "complex"
-    size = n * d * (2 if complex_w else 1)
+    u = np.asarray(frame.vectors, dtype=float)
+    n, d = u.shape
+    u_pinv = np.linalg.pinv(u)
+    v0, q = u_pinv.T, np.eye(n) - u @ u_pinv
+    eye_d, eye_w = np.eye(d), np.eye(n * d)
 
-    def gram_residual(x):
-        w = x[: n * d].reshape(n, d)
-        if complex_w:
-            w = w + 1j * x[n * d:].reshape(n, d)
-        v = fk.analysis_matrix(fk.dual_from_free_operator(frame, w, tol))
-        return adjoint(v) @ v - np.eye(d)
-
-    def objective(x):
-        return float(np.linalg.norm(gram_residual(x)))
+    def gram_residual(w):
+        v = v0 + q @ w
+        return v, v.T @ v - eye_d
 
     rng = np.random.default_rng(0)
-    starts = [np.zeros(size)] + [rng.standard_normal(size) for _ in range(3)]
+    starts = [np.zeros((n, d))] + [rng.standard_normal(n * d).reshape(n, d)
+                                   for _ in range(3)]
     best = np.inf
-    for x0 in starts:
-        result = minimize(objective, x0, method="L-BFGS-B",
-                          options={"maxiter": 400})
-        best = min(best, operator_norm(gram_residual(result.x)))
+    for w in starts:
+        v, r = gram_residual(w)
+        cost, damping = np.sum(r * r), 1e-3
+        for _ in range(_LM_ITERATIONS):
+            # d(V*V)[a, b] / dW[i, c] = [a == c] (QV)[i, b] + [b == c] (QV)[i, a]
+            qv = q @ v
+            jac = (np.einsum("ac,ib->abic", eye_d, qv)
+                   + np.einsum("bc,ia->abic", eye_d, qv)).reshape(d * d, n * d)
+            step = np.linalg.solve(jac.T @ jac + damping * eye_w,
+                                   -(jac.T @ r.ravel())).reshape(n, d)
+            v_new, r_new = gram_residual(w + step)
+            cost_new = np.sum(r_new * r_new)
+            if cost_new < cost:
+                w, v, r, cost = w + step, v_new, r_new, cost_new
+                damping = max(damping / 10, _LM_MIN_DAMPING)
+            else:
+                damping *= 10
+                if damping > _LM_MAX_DAMPING:  # no step lowers the cost
+                    break
+        best = min(best, np.linalg.norm(r, 2))
     return float(best)
 
 

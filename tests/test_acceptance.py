@@ -183,7 +183,7 @@ def test_acceptance_06_parseval_dual_necessity(mb3, announce):
         assert not fk.parseval_dual_exists(f, TOL).exists
         results.append(fk.best_parseval_dual_residual(f, TOL))
         oracle_gap = max(oracle_gap, abs(
-            results[-1] - searched_parseval_dual_residual(f, TOL)))
+            results[-1] - searched_parseval_dual_residual(f)))
     ok = all(r > 1e-6 for r in results) and oracle_gap <= 1e-5
     announce(6, ok,
              f"nearest Parseval duals miss by ||V*V-I|| = "

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -92,10 +93,25 @@ def test_frame_file_schema_errors():
         '{"dim": 1, "field": "complex", "vectors": [[1.0]]}',
         '{"dim": 1, "field": "complex", "vectors": [[[1.0, 0.0, 0.0]]]}',
         'not json at all',
+        # an integer beyond the float range
+        '{"dim": 2, "field": "real", "vectors": [[1%s, 0]]}' % ("0" * 400),
+        '{"dim": 1, "field": "complex", "vectors": [[[0, 1%s]]]}' % ("0" * 400),
+        # a huge dim with a one-entry row
+        '{"dim": 1000000000000, "field": "real", "vectors": [[1]]}',
+        # nesting deeper than the decoder's recursion limit
+        "[" * 100000,
     ]
-    for text in bad_cases:
-        with pytest.raises(fk.FrameFileError):
-            loads_frame(text)
+    # each is refused before the frame's array is allocated: the dim of
+    # 10^12 would ask for 7.28 TiB if the array came first
+    tracemalloc.start()
+    try:
+        for text in bad_cases:
+            with pytest.raises(fk.FrameFileError):
+                loads_frame(text)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_read_frame_missing_file_names_path(tmp_path):
@@ -399,6 +415,17 @@ def test_cli_error_paths(files, capsys, tmp_path):
 
     code, _, err = run(capsys, "analyze", files["mb3"], "--atol", "0")
     assert code == 2
+
+    # a file that is not UTF-8, and a free operator whose dim is 10^12
+    not_utf8 = tmp_path / "utf16.json"
+    not_utf8.write_bytes(b"\xff\xfe")
+    huge = tmp_path / "huge_dim.json"
+    huge.write_text('{"dim": 1000000000000, "field": "real", "vectors": [[1]]}')
+    for argv in (("analyze", str(not_utf8)),
+                 ("dual", files["mb3"], "--mode", "from-w", "--w", str(huge))):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and err.startswith("error:")
 
     code, _, err = run(capsys, "no-such-command")
     assert code == 2 and err.startswith("framekit: error:")

@@ -1,4 +1,6 @@
+import importlib
 import os
+import pkgutil
 import subprocess
 import sys
 
@@ -149,10 +151,11 @@ def test_search_finds_parseval_dual_when_it_exists(mb3, e1e2e1, tol):
     assert fk.best_parseval_dual_residual(e1e2e1, tol) <= 1e-5
 
 
-def test_search_residual_positive_when_conditions_fail(mb3, tol):
-    # the best over all duals is max(mu_{k+1}^+, (-mu_d)^+), with
-    # mu_1 >= ... >= mu_d the eigenvalues of I - S^{-1} and k the excess
-    cases = [
+def blocked_frames(mb3):
+    """Frames with no Parseval dual, each with its closed-form residual
+    max(mu_{k+1}^+, (-mu_d)^+), mu_1 >= ... >= mu_d being the eigenvalues
+    of I - S^{-1} and k the excess."""
+    return [
         # deviation exceeds excess: S = diag(4, 1), k = 0
         (two_e1_e2(), 0.75),
         # lower bound below 1: S = I/4, k = 1
@@ -167,15 +170,43 @@ def test_search_residual_positive_when_conditions_fail(mb3, tol):
                   vectors=np.vstack([np.diag([3.0, 2.0, 1.0]), np.zeros(3)])),
          0.75),
     ]
-    for f, expected in cases:
+
+
+def test_search_residual_positive_when_conditions_fail(mb3, tol):
+    for f, expected in blocked_frames(mb3):
         residual = fk.best_parseval_dual_residual(f, tol)
         assert residual == pytest.approx(expected, abs=1e-10)
         assert residual == pytest.approx(
-            searched_parseval_dual_residual(f, tol), abs=1e-5)
+            searched_parseval_dual_residual(f), abs=1e-5)
+
+
+def test_search_oracle_shares_no_code_with_the_closed_form(mb3, monkeypatch):
+    # every name on the closed form's path raises, on the package and on
+    # each framekit module that holds it; the search must still find the
+    # known residuals, compared with constants, not with framekit's values
+    def refuse(*args, **kwargs):
+        raise AssertionError("the search oracle called framekit's closed form")
+
+    modules = [importlib.import_module(f"framekit.{m.name}")
+               for m in pkgutil.iter_modules(fk.__path__)
+               if not m.name.startswith("_")]
+    for name in ("_nearest_parseval_dual", "best_parseval_dual_residual",
+                 "construct_parseval_dual", "kernel_of_synthesis",
+                 "canonical_dual_analysis", "dual_from_free_operator"):
+        if name in fk.__all__:
+            monkeypatch.setattr(fk, name, refuse)
+        for module in modules:
+            if name in vars(module):
+                monkeypatch.setattr(module, name, refuse)
+    with pytest.raises(AssertionError):
+        fk.best_parseval_dual_residual(mb3, fk.ToleranceConfig())
+    for f, expected in blocked_frames(mb3):
+        assert searched_parseval_dual_residual(f) == pytest.approx(
+            expected, abs=1e-10)
 
 
 def test_import_loads_no_scipy():
-    # numpy is the only runtime dependency; scipy serves the test oracles
+    # numpy is the only numerical library that framekit or its tests use
     code = ("import sys, framekit; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     env = dict(os.environ,
