@@ -125,7 +125,7 @@ def canonical_dual(f: Frame, tol: ToleranceConfig) -> Frame:
     coincides with that of f."""
     if not is_frame(f, tol):
         raise NotAFrameError("canonical dual needs a frame")
-    return derived_frame(f.field, np.conj(canonical_dual_analysis(f)), tol)
+    return derived_frame(f.field, canonical_dual_analysis(f).conj(), tol)
 
 
 def check_duality(f: Frame, g: Frame, tol: ToleranceConfig) -> DualityReport:
@@ -196,8 +196,8 @@ def dual_from_free_operator(f: Frame, w: np.ndarray, tol: ToleranceConfig) -> Fr
             "the normal equations of the free-operator dual")
     # W*Q = W* - (W*P)P*, P being the range basis of the cached SVD
     w_adj, p = adjoint(w), f.svd.p
-    dual_synthesis = (np.linalg.solve(frame_operator(f), synthesis_matrix(f))
-                      + w_adj - (w_adj @ p) @ adjoint(p))
+    dual_synthesis = np.linalg.solve(frame_operator(f), synthesis_matrix(f)) + w_adj
+    dual_synthesis -= (w_adj @ p) @ adjoint(p)
     return derived_frame(f.field, dual_synthesis.T, tol)
 
 
@@ -289,8 +289,8 @@ def _kernel_identity_gap(f: Frame, g: Frame, tol: ToleranceConfig) -> float:
     p_g = _range_basis(g, tol)
     if ker_u.shape[1] != g.n - p_g.shape[1]:
         return 1.0
-    mapped, _ = np.linalg.qr(
-        ker_u - analysis_matrix(f) @ (synthesis_matrix(g) @ ker_u))
+    m = analysis_matrix(f) @ (synthesis_matrix(g) @ ker_u)
+    mapped, _ = np.linalg.qr(np.subtract(ker_u, m, out=m))
     return min(1.0, operator_norm(adjoint(p_g) @ mapped))
 
 
@@ -321,7 +321,7 @@ def verify_lemma_decomposition(t: np.ndarray, s: np.ndarray, probes: int,
     idem_residual = operator_norm(ts @ ts - ts)
 
     field = COMPLEX if np.iscomplexobj(t) or np.iscomplexobj(s) else REAL
-    f = Frame(dim=d, field=field, vectors=np.conj(t))
+    f = Frame(dim=d, field=field, vectors=t.conj())
     g = Frame(dim=d, field=field, vectors=s.T)
     kernel_residual = _kernel_identity_gap(f, g, tol)
 

@@ -11,9 +11,11 @@ lower bound is positive.
 
 Every spectral fact comes from one thin SVD U = P Sigma R* of the
 analysis matrix, cached on the frame (`Frame.svd`): S has eigenvectors
-R and eigenvalues Sigma^2, and P spans the analysis range.  One
-complete QR of P, also cached (`Frame.range_complement`), spans the rest
-of the coefficient space; every synthesis-kernel basis is read from it.
+R and eigenvalues Sigma^2, and P spans the analysis range.  The
+Householder reflectors of one QR of P give an orthonormal basis of the
+rest of the coefficient space, also cached (`Frame.range_complement`)
+and formed without the n x n Q; every synthesis-kernel basis is read
+from it.
 Nothing cached on a frame depends on a tolerance; pair-level results
 are kept by the pair checks in `duals.py`.
 
@@ -38,7 +40,7 @@ from .errors import (
     NotAFrameError,
     NotParsevalError,
 )
-from .linalg import adjoint, fix_phase, rank_from_singular_values
+from .linalg import adjoint, fix_phase, qr_complement, rank_from_singular_values
 
 REAL = "real"
 COMPLEX = "complex"
@@ -155,18 +157,21 @@ class Frame:
         SVD of [[1, 0], [0, 1], [1, 0]] has fl(sqrt 2)^2 > 2."""
         ur = analysis_matrix(self) @ adjoint(self.svd.rh)
         lam = np.zeros(self.dim)
-        lam[: ur.shape[1]] = np.sum(ur.real ** 2 + ur.imag ** 2, axis=0)
+        if np.iscomplexobj(ur):
+            ur = ur.real ** 2 + ur.imag ** 2
+        else:
+            ur *= ur
+        lam[: ur.shape[1]] = np.sum(ur, axis=0)
         lam.setflags(write=False)
         return lam
 
     @cached_property
     def range_complement(self) -> np.ndarray:
         """Orthonormal basis of the complement of span P (P from the cached
-        SVD), as the trailing columns of one complete QR of P, phase-fixed
-        and read-only; tolerance-free, like the SVD it completes."""
-        p = self.svd.p
-        q, _ = np.linalg.qr(p, mode="complete")
-        basis = fix_phase(q[:, p.shape[1]:])
+        SVD): the trailing columns of the Q of a complete QR of P, formed
+        without Q (`linalg.qr_complement`), phase-fixed and read-only;
+        tolerance-free, like the SVD it completes."""
+        basis = fix_phase(qr_complement(self.svd.p))
         basis.setflags(write=False)
         return basis
 
@@ -208,8 +213,9 @@ class ExcessReport:
 
 
 def analysis_matrix(f: Frame) -> np.ndarray:
-    """Matrix of x -> (<x, f_k>)_k: one conjugated vector per row (n x d)."""
-    return np.conj(f.vectors)
+    """Matrix of x -> (<x, f_k>)_k: one conjugated vector per row (n x d).
+    For a real frame it is `f.vectors` itself, read-only, not a copy."""
+    return f.vectors.conj()
 
 
 def synthesis_matrix(f: Frame) -> np.ndarray:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import math
+import reprlib
 from dataclasses import asdict, dataclass
 from typing import Any, Dict, List
 
@@ -69,7 +70,7 @@ def frame_to_obj(f: Frame) -> Dict[str, Any]:
 
 def _require_number(value: Any, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise FrameFileError(f"{where}: expected a number, got {value!r}")
+        raise FrameFileError(f"{where}: expected a number, got {reprlib.repr(value)}")
     try:
         number = float(value)
     except OverflowError:  # an integer beyond the float range
@@ -88,10 +89,11 @@ def parse_frame_obj(obj: Any) -> Frame:
             raise FrameFileError(f"missing key {key!r}")
     dim = obj["dim"]
     if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
-        raise FrameFileError(f"dim must be a positive integer, got {dim!r}")
+        raise FrameFileError(f"dim must be a positive integer, got {reprlib.repr(dim)}")
     field = obj["field"]
     if field not in (REAL, COMPLEX):
-        raise FrameFileError(f"field must be 'real' or 'complex', got {field!r}")
+        raise FrameFileError(
+            f"field must be 'real' or 'complex', got {reprlib.repr(field)}")
     rows = obj["vectors"]
     if not isinstance(rows, list) or not rows:
         raise FrameFileError("vectors must be a nonempty list of rows")

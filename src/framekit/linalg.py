@@ -11,8 +11,8 @@ import numpy as np
 
 
 def adjoint(m: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return np.conj(m).T
+    """Conjugate transpose; for a real array a view of it, not a copy."""
+    return m.conj().T
 
 
 def inexact(m) -> np.ndarray:
@@ -54,6 +54,34 @@ def fix_phase(v: np.ndarray) -> np.ndarray:
     lead = np.take_along_axis(v, np.argmax(np.abs(v), axis=0)[None], axis=0)[0]
     mag = np.abs(lead)
     return v * np.divide(np.conj(lead), mag, out=np.ones_like(lead), where=mag > 0)
+
+
+def qr_complement(p: np.ndarray) -> np.ndarray:
+    """The trailing n - k columns Q E, E = [0; I], of the Q of a complete
+    QR of an (n, k) matrix p with n >= k, formed without the n x n Q.
+
+    Q = H_1 ... H_k for the Householder reflectors H_j = I - tau_j v_j v_j*
+    of one QR of p.  With the v_j as the columns of V, Q = I - V T V* for
+    the upper triangular T with T^{-1} = diag(1/tau) + striu(V*V)
+    (Joffrain, Low, Quintana-Orti and van de Geijn, "Accumulating
+    Householder transformations, revisited", ACM TOMS 32(2), 2006), so
+    Q E = E - V T (V* E).  Reflectors with tau = 0 are the identity and
+    are left out of V.  Neither the reflectors nor T outlive the call.
+    """
+    n, k = p.shape
+    h, tau = np.linalg.qr(p, mode="raw")
+    v = h.T  # v_j below the diagonal of column j, R on and above it
+    v[:k] = np.tril(v[:k], -1)
+    np.fill_diagonal(v, 1.0)
+    keep = tau != 0.0
+    if not keep.all():
+        v, tau = v[:, keep], tau[keep]
+    t_inv = np.triu(adjoint(v) @ v, 1)
+    t_inv[np.diag_indices(tau.size)] = 1.0 / tau
+    tail = v @ np.linalg.solve(t_inv, -adjoint(v[k:]))
+    rows = np.arange(n - k)
+    tail[k + rows, rows] += 1.0
+    return tail
 
 
 def orthonormal_range(m: np.ndarray, rtol: float) -> np.ndarray:

@@ -128,7 +128,7 @@ def _nearest_parseval_dual(f: Frame, tol: ToleranceConfig) -> np.ndarray:
         u_plus = fix_phase(adjoint(f.svd.rh[above]))
         g_vals = np.sqrt(1.0 - 1.0 / lam[above])
         k_cols = kernel_of_synthesis(f, tol)[:, : above.size]
-        v = v + k_cols @ (g_vals[:, None] * adjoint(u_plus))
+        v += k_cols @ (g_vals[:, None] * adjoint(u_plus))
     return v
 
 
@@ -147,7 +147,7 @@ def construct_parseval_dual(f: Frame, tol: ToleranceConfig) -> ParsevalDualRepor
     if not report.exists:
         raise NoParsevalDualError(
             "no Parseval dual: " + "; ".join(nonexistence_reasons(report, tol)))
-    dual = derived_frame(f.field, np.conj(_nearest_parseval_dual(f, tol)), tol)
+    dual = derived_frame(f.field, _nearest_parseval_dual(f, tol).conj(), tol)
     return ParsevalDualReport(exists=True, a_opt=report.a_opt,
                               deviation_dim=report.deviation_dim,
                               excess_val=report.excess_val, dual=dual)

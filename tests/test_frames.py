@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import framekit as fk
-from framekit.linalg import operator_norm, rank_from_singular_values
+from framekit.linalg import fix_phase, operator_norm, rank_from_singular_values
 from helpers import gaussian, rational_rank, scaled
 
 SQ23 = np.sqrt(2.0 / 3.0)
@@ -231,7 +231,7 @@ def test_one_factorization_per_frame(monkeypatch, tol):
     assert len(calls["qr"]) == 1
     npt.assert_array_equal(calls["qr"][0][0], f.svd.p)
 
-    # a dual pair, both SVDs cached: one complete QR, one sigma-only SVD of
+    # a dual pair, both SVDs cached: one raw QR of P, one sigma-only SVD of
     # the stack [V*U - I, V*U], one of P_g* Q for the kernel-identity gap,
     # and no SVD of the mapped kernel (4 columns here, U and V have 3)
     f = fk.rescale_to_admissible(fk.random_frame(3, 7, seed=3), tol)[0]
@@ -244,9 +244,9 @@ def test_one_factorization_per_frame(monkeypatch, tol):
     assert fk.verify_excess_equality(f, g, tol)
     assert fk.construct_parseval_dual(f, tol).dual is not None
     assert calls["eigvalsh"] == [] and calls["eigh"] == []
-    complete = [a for a, kw in calls["qr"] if kw.get("mode") == "complete"]
-    assert len(complete) == 1
-    npt.assert_array_equal(complete[0], f.svd.p)
+    raw = [a for a, kw in calls["qr"] if kw.get("mode") == "raw"]
+    assert len(raw) == 1
+    npt.assert_array_equal(raw[0], f.svd.p)
     sigma_only = [a.shape for a, kw in calls["svd"] if kw.get("compute_uv") is False]
     assert sigma_only == [(2, 3, 3), (3, 4)]
     assert not [a for a, _ in calls["svd"] if a.shape == (f.n, f.n - f.dim)]
@@ -284,8 +284,16 @@ def test_kernel_of_synthesis(basis2, e1e2e1, mb3, tol):
 
 
 def test_kernel_annihilates_and_is_orthonormal(tol):
-    for seed in range(6):
-        f = fk.random_frame(3, 6, seed=seed, field="complex" if seed % 2 else "real")
+    frames = [fk.random_frame(3, 6, seed=seed, field="complex" if seed % 2 else "real")
+              for seed in range(6)]
+    # axis-aligned P: every Householder reflector of the first is the
+    # identity (tau = 0), one of the square basis, whose complement has no
+    # columns, is too
+    frames += [fk.Frame(dim=2, field="real", vectors=rows)
+               for rows in ([[1, 0], [0, 1], [0, 0]],
+                            [[0, 0], [1, 0], [0, 1], [0, 0]],
+                            [[0, 1], [1, 0]])]
+    for f in frames:
         basis = fk.kernel_of_synthesis(f, tol)
         assert basis.shape == (f.n, fk.excess(f, tol).excess)
         # a frame's kernel basis is the read-only cached complement itself
@@ -294,6 +302,10 @@ def test_kernel_annihilates_and_is_orthonormal(tol):
         assert np.linalg.norm(syn @ basis) <= tol.atol
         npt.assert_allclose(np.conj(basis).T @ basis, np.eye(basis.shape[1]),
                             atol=1e-12)
+        # column for column the trailing block of a complete QR's Q,
+        # phase-fixed alike, though formed without that Q
+        q, _ = np.linalg.qr(f.svd.p, mode="complete")
+        npt.assert_allclose(basis, fix_phase(q[:, f.dim:]), rtol=0, atol=1e-12)
     # rank < dim: exact rank 1, a row scaled below rank_rtol, n < dim, and
     # a complex frame of rank 2 in C^3
     deficient = [([[1, 0], [2, 0], [0, 0]], 1),

@@ -100,14 +100,20 @@ def test_frame_file_schema_errors():
         '{"dim": 1000000000000, "field": "real", "vectors": [[1]]}',
         # nesting deeper than the decoder's recursion limit
         "[" * 100000,
+        # a deeply nested entry, a dim and a field that are long lists
+        '{"dim": 1, "field": "real", "vectors": [[%s1%s]]}' % ("[" * 980, "]" * 980),
+        '{"dim": [%s], "field": "real", "vectors": [[1]]}' % ",".join(["1"] * 1000),
+        '{"dim": 1, "field": "%s", "vectors": [[1]]}' % ("x" * 2000),
     ]
     # each is refused before the frame's array is allocated: the dim of
-    # 10^12 would ask for 7.28 TiB if the array came first
+    # 10^12 would ask for 7.28 TiB if the array came first; and in one
+    # short line, however long the offending value is
     tracemalloc.start()
     try:
         for text in bad_cases:
-            with pytest.raises(fk.FrameFileError):
+            with pytest.raises(fk.FrameFileError) as err:
                 loads_frame(text)
+            assert len(str(err.value)) <= 120 and "\n" not in str(err.value)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

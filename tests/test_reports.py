@@ -1,0 +1,128 @@
+"""The report corpus: the README's CLI examples on fixed small inputs.
+
+`tests/data/reports.json` stores, for each example in README order, its
+argv, exit code, the report it prints and the frame files it writes.
+The examples run in process, in one directory, so a later example reads
+the files an earlier one wrote (`dual` writes the g.json that `check`
+and `lemma` read).  Keys, verdicts, exit codes, integers, booleans and
+strings must match exactly; floats within 1e-12 * max(1, |a|, |b|),
+since residuals near 1e-16 move in their last bits with the number of
+BLAS threads.  An intended report change shows as a diff of the file.
+
+Regenerate it with ``PYTHONPATH=src python tests/test_reports.py``.
+"""
+
+import contextlib
+import io
+import json
+import os
+import pathlib
+import tempfile
+
+import framekit as fk
+from framekit.io import dumps_frame
+
+CORPUS = pathlib.Path(__file__).parent / "data" / "reports.json"
+README = pathlib.Path(__file__).parent.parent / "README.md"
+RTOL = 1e-12
+
+EXAMPLES = [
+    "gen --kind parseval-projection --dim 2 --n 5 --out p.json",
+    "analyze p.json",
+    "dual f.json --mode random --out g.json",
+    "check f.json g.json",
+    "parseval-dual f.json --out pd.json",
+    "nu p.json --j 1,4",
+    "nu p.json --global-min",
+    "identity p.json --j 1,3 --trials 200",
+    "tail p.json --eps 0.125",
+    "lemma f.json g.json --probes 50",
+]
+
+
+def run_example(argv):
+    """Exit code, parsed report (None when nothing is printed) and the
+    frame files named by --out, parsed."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = fk.run_command(argv)
+    text = out.getvalue()
+    written = {}
+    if "--out" in argv:
+        name = argv[argv.index("--out") + 1]
+        written[name] = json.loads(pathlib.Path(name).read_text())
+    return code, json.loads(text) if text else None, written
+
+
+def _is_number(x):
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def assert_matches(expected, actual, where):
+    if _is_number(expected) and _is_number(actual) and (
+            isinstance(expected, float) or isinstance(actual, float)):
+        # a float that happens to be integral is written as an integer
+        scale = max(1.0, abs(expected), abs(actual))
+        assert abs(expected - actual) <= RTOL * scale, (where, expected, actual)
+    elif isinstance(expected, dict):
+        assert isinstance(actual, dict) and list(actual) == list(expected), where
+        for key, value in expected.items():
+            assert_matches(value, actual[key], f"{where}.{key}")
+    elif isinstance(expected, list):
+        assert isinstance(actual, list) and len(actual) == len(expected), where
+        for i, (e, a) in enumerate(zip(expected, actual)):
+            assert_matches(e, a, f"{where}[{i}]")
+    else:
+        assert type(actual) is type(expected) and actual == expected, (
+            where, expected, actual)
+
+
+def test_readme_examples_match_the_corpus(tmp_path, monkeypatch):
+    corpus = json.loads(CORPUS.read_text())
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("FRAMEKIT_SEED", raising=False)
+    for name, obj in corpus["inputs"].items():
+        pathlib.Path(name).write_text(json.dumps(obj))
+    readme = README.read_text()
+    assert all(f"framekit {line}" in readme for line in EXAMPLES)
+    assert [case["argv"] for case in corpus["cases"]] == [
+        line.split() for line in EXAMPLES]
+    for case in corpus["cases"]:
+        code, report, written = run_example(case["argv"])
+        where = " ".join(case["argv"])
+        assert code == case["exit"], where
+        assert_matches(case["report"], report, where)
+        assert_matches(case["written"], written, where)
+
+
+def _fixed_inputs():
+    """A real (3, 6) frame scaled to A = 1: it has a Parseval dual, and
+    the construction routes two eigenvectors into its synthesis kernel."""
+    f, _ = fk.rescale_to_admissible(fk.random_frame(3, 6, seed=7),
+                                    fk.ToleranceConfig())
+    return {"f.json": json.loads(dumps_frame(f))}
+
+
+def regenerate():
+    inputs = _fixed_inputs()
+    cases = []
+    with tempfile.TemporaryDirectory() as work:
+        home = os.getcwd()
+        os.chdir(work)
+        os.environ.pop("FRAMEKIT_SEED", None)
+        try:
+            for name, obj in inputs.items():
+                pathlib.Path(name).write_text(json.dumps(obj))
+            for line in EXAMPLES:
+                argv = line.split()
+                code, report, written = run_example(argv)
+                cases.append({"argv": argv, "exit": code, "report": report,
+                              "written": written})
+        finally:
+            os.chdir(home)
+    CORPUS.parent.mkdir(exist_ok=True)
+    CORPUS.write_text(json.dumps({"inputs": inputs, "cases": cases}, indent=1) + "\n")
+
+
+if __name__ == "__main__":
+    regenerate()
