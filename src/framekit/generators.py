@@ -41,19 +41,27 @@ def random_frame(dim: int, n: int, seed: int, field: str = REAL) -> Frame:
 def parseval_projection_frame(dim: int, n: int, seed: int, field: str = REAL) -> Frame:
     """Exactly-Parseval frame of n vectors in dimension dim.
 
-    Takes dim orthonormal columns of a random n x n unitary (QR of a
-    Gaussian matrix, phases normalized for determinism): the rows of
-    that n x dim isometry are the coordinates of an orthonormal basis of
-    n-space projected onto a dim-dimensional subspace.  Excess n - dim.
+    Takes the first dim orthonormal columns of a random n x n unitary
+    (Q of a Gaussian matrix, phases normalized for determinism): the
+    rows of that n x dim isometry are the coordinates of an orthonormal
+    basis of n-space projected onto a dim-dimensional subspace.  Excess
+    n - dim.
+
+    The draw stays n x n, so each seed keeps its random stream, but only
+    its leading dim columns are factored: Householder QR works column by
+    column, so column j of Q and r_jj depend only on columns 1..j of the
+    matrix, and these dim columns of Q are those of the full
+    factorization up to rounding.  That costs O(n dim^2) time and one
+    n x dim Q instead of O(n^3) and three n x n arrays.
     """
     _check_field(field)
     _check_counts(dim, n)
     rng = np.random.default_rng(seed)
     g = gaussian_matrix(rng, n, n, field == COMPLEX)
-    q, r = np.linalg.qr(g)
+    q, r = np.linalg.qr(g[:, :dim])
     phases = np.diagonal(r) / np.abs(np.diagonal(r))
     q = q * np.conj(phases)[None, :]
-    return Frame(dim=dim, field=field, vectors=np.conj(q[:, :dim]))
+    return Frame(dim=dim, field=field, vectors=np.conj(q))
 
 
 def near_riesz_frame(dim: int, k: int, seed: int, field: str = REAL) -> Frame:

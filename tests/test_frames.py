@@ -347,6 +347,46 @@ def test_gram_is_projection_for_parseval(tol):
         assert np.linalg.norm(g @ g - g, 2) <= tol.atol
 
 
+PROJECTION_SIZES = [(1, 1), (1, 7), (3, 6), (6, 6), (40, 100)]
+
+
+def _full_qr_projection(dim, n, seed, field):
+    """The parseval-projection frame from a QR of the whole n x n draw:
+    first dim columns of the phase-normalized Q, conjugated."""
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((n, n))
+    if field == "complex":
+        g = (g + 1j * rng.standard_normal((n, n))) / np.sqrt(2.0)
+    q, r = np.linalg.qr(g)
+    phases = np.diagonal(r) / np.abs(np.diagonal(r))
+    return np.conj((q * np.conj(phases)[None, :])[:, :dim])
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+@pytest.mark.parametrize("dim,n", PROJECTION_SIZES)
+def test_parseval_projection_matches_the_full_qr(dim, n, field):
+    for seed in range(3):
+        f = fk.parseval_projection_frame(dim, n, seed=seed, field=field)
+        assert f.vectors.shape == (n, dim)
+        npt.assert_allclose(f.vectors, _full_qr_projection(dim, n, seed, field),
+                            rtol=0, atol=1e-13)
+        assert np.max(np.abs(fk.frame_operator(f) - np.eye(dim))) <= 1e-13
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+@pytest.mark.parametrize("dim,n", PROJECTION_SIZES)
+def test_parseval_projection_factors_only_the_kept_columns(monkeypatch, dim, n, field):
+    shapes = []
+
+    def spy(a, *rest, _qr=np.linalg.qr, **kw):
+        shapes.append(np.shape(a))
+        return _qr(a, *rest, **kw)
+
+    monkeypatch.setattr(np.linalg, "qr", spy)
+    fk.parseval_projection_frame(dim, n, seed=0, field=field)
+    assert shapes == [(n, dim)]
+
+
 def test_rank_matches_rational_oracle(tol):
     rng = np.random.default_rng(11)
     for _ in range(25):

@@ -37,6 +37,9 @@ EXAMPLES = [
     "identity p.json --j 1,3 --trials 200",
     "tail p.json --eps 0.125",
     "lemma f.json g.json --probes 50",
+    "gen --kind parseval-projection --dim 2 --n 5 --field complex --out pc.json",
+    "nu pc.json --global-min",
+    "identity pc.json --j 1,3 --trials 200",
 ]
 
 
