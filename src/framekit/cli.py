@@ -7,13 +7,14 @@ number of BLAS threads, and otherwise agree up to rounding.  Exit
 codes: 0 when the verdict is "pass" or "n/a", 1 when a verified
 property fails (a tolerance problem or a bug -- the underlying
 statements are theorems), 2 for usage or input errors and for results
-that cannot be serialized (a non-finite number).  Diagnostics go to
-stderr, one line each, usage errors included.  Every subcommand
-argument is echoed in the report's inputs (the tolerances in a section
-of their own); seed is the resolved one: --seed, else the FRAMEKIT_SEED
-environment variable, else 0, and never negative.  Each handler
-imports the library functions it runs, so that a start loads only the
-modules of its subcommand.
+that cannot be serialized (a non-finite number), 3 when stdout closed
+before the report was written (a reader such as `head` quit early).
+Diagnostics go to stderr, one line each, usage errors included.  Every
+subcommand argument is echoed in the report's inputs (the tolerances
+in a section of their own); seed is the resolved one: --seed, else the
+FRAMEKIT_SEED environment variable, else 0, and never negative.  Each
+handler imports the library functions it runs, so that a start loads
+only the modules of its subcommand.
 """
 
 from __future__ import annotations
@@ -45,6 +46,8 @@ from .linalg import adjoint, gaussian_matrix, operator_norm
 Outcome = Tuple[str, Dict[str, Any]]  # (verdict, payload)
 _TOLERANCES = tuple(field.name for field in dataclasses.fields(ToleranceConfig))
 _NOT_ECHOED = {"command", "handler", "seed", *_TOLERANCES}
+# Bound on k * n, the coefficients of one block of k `identity` trials.
+_TRIAL_BLOCK = 1 << 15
 
 
 def _resolve_seed(args: argparse.Namespace) -> int:
@@ -243,10 +246,11 @@ def _cmd_identity(args: argparse.Namespace, tol: ToleranceConfig, seed: int) -> 
     j = _parse_index_list(args.j, f.n)
     rng = np.random.default_rng(seed)
     xs = _random_unit_vectors(rng, f.dim, args.trials, f.field == COMPLEX)
+    block = max(1, _TRIAL_BLOCK // f.n)
     worst = 0.0
-    for x in xs:
-        lhs, rhs = identity_sides(f, j, x, tol)
-        worst = max(worst, abs(lhs - rhs))
+    for start in range(0, args.trials, block):
+        lhs, rhs = identity_sides(f, j, xs[start:start + block], tol)
+        worst = max(worst, float(np.max(np.abs(lhs - rhs))))
     payload = {"j": list(j.members), "trials": args.trials, "max_residual": worst}
     return "pass" if worst <= tol.atol else "fail", payload
 
@@ -423,7 +427,12 @@ def run_command(argv=None) -> int:
     except (FramekitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    print(text)
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        # the reader is gone: drop the rest so the exit flush cannot fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 3
     return 0 if verdict in ("pass", "n/a") else 1
 
 

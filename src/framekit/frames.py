@@ -11,11 +11,12 @@ lower bound is positive.
 
 Every spectral fact comes from one thin SVD U = P Sigma R* of the
 analysis matrix, cached on the frame (`Frame.svd`): S has eigenvectors
-R and eigenvalues Sigma^2, and P spans the analysis range.  The
-Householder reflectors of one QR of P give an orthonormal basis of the
-rest of the coefficient space, also cached (`Frame.range_complement`)
-and formed without the n x n Q; every synthesis-kernel basis is read
-from it.
+R and eigenvalues Sigma^2 (`Frame.eigenvalues`, whose largest distance
+max |lambda_i - 1| from 1 is `Frame.parseval_gap`), and P spans the
+analysis range.  The Householder reflectors of one QR of P give an
+orthonormal basis of the rest of the coefficient space, also cached
+(`Frame.range_complement`) and formed without the n x n Q; every
+synthesis-kernel basis is read from it.
 Nothing cached on a frame depends on a tolerance; pair-level results
 are kept by the pair checks in `duals.py`.
 
@@ -166,6 +167,11 @@ class Frame:
         return lam
 
     @cached_property
+    def parseval_gap(self) -> float:
+        """max |lambda_i - 1|, which `is_parseval` compares with atol."""
+        return float(np.abs(self.eigenvalues - 1.0).max())
+
+    @cached_property
     def range_complement(self) -> np.ndarray:
         """Orthonormal basis of the complement of span P (P from the cached
         SVD): the trailing columns of the Q of a complete QR of P, formed
@@ -254,7 +260,7 @@ def is_frame(f: Frame, tol: ToleranceConfig) -> bool:
 
 def is_parseval(f: Frame, tol: ToleranceConfig) -> bool:
     """True when the frame operator is the identity within atol."""
-    return bool(np.abs(f.eigenvalues - 1.0).max() <= tol.atol)
+    return f.parseval_gap <= tol.atol
 
 
 def excess(f: Frame, tol: ToleranceConfig) -> ExcessReport:

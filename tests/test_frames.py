@@ -256,6 +256,8 @@ def test_is_parseval(mb3, basis2, e1e2e1, tol):
     assert fk.is_parseval(mb3, tol)
     assert fk.is_parseval(basis2, tol)
     assert not fk.is_parseval(e1e2e1, tol)
+    assert basis2.parseval_gap == 0.0 and e1e2e1.parseval_gap == 1.0
+    assert mb3.parseval_gap == float(np.max(np.abs(mb3.eigenvalues - 1.0)))
 
 
 def test_excess_examples(mb3, basis2, tol):

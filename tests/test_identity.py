@@ -81,6 +81,38 @@ def test_identity_sides_errors(mb3, e1e2e1, tol):
         fk.identity_sides(mb3, j, np.array([1.0, 0.0, 0.0]), tol)
     with pytest.raises(fk.ZeroVectorError):
         fk.identity_sides(mb3, j, np.zeros(2), tol)
+    xs = np.random.default_rng(1).standard_normal((4, 2))
+    for row in range(4):
+        batch = xs.copy()
+        batch[row] = 0.0
+        with pytest.raises(fk.ZeroVectorError):
+            fk.identity_sides(mb3, j, batch, tol)
+    for shape in ((4, 3), (1, 4, 2), ()):
+        with pytest.raises(fk.DimensionMismatchError):
+            fk.identity_sides(mb3, j, np.ones(shape), tol)
+
+
+def test_identity_sides_batched_equals_looped(tol):
+    eps = np.finfo(np.float64).eps
+    rng = np.random.default_rng(11)
+    for seed, field in ((0, "real"), (1, "complex")):
+        f = fk.parseval_projection_frame(3, 6, seed=seed, field=field)
+        xs = rng.standard_normal((9, 3))
+        if field == "complex":
+            xs = xs + 1j * rng.standard_normal((9, 3))
+        for members in all_subsets(6):
+            j = fk.IndexSet(members=members, n=6)
+            lhs, rhs = fk.identity_sides(f, j, xs, tol)
+            assert lhs.shape == rhs.shape == (9,)
+            for x, batched in zip(xs, zip(lhs, rhs)):
+                for v, w in zip(batched, fk.identity_sides(f, j, x, tol)):
+                    assert abs(v - w) <= 4 * eps * max(1.0, abs(w))
+
+
+def test_identity_sides_empty_batch(mb3, tol):
+    lhs, rhs = fk.identity_sides(mb3, fk.IndexSet(members=(1,), n=3),
+                                 np.empty((0, 2)), tol)
+    assert lhs.shape == rhs.shape == (0,)
 
 
 def test_quantity_matrix_examples(mb3):

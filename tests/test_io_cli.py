@@ -159,6 +159,15 @@ def files(tmp_path, mb3, e1e2e1):
     return paths
 
 
+@pytest.fixture(scope="module")
+def big_parseval(tmp_path_factory):
+    """A real (3, 2000) Parseval frame file: the rows of a matrix with
+    orthonormal columns."""
+    q, _ = np.linalg.qr(np.random.default_rng(1).standard_normal((2000, 3)))
+    return write(tmp_path_factory.mktemp("big") / "p.json",
+                 fk.Frame(dim=3, field="real", vectors=q))
+
+
 def test_cli_analyze(files, capsys):
     code, out, _ = run(capsys, "analyze", files["mb3"])
     assert code == 0
@@ -338,6 +347,59 @@ def test_cli_identity(files, capsys):
     code, _, err = run(capsys, "identity", files["mb3"], "--j", "1",
                        "--trials", "0")
     assert code == 2 and "error" in err
+
+
+def test_cli_identity_runs_its_trials_in_blocks(files, big_parseval, capsys,
+                                               monkeypatch):
+    import framekit.cli as cli
+    import framekit.identity as identity
+
+    batches = []
+    kernel = identity.identity_sides
+
+    def spy(f, j, x, tol):
+        batches.append(len(x))
+        return kernel(f, j, x, tol)
+
+    monkeypatch.setattr(identity, "identity_sides", spy)
+    block = cli._TRIAL_BLOCK // 2000
+    for path, trials, expected in ((files["mb3"], 50, [50]),
+                                   (big_parseval, 1, [1]),
+                                   (big_parseval, block, [block]),
+                                   (big_parseval, block + 1, [block, 1]),
+                                   (big_parseval, 5 * block + 3, [block] * 5 + [3])):
+        batches.clear()
+        code, out, _ = run(capsys, "identity", path, "--j", "1,3",
+                           "--trials", str(trials))
+        assert code == 0 and json.loads(out)["verdict"] == "pass"
+        assert batches == expected
+
+
+def test_cli_identity_memory_does_not_grow_with_trials(big_parseval, capsys):
+    tracemalloc.start()
+    try:
+        code, out, _ = run(capsys, "identity", big_parseval, "--j", "1,3",
+                           "--trials", "20000")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and json.loads(out)["verdict"] == "pass"
+    # one batch of all trials would hold 20000 x 2000 coefficients, 320 MB
+    assert peak < 4 << 20
+
+
+def test_cli_closed_stdout_exits_quietly(files):
+    # no process holds the read end of the child's stdout when it writes
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(fk.__file__)))
+    read_end, write_end = os.pipe()
+    proc = subprocess.Popen([sys.executable, "-m", "framekit", "analyze",
+                             files["mb3"]], stdout=write_end,
+                            stderr=subprocess.PIPE, env=env)
+    os.close(write_end)
+    os.close(read_end)
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 3 and err == b""
 
 
 def test_cli_tail(files, capsys):
