@@ -20,7 +20,10 @@ the coefficient space splits as Im T (+) Ker S, with TS the oblique
 projection onto Im T along Ker S, and Ker S = (I - TS)(Ker T*) -- is
 verified numerically by `verify_lemma_decomposition`.  Its headline
 consequence, that dual (even pseudo-dual) frames always carry the same
-excess, is exposed through `verify_excess_equality`.  Pair-level state
+excess, is exposed through `verify_excess_equality`, which checks the
+kernel identity Ker V* = (I - U M^{-1} V*)(Ker U*), M = V*U, for every
+pseudo-dual pair.  Both checks use d x n and d x d products only, never
+a basis of the (n - d)-dimensional kernel.  Pair-level state
 lives here, not on `Frame`: `check_duality` memoizes its reports in a
 table keyed weakly by both frames.
 """
@@ -54,7 +57,6 @@ from .frames import (
     derived_frame,
     frame_operator,
     is_frame,
-    kernel_of_synthesis,
     synthesis_matrix,
 )
 from .linalg import (
@@ -272,26 +274,43 @@ def _range_basis(f: Frame, tol: ToleranceConfig) -> np.ndarray:
     return f.svd.p[:, :rank_from_singular_values(f.svd.sigma, tol.rank_rtol)]
 
 
-def _kernel_identity_gap(f: Frame, g: Frame, tol: ToleranceConfig) -> float:
-    """Subspace distance between Ker V* and (I - UV*)(Ker U*), U and V
-    being the analysis matrices of f and g: 1 for unequal dimensions,
-    else ||P* Q||, P spanning Im V = (Ker V*)^perp and Q the mapped kernel.
+def _kernel_identity_gap(f: Frame, g: Frame, min_singular_vu: float,
+                         tol: ToleranceConfig) -> float:
+    """Scaled distance between Ker V* and E(Ker U*), E = I - U M^{-1} V*,
+    U and V being the analysis matrices of f and g and M = V*U, whose
+    least singular value the caller passes: 1 for unequal ranks, else
+    ||X||_F / max(1, ||U|| ||V|| / sigma_min(M)), clamped to 1, with
 
-    For x in Ker U*, UV*x lies in Im U, orthogonal to x, so
-    ||(I - UV*)x||^2 = ||x||^2 + ||UV*x||^2: every singular value of
-    M = (I - UV*)K, K the kernel basis, is at least 1.  M thus has full
-    column rank n - rank(f), and a reduced QR of M spans its range; no
-    rank decision is needed.  The dimensions compared are therefore
-    n - rank(f) and n - rank(g).  A rank cutoff on M would agree unless
-    ||UV*|| >= 1/rank_rtol.  The same holds for (I - U M^{-1} V*)K.
+        X = P* E = P* - C V*,   C = (P* U) M^{-1},
+
+    P spanning Im V = (Ker V*)^perp.  C comes from one d x d solve, so
+    every product is d x n or smaller.
+
+    E is idempotent with range Ker V* and kernel Im U, so X = 0 exactly.
+    For x in Ker U*, UM^{-1}V*x lies in Im U, orthogonal to x, so
+    ||Ex|| >= ||x||: every unit vector y of E(Ker U*) is Ex with
+    ||x|| <= 1, and the sine of the largest principal angle between
+    E(Ker U*) and Ker V* is max ||P* y|| <= ||X||_2 <= ||X||_F.  A factor
+    I - P_U P_U* on the right would change nothing, as E kills Im U.
+    The ranks compared are rank(f) and rank(g), the codimensions of the
+    two kernels.
+
+    Formed in floating point, X carries the rounding of U M^{-1} V*,
+    about eps ||U|| ||V|| / sigma_min(M) in size, so its norm grows with
+    the scale of either frame although the identity does not; dividing
+    by that bound, when it exceeds 1, keeps the gap at rounding level
+    for duals of any scale (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., Sec. 3.5).
     """
-    ker_u = kernel_of_synthesis(f, tol)
     p_g = _range_basis(g, tol)
-    if ker_u.shape[1] != g.n - p_g.shape[1]:
+    if rank_from_singular_values(f.svd.sigma, tol.rank_rtol) != p_g.shape[1]:
         return 1.0
-    m = analysis_matrix(f) @ (synthesis_matrix(g) @ ker_u)
-    mapped, _ = np.linalg.qr(np.subtract(ker_u, m, out=m))
-    return min(1.0, operator_norm(adjoint(p_g) @ mapped))
+    u, v_adj, p_adj = analysis_matrix(f), synthesis_matrix(g), adjoint(p_g)
+    # C M = P* U, transposed to the M^T C^T = (P* U)^T that solve takes
+    c = np.linalg.solve((v_adj @ u).T, (p_adj @ u).T).T
+    x = p_adj - c @ v_adj
+    scale = max(1.0, float(f.svd.sigma[0] * g.svd.sigma[0]) / min_singular_vu)
+    return min(1.0, float(np.linalg.norm(x)) / scale)
 
 
 def verify_lemma_decomposition(t: np.ndarray, s: np.ndarray, probes: int,
@@ -323,7 +342,8 @@ def verify_lemma_decomposition(t: np.ndarray, s: np.ndarray, probes: int,
     field = COMPLEX if np.iscomplexobj(t) or np.iscomplexobj(s) else REAL
     f = Frame(dim=d, field=field, vectors=t.conj())
     g = Frame(dim=d, field=field, vectors=s.T)
-    kernel_residual = _kernel_identity_gap(f, g, tol)
+    # sigma_min(ST) >= 1 - ||ST - I|| by Weyl's inequality
+    kernel_residual = _kernel_identity_gap(f, g, 1.0 - st_residual, tol)
 
     im_t, im_s_adj = _range_basis(f, tol), _range_basis(g, tol)
     draws = np.random.default_rng(seed).standard_normal((probes, 2, n))
@@ -364,15 +384,14 @@ def transform_frame(f: Frame, t: np.ndarray, tol: ToleranceConfig) -> Frame:
 def verify_excess_equality(f: Frame, g: Frame, tol: ToleranceConfig) -> bool:
     """Check that a (pseudo-)dual pair carries the same excess.
 
-    In finite dimension this is automatic (two frames of one shape both
-    have excess n - d), so a pseudo-dual pair that is not exact returns
-    True without a check; its kernel identity with M = V*U,
-    Ker V* = (I - U M^{-1} V*)(Ker U*), would give that verdict content
-    and is not checked yet.  For an exact pair, the kernel identity
-    Ker V* = (I - UV*)(Ker U*) is checked as a subspace distance within
-    atol.
+    In finite dimension the equality itself is automatic (two frames of
+    one shape both have excess n - d), so the verdict checks what proves
+    it: the kernel identity Ker V* = (I - U M^{-1} V*)(Ker U*) with
+    M = V*U, for every pseudo-dual pair, exact ones included.  The
+    scaled gap of `_kernel_identity_gap`, built from d x n products only,
+    is compared with atol; the result is a Python bool.
     """
     report = check_duality(f, g, tol)
     if not report.is_pseudo_dual:
         raise NotPseudoDualError("excess equality is claimed for pseudo-dual pairs")
-    return not report.is_exact_dual or _kernel_identity_gap(f, g, tol) <= tol.atol
+    return _kernel_identity_gap(f, g, report.min_singular_vu, tol) <= tol.atol

@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 import framekit as fk
+from framekit.duals import _kernel_identity_gap
 from framekit.linalg import adjoint, operator_norm, orthonormal_range
 from helpers import (
     TOL,
@@ -73,27 +74,39 @@ def parseval_ensemble():
     return frames
 
 
+def kernel_gap(f, g):
+    """The scaled kernel-identity gap that `verify_excess_equality` compares with atol."""
+    return _kernel_identity_gap(f, g, fk.check_duality(f, g, TOL).min_singular_vu, TOL)
+
+
 def test_acceptance_01_dual_excess_equality(dual_ensemble, announce):
     hits = sum(
         fk.excess(f, TOL).excess == fk.excess(g, TOL).excess
         and fk.check_duality(f, g, TOL).is_exact_dual
+        and fk.verify_excess_equality(f, g, TOL)
         for f, g in dual_ensemble)
+    worst = max(kernel_gap(f, g) for f, g in dual_ensemble)
     announce(1, hits == len(dual_ensemble),
-             f"{hits}/{len(dual_ensemble)} dual pairs share their excess")
+             f"{hits}/{len(dual_ensemble)} dual pairs share their excess, "
+             f"worst kernel-identity gap {worst:.2e} (bound 1e-08)")
 
 
 def test_acceptance_02_pseudo_dual_excess_equality(dual_ensemble, announce):
     pairs = dual_ensemble[:100]
     hits = 0
+    worst = 0.0
     for i, (f, g) in enumerate(pairs):
         t = well_conditioned_invertible(np.random.default_rng(20_000 + i),
                                         f.dim, f.field == "complex")
         g2 = fk.transform_frame(g, t, TOL)
         report = fk.check_duality(f, g2, TOL)
         hits += (report.is_pseudo_dual
-                 and fk.excess(f, TOL).excess == fk.excess(g2, TOL).excess)
+                 and fk.excess(f, TOL).excess == fk.excess(g2, TOL).excess
+                 and fk.verify_excess_equality(f, g2, TOL))
+        worst = max(worst, kernel_gap(f, g2))
     announce(2, hits == len(pairs),
-             f"{hits}/{len(pairs)} pseudo-dual pairs share their excess")
+             f"{hits}/{len(pairs)} pseudo-dual pairs share their excess, "
+             f"worst kernel-identity gap {worst:.2e} (bound 1e-08)")
 
 
 def test_acceptance_03_decomposition_lemma(dual_ensemble, announce):

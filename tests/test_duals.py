@@ -1,5 +1,6 @@
 import gc
 import pickle
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -118,13 +119,15 @@ def test_pseudo_dual_grade_does_not_depend_on_scale(tol):
         g = scaled(dual, -c)
         report = fk.check_duality(f, g, tol)
         assert report.is_pseudo_dual and not report.is_approx_dual
+        assert fk.verify_excess_equality(f, g, tol) is True
         upgraded = fk.pseudo_dual_to_exact(f, g, tol)
         assert fk.check_duality(upgraded, g, tol).is_exact_dual
-    # an unrelated random pair keeps its grade when g shrinks
+    # an unrelated random pair keeps its grade and its verdict when g shrinks
     f, g = fk.random_frame(3, 6, 10), fk.random_frame(3, 6, 11)
     assert fk.check_duality(f, g, tol).is_pseudo_dual
-    for c in (1e-6, 1e-8):
+    for c in (1.0, 1e-6, 1e-8):
         assert fk.check_duality(f, scaled(g, c), tol).is_pseudo_dual
+        assert fk.verify_excess_equality(f, scaled(g, c), tol) is True
 
 
 def test_check_duality_errors(mb3, basis2, tol):
@@ -421,7 +424,8 @@ def test_excess_equality_on_duals(mb3, tol):
     for seed in range(8):
         field = "complex" if seed % 2 else "real"
         f, g = random_dual_pair(2 + seed % 3, 4 + seed % 3, seed, field)
-        assert fk.verify_excess_equality(f, g, tol)
+        equal = fk.verify_excess_equality(f, g, tol)
+        assert type(equal) is bool and equal
         assert fk.excess(f, tol).excess == deletion_excess(f)
         assert fk.excess(g, tol).excess == deletion_excess(g)
 
@@ -430,6 +434,31 @@ def test_excess_equality_rejects_non_pseudo(tol):
     f, g = non_pseudo_pair()
     with pytest.raises(fk.NotPseudoDualError):
         fk.verify_excess_equality(f, g, tol)
+
+
+def test_excess_equality_holds_for_duals_of_any_scale(tol):
+    # ||X|| rounds like eps ||U|| ||V|| / sigma_min(V*U): unscaled, the gap
+    # of the s = 1e4 dual reads 1.1e-8, above atol
+    f = fk.random_frame(50, 100, seed=3, field="complex")
+    w = gaussian(np.random.default_rng(0), 100, 50, True)
+    for s in (1.0, 1e2, 1e4):
+        g = fk.dual_from_free_operator(f, s * w, tol)
+        assert fk.check_duality(f, g, tol).is_exact_dual
+        assert fk.verify_excess_equality(f, g, tol)
+
+
+def test_excess_equality_allocates_nothing_n_sized(tol):
+    # no (n, n - d) kernel basis: d x n products only
+    f = fk.random_frame(3, 2000, seed=1)
+    g = fk.dual_from_free_operator(f, np.random.default_rng(2).standard_normal((2000, 3)), tol)
+    fk.is_frame(g, tol)
+    tracemalloc.start()
+    try:
+        assert fk.verify_excess_equality(f, g, tol)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 @settings(max_examples=30, deadline=None)

@@ -231,9 +231,10 @@ def test_one_factorization_per_frame(monkeypatch, tol):
     assert len(calls["qr"]) == 1
     npt.assert_array_equal(calls["qr"][0][0], f.svd.p)
 
-    # a dual pair, both SVDs cached: one raw QR of P, one sigma-only SVD of
-    # the stack [V*U - I, V*U], one of P_g* Q for the kernel-identity gap,
-    # and no SVD of the mapped kernel (4 columns here, U and V have 3)
+    # a dual pair, both SVDs cached: one sigma-only SVD of the stack
+    # [V*U - I, V*U], whose sigma_min also scales the kernel-identity gap;
+    # the gap takes no QR and no SVD of the kernel (4 columns here, U and V
+    # have 3); the single raw QR of P is the Parseval dual's kernel basis
     f = fk.rescale_to_admissible(fk.random_frame(3, 7, seed=3), tol)[0]
     w = np.random.default_rng(4).standard_normal((7, 3))
     g = fk.dual_from_free_operator(f, w, tol)
@@ -242,13 +243,13 @@ def test_one_factorization_per_frame(monkeypatch, tol):
         args.clear()
     assert fk.check_duality(f, g, tol).is_exact_dual
     assert fk.verify_excess_equality(f, g, tol)
+    assert calls["qr"] == []
     assert fk.construct_parseval_dual(f, tol).dual is not None
     assert calls["eigvalsh"] == [] and calls["eigh"] == []
-    raw = [a for a, kw in calls["qr"] if kw.get("mode") == "raw"]
-    assert len(raw) == 1
-    npt.assert_array_equal(raw[0], f.svd.p)
+    assert [kw.get("mode") for _, kw in calls["qr"]] == ["raw"]
+    npt.assert_array_equal(calls["qr"][0][0], f.svd.p)
     sigma_only = [a.shape for a, kw in calls["svd"] if kw.get("compute_uv") is False]
-    assert sigma_only == [(2, 3, 3), (3, 4)]
+    assert sigma_only == [(2, 3, 3)]
     assert not [a for a, _ in calls["svd"] if a.shape == (f.n, f.n - f.dim)]
 
 
