@@ -33,7 +33,9 @@ pushes nu_minus(J) above 1 - eps; `tail_threshold` and
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 import operator
 from dataclasses import dataclass
 from typing import Iterable, Tuple
@@ -57,15 +59,21 @@ from .frames import (
 from .linalg import fix_phase, inexact
 
 GLOBAL_SWEEP_LIMIT = 20
-# The global sweep screens S_J as low[a] + high[b]: `low` holds the
-# partial frame operators over the first _LOW_BITS indices.
-_LOW_BITS = 14
+# Matrices per eigvalsh call of the screen and of the certify step.
+_CHUNK = 1 << 14
 # Rounding allowance of the certify window, in units of d * n * eps.
 _ROUNDING = 16
-# Rounding allowance of the determinant bound, in units of d^2 * n * eps.
+# Rounding allowance of the determinant bound, in units of d^2 * n * eps
+# (see `_det_allowance` for its evaluation term).
 _DET_ROUNDING = 64
-# Subsets per block of the determinant bound.
-_DET_BLOCK = 1 << 13
+# The determinant bound is bilinear in minors up to this d, LAPACK det
+# beyond it.
+_BILINEAR_MAX_DIM = 6
+# Values per block of the bound table: one per subset from the matrix
+# product, d^2 per subset for the matrices of the LAPACK det.
+_BOUND_BLOCK = 1 << 15
+# High rows whose least bound is screened for the upper bound U.
+_UPPER_ROWS = 8
 
 
 @dataclass(frozen=True)
@@ -195,7 +203,7 @@ def nu_minus_global(f: Frame, tol: ToleranceConfig) -> Tuple[float, IndexSet]:
       nu_minus(J) = nu_minus(J^c).  Only the 2^(n-1) subsets without
       index n are screened, from the eigenvalues of S_J alone (real
       arithmetic for a real frame, as in every step).  S_J is
-      low[a] + high[b], two subset-sum tables over the first _LOW_BITS
+      low[a] + high[b], two subset-sum tables over the first n // 2
       indices and over the rest below n, kept as entry planes: one row
       per entry of the lower triangle, the one eigvalsh reads.
     * Prune.  The screen's eigvalsh runs only where a cheaper bound
@@ -207,48 +215,55 @@ def nu_minus_global(f: Frame, tol: ToleranceConfig) -> Tuple[float, IndexSet]:
 
           min |t - 1/2| >= |det(S_J - I/2)| / (1/2 + e)^(d - 1).
 
-      `_half_gap_bound` evaluates this and lowers it by
-      eta = _DET_ROUNDING * d^2 * n * eps.  With H = S_J - I/2,
-      m = min |t - 1/2| and R = max |t - 1/2|, the computed det is
-      det(H + F), F the rounding of the 1/2 shift and of the det
-      itself, plus an evaluation error, and by Weyl's inequality for
-      singular values |det(H + F)| <= (m + ||F||) (R + ||F||)^(d - 1).
-      For d >= 6 numpy's batched det, LU with partial pivoting, has no
-      evaluation error and ||F|| of order d^2 eps for entries of size
-      at most 1.  For d <= 5 `_shifted_det` expands in minors.  It reads
-      H off the lower triangle, the upper one as its conjugate and the
-      diagonal as real, so H is exactly Hermitian and F is the shift's
-      rounding alone, of order eps.  Each term of det(H + F), a product
-      of d entries, passes d - 1 multiplications and at most
-      d (d - 1) / 2 additions, each rounded by at most eps/2 relative,
-      a complex product by at most sqrt(2) eps (Higham, Lemma 3.5).  So
-      the computed value strays from det(H + F) by at most about
-      c d eps per(|H|), with c = (d - 1)(d + 2) / (4d) <= 1.4 for real
-      and c = (d - 1)(sqrt(2) + d/4) / d <= 2.2 for complex entries
-      (d <= 5).  As per(|H|) <= prod_i ||row_i||_1 <= (sqrt(d) R)^d,
-      after the division by (1/2 + e)^(d - 1) that is about
-      c d^(d/2 + 1) eps R: 280c eps R at d = 5, against
-      eta >= 8,000 eps.  The ratio eta / (c d^(d/2 + 1) eps) is
-      64 n / (c d^(d/2 - 1)); with n >= d and the complex c it is 13 at
-      d = 5, 4.4 at d = 6, 1.3 at d = 7 and below 1 from d = 8, while
-      the products double with each d, so the expansion stops at d = 5.
-      Per matrix, in stacks of _DET_BLOCK on one BLAS thread, it costs
-      about 1-130 ns real and 2-220 ns complex for d = 1-5, against
-      70-630 and 140-1060 ns for the LAPACK det.  The
+      `_bound_table` evaluates this for every subset, lowered by eta
+      (`_det_allowance`), as the table of 3/4 + max(bound, 0)^2, row b
+      and column a.  For d <= 6 the determinants are one blocked real
+      matrix product: with L = low[a] and C = high[b] - I/2,
+      det(L + C) is bilinear in the minors of L and of C
+      (`_det_features`), K = C(2d, d) terms (2, 6, 20, 70, 252 and 924
+      for d = 1..6), so about K flops per subset inside BLAS, while the
+      minors are formed once per half table, 2^(n/2) matrices each.
+      For d >= 7 the LAPACK det (K = 3432 made the product slower).
+      The transform is written in place, block by block.
+
+      eta.  Let H be the computed low[a] + high[b] that eigvalsh
+      screens, and m and R the least and greatest |t - 1/2| over its
+      eigenvalues t.  The determinant evaluated is that of
+      H - I/2 + F, F the rounding of the sum and of the shift (for
+      LAPACK, also of its LU), of order d eps (d^2 eps) for entries of
+      size at most 1, and by Weyl's inequality for singular values
+      |det(H - I/2 + F)| <= (m + ||F||) (R + ||F||)^(d - 1).  The
       computed S_J and e stray from exact ones by order d n eps, so R
       may pass 1/2 + e by that much, which costs up to d - 1 times as
-      much in the bound.  eigvalsh's own error is of order d eps.
-      Every term is at most of order d^2 n eps (n >= d), so
-      3/4 + max(bound, 0)^2 is at most the screened value.  The subset
-      with the smallest bound in each high row is screened; the least
-      of those values, U, is at least the screen minimum.  Then only
-      the subsets whose
-      3/4 + max(bound, 0)^2 is at most U + 2(delta + rounding), the
-      certify window below, are screened.  They hold every subset that
-      screens within the window of the minimum, so the near set, and
-      with it the result, is that of a screen of all 2^(n-1) subsets.
-      The dets run in blocks of _DET_BLOCK matrices and the eigvalsh in
-      chunks of 2^_LOW_BITS, so neither makes a large temporary.
+      much in the bound, and eigvalsh's own error is of order d eps;
+      _DET_ROUNDING * d^2 * n * eps (n >= d) covers these terms.  The
+      LAPACK det has no evaluation error beyond F.  The bilinear sum
+      has: each of the d! terms of det(L + C) reaches it through at
+      most N = K + 3(d - 1) + d (d - 1) / 2 roundings
+      (`_product_roundings`): the minors' products and sums, and the
+      K-term inner product, a complex product counting 3 (it is off
+      by at most sqrt(2) gamma_2 relative, Higham, Lemma 3.5).  So it
+      strays from det(L + C) by at most
+      gamma_N sum |det L[I, J]| |det C[I', J']| <= N eps per(|L| + |C|)
+      (gamma_N = N u / (1 - N u) <= N eps, u = eps/2), as each product
+      of complementary minors regroups terms of the permanent
+      expansion, per(A + B) = sum per(A[I, J]) per(B[I', J']).
+      With ||L|| <= 1 + e and ||C|| <= 1/2 + e, every row of
+      |L| + |C| sums to at most sqrt(d) (3/2 + 2e), so after the
+      division by (1/2 + e)^(d - 1) the error is at most
+      N d^(d/2) 3^(d - 1) (3/2 + 2e) eps, which the evaluation term
+      N d^(d/2) 3^d (1 + e) eps of eta covers: 3.7e6 eps at d = 5,
+      1.5e8 eps (3e-8) at d = 6.  So 3/4 + max(bound, 0)^2 is at most
+      the screened value.
+
+      In each high row take the subset with the smallest bound, and
+      screen those of the _UPPER_ROWS rows where it is least; the
+      least of those values, U, is at least the screen minimum.  Then
+      only the subsets whose 3/4 + max(bound, 0)^2 is at most
+      U + 2(delta + rounding), the certify window below, are screened,
+      in chunks of _CHUNK.  They hold every subset that screens within
+      the window of the minimum, so the near set, and with it the
+      result, is that of a screen of all 2^(n-1) subsets.
     * Certify.  With S = I + E, ||I - S_J|| <= 1 + e, so M_J differs
       from S_J + (I - S_J)^2 by at most delta = 2e(1 + e) + e^2.
       Rounding in either evaluation is allowed _ROUNDING * d * n * eps:
@@ -271,25 +286,21 @@ def nu_minus_global(f: Frame, tol: ToleranceConfig) -> Tuple[float, IndexSet]:
     outer = np.einsum("ki,kj->kij", f.vectors, np.conj(f.vectors))
     rows, cols = np.tril_indices(d)
     entries = outer[:, rows, cols]
-    low_bits = min(_LOW_BITS, n - 1)
+    low_bits = n // 2
     low = _subset_sums(entries[:low_bits])
     high = _subset_sums(entries[low_bits:n - 1])
     e = f.parseval_gap
     delta = 2.0 * e * (1.0 + e) + e * e
     rounding = _ROUNDING * d * n * np.finfo(np.float64).eps
     window = 2.0 * (delta + rounding)
-    bound = np.empty((high.shape[1], low.shape[1]))
-    for b in range(high.shape[1]):
-        for start in range(0, low.shape[1], _DET_BLOCK):
-            gap = _half_gap_bound(low[:, start:start + _DET_BLOCK] + high[:, b, None],
-                                  e, n)
-            bound[b, start:start + _DET_BLOCK] = 0.75 + np.maximum(gap, 0.0) ** 2
+    bound = _bound_table(low, high, e, n)
     lowest = np.argmin(bound, axis=1)
-    upper = _screen(low[:, lowest] + high).min()
+    best = np.argsort(bound[np.arange(len(bound)), lowest])[:_UPPER_ROWS]
+    upper = _screen(low[:, lowest[best]] + high[:, best]).min()
     codes = np.flatnonzero(bound.reshape(-1) <= upper + window)
     screen = np.empty(len(codes))
-    for start in range(0, len(codes), 1 << _LOW_BITS):
-        chunk = codes[start:start + (1 << _LOW_BITS)]
+    for start in range(0, len(codes), _CHUNK):
+        chunk = codes[start:start + _CHUNK]
         screen[start:start + len(chunk)] = _screen(
             low[:, chunk & ((1 << low_bits) - 1)] + high[:, chunk >> low_bits])
     near = codes[screen <= screen.min() + window]
@@ -305,56 +316,139 @@ def nu_minus_global(f: Frame, tol: ToleranceConfig) -> Tuple[float, IndexSet]:
 def _screen(s_j: np.ndarray) -> np.ndarray:
     """Screened value 3/4 + min (t - 1/2)^2 over the eigenvalues t of
     each S_J in an entry-plane stack (see `_subset_sums`)."""
-    t = np.linalg.eigvalsh(_matrices(s_j))
+    t = np.linalg.eigvalsh(_full(s_j).transpose(2, 0, 1))
     return 0.75 + np.min(np.abs(t - 0.5), axis=1) ** 2
 
 
-def _half_gap_bound(s_j: np.ndarray, e: float, n: int) -> np.ndarray:
-    """Lower bound on min |t - 1/2| over the eigvalsh eigenvalues t of
-    each S_J in an entry-plane stack, for a frame of n vectors with
-    e = max |lambda_i(S) - 1|: |det(S_J - I/2)| / (1/2 + e)^(d - 1),
-    lowered by _DET_ROUNDING * d^2 * n * eps (see `nu_minus_global`).
-    It may be negative."""
-    d = _dim(s_j)
-    det = np.abs(_shifted_det(s_j))
-    eta = _DET_ROUNDING * d * d * n * np.finfo(np.float64).eps
-    return det / (0.5 + e) ** (d - 1) - eta
+def _bound_table(low: np.ndarray, high: np.ndarray, e: float, n: int) -> np.ndarray:
+    """3/4 + max(bound, 0)^2 for S_J = low[a] + high[b], entry-plane
+    stacks, at row b and column a: bound is the lower bound on
+    min |t - 1/2| over the eigvalsh eigenvalues t of S_J of a frame of n
+    vectors with e = max |lambda_i(S) - 1|, that is
+    |det(S_J - I/2)| / (1/2 + e)^(d - 1) lowered by `_det_allowance`
+    (see `nu_minus_global`)."""
+    d = _dim(low)
+    table = np.empty((high.shape[1], low.shape[1]))
+    bilinear = d <= _BILINEAR_MAX_DIM
+    rows = max(1, _BOUND_BLOCK // (low.shape[1] * (1 if bilinear else d * d)))
+    scale = (0.5 + e) ** (d - 1)
+    eta = _det_allowance(d, n, e)
+    if bilinear:
+        fa, fb = _det_features(low, high, 0.5)
+    for start in range(0, len(table), rows):
+        block = table[start:start + rows]
+        if bilinear:
+            np.matmul(fb[start:start + rows], fa, out=block)
+        else:
+            s_j = low[:, None, :] + high[:, start:start + rows, None]
+            shifted = _full(s_j.reshape(len(low), -1), 0.5).transpose(2, 0, 1)
+            block[...] = np.linalg.det(shifted).real.reshape(block.shape)
+        np.abs(block, out=block)
+        block /= scale
+        block -= eta
+        np.maximum(block, 0.0, out=block)
+        np.square(block, out=block)
+        block += 0.75
+    return table
 
 
-def _shifted_det(s_j: np.ndarray) -> np.ndarray:
-    """det(S_J - I/2) for each S_J in an entry-plane stack.
+def _det_allowance(d: int, n: int, e: float) -> float:
+    """Rounding allowance eta of the determinant bound (see
+    `nu_minus_global`): _DET_ROUNDING * d^2 * n * eps for every d, plus,
+    on the bilinear path, N d^(d/2) 3^d (1 + e) eps for its evaluation
+    error, N = `_product_roundings(d)`."""
+    eta = _DET_ROUNDING * d * d * n
+    if d <= _BILINEAR_MAX_DIM:
+        eta += _product_roundings(d) * d ** (d / 2) * 3 ** d * (1.0 + e)
+    return eta * np.finfo(np.float64).eps
 
-    For d <= 5 the expansion in minors of H = S_J - I/2 (see
-    `nu_minus_global`): the minors of the bottom row are its entries,
-    and each k x k minor of the bottom k rows expands along its top row
-    in the (k - 1) x (k - 1) ones (d 2^(d-1) - d products, 75 at d = 5).
-    For d >= 6 the LAPACK det."""
-    d = _dim(s_j)
-    if d > 5:
-        shifted = _matrices(s_j)
-        shifted[:, range(d), range(d)] -= 0.5
-        return np.linalg.det(shifted)
 
-    def h(i: int, k: int) -> np.ndarray:
-        if i < k:
-            return np.conj(s_j[k * (k + 1) // 2 + i])
-        if i == k:
-            return s_j[i * (i + 1) // 2 + i].real - 0.5
-        return s_j[i * (i + 1) // 2 + k]
+def _product_roundings(d: int) -> int:
+    """Roundings N on the path of one permutation term of det(L + C)
+    through `_det_features` and their product: K = C(2d, d) in the matrix
+    product, and for the two minors it pairs at most d - 1 products
+    (3 units each, complex) and d (d - 1) / 2 sums in all."""
+    return math.comb(2 * d, d) + 3 * (d - 1) + d * (d - 1) // 2
 
-    minors = {(k,): h(d - 1, k) for k in range(d)}
-    for i in range(d - 2, -1, -1):
-        row = [h(i, k) for k in range(d)]
-        expanded = {}
-        for cols in itertools.combinations(range(d), d - i):
-            acc = row[cols[0]] * minors[cols[1:]]
-            for p in range(1, len(cols)):
-                term = row[cols[p]] * minors[cols[:p] + cols[p + 1:]]
-                sign = np.subtract if p % 2 else np.add
-                acc = sign(acc, term, out=term)
-            expanded[cols] = acc
-        minors = expanded
-    return minors[tuple(range(d))].real
+
+def _det_features(low: np.ndarray, high: np.ndarray, shift: float
+                  ) -> Tuple[np.ndarray, np.ndarray]:
+    """Real matrices fa (F, A) and fb (B, F) with
+    (fb @ fa)[b, a] = det(L_a + C_b), L_a = low[a], C_b = high[b] - shift I
+    for entry-plane stacks low and high.
+
+    det(L + C) = sum over |I| = |J| of
+    (-1)^(sum I + sum J) det L[I, J] det C[I', J'], I' and J' the
+    complements (Marcus, "Determinants of sums", College Math. J. 21,
+    1990), K = C(2d, d) terms.  For Hermitian L and C the terms of (I, J)
+    and (J, I) are conjugate, so each pair I < J gives one real feature,
+    2 Re(det L[I, J] det C[I', J']), split as Re * Re - Im * Im for a
+    complex frame, and each I = J one: (K + 2^d) / 2 features real, K
+    complex."""
+    steps, l_rows, c_rows, weights, pairs = _minor_tables(_dim(low))
+    minors_l = _minors(_full(low), steps)
+    minors_c = _minors(_full(high, shift), steps)
+    fa = [minors_l[l_rows].real]
+    fb = [minors_c[c_rows].real * weights[:, None]]
+    if np.iscomplexobj(low):
+        fa.append(minors_l[l_rows[pairs]].imag)
+        fb.append(minors_c[c_rows[pairs]].imag * -weights[pairs, None])
+    return np.concatenate(fa), np.concatenate(fb).T
+
+
+def _minors(full: np.ndarray, steps) -> np.ndarray:
+    """Every minor det M[I, J], |I| = |J| = 0..d, of each matrix of a
+    (d, d, B) stack, in the order of `_minor_tables`.  Level k expands
+    each k x k minor along row min I in (k - 1) x (k - 1) ones, from
+    index tables: k products of whole gathered rows per level."""
+    d = full.shape[0]
+    entries = full.reshape(d * d, -1)
+    signed = np.concatenate([entries, -entries])
+    minors = np.empty((steps[-1][1], entries.shape[1]), dtype=entries.dtype)
+    minors[0] = 1.0
+    for start, stop, entry, minor in steps:
+        level = minors[start:stop]
+        np.multiply(signed[entry[:, 0]], minors[minor[:, 0]], out=level)
+        for p in range(1, entry.shape[1]):
+            level += signed[entry[:, p]] * minors[minor[:, p]]
+    return minors
+
+
+@functools.lru_cache(maxsize=None)
+def _minor_tables(d: int) -> tuple:
+    """Index tables of `_minors` and `_det_features` for d x d matrices.
+
+    The minors are numbered by size k, then I, then J, each in
+    lexicographic order.  steps[k - 1] = (start, stop, entry, minor) fills
+    size k: the minor of (I, J) is the sum over p of signed entry
+    entry[., p] (row i_0 * d + J[p] of the entries, shifted by d^2 when
+    negated) times minor minor[., p] of (I - i_0, J - J[p]).  l_rows and
+    c_rows pair (I, J) with (I', J') for each feature, weights holds
+    (-1)^(sum I + sum J) (doubled for I < J), pairs marks I < J."""
+    index = {((), ()): 0}
+    steps = []
+    for k in range(1, d + 1):
+        start = len(index)
+        subsets = list(itertools.combinations(range(d), k))
+        entry, minor = [], []
+        for i in subsets:
+            for j in subsets:
+                index[i, j] = len(index)
+                entry.append([i[0] * d + c + (p % 2) * d * d for p, c in enumerate(j)])
+                minor.append([index[i[1:], j[:p] + j[p + 1:]] for p in range(k)])
+        steps.append((start, len(index), np.array(entry), np.array(minor)))
+    def rest(s):
+        return tuple(k for k in range(d) if k not in s)
+
+    l_rows, c_rows, weights = [], [], []
+    for (i, j), row in index.items():
+        if i <= j:
+            l_rows.append(row)
+            c_rows.append(index[rest(i), rest(j)])
+            weights.append((-1) ** (sum(i) + sum(j)) * (2 if i < j else 1))
+    weights = np.array(weights, dtype=np.float64)
+    return (tuple(steps), np.array(l_rows), np.array(c_rows), weights,
+            np.abs(weights) == 2)
 
 
 def _dim(s_j: np.ndarray) -> int:
@@ -362,15 +456,18 @@ def _dim(s_j: np.ndarray) -> int:
     return int(np.sqrt(2 * len(s_j)))
 
 
-def _matrices(s_j: np.ndarray) -> np.ndarray:
-    """The Hermitian matrices of an entry-plane stack: its entries in the
-    lower triangle, their conjugates in the upper one."""
+def _full(s_j: np.ndarray, shift: float = 0.0) -> np.ndarray:
+    """The Hermitian matrices H - shift I of an entry-plane stack, as a
+    (d, d, B) array: its entries in the lower triangle, their conjugates
+    in the upper one, a real diagonal."""
     d = _dim(s_j)
     rows, cols = np.tril_indices(d)
     out = np.empty((d, d, s_j.shape[1]), dtype=s_j.dtype)
     out[cols, rows] = np.conj(s_j)
     out[rows, cols] = s_j
-    return out.transpose(2, 0, 1)
+    diagonal = [i * (i + 3) // 2 for i in range(d)]
+    out[range(d), range(d)] = s_j[diagonal].real - shift
+    return out
 
 
 def _subset_sums(entries: np.ndarray) -> np.ndarray:
@@ -404,8 +501,8 @@ def _exact_nu_minus(outer: np.ndarray, codes: np.ndarray) -> np.ndarray:
     2^n subsets)."""
     s_total = outer.sum(axis=0)
     mins = []
-    for start in range(0, len(codes), 1 << _LOW_BITS):
-        s_in = _partial_operators(outer, codes[start:start + (1 << _LOW_BITS)])
+    for start in range(0, len(codes), _CHUNK):
+        s_in = _partial_operators(outer, codes[start:start + _CHUNK])
         s_out = s_total - s_in
         mins.append(np.linalg.eigvalsh(s_in + s_out @ s_out)[:, 0])
     return np.concatenate(mins)

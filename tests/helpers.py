@@ -53,15 +53,14 @@ def rational_rank(rows):
     return rank
 
 
-def exact_det(matrix, shift):
-    """det(matrix - shift I) for a square float matrix, real or complex,
-    taken over the exact values of its entries and of shift: Gaussian
-    elimination over Gaussian rationals, each held as a (real, imaginary)
-    pair of Fractions."""
-    m = [[(Fraction(float(np.real(x))), Fraction(float(np.imag(x)))) for x in row]
-         for row in np.asarray(matrix)]
-    for i, row in enumerate(m):
-        row[i] = (row[i][0] - Fraction(shift), row[i][1])
+def exact_det(*matrices):
+    """det of the sum of square float matrices, real or complex, taken
+    over the exact values of their entries: Gaussian elimination over
+    Gaussian rationals, each held as a (real, imaginary) pair of
+    Fractions."""
+    m = [[(sum(Fraction(float(np.real(x))) for x in xs),
+           sum(Fraction(float(np.imag(x))) for x in xs)) for xs in zip(*rows)]
+         for rows in zip(*map(np.asarray, matrices))]
 
     def mul(a, b):
         return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])

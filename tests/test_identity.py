@@ -1,4 +1,5 @@
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -7,7 +8,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import framekit as fk
-from framekit.identity import _half_gap_bound, _partial_operators, _shifted_det
+from framekit import identity
+from framekit.identity import (_bound_table, _det_features, _partial_operators,
+                               _product_roundings, _subset_sums)
 from framekit.linalg import adjoint
 from helpers import (TOL, direct_sum_frames, exact_det,
                      exhaustive_nu_minus_global, sharpness_frame,
@@ -245,8 +248,8 @@ def sweep_cases(mb3):
                 f = fk.parseval_projection_frame(dim, n, seed=seed, field=field)
                 yield f
                 yield near_parseval(f, seed)
-    # the bound of d = 4 over several blocks and high rows, and the
-    # LAPACK det of d = 6
+    # the bound of d = 4 over many high rows, and the bilinear bound of
+    # d = 6 (924 terms)
     for dim, n in ((4, 16), (6, 11)):
         for field in ("real", "complex"):
             f = fk.parseval_projection_frame(dim, n, seed=3, field=field)
@@ -270,7 +273,7 @@ def sweep_cases(mb3):
     for seed in range(4):
         yield near_parseval(basis, seed)
         yield near_parseval(mb3, seed)
-    # d = m - 1; m = 7 sends d = 6 through the LAPACK det
+    # d = m - 1, up to the d = 6 of m = 7
     for m in (4, 6, 7, 8):
         for rep in range(4):
             field = "real" if rep % 2 == 0 else "complex"
@@ -337,10 +340,12 @@ def test_nu_minus_global_prunes_the_screen(monkeypatch, tol):
     assert repr(value) == repr(exhaustive_nu_minus_global(f)[0])
 
 
-def test_half_gap_bound_is_a_lower_bound():
-    # on every subset: the det bound, lowered by its rounding allowance,
-    # never exceeds min |t - 1/2| over the eigvalsh eigenvalues of S_J
-    for d in range(1, 7):
+def test_half_gap_bound_is_a_lower_bound(monkeypatch):
+    # on every subset: the bound table, 3/4 + max(bound, 0)^2 with the det
+    # bound lowered by its rounding allowance, never exceeds the screened
+    # value 3/4 + min (t - 1/2)^2 over the eigvalsh eigenvalues t of S_J;
+    # d = 7 takes the LAPACK det; seed 1 fills the table one row per block
+    for d in range(1, 8):
         n = d + 5
         for field in ("real", "complex"):
             for seed in range(2):
@@ -353,7 +358,12 @@ def test_half_gap_bound_is_a_lower_bound():
                     e = float(np.max(np.abs(f.eigenvalues - 1.0)))
                     t = np.linalg.eigvalsh(s_j)
                     gap = np.min(np.abs(t - 0.5), axis=1)
-                    assert np.all(_half_gap_bound(planes(s_j), e, n) <= gap)
+                    entries = planes(outer)
+                    low_bits = n // 2 + seed  # the split must not matter
+                    monkeypatch.setattr(identity, "_BOUND_BLOCK", 1 if seed else 1 << 15)
+                    table = _bound_table(_subset_sums(entries[:, :low_bits].T),
+                                         _subset_sums(entries[:, low_bits:].T), e, n)
+                    assert np.all(table.reshape(-1) <= 0.75 + gap ** 2)
 
 
 def planes(s_j):
@@ -363,44 +373,68 @@ def planes(s_j):
     return s_j[:, rows, cols].T
 
 
-def rational_hermitian_stack(rng, d, complex_valued):
-    """S = I/2 + H for Hermitian H: 40 with entries p/q (|p| <= 9,
-    1 <= q <= 9) rounded to floats, then 10 with exact det(H) = 0, H a
-    Gram matrix of d - 1 small integer vectors over 4."""
+def rational_hermitian_pairs(rng, d, complex_valued, generic):
+    """Hermitian L and H = C + I/2: `generic` pairs with entries p/q
+    (|p| <= 9, 1 <= q <= 9) rounded to floats, then 10 with exact
+    det(L + C) = 0, L and C Gram matrices over 4 of two parts of d - 1
+    small integer vectors."""
     def integers(*shape):
         z = rng.integers(-9, 10, size=shape).astype(float)
         if complex_valued:
             z = z + 1j * rng.integers(-9, 10, size=shape)
         return z
 
-    h = integers(40, d, d) / rng.integers(1, 10, size=(40, d, d))
-    h = np.tril(h) + np.conj(np.swapaxes(np.tril(h, -1), 1, 2))
-    h[:, range(d), range(d)] = h[:, range(d), range(d)].real
-    vectors = integers(10, d, d - 1) if d > 1 else np.zeros((10, 1, 1))
-    singular = vectors @ np.conj(np.swapaxes(vectors, 1, 2)) / 4
-    return np.concatenate([h, singular]) + 0.5 * np.eye(d)
+    def hermitian(z):
+        z = np.tril(z) + np.conj(np.swapaxes(np.tril(z, -1), 1, 2))
+        z[:, range(d), range(d)] = z[:, range(d), range(d)].real
+        return z
+
+    def gram(v):
+        return v @ np.conj(np.swapaxes(v, 1, 2)) / 4
+
+    l, c = (hermitian(integers(generic, d, d)
+                      / rng.integers(1, 10, size=(generic, d, d)))
+            for _ in range(2))
+    vectors = integers(10, d, d - 1)
+    cut = rng.integers(0, d, size=10)
+    in_l = np.arange(d - 1) < cut[:, None, None]
+    l = np.concatenate([l, gram(np.where(in_l, vectors, 0))])
+    c = np.concatenate([c, gram(np.where(in_l, 0, vectors))])
+    return l, c + 0.5 * np.eye(d)
+
+
+def permanent(m):
+    perms = np.array(list(itertools.permutations(range(len(m)))))
+    return np.prod(m[np.arange(len(m)), perms], axis=1).sum()
 
 
 def test_shifted_det_matches_the_exact_determinant():
-    # the expansion in minors against elimination over the exact values
-    # of the same float entries
+    # the bilinear evaluation of det(L + C), C = high - I/2 as the code
+    # rounds it, against elimination over the exact values of the same
+    # float entries, within the derived bound N eps per(|L| + |C|)
     eps = np.finfo(np.float64).eps
     rng = np.random.default_rng(11)
-    for d in range(1, 6):
+    for d in range(1, 7):
         for complex_valued in (False, True):
-            s = rational_hermitian_stack(rng, d, complex_valued)
-            expanded = _shifted_det(planes(s))
+            # exact elimination at d = 6 costs ten times that at d = 5
+            l, h = rational_hermitian_pairs(rng, d, complex_valued, 40 if d < 6 else 10)
+            c = h.copy()
+            c[:, range(d), range(d)] -= 0.5
+            fa, fb = _det_features(planes(l), planes(h), 0.5)
+            terms = math.comb(2 * d, d)
+            assert len(fa) == (terms if complex_valued else (terms + 2 ** d) // 2)
+            values = np.diagonal(fb @ fa)
             singular = 0
-            for s_j, value in zip(s, expanded):
-                exact_re, exact_im = exact_det(s_j, shift=0.5)
+            for l_j, c_j, value in zip(l, c, values):
+                exact_re, exact_im = exact_det(l_j, c_j)
                 assert exact_im == 0
-                size = np.max(np.abs(s_j - 0.5 * np.eye(d)))
-                assert abs(Fraction(float(value)) - exact_re) <= 64 * eps * size ** d
+                allowed = _product_roundings(d) * eps * permanent(np.abs(l_j) + np.abs(c_j))
+                assert abs(Fraction(float(value)) - exact_re) <= Fraction(allowed)
                 singular += exact_re == 0
             assert singular >= 10
 
 
-def test_nu_minus_global_calls_lapack_det_only_from_d_6(monkeypatch, tol):
+def test_nu_minus_global_calls_lapack_det_only_from_d_7(monkeypatch, tol):
     stacks = []
     kernel = np.linalg.det
 
@@ -409,13 +443,47 @@ def test_nu_minus_global_calls_lapack_det_only_from_d_6(monkeypatch, tol):
         return kernel(a, *rest, **kw)
 
     monkeypatch.setattr(np.linalg, "det", counted)
-    for d, n in ((3, 14), (4, 10), (5, 10)):
+    for d, n in ((3, 14), (4, 10), (5, 10), (6, 10)):
         for field in ("real", "complex"):
             fk.nu_minus_global(fk.parseval_projection_frame(d, n, seed=0, field=field),
                                tol)
     assert stacks == []
-    fk.nu_minus_global(fk.parseval_projection_frame(6, 10, seed=0), tol)
-    assert stacks and all(shape[1:] == (6, 6) for shape in stacks)
+    f = fk.parseval_projection_frame(7, 10, seed=0, field="complex")
+    value, witness = fk.nu_minus_global(f, tol)
+    assert stacks and all(shape[1:] == (7, 7) for shape in stacks)
+    monkeypatch.undo()
+    oracle_value, oracle_witness = exhaustive_nu_minus_global(f)
+    assert repr(value) == repr(oracle_value)
+    assert witness.members == oracle_witness.members
+
+
+def harmonic_frame(dim, n):
+    """The first dim rows of the n-point DFT, scaled to a Parseval frame:
+    a cyclic shift of the vectors is a unitary, so nu ties exactly along
+    shifted subsets."""
+    k = np.arange(n)[:, None] * np.arange(dim)
+    return fk.Frame(dim=dim, field="complex", vectors=np.exp(2j * np.pi * k / n) / np.sqrt(n))
+
+
+def test_nu_minus_global_is_invariant_under_permutations(mb3, tol):
+    # a permutation moves the indices across the two halves of the sweep
+    # and across the excluded index n: the value stays, and the witness
+    # is a minimizer of the permuted frame and, mapped back, of the frame
+    rng = np.random.default_rng(23)
+    frames = [mb3, harmonic_frame(3, 8)]
+    for d, n in ((1, 8), (2, 10), (3, 12), (4, 11), (5, 12)):
+        for field in ("real", "complex"):
+            f = fk.parseval_projection_frame(d, n, seed=d, field=field)
+            frames += [f, near_parseval(f, d)]
+    for f in frames:
+        value, _ = fk.nu_minus_global(f, tol)
+        perm = rng.permutation(f.n)
+        moved = fk.Frame(dim=f.dim, field=f.field, vectors=f.vectors[perm])
+        moved_value, witness = fk.nu_minus_global(moved, tol)
+        assert abs(moved_value - value) <= 1e-15
+        assert abs(fk.nu_bounds(moved, witness, tol).nu_minus - moved_value) <= 1e-12
+        back = fk.IndexSet(members=[perm[k - 1] + 1 for k in witness.members], n=f.n)
+        assert abs(fk.nu_bounds(f, back, tol).nu_minus - value) <= 1e-12
 
 
 def test_nu_minus_global_refuses_large_sweeps(tol):
