@@ -63,8 +63,7 @@ GLOBAL_SWEEP_LIMIT = 20
 _CHUNK = 1 << 14
 # Rounding allowance of the certify window, in units of d * n * eps.
 _ROUNDING = 16
-# Rounding allowance of the determinant bound, in units of d^2 * n * eps
-# (see `_det_allowance` for its evaluation term).
+# Rounding allowance of the determinant bound, in units of d^2 * n * eps.
 _DET_ROUNDING = 64
 # The determinant bound is bilinear in minors up to this d, LAPACK det
 # beyond it.
@@ -215,8 +214,7 @@ def nu_minus_global(f: Frame, tol: ToleranceConfig) -> Tuple[float, IndexSet]:
 
           min |t - 1/2| >= |det(S_J - I/2)| / (1/2 + e)^(d - 1).
 
-      `_bound_table` evaluates this for every subset, lowered by eta
-      (`_det_allowance`), as the table of 3/4 + max(bound, 0)^2, row b
+      `_bound_table` evaluates |det(S_J - I/2)| for every subset, row b
       and column a.  For d <= 6 the determinants are one blocked real
       matrix product: with L = low[a] and C = high[b] - I/2,
       det(L + C) is bilinear in the minors of L and of C
@@ -224,7 +222,6 @@ def nu_minus_global(f: Frame, tol: ToleranceConfig) -> Tuple[float, IndexSet]:
       for d = 1..6), so about K flops per subset inside BLAS, while the
       minors are formed once per half table, 2^(n/2) matrices each.
       For d >= 7 the LAPACK det (K = 3432 made the product slower).
-      The transform is written in place, block by block.
 
       eta.  Let H be the computed low[a] + high[b] that eigvalsh
       screens, and m and R the least and greatest |t - 1/2| over its
@@ -253,17 +250,23 @@ def nu_minus_global(f: Frame, tol: ToleranceConfig) -> Tuple[float, IndexSet]:
       division by (1/2 + e)^(d - 1) the error is at most
       N d^(d/2) 3^(d - 1) (3/2 + 2e) eps, which the evaluation term
       N d^(d/2) 3^d (1 + e) eps of eta covers: 3.7e6 eps at d = 5,
-      1.5e8 eps (3e-8) at d = 6.  So 3/4 + max(bound, 0)^2 is at most
-      the screened value.
+      1.5e8 eps (3e-8) at d = 6.  So |det| <= s (eta + m), eta from
+      `_det_limit`, s = (1/2 + e)^(d - 1) in floats (relative error
+      (d + 1) u, far inside eta), m the screen's least |t - 1/2|.
 
-      In each high row take the subset with the smallest bound, and
-      screen those of the _UPPER_ROWS rows where it is least; the
-      least of those values, U, is at least the screen minimum.  Then
-      only the subsets whose 3/4 + max(bound, 0)^2 is at most
-      U + 2(delta + rounding), the certify window below, are screened,
-      in chunks of _CHUNK.  They hold every subset that screens within
-      the window of the minimum, so the near set, and with it the
-      result, is that of a screen of all 2^(n-1) subsets.
+      Screen the least-|det| subset of each of the _UPPER_ROWS rows
+      whose least |det| is smallest (any rows would do): their least
+      value U is at least the screen minimum.  Then only the subsets
+      with |det| <= `_det_limit`(x), x = U + 2(delta + rounding) (the
+      certify window below), are screened, in chunks of _CHUNK, read
+      from the rows whose least |det| is at most that.  With
+      u = eps/2, fl(3/4 + fl(m^2)) <= x rounds from at most x+, the
+      float above x, so m^2 <= fl(x+ - 3/4) / (1 - u)^2 and
+      m <= r / (1 - u)^2, r = fl(sqrt(fl(x+ - 3/4))).  Three more
+      roundings (the sum, the product, the factor 1 + 4 eps) and
+      (1 - u)^5 (1 + 8u) > 1 make the limit at least s (eta + m) >= |det|.
+      So each subset that screens at or below x, as all near the minimum
+      do, survives: the result is that of screening all 2^(n-1) subsets.
     * Certify.  With S = I + E, ||I - S_J|| <= 1 + e, so M_J differs
       from S_J + (I - S_J)^2 by at most delta = 2e(1 + e) + e^2.
       Rounding in either evaluation is allowed _ROUNDING * d * n * eps:
@@ -293,11 +296,14 @@ def nu_minus_global(f: Frame, tol: ToleranceConfig) -> Tuple[float, IndexSet]:
     delta = 2.0 * e * (1.0 + e) + e * e
     rounding = _ROUNDING * d * n * np.finfo(np.float64).eps
     window = 2.0 * (delta + rounding)
-    bound = _bound_table(low, high, e, n)
-    lowest = np.argmin(bound, axis=1)
-    best = np.argsort(bound[np.arange(len(bound)), lowest])[:_UPPER_ROWS]
+    table, lowest = _bound_table(low, high)
+    least = table[np.arange(len(table)), lowest]
+    best = np.argsort(least)[:_UPPER_ROWS]
     upper = _screen(low[:, lowest[best]] + high[:, best]).min()
-    codes = np.flatnonzero(bound.reshape(-1) <= upper + window)
+    limit = _det_limit(upper + window, d, n, e)
+    rows = np.flatnonzero(least <= limit)
+    b, a = np.nonzero(table[rows] <= limit)
+    codes = (rows[b] << low_bits) | a
     screen = np.empty(len(codes))
     for start in range(0, len(codes), _CHUNK):
         chunk = codes[start:start + _CHUNK]
@@ -320,19 +326,15 @@ def _screen(s_j: np.ndarray) -> np.ndarray:
     return 0.75 + np.min(np.abs(t - 0.5), axis=1) ** 2
 
 
-def _bound_table(low: np.ndarray, high: np.ndarray, e: float, n: int) -> np.ndarray:
-    """3/4 + max(bound, 0)^2 for S_J = low[a] + high[b], entry-plane
-    stacks, at row b and column a: bound is the lower bound on
-    min |t - 1/2| over the eigvalsh eigenvalues t of S_J of a frame of n
-    vectors with e = max |lambda_i(S) - 1|, that is
-    |det(S_J - I/2)| / (1/2 + e)^(d - 1) lowered by `_det_allowance`
-    (see `nu_minus_global`)."""
+def _bound_table(low: np.ndarray, high: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """|det(S_J - I/2)| for S_J = low[a] + high[b], entry-plane stacks,
+    at row b and column a, and each row's argmin, taken while its block
+    is in cache (see `nu_minus_global`)."""
     d = _dim(low)
     table = np.empty((high.shape[1], low.shape[1]))
+    lowest = np.empty(len(table), dtype=np.intp)
     bilinear = d <= _BILINEAR_MAX_DIM
     rows = max(1, _BOUND_BLOCK // (low.shape[1] * (1 if bilinear else d * d)))
-    scale = (0.5 + e) ** (d - 1)
-    eta = _det_allowance(d, n, e)
     if bilinear:
         fa, fb = _det_features(low, high, 0.5)
     for start in range(0, len(table), rows):
@@ -344,23 +346,20 @@ def _bound_table(low: np.ndarray, high: np.ndarray, e: float, n: int) -> np.ndar
             shifted = _full(s_j.reshape(len(low), -1), 0.5).transpose(2, 0, 1)
             block[...] = np.linalg.det(shifted).real.reshape(block.shape)
         np.abs(block, out=block)
-        block /= scale
-        block -= eta
-        np.maximum(block, 0.0, out=block)
-        np.square(block, out=block)
-        block += 0.75
-    return table
+        lowest[start:start + rows] = np.argmin(block, axis=1)
+    return table, lowest
 
 
-def _det_allowance(d: int, n: int, e: float) -> float:
-    """Rounding allowance eta of the determinant bound (see
-    `nu_minus_global`): _DET_ROUNDING * d^2 * n * eps for every d, plus,
-    on the bilinear path, N d^(d/2) 3^d (1 + e) eps for its evaluation
-    error, N = `_product_roundings(d)`."""
+def _det_limit(x: float, d: int, n: int, e: float) -> float:
+    """(1/2 + e)^(d - 1) (eta + sqrt(x - 3/4)), rounded upward: a bound on
+    |det| in `_bound_table` for every subset that screens at or below
+    x >= 3/4, with eta as derived in `nu_minus_global`."""
     eta = _DET_ROUNDING * d * d * n
     if d <= _BILINEAR_MAX_DIM:
         eta += _product_roundings(d) * d ** (d / 2) * 3 ** d * (1.0 + e)
-    return eta * np.finfo(np.float64).eps
+    eps = np.finfo(np.float64).eps
+    reach = math.sqrt(np.nextafter(x, np.inf) - 0.75)
+    return (0.5 + e) ** (d - 1) * (eta * eps + reach) * (1.0 + 4.0 * eps)
 
 
 def _product_roundings(d: int) -> int:

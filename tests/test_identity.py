@@ -9,8 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 import framekit as fk
 from framekit import identity
-from framekit.identity import (_bound_table, _det_features, _partial_operators,
-                               _product_roundings, _subset_sums)
+from framekit.identity import (_bound_table, _det_features, _det_limit,
+                               _partial_operators, _product_roundings, _subset_sums)
 from framekit.linalg import adjoint
 from helpers import (TOL, direct_sum_frames, exact_det,
                      exhaustive_nu_minus_global, sharpness_frame,
@@ -341,10 +341,14 @@ def test_nu_minus_global_prunes_the_screen(monkeypatch, tol):
 
 
 def test_half_gap_bound_is_a_lower_bound(monkeypatch):
-    # on every subset: the bound table, 3/4 + max(bound, 0)^2 with the det
-    # bound lowered by its rounding allowance, never exceeds the screened
-    # value 3/4 + min (t - 1/2)^2 over the eigvalsh eigenvalues t of S_J;
-    # d = 7 takes the LAPACK det; seed 1 fills the table one row per block
+    # on every subset: the table's |det(S_J - I/2)| never exceeds the
+    # limit inverted from the screened value 3/4 + min (t - 1/2)^2 over
+    # the eigvalsh eigenvalues t of S_J, which is what the prune needs,
+    # and the row minima are those of the whole table; d = 7 takes the
+    # LAPACK det; seed 1 fills the table one row per block.  The screen
+    # sums S_J in another order, so min |t - 1/2| is lowered by d n eps
+    # first: eta covers that, the limit's few-ulp rounding alone does not
+    # (S_J = 0 has |det| = (1/2)^d and min |t - 1/2| = 1/2 exactly)
     for d in range(1, 8):
         n = d + 5
         for field in ("real", "complex"):
@@ -357,13 +361,16 @@ def test_half_gap_bound_is_a_lower_bound(monkeypatch):
                     s_j = (picks @ outer.reshape(n, d * d)).reshape(-1, d, d)
                     e = float(np.max(np.abs(f.eigenvalues - 1.0)))
                     t = np.linalg.eigvalsh(s_j)
-                    gap = np.min(np.abs(t - 0.5), axis=1)
+                    gap = np.min(np.abs(t - 0.5), axis=1) - d * n * np.finfo(float).eps
+                    gap = np.maximum(gap, 0.0)
                     entries = planes(outer)
                     low_bits = n // 2 + seed  # the split must not matter
                     monkeypatch.setattr(identity, "_BOUND_BLOCK", 1 if seed else 1 << 15)
-                    table = _bound_table(_subset_sums(entries[:, :low_bits].T),
-                                         _subset_sums(entries[:, low_bits:].T), e, n)
-                    assert np.all(table.reshape(-1) <= 0.75 + gap ** 2)
+                    table, lowest = _bound_table(_subset_sums(entries[:, :low_bits].T),
+                                                 _subset_sums(entries[:, low_bits:].T))
+                    limits = [_det_limit(x, d, n, e) for x in 0.75 + gap ** 2]
+                    assert np.all(table.reshape(-1) <= limits)
+                    assert np.array_equal(lowest, np.argmin(table, axis=1))
 
 
 def planes(s_j):
@@ -484,6 +491,32 @@ def test_nu_minus_global_is_invariant_under_permutations(mb3, tol):
         assert abs(fk.nu_bounds(moved, witness, tol).nu_minus - moved_value) <= 1e-12
         back = fk.IndexSet(members=[perm[k - 1] + 1 for k in witness.members], n=f.n)
         assert abs(fk.nu_bounds(f, back, tol).nu_minus - value) <= 1e-12
+
+
+def test_nu_minus_global_is_invariant_under_unitaries_and_the_field(tol):
+    # vectors @ W, W a seeded orthogonal or unitary matrix, maps each S_J
+    # to the similar W^T S_J conj(W); a real frame stored as complex takes
+    # the K-feature complex bound instead of the (K + 2^d)/2-feature real
+    # one: the value stays, and the new witness attains it on the original
+    # frame
+    rng = np.random.default_rng(29)
+    for d in range(1, 7):
+        for field in ("real", "complex"):
+            clean = fk.parseval_projection_frame(d, d + 6, seed=d, field=field)
+            for f in (clean, near_parseval(clean, d)):
+                value, _ = fk.nu_minus_global(f, tol)
+                z = rng.standard_normal((d, d))
+                if field == "complex":
+                    z = z + 1j * rng.standard_normal((d, d))
+                w = np.linalg.qr(z)[0]
+                moved = [fk.Frame(dim=d, field=field, vectors=f.vectors @ w)]
+                if field == "real":
+                    moved.append(fk.Frame(dim=d, field="complex",
+                                          vectors=f.vectors.astype(complex)))
+                for g in moved:
+                    moved_value, witness = fk.nu_minus_global(g, tol)
+                    assert abs(moved_value - value) <= 1e-14
+                    assert abs(fk.nu_bounds(f, witness, tol).nu_minus - moved_value) <= 1e-12
 
 
 def test_nu_minus_global_refuses_large_sweeps(tol):
