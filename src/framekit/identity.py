@@ -38,7 +38,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from typing import Iterable, Tuple
+from typing import Iterable, NamedTuple, Tuple
 
 import numpy as np
 
@@ -59,6 +59,7 @@ from .frames import (
 from .linalg import fix_phase, inexact
 
 GLOBAL_SWEEP_LIMIT = 20
+_EPS = float(np.finfo(np.float64).eps)
 # Matrices per eigvalsh call of the screen and of the certify step.
 _CHUNK = 1 << 14
 # Rounding allowance of the certify window, in units of d * n * eps.
@@ -287,14 +288,13 @@ def nu_minus_global(f: Frame, tol: ToleranceConfig) -> Tuple[float, IndexSet]:
         raise TooLargeError(
             f"exhaustive sweep limited to {GLOBAL_SWEEP_LIMIT} vectors, got {n}")
     outer = np.einsum("ki,kj->kij", f.vectors, np.conj(f.vectors))
-    rows, cols = np.tril_indices(d)
-    entries = outer[:, rows, cols]
+    entries = outer.reshape(n, d * d).take(_layout(d).lower, axis=1)
     low_bits = n // 2
     low = _subset_sums(entries[:low_bits])
     high = _subset_sums(entries[low_bits:n - 1])
     e = f.parseval_gap
     delta = 2.0 * e * (1.0 + e) + e * e
-    rounding = _ROUNDING * d * n * np.finfo(np.float64).eps
+    rounding = _ROUNDING * d * n * _EPS
     window = 2.0 * (delta + rounding)
     table, lowest = _bound_table(low, high)
     least = table[np.arange(len(table)), lowest]
@@ -302,8 +302,8 @@ def nu_minus_global(f: Frame, tol: ToleranceConfig) -> Tuple[float, IndexSet]:
     upper = _screen(low[:, lowest[best]] + high[:, best]).min()
     limit = _det_limit(upper + window, d, n, e)
     rows = np.flatnonzero(least <= limit)
-    b, a = np.nonzero(table[rows] <= limit)
-    codes = (rows[b] << low_bits) | a
+    hits = np.flatnonzero(table[rows] <= limit)  # 2-d np.nonzero took 4x as long
+    codes = (rows[hits >> low_bits] << low_bits) | (hits & ((1 << low_bits) - 1))
     screen = np.empty(len(codes))
     for start in range(0, len(codes), _CHUNK):
         chunk = codes[start:start + _CHUNK]
@@ -314,8 +314,9 @@ def nu_minus_global(f: Frame, tol: ToleranceConfig) -> Tuple[float, IndexSet]:
     # follow it in ascending order (np.union1d would also load numpy.ma)
     codes = np.concatenate([near, (near ^ ((1 << n) - 1))[::-1]])
     values = _exact_nu_minus(outer, codes)
-    k = int(np.argmin(values))
-    members = tuple(i + 1 for i in range(n) if (int(codes[k]) >> i) & 1)
+    k = values.argmin()
+    code = int(codes[k])
+    members = tuple(i + 1 for i in range(n) if code >> i & 1)
     return float(values[k]), IndexSet(members=members, n=n)
 
 
@@ -323,7 +324,7 @@ def _screen(s_j: np.ndarray) -> np.ndarray:
     """Screened value 3/4 + min (t - 1/2)^2 over the eigenvalues t of
     each S_J in an entry-plane stack (see `_subset_sums`)."""
     t = np.linalg.eigvalsh(_full(s_j).transpose(2, 0, 1))
-    return 0.75 + np.min(np.abs(t - 0.5), axis=1) ** 2
+    return 0.75 + np.abs(t - 0.5).min(axis=1) ** 2
 
 
 def _bound_table(low: np.ndarray, high: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -346,7 +347,7 @@ def _bound_table(low: np.ndarray, high: np.ndarray) -> Tuple[np.ndarray, np.ndar
             shifted = _full(s_j.reshape(len(low), -1), 0.5).transpose(2, 0, 1)
             block[...] = np.linalg.det(shifted).real.reshape(block.shape)
         np.abs(block, out=block)
-        lowest[start:start + rows] = np.argmin(block, axis=1)
+        block.argmin(axis=1, out=lowest[start:start + rows])
     return table, lowest
 
 
@@ -357,9 +358,8 @@ def _det_limit(x: float, d: int, n: int, e: float) -> float:
     eta = _DET_ROUNDING * d * d * n
     if d <= _BILINEAR_MAX_DIM:
         eta += _product_roundings(d) * d ** (d / 2) * 3 ** d * (1.0 + e)
-    eps = np.finfo(np.float64).eps
-    reach = math.sqrt(np.nextafter(x, np.inf) - 0.75)
-    return (0.5 + e) ** (d - 1) * (eta * eps + reach) * (1.0 + 4.0 * eps)
+    reach = math.sqrt(math.nextafter(x, math.inf) - 0.75)
+    return (0.5 + e) ** (d - 1) * (eta * _EPS + reach) * (1.0 + 4.0 * _EPS)
 
 
 def _product_roundings(d: int) -> int:
@@ -384,12 +384,12 @@ def _det_features(low: np.ndarray, high: np.ndarray, shift: float
     2 Re(det L[I, J] det C[I', J']), split as Re * Re - Im * Im for a
     complex frame, and each I = J one: (K + 2^d) / 2 features real, K
     complex."""
-    steps, l_rows, c_rows, weights, pairs = _minor_tables(_dim(low))
+    *_, steps, l_rows, c_rows, weights, pairs = _layout(_dim(low))
     minors_l = _minors(_full(low), steps)
     minors_c = _minors(_full(high, shift), steps)
     fa = [minors_l[l_rows].real]
     fb = [minors_c[c_rows].real * weights[:, None]]
-    if np.iscomplexobj(low):
+    if low.dtype.kind == "c":
         fa.append(minors_l[l_rows[pairs]].imag)
         fb.append(minors_c[c_rows[pairs]].imag * -weights[pairs, None])
     return np.concatenate(fa), np.concatenate(fb).T
@@ -397,7 +397,7 @@ def _det_features(low: np.ndarray, high: np.ndarray, shift: float
 
 def _minors(full: np.ndarray, steps) -> np.ndarray:
     """Every minor det M[I, J], |I| = |J| = 0..d, of each matrix of a
-    (d, d, B) stack, in the order of `_minor_tables`.  Level k expands
+    (d, d, B) stack, in the order of `_layout`.  Level k expands
     each k x k minor along row min I in (k - 1) x (k - 1) ones, from
     index tables: k products of whole gathered rows per level."""
     d = full.shape[0]
@@ -413,9 +413,30 @@ def _minors(full: np.ndarray, steps) -> np.ndarray:
     return minors
 
 
+class _Layout(NamedTuple):
+    """Index tables of the sweep for d x d matrices (see `_layout`)."""
+
+    lower: np.ndarray
+    gather: np.ndarray
+    upper: np.ndarray
+    steps: tuple
+    l_rows: np.ndarray
+    c_rows: np.ndarray
+    weights: np.ndarray
+    pairs: np.ndarray
+
+
+# Built once per d: rebuilding these tables on every call cost more than
+# the arithmetic of a small sweep.
 @functools.lru_cache(maxsize=None)
-def _minor_tables(d: int) -> tuple:
-    """Index tables of `_minors` and `_det_features` for d x d matrices.
+def _layout(d: int) -> _Layout:
+    """Index tables of `nu_minus_global`, `_full`, `_minors` and
+    `_det_features` for d x d matrices.
+
+    Entry-plane row r = i (i + 1) / 2 + k holds entry (i, k), i >= k:
+    lower[r] = i d + k is its position in a flattened d x d matrix,
+    gather[i d + k] = gather[k d + i] = r, and upper marks the positions
+    i d + k with i < k, which `_full` conjugates.
 
     The minors are numbered by size k, then I, then J, each in
     lexicographic order.  steps[k - 1] = (start, stop, entry, minor) fills
@@ -424,6 +445,11 @@ def _minor_tables(d: int) -> tuple:
     negated) times minor minor[., p] of (I - i_0, J - J[p]).  l_rows and
     c_rows pair (I, J) with (I', J') for each feature, weights holds
     (-1)^(sum I + sum J) (doubled for I < J), pairs marks I < J."""
+    rows, cols = np.tril_indices(d)
+    gather = np.empty((d, d), dtype=np.intp)
+    gather[rows, cols] = gather[cols, rows] = np.arange(len(rows))
+    upper = (np.arange(d)[:, None] < np.arange(d)).reshape(-1, 1)
+
     index = {((), ()): 0}
     steps = []
     for k in range(1, d + 1):
@@ -446,13 +472,13 @@ def _minor_tables(d: int) -> tuple:
             c_rows.append(index[rest(i), rest(j)])
             weights.append((-1) ** (sum(i) + sum(j)) * (2 if i < j else 1))
     weights = np.array(weights, dtype=np.float64)
-    return (tuple(steps), np.array(l_rows), np.array(c_rows), weights,
-            np.abs(weights) == 2)
+    return _Layout(rows * d + cols, gather.reshape(-1), upper, tuple(steps),
+                   np.array(l_rows), np.array(c_rows), weights, np.abs(weights) == 2)
 
 
 def _dim(s_j: np.ndarray) -> int:
     """d of an entry-plane stack, which has d (d + 1) / 2 rows."""
-    return int(np.sqrt(2 * len(s_j)))
+    return math.isqrt(2 * len(s_j))
 
 
 def _full(s_j: np.ndarray, shift: float = 0.0) -> np.ndarray:
@@ -460,13 +486,17 @@ def _full(s_j: np.ndarray, shift: float = 0.0) -> np.ndarray:
     (d, d, B) array: its entries in the lower triangle, their conjugates
     in the upper one, a real diagonal."""
     d = _dim(s_j)
-    rows, cols = np.tril_indices(d)
-    out = np.empty((d, d, s_j.shape[1]), dtype=s_j.dtype)
-    out[cols, rows] = np.conj(s_j)
-    out[rows, cols] = s_j
-    diagonal = [i * (i + 3) // 2 for i in range(d)]
-    out[range(d), range(d)] = s_j[diagonal].real - shift
-    return out
+    layout = _layout(d)
+    out = s_j.take(layout.gather, axis=0)
+    diagonal = out[::d + 1]
+    if s_j.dtype.kind == "c":
+        imag = out.imag
+        np.negative(imag, out=imag, where=layout.upper)
+        diagonal.imag = 0.0
+        diagonal = diagonal.real
+    if shift:
+        diagonal -= shift
+    return out.reshape(d, d, -1)
 
 
 def _subset_sums(entries: np.ndarray) -> np.ndarray:

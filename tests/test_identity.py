@@ -242,7 +242,8 @@ def near_parseval(f, seed):
 
 
 def sweep_cases(mb3):
-    for dim, n in ((1, 9), (2, 12), (3, 10), (4, 10)):
+    # (1, 1), (1, 2) and (2, 2) split into half tables over no index
+    for dim, n in ((1, 1), (1, 2), (2, 2), (1, 9), (2, 12), (3, 10), (4, 10)):
         for field in ("real", "complex"):
             for seed in range(3):
                 f = fk.parseval_projection_frame(dim, n, seed=seed, field=field)
@@ -462,6 +463,43 @@ def test_nu_minus_global_calls_lapack_det_only_from_d_7(monkeypatch, tol):
     oracle_value, oracle_witness = exhaustive_nu_minus_global(f)
     assert repr(value) == repr(oracle_value)
     assert witness.members == oracle_witness.members
+
+
+def test_nu_minus_global_builds_each_layout_once(monkeypatch, tol):
+    # the index tables of d x d matrices are built by the first sweep of
+    # that d and read by every stage of it and of later sweeps: d <= 6
+    # takes the bilinear bound, d = 7 the LAPACK det in blocks
+    built = []
+    kernel = np.tril_indices
+
+    def counted(d, *rest, **kw):
+        built.append(d)
+        return kernel(d, *rest, **kw)
+
+    identity._layout.cache_clear()
+    monkeypatch.setattr(np, "tril_indices", counted)
+    for d in range(1, 8):
+        for field in ("real", "complex"):
+            f = fk.parseval_projection_frame(d, d + 5, seed=0, field=field)
+            for _ in range(2):
+                fk.nu_minus_global(f, tol)
+    monkeypatch.undo()
+    assert built == list(range(1, 8))
+
+
+def test_full_is_the_hermitian_matrix_of_its_planes():
+    # entries below the diagonal as stored, their conjugates above it, and
+    # the real part of the diagonal less the shift
+    rng = np.random.default_rng(5)
+    for d in range(1, 8):
+        for complex_valued in (False, True):
+            lower = np.tril(rng.standard_normal((4, d, d)))
+            if complex_valued:
+                lower = lower + 1j * np.tril(rng.standard_normal((4, d, d)))
+            expected = lower + np.conj(np.swapaxes(np.tril(lower, -1), 1, 2))
+            expected[:, range(d), range(d)] = lower[:, range(d), range(d)].real - 0.5
+            full = identity._full(planes(lower), 0.5)
+            assert np.array_equal(full.transpose(2, 0, 1), expected)
 
 
 def harmonic_frame(dim, n):
