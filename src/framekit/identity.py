@@ -38,7 +38,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Tuple
+from typing import Iterable, Tuple
 
 import numpy as np
 
@@ -288,7 +288,7 @@ def nu_minus_global(f: Frame, tol: ToleranceConfig) -> Tuple[float, IndexSet]:
         raise TooLargeError(
             f"exhaustive sweep limited to {GLOBAL_SWEEP_LIMIT} vectors, got {n}")
     outer = np.einsum("ki,kj->kij", f.vectors, np.conj(f.vectors))
-    entries = outer.reshape(n, d * d).take(_layout(d).lower, axis=1)
+    entries = outer.reshape(n, d * d).take(_planes(d)[0], axis=1)
     low_bits = n // 2
     low = _subset_sums(entries[:low_bits])
     high = _subset_sums(entries[low_bits:n - 1])
@@ -384,7 +384,7 @@ def _det_features(low: np.ndarray, high: np.ndarray, shift: float
     2 Re(det L[I, J] det C[I', J']), split as Re * Re - Im * Im for a
     complex frame, and each I = J one: (K + 2^d) / 2 features real, K
     complex."""
-    *_, steps, l_rows, c_rows, weights, pairs = _layout(_dim(low))
+    steps, l_rows, c_rows, weights, pairs = _minor_tables(_dim(low))
     minors_l = _minors(_full(low), steps)
     minors_c = _minors(_full(high, shift), steps)
     fa = [minors_l[l_rows].real]
@@ -397,7 +397,7 @@ def _det_features(low: np.ndarray, high: np.ndarray, shift: float
 
 def _minors(full: np.ndarray, steps) -> np.ndarray:
     """Every minor det M[I, J], |I| = |J| = 0..d, of each matrix of a
-    (d, d, B) stack, in the order of `_layout`.  Level k expands
+    (d, d, B) stack, in the order of `_minor_tables`.  Level k expands
     each k x k minor along row min I in (k - 1) x (k - 1) ones, from
     index tables: k products of whole gathered rows per level."""
     d = full.shape[0]
@@ -413,30 +413,26 @@ def _minors(full: np.ndarray, steps) -> np.ndarray:
     return minors
 
 
-class _Layout(NamedTuple):
-    """Index tables of the sweep for d x d matrices (see `_layout`)."""
-
-    lower: np.ndarray
-    gather: np.ndarray
-    upper: np.ndarray
-    steps: tuple
-    l_rows: np.ndarray
-    c_rows: np.ndarray
-    weights: np.ndarray
-    pairs: np.ndarray
-
-
 # Built once per d: rebuilding these tables on every call cost more than
 # the arithmetic of a small sweep.
 @functools.lru_cache(maxsize=None)
-def _layout(d: int) -> _Layout:
-    """Index tables of `nu_minus_global`, `_full`, `_minors` and
-    `_det_features` for d x d matrices.
-
-    Entry-plane row r = i (i + 1) / 2 + k holds entry (i, k), i >= k:
+def _planes(d: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Entry-plane tables of `nu_minus_global` and `_full` for d x d
+    matrices.  Row r = i (i + 1) / 2 + k holds entry (i, k), i >= k:
     lower[r] = i d + k is its position in a flattened d x d matrix,
     gather[i d + k] = gather[k d + i] = r, and upper marks the positions
-    i d + k with i < k, which `_full` conjugates.
+    i d + k with i < k, which `_full` conjugates."""
+    rows, cols = np.tril_indices(d)
+    gather = np.empty((d, d), dtype=np.intp)
+    gather[rows, cols] = gather[cols, rows] = np.arange(len(rows))
+    upper = (np.arange(d)[:, None] < np.arange(d)).reshape(-1, 1)
+    return rows * d + cols, gather.reshape(-1), upper
+
+
+# C(2d, d) minors: only the bilinear bound, d <= _BILINEAR_MAX_DIM, reads these.
+@functools.lru_cache(maxsize=None)
+def _minor_tables(d: int) -> tuple:
+    """Index tables of `_minors` and `_det_features` for d x d matrices.
 
     The minors are numbered by size k, then I, then J, each in
     lexicographic order.  steps[k - 1] = (start, stop, entry, minor) fills
@@ -445,11 +441,6 @@ def _layout(d: int) -> _Layout:
     negated) times minor minor[., p] of (I - i_0, J - J[p]).  l_rows and
     c_rows pair (I, J) with (I', J') for each feature, weights holds
     (-1)^(sum I + sum J) (doubled for I < J), pairs marks I < J."""
-    rows, cols = np.tril_indices(d)
-    gather = np.empty((d, d), dtype=np.intp)
-    gather[rows, cols] = gather[cols, rows] = np.arange(len(rows))
-    upper = (np.arange(d)[:, None] < np.arange(d)).reshape(-1, 1)
-
     index = {((), ()): 0}
     steps = []
     for k in range(1, d + 1):
@@ -472,8 +463,8 @@ def _layout(d: int) -> _Layout:
             c_rows.append(index[rest(i), rest(j)])
             weights.append((-1) ** (sum(i) + sum(j)) * (2 if i < j else 1))
     weights = np.array(weights, dtype=np.float64)
-    return _Layout(rows * d + cols, gather.reshape(-1), upper, tuple(steps),
-                   np.array(l_rows), np.array(c_rows), weights, np.abs(weights) == 2)
+    return (tuple(steps), np.array(l_rows), np.array(c_rows), weights,
+            np.abs(weights) == 2)
 
 
 def _dim(s_j: np.ndarray) -> int:
@@ -486,12 +477,12 @@ def _full(s_j: np.ndarray, shift: float = 0.0) -> np.ndarray:
     (d, d, B) array: its entries in the lower triangle, their conjugates
     in the upper one, a real diagonal."""
     d = _dim(s_j)
-    layout = _layout(d)
-    out = s_j.take(layout.gather, axis=0)
+    _, gather, upper = _planes(d)
+    out = s_j.take(gather, axis=0)
     diagonal = out[::d + 1]
     if s_j.dtype.kind == "c":
         imag = out.imag
-        np.negative(imag, out=imag, where=layout.upper)
+        np.negative(imag, out=imag, where=upper)
         diagonal.imag = 0.0
         diagonal = diagonal.real
     if shift:

@@ -465,10 +465,11 @@ def test_nu_minus_global_calls_lapack_det_only_from_d_7(monkeypatch, tol):
     assert witness.members == oracle_witness.members
 
 
-def test_nu_minus_global_builds_each_layout_once(monkeypatch, tol):
-    # the index tables of d x d matrices are built by the first sweep of
-    # that d and read by every stage of it and of later sweeps: d <= 6
-    # takes the bilinear bound, d = 7 the LAPACK det in blocks
+def test_nu_minus_global_builds_each_table_once(monkeypatch, tol):
+    # the entry-plane tables of d x d matrices are built by the first sweep
+    # of that d and read by every stage of it and of later sweeps.  d <= 6
+    # takes the bilinear bound, which alone builds the C(2d, d) minor
+    # tables; d = 7 and d = 10 take the LAPACK det in blocks and build none
     built = []
     kernel = np.tril_indices
 
@@ -476,15 +477,18 @@ def test_nu_minus_global_builds_each_layout_once(monkeypatch, tol):
         built.append(d)
         return kernel(d, *rest, **kw)
 
-    identity._layout.cache_clear()
+    identity._planes.cache_clear()
+    identity._minor_tables.cache_clear()
     monkeypatch.setattr(np, "tril_indices", counted)
-    for d in range(1, 8):
+    dims = list(range(1, 8)) + [10]
+    for d in dims:
         for field in ("real", "complex"):
             f = fk.parseval_projection_frame(d, d + 5, seed=0, field=field)
             for _ in range(2):
                 fk.nu_minus_global(f, tol)
     monkeypatch.undo()
-    assert built == list(range(1, 8))
+    assert built == dims
+    assert identity._minor_tables.cache_info().misses == 6  # d = 1..6
 
 
 def test_full_is_the_hermitian_matrix_of_its_planes():
