@@ -31,8 +31,7 @@ table keyed weakly by both frames.
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -70,8 +69,7 @@ from .linalg import (
 )
 
 
-@dataclass(frozen=True)
-class DualityReport:
+class DualityReport(NamedTuple):
     """Classification of a frame pair by its cross operator V*U.
 
     The three flags are nested: exact implies approximate implies
@@ -90,8 +88,7 @@ class DualityReport:
     min_singular_vu: float
 
 
-@dataclass(frozen=True)
-class LemmaReport:
+class LemmaReport(NamedTuple):
     """Residuals of the four claims of the decomposition lemma."""
 
     st_is_identity_residual: float

@@ -28,7 +28,6 @@ around.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import List, NamedTuple
 
@@ -51,8 +50,13 @@ KINDS = ("random", "parseval-projection", "near-riesz", "projected-basis")
 FIELD_DTYPES = {REAL: np.float64, COMPLEX: np.complex128}
 
 
-@dataclass(frozen=True)
-class ToleranceConfig:
+class _ToleranceFields(NamedTuple):  # the fields and defaults of ToleranceConfig
+    rank_rtol: float = 1e-10
+    atol: float = 1e-8
+    eig_one_atol: float = 1e-8
+
+
+class ToleranceConfig(_ToleranceFields):
     """Numerical knobs shared by every predicate in the package.
 
     Every decision about a frame reads the singular values
@@ -78,16 +82,19 @@ class ToleranceConfig:
         eigenvalue is classified as "equal to one".
     """
 
-    rank_rtol: float = 1e-10
-    atol: float = 1e-8
-    eig_one_atol: float = 1e-8
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for name in ("rank_rtol", "atol", "eig_one_atol"):
-            value = getattr(self, name)
+    def __new__(cls, *args, **kwargs) -> "ToleranceConfig":
+        self = super().__new__(cls, *args, **kwargs)
+        for name, value in zip(self._fields, self):
             if not 0.0 < value < 1.0:
                 raise BadParametersError(
                     f"{name} must lie strictly between 0 and 1, got {value!r}")
+        return self
+
+    @classmethod
+    def _make(cls, iterable) -> "ToleranceConfig":  # `_replace` validates too
+        return cls(*iterable)
 
 
 class ThinSVD(NamedTuple):
@@ -99,7 +106,6 @@ class ThinSVD(NamedTuple):
     rh: np.ndarray  # R*: its conjugated rows are eigenvectors of S
 
 
-@dataclass(frozen=True, eq=False)
 class Frame:
     """An ordered system of n vectors in a d-dimensional space.
 
@@ -108,33 +114,41 @@ class Frame:
     dispatch runs real frames in real LAPACK/BLAS.  Zero rows are legal:
     some constructions below legitimately emit the zero vector.  Its
     cached properties are tolerance-free facts of the vectors alone.
+    A frame is immutable, and equal only to itself (the pair checks in
+    `duals.py` key their memo on it).
     """
 
     dim: int
     field: str
     vectors: np.ndarray
 
-    def __post_init__(self) -> None:
-        if self.field not in FIELD_DTYPES:
-            raise FramekitError(f"unknown scalar field {self.field!r}")
-        arr = np.asarray(self.vectors)
-        if self.field == REAL and np.iscomplexobj(arr):
+    def __init__(self, dim: int, field: str, vectors: np.ndarray) -> None:
+        if field not in FIELD_DTYPES:
+            raise FramekitError(f"unknown scalar field {field!r}")
+        arr = np.asarray(vectors)
+        if field == REAL and np.iscomplexobj(arr):
             if np.any(arr.imag != 0.0):
                 raise FramekitError("real-field frame carries nonzero imaginary parts")
             arr = arr.real
-        arr = np.array(arr, dtype=FIELD_DTYPES[self.field])
+        arr = np.array(arr, dtype=FIELD_DTYPES[field])
         if arr.ndim != 2:
             raise DimensionMismatchError("vectors must form a 2-d array of rows")
         n, d = arr.shape
         if n < 1:
             raise FramekitError("a frame needs at least one vector")
-        if self.dim < 1 or d != self.dim:
-            raise DimensionMismatchError(
-                f"expected rows of length {self.dim}, got {d}")
+        if dim < 1 or d != dim:
+            raise DimensionMismatchError(f"expected rows of length {dim}, got {d}")
         if not np.isfinite(arr).all():
             raise FramekitError("frame entries must be finite")
         arr.setflags(write=False)
-        object.__setattr__(self, "vectors", arr)
+        # past __setattr__, which refuses; the cached properties do the same
+        vars(self).update(dim=dim, field=field, vectors=arr)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to Frame.{name}: frames are immutable")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete Frame.{name}: frames are immutable")
 
     @property
     def n(self) -> int:
@@ -200,16 +214,14 @@ def derived_frame(field: str, vectors: np.ndarray, tol: ToleranceConfig) -> Fram
     return Frame(dim=arr.shape[1], field=field, vectors=arr)
 
 
-@dataclass(frozen=True)
-class FrameBounds:
+class FrameBounds(NamedTuple):
     """Optimal constants A, B in A||x||^2 <= sum |<x,f_k>|^2 <= B||x||^2."""
 
     a_opt: float
     b_opt: float
 
 
-@dataclass(frozen=True)
-class ExcessReport:
+class ExcessReport(NamedTuple):
     """Excess of a frame together with the rank evidence behind it."""
 
     excess: int

@@ -37,8 +37,7 @@ import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass
-from typing import Iterable, Tuple
+from typing import Iterable, NamedTuple, Tuple
 
 import numpy as np
 
@@ -76,28 +75,34 @@ _BOUND_BLOCK = 1 << 15
 _UPPER_ROWS = 8
 
 
-@dataclass(frozen=True)
-class IndexSet:
-    """A subset of the 1-based vector indices {1, ..., n}."""
-
+class _IndexFields(NamedTuple):  # the fields of IndexSet, which normalises them
     members: Tuple[int, ...]
     n: int
 
-    def __post_init__(self) -> None:
+
+class IndexSet(_IndexFields):
+    """A subset of the 1-based vector indices {1, ..., n}, its members
+    sorted and distinct."""
+
+    __slots__ = ()
+
+    def __new__(cls, members: Iterable[int], n: int) -> "IndexSet":
         try:
-            n = operator.index(self.n)
-            members = tuple(sorted(set(operator.index(k) for k in self.members)))
+            n = operator.index(n)
+            members = tuple(sorted(set(operator.index(k) for k in members)))
         except TypeError as exc:
             raise BadParametersError(
-                f"indices must be integers, got {self.members!r} over {self.n!r}"
-            ) from exc
+                f"indices must be integers, got {members!r} over {n!r}") from exc
         if n < 1:
             raise BadParametersError("index universe must be nonempty")
         if members and not (1 <= members[0] and members[-1] <= n):
             raise BadParametersError(
                 f"indices must lie in 1..{n}, got {members}")
-        object.__setattr__(self, "members", members)
-        object.__setattr__(self, "n", n)
+        return super().__new__(cls, members, n)
+
+    @classmethod
+    def _make(cls, iterable) -> "IndexSet":  # `_replace` normalises too
+        return cls(*iterable)
 
     @classmethod
     def from_iterable(cls, members: Iterable[int], n: int) -> "IndexSet":
@@ -115,8 +120,7 @@ class IndexSet:
         return m[1:]
 
 
-@dataclass(frozen=True)
-class NuBounds:
+class NuBounds(NamedTuple):
     """Extremal values of the normalized subset quantity, with the unit
     eigenvectors attaining them."""
 

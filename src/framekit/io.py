@@ -16,7 +16,6 @@ from __future__ import annotations
 import json
 import math
 import reprlib
-from dataclasses import asdict, dataclass
 from typing import Any, Dict, List
 
 import numpy as np
@@ -157,19 +156,18 @@ def read_matrix(path: str) -> np.ndarray:
     return np.array(read_frame(path).vectors)
 
 
-@dataclass
 class Report:
     """Machine-readable outcome of one CLI command."""
 
-    command: str
-    inputs: Dict[str, Any]
-    verdict: str
-    payload: Dict[str, Any]
-    tolerances: ToleranceConfig
-
-    def __post_init__(self) -> None:
-        if self.verdict not in _VERDICTS:
+    def __init__(self, command: str, inputs: Dict[str, Any], verdict: str,
+                 payload: Dict[str, Any], tolerances: ToleranceConfig) -> None:
+        if verdict not in _VERDICTS:
             raise FramekitError(f"verdict must be one of {_VERDICTS}")
+        self.command = command
+        self.inputs = inputs
+        self.verdict = verdict
+        self.payload = payload
+        self.tolerances = tolerances
 
     def to_obj(self) -> Dict[str, Any]:
         return {
@@ -177,7 +175,7 @@ class Report:
             "inputs": self.inputs,
             "verdict": self.verdict,
             "payload": self.payload,
-            "tolerances": asdict(self.tolerances),
+            "tolerances": self.tolerances._asdict(),
         }
 
     def to_json(self) -> str:

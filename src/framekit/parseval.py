@@ -43,8 +43,7 @@ misses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, NamedTuple, Optional
 
 import numpy as np
 
@@ -61,8 +60,7 @@ from .duals import canonical_dual_analysis
 from .linalg import adjoint, fix_phase, operator_norm
 
 
-@dataclass(frozen=True)
-class ParsevalDualReport:
+class ParsevalDualReport(NamedTuple):
     """Existence verdict for a Parseval dual, with the two quantities the
     criterion compares and, when constructed, the dual itself."""
 

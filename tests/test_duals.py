@@ -146,6 +146,7 @@ def test_check_duality_memo_is_per_tolerance_and_weak(mb3):
     assert report.is_exact_dual
     assert report.deviation_norm == pytest.approx(1e-9, rel=1e-5)
     assert fk.check_duality(mb3, g, fk.ToleranceConfig(atol=1e-8)) is report
+    assert len(framekit.duals._DUALITY_REPORTS[mb3][g]) == 1  # equal configs, one entry
     # a separate report per tolerance, each kept
     tight_report = fk.check_duality(mb3, g, tight)
     assert tight_report is not report and not tight_report.is_exact_dual

@@ -94,8 +94,39 @@ def test_tolerance_validation():
         fk.ToleranceConfig(rank_rtol=-1e-3)
     with pytest.raises(fk.BadParametersError):
         fk.ToleranceConfig(eig_one_atol=1.0)
+    with pytest.raises(fk.BadParametersError):
+        fk.ToleranceConfig(1e-10, 2.0)
     cfg = fk.ToleranceConfig()
     assert (cfg.rank_rtol, cfg.atol, cfg.eig_one_atol) == (1e-10, 1e-8, 1e-8)
+    assert cfg._replace(atol=1e-6).atol == 1e-6
+    with pytest.raises(fk.BadParametersError):
+        cfg._replace(atol=0.0)
+
+
+def test_records_and_frames_refuse_assignment(mb3, tol):
+    g = fk.canonical_dual(mb3, tol)
+    j = fk.IndexSet(members=(1,), n=3)
+    records = [
+        fk.frame_bounds(mb3), fk.excess(mb3, tol), fk.check_duality(mb3, g, tol),
+        fk.verify_lemma_decomposition(fk.analysis_matrix(mb3),
+                                      fk.synthesis_matrix(g), probes=2, seed=0,
+                                      tol=tol),
+        fk.nu_bounds(mb3, j, tol), fk.parseval_dual_exists(mb3, tol), tol, j]
+    assert len({type(record) for record in records}) == len(records)
+    for record in records:
+        for name in record._fields:
+            with pytest.raises(AttributeError):
+                setattr(record, name, getattr(record, name))
+    mb3.svd  # a cached property is filled in, yet cannot be assigned
+    for name in ("dim", "field", "vectors", "svd", "new_name"):
+        with pytest.raises(AttributeError):
+            setattr(mb3, name, None)
+    with pytest.raises(AttributeError):
+        del mb3.vectors
+    assert mb3.vectors.shape == (3, 2) and mb3.svd.sigma.shape == (2,)
+    # identity equality and hashing: an equal copy is another frame
+    twin = fk.Frame(dim=mb3.dim, field=mb3.field, vectors=mb3.vectors)
+    assert twin != mb3 and len({mb3, twin, mb3}) == 2
 
 
 def test_analysis_matrix_standard_basis(basis2):

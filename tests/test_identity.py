@@ -34,6 +34,9 @@ def test_index_set_basics():
         fk.IndexSet(members=(4,), n=3)
     with pytest.raises(fk.BadParametersError):
         fk.IndexSet(members=(), n=0)
+    assert j._replace(members=(4, 2, 2)).members == (2, 4)
+    with pytest.raises(fk.BadParametersError):
+        j._replace(members=(5,))
 
 
 def test_index_set_requires_integers():

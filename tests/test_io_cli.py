@@ -1,6 +1,8 @@
+import gc
 import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 import tracemalloc
@@ -657,7 +659,7 @@ def test_cli_analyze_loads_only_its_modules(tmp_path, mb3):
                             write(tmp_path / "f.json", mb3))
     assert "framekit.frames" in loaded
     for name in ("framekit.duals", "framekit.parseval", "framekit.identity",
-                 "framekit.generators", "numpy.ma"):
+                 "framekit.generators", "numpy.ma", "dataclasses"):
         assert name not in loaded
 
 
@@ -666,5 +668,63 @@ def test_cli_global_min_loads_no_masked_arrays(tmp_path):
     loaded = loaded_modules(tmp_path, "-m", "framekit", "nu",
                             write(tmp_path / "p.json", p), "--global-min")
     assert "framekit.identity" in loaded
-    for name in ("numpy.ma", "framekit.duals", "framekit.parseval"):
+    for name in ("numpy.ma", "framekit.duals", "framekit.parseval", "dataclasses"):
         assert name not in loaded
+
+
+@pytest.mark.parametrize("command", ["check", "parseval-dual", "identity", "gen"])
+def test_cli_start_loads_no_dataclasses(tmp_path, mb3, command):
+    # framekit's records are NamedTuples and plain classes; numpy, argparse
+    # and json load no dataclasses either
+    frame = write(tmp_path / "f.json", mb3)
+    argv = {"check": [frame, frame],
+            "parseval-dual": [frame],
+            "identity": [frame, "--j", "1"],
+            "gen": ["--kind", "random", "--dim", "2", "--n", "3",
+                    "--out", str(tmp_path / "g.json")]}[command]
+    loaded = loaded_modules(tmp_path, "-m", "framekit", command, *argv)
+    assert "framekit.cli" in loaded and "dataclasses" not in loaded
+
+
+def test_no_framekit_module_loads_dataclasses(tmp_path):
+    loaded = loaded_modules(tmp_path, "-c", "; ".join(
+        f"import framekit.{m.name}" for m in pkgutil.iter_modules(fk.__path__)))
+    assert "framekit.cli" in loaded and "framekit.identity" in loaded
+    assert "dataclasses" not in loaded
+
+
+# ------------------------------------------------ garbage collector
+
+
+def test_cli_main_freezes_the_import_heap(tmp_path, mb3):
+    # the process entry moves what the imports built out of the collector's
+    # reach before the command runs, and leaves collection enabled
+    code = ("import gc, sys\n"
+            "from framekit import cli\n"
+            "before = gc.get_freeze_count()\n"
+            "try:\n"
+            "    cli.main()\n"
+            "except SystemExit as exc:\n"
+            "    status = exc.code\n"
+            "print(status, before, gc.get_freeze_count() > 0, gc.isenabled(),\n"
+            "      file=sys.stderr)\n")
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(fk.__file__)))
+    proc = subprocess.run([sys.executable, "-c", code, "analyze",
+                           write(tmp_path / "f.json", mb3)],
+                          cwd=tmp_path, env=env, capture_output=True, text=True,
+                          check=True)
+    assert proc.stderr.split() == ["0", "0", "True", "True"]
+    assert json.loads(proc.stdout)["command"] == "analyze"
+
+
+def test_run_command_and_the_library_leave_the_collector_alone(files, capsys, tol):
+    state = gc.get_freeze_count(), gc.isenabled()
+    assert run(capsys, "analyze", files["mb3"])[0] == 0
+    assert run(capsys, "check", files["mb3"], files["mb3"])[0] == 0
+    f = fk.random_frame(3, 6, 1)
+    g = fk.canonical_dual(f, tol)
+    assert fk.check_duality(f, g, tol).is_exact_dual
+    assert fk.verify_excess_equality(f, g, tol)
+    assert fk.construct_parseval_dual(fk.rescale_to_admissible(f, tol)[0], tol).exists
+    assert (gc.get_freeze_count(), gc.isenabled()) == state
