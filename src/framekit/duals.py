@@ -23,9 +23,13 @@ consequence, that dual (even pseudo-dual) frames always carry the same
 excess, is exposed through `verify_excess_equality`, which checks the
 kernel identity Ker V* = (I - U M^{-1} V*)(Ker U*), M = V*U, for every
 pseudo-dual pair.  Both checks use d x n and d x d products only, never
-a basis of the (n - d)-dimensional kernel.  Pair-level state
-lives here, not on `Frame`: `check_duality` memoizes its reports in a
-table keyed weakly by both frames.
+a basis of the (n - d)-dimensional kernel.  A pair is decided without
+factoring g: an invertible V*U already certifies that g spans, so
+`check_duality` and `verify_excess_equality` read g only through V*U
+and ||V||_F, and compute g's SVD only when that certificate is too weak
+to decide `is_frame(g)`.  Pair-level state lives here, not on `Frame`:
+`check_duality` memoizes its reports in a table keyed weakly by both
+frames.
 """
 
 from __future__ import annotations
@@ -101,6 +105,8 @@ class LemmaReport(NamedTuple):
 # are weak keys, so it keeps neither alive.  Frames and tolerances are immutable.
 _DUALITY_REPORTS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
+_EPS = 2.0 ** -52  # float64 machine epsilon, the unit of the rounding margins
+
 
 def _require_pair(f: Frame, g: Frame) -> None:
     if f.dim != g.dim or f.n != g.n:
@@ -133,28 +139,33 @@ def check_duality(f: Frame, g: Frame, tol: ToleranceConfig) -> DualityReport:
     The report is computed once per (f, g, tol) and kept in this module's
     memo, so the callers that grade a pair and then check its excess
     equality, projection or upgrade share one V*U product and one d x d
-    SVD.  Shape and `is_frame` errors are raised before the lookup.
+    SVD.  Shape errors are raised before the lookup.  `is_frame(g)` is
+    decided after V*U is formed, from the rank certificate derived in
+    `verify_excess_equality` or, when that fails, from g's own SVD; a
+    pair that is not two frames raises and leaves no memo entry.
     """
     _require_pair(f, g)
-    if not is_frame(f, tol) or not is_frame(g, tol):
-        raise NotAFrameError("duality is assessed between frames")
-    partners = _DUALITY_REPORTS.get(f)
-    if partners is None:
-        partners = _DUALITY_REPORTS[f] = weakref.WeakKeyDictionary()
-    reports = partners.setdefault(g, {})
+    reports = _DUALITY_REPORTS.get(f, {}).get(g, {})
     if tol in reports:
         return reports[tol]
     vu = synthesis_matrix(g) @ analysis_matrix(f)
     # one batched call: LAPACK sees each matrix exactly as in two calls
     sigmas = np.linalg.svd(np.array((vu - np.eye(f.dim), vu)), compute_uv=False)
     deviation, sigma = float(sigmas[0, 0]), sigmas[1]
+    # Python floats: a product past the float64 range is inf, not a warning
+    bound = (tol.rank_rtol + 4 * f.n * f.dim * _EPS) * float(f.svd.sigma[0])
+    if not (is_frame(f, tol) and (sigma[-1] > bound * float(np.linalg.norm(g.vectors))
+                                  or is_frame(g, tol))):
+        raise NotAFrameError("duality is assessed between frames")
     is_exact = deviation <= tol.atol
     is_approx = deviation < 1.0
     is_pseudo = rank_from_singular_values(sigma, tol.rank_rtol) == f.dim or is_approx
-    reports[tol] = DualityReport(is_exact_dual=is_exact, is_pseudo_dual=is_pseudo,
-                                 is_approx_dual=is_approx, deviation_norm=deviation,
-                                 min_singular_vu=float(sigma[-1]))
-    return reports[tol]
+    report = DualityReport(is_exact_dual=is_exact, is_pseudo_dual=is_pseudo,
+                           is_approx_dual=is_approx, deviation_norm=deviation,
+                           min_singular_vu=float(sigma[-1]))
+    partners = _DUALITY_REPORTS.setdefault(f, weakref.WeakKeyDictionary())
+    partners.setdefault(g, {})[tol] = report
+    return report
 
 
 def pseudo_dual_to_exact(f: Frame, g: Frame, tol: ToleranceConfig) -> Frame:
@@ -271,43 +282,48 @@ def _range_basis(f: Frame, tol: ToleranceConfig) -> np.ndarray:
     return f.svd.p[:, :rank_from_singular_values(f.svd.sigma, tol.rank_rtol)]
 
 
-def _kernel_identity_gap(f: Frame, g: Frame, min_singular_vu: float,
-                         tol: ToleranceConfig) -> float:
+def _kernel_identity_gap(f: Frame, g: Frame, basis: np.ndarray, lower: float,
+                         v_norm: float, min_singular_vu: float) -> float:
     """Scaled distance between Ker V* and E(Ker U*), E = I - U M^{-1} V*,
-    U and V being the analysis matrices of f and g and M = V*U, whose
-    least singular value the caller passes: 1 for unequal ranks, else
-    ||X||_F / max(1, ||U|| ||V|| / sigma_min(M)), clamped to 1, with
+    U and V being the analysis matrices of f and g and M = V*U, both of
+    rank r:
 
-        X = P* E = P* - C V*,   C = (P* U) M^{-1},
+        ||X||_F / lower / max(1, ||U|| v_norm / sigma_min(M)),
 
-    P spanning Im V = (Ker V*)^perp.  C comes from one d x d solve, so
-    every product is d x n or smaller.
+    clamped to 1, with
+
+        X = B E = B - C V*,   C = (B U) M^{-1}.
+
+    The rows of the r x n `basis` B span Im V = (Ker V*)^perp: B = K P*,
+    P an orthonormal basis of Im V and K invertible with least singular
+    value at least `lower`.  The caller passes min_singular_vu, a lower
+    bound on sigma_min(M), and v_norm, an upper bound on ||V||.  C comes
+    from one d x d solve, so every product is d x n or smaller.
 
     E is idempotent with range Ker V* and kernel Im U, so X = 0 exactly.
     For x in Ker U*, UM^{-1}V*x lies in Im U, orthogonal to x, so
     ||Ex|| >= ||x||: every unit vector y of E(Ker U*) is Ex with
     ||x|| <= 1, and the sine of the largest principal angle between
-    E(Ker U*) and Ker V* is max ||P* y|| <= ||X||_2 <= ||X||_F.  A factor
-    I - P_U P_U* on the right would change nothing, as E kills Im U.
-    The ranks compared are rank(f) and rank(g), the codimensions of the
-    two kernels.
+    E(Ker U*) and Ker V* is max ||P* y|| <= ||P* E||_2 <= ||X||_F / lower.
+    A factor I - P_U P_U* on the right would change nothing, as E kills
+    Im U.
 
-    Formed in floating point, X carries the rounding of U M^{-1} V*,
-    about eps ||U|| ||V|| / sigma_min(M) in size, so its norm grows with
-    the scale of either frame although the identity does not; dividing
-    by that bound, when it exceeds 1, keeps the gap at rounding level
-    for duals of any scale (Higham, Accuracy and Stability of Numerical
-    Algorithms, 2nd ed., Sec. 3.5).
+    Formed in floating point, X carries the rounding of (B U) M^{-1} V*.
+    For B = P* that is about eps ||U|| ||V|| / sigma_min(M), so its norm
+    grows with the scale of either frame although the identity does not;
+    dividing by that bound, when it exceeds 1, keeps the gap at rounding
+    level for duals of any scale (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2nd ed., Sec. 3.5).  For B = V*, B U is M
+    itself, so C is I up to the rounding of one solve, and with
+    lower = sigma_min(M) / ||U|| and v_norm = ||V||_F the gap reads
+    ||X||_F / ||V||_F, the relative defect of C = I.
     """
-    p_g = _range_basis(g, tol)
-    if rank_from_singular_values(f.svd.sigma, tol.rank_rtol) != p_g.shape[1]:
-        return 1.0
-    u, v_adj, p_adj = analysis_matrix(f), synthesis_matrix(g), adjoint(p_g)
-    # C M = P* U, transposed to the M^T C^T = (P* U)^T that solve takes
-    c = np.linalg.solve((v_adj @ u).T, (p_adj @ u).T).T
-    x = p_adj - c @ v_adj
-    scale = max(1.0, float(f.svd.sigma[0] * g.svd.sigma[0]) / min_singular_vu)
-    return min(1.0, float(np.linalg.norm(x)) / scale)
+    u, v_adj = analysis_matrix(f), synthesis_matrix(g)
+    # C M = B U, transposed to the M^T C^T = (B U)^T that solve takes
+    c = np.linalg.solve((v_adj @ u).T, (basis @ u).T).T
+    x = basis - c @ v_adj
+    scale = max(1.0, float(f.svd.sigma[0]) * v_norm / min_singular_vu)
+    return min(1.0, float(np.linalg.norm(x)) / lower / scale)
 
 
 def verify_lemma_decomposition(t: np.ndarray, s: np.ndarray, probes: int,
@@ -339,10 +355,14 @@ def verify_lemma_decomposition(t: np.ndarray, s: np.ndarray, probes: int,
     field = COMPLEX if np.iscomplexobj(t) or np.iscomplexobj(s) else REAL
     f = Frame(dim=d, field=field, vectors=t.conj())
     g = Frame(dim=d, field=field, vectors=s.T)
-    # sigma_min(ST) >= 1 - ||ST - I|| by Weyl's inequality
-    kernel_residual = _kernel_identity_gap(f, g, 1.0 - st_residual, tol)
-
     im_t, im_s_adj = _range_basis(f, tol), _range_basis(g, tol)
+    # the ranks compared are the codimensions of Ker T* and Ker S;
+    # sigma_min(ST) >= 1 - ||ST - I|| by Weyl's inequality
+    kernel_residual = 1.0
+    if im_t.shape[1] == im_s_adj.shape[1]:
+        kernel_residual = _kernel_identity_gap(f, g, adjoint(im_s_adj), 1.0,
+                                               float(g.svd.sigma[0]), 1.0 - st_residual)
+
     draws = np.random.default_rng(seed).standard_normal((probes, 2, n))
     y = (draws[:, 0] + 1j * draws[:, 1]).T
     y /= np.linalg.norm(y, axis=0)
@@ -378,17 +398,48 @@ def transform_frame(f: Frame, t: np.ndarray, tol: ToleranceConfig) -> Frame:
     return derived_frame(f.field, f.vectors @ t.T, tol)
 
 
+def _excess_equality_gap(f: Frame, g: Frame, tol: ToleranceConfig) -> float:
+    """The kernel-identity gap that `verify_excess_equality` compares with
+    atol: B = V*, with lower bound sigma_min(M) / ||U||_2 and ||V||_F."""
+    report = check_duality(f, g, tol)
+    if not report.is_pseudo_dual:
+        raise NotPseudoDualError("excess equality is claimed for pseudo-dual pairs")
+    v_adj, sigma_vu = synthesis_matrix(g), report.min_singular_vu
+    return _kernel_identity_gap(f, g, v_adj, sigma_vu / float(f.svd.sigma[0]),
+                                float(np.linalg.norm(v_adj)), sigma_vu)
+
+
 def verify_excess_equality(f: Frame, g: Frame, tol: ToleranceConfig) -> bool:
     """Check that a (pseudo-)dual pair carries the same excess.
 
     In finite dimension the equality itself is automatic (two frames of
-    one shape both have excess n - d), so the verdict checks what proves
-    it: the kernel identity Ker V* = (I - U M^{-1} V*)(Ker U*) with
-    M = V*U, for every pseudo-dual pair, exact ones included.  The
-    scaled gap of `_kernel_identity_gap`, built from d x n products only,
-    is compared with atol; the result is a Python bool.
+    one shape both have excess n - d), and so is what proves it once
+    M = V*U is invertible: V* is then onto, so rank V = rank U = d, and
+    E = I - U M^{-1} V* gives V*E = V* - M M^{-1} V* = 0, which makes the
+    kernel identity Ker V* = E(Ker U*) hold by algebra.  The verdict
+    certifies both, for every pseudo-dual pair, exact ones included, and
+    reads g only through V*U and ||V||_F; the result is a Python bool.
+
+    Rank.  sigma_d(M) <= sigma_d(V) ||U||_2 and sigma_1(V) <= ||V||_F, so
+
+        sigma_min(M) > rank_rtol ||U||_2 ||V||_F
+
+    puts sigma_d(V) / sigma_1(V) above rank_rtol: g is a frame under the
+    rank rule of `ToleranceConfig`, with no factorization of g.
+    `check_duality` tests this with rank_rtol + 4 n d eps in place of
+    rank_rtol.  The margin covers the rounding of the computed M
+    (|dM| <= n eps |V*| |U|, so ||dM||_2 <= n sqrt(d) eps ||U||_2 ||V||_F),
+    of its singular values and of ||U||_2 (each O(d eps) relative), and of
+    the singular values that g's own SVD would give (O(n d eps) sigma_1(V)
+    by the backward stability of the SVD), so a certified g is one that
+    `is_frame` accepts too.  When the certificate fails, g's SVD decides.
+
+    Kernel identity.  The scaled gap of `_kernel_identity_gap` is read
+    through B = V* = R Sigma P*, P an orthonormal basis of Im V:
+    ||P* E|| <= ||V* E|| / sigma_d(V) <= ||U||_2 ||V* E|| / sigma_min(M),
+    so the lower bound is sigma_min(M) / ||U||_2, and ||V||_F bounds ||V||
+    in the scale.  For B = V*, C = (V*U) M^{-1} = I, so the gap is a
+    rounding check, at most about eps cond(M) in size, of an identity
+    that holds by algebra; it is compared with atol.
     """
-    report = check_duality(f, g, tol)
-    if not report.is_pseudo_dual:
-        raise NotPseudoDualError("excess equality is claimed for pseudo-dual pairs")
-    return _kernel_identity_gap(f, g, report.min_singular_vu, tol) <= tol.atol
+    return _excess_equality_gap(f, g, tol) <= tol.atol

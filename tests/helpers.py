@@ -1,7 +1,8 @@
 """Shared test utilities: independent oracles and seeded ensemble builders.
 
 The oracles deliberately avoid the library's own numerics: rank over
-exact rationals, excess by exhaustive deletion, the nearest Parseval
+exact rationals, excess by exhaustive deletion, the grades and the kernel
+identity of a frame pair over exact rationals, the nearest Parseval
 dual by a Levenberg-Marquardt search over all duals (numpy only)
 instead of the closed form, the global subset minimum by evaluating M_J
 on every subset, determinants by elimination over exact (Gaussian)
@@ -10,6 +11,7 @@ rationals.
 
 from fractions import Fraction
 from itertools import combinations
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -84,6 +86,153 @@ def exact_det(*matrices):
             m[r] = [(a[0] - p[0], a[1] - p[1])
                     for a, p in zip(m[r], (mul(factor, b) for b in m[col]))]
     return det
+
+
+def _matmul(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+def _transpose(a):
+    return [list(col) for col in zip(*a)]
+
+
+def _identity(n):
+    return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+
+
+def _reduced_rows(m):
+    """Reduced row echelon form of a rational matrix and its pivot columns."""
+    m = [list(row) for row in m]
+    pivots, row = [], 0
+    for col in range(len(m[0]) if m else 0):
+        pivot = next((r for r in range(row, len(m)) if m[r][col] != 0), None)
+        if pivot is None:
+            continue
+        m[row], m[pivot] = m[pivot], m[row]
+        m[row] = [x / m[row][col] for x in m[row]]
+        for r in range(len(m)):
+            if r != row and m[r][col] != 0:
+                m[r] = [a - m[r][col] * b for a, b in zip(m[r], m[row])]
+        pivots.append(col)
+        row += 1
+    return m, pivots
+
+
+def _inverse(m):
+    """Inverse of a square rational matrix, None when it is singular."""
+    n = len(m)
+    reduced, pivots = _reduced_rows([row + e for row, e in zip(m, _identity(n))])
+    if pivots[:n] != list(range(n)):
+        return None
+    return [row[n:] for row in reduced]
+
+
+def _nullspace(m, cols):
+    """Columns spanning {x : m x = 0}, m having `cols` columns."""
+    reduced, pivots = _reduced_rows(m) if m else ([], [])
+    basis = []
+    for free in (c for c in range(cols) if c not in pivots):
+        x = [Fraction(0)] * cols
+        x[free] = Fraction(1)
+        for row, p in zip(reduced, pivots):
+            x[p] = -row[free]
+        basis.append(x)
+    return _transpose(basis) if basis else [[] for _ in range(cols)]
+
+
+class ExactPairVerdict(NamedTuple):
+    """The verdicts on a real frame pair (U, V), decided over exact rationals.
+
+    is_approx is True when ||V*U - I||_F^2 < 1, which bounds the operator
+    norm below 1; False when a row or column of V*U - I has squared norm
+    above 1, which bounds it above 1; None when neither settles it.
+    kernel_identity is whether Ker V* = E(Ker U*), E = I - U M^{-1} V*,
+    and None when M = V*U is singular."""
+
+    rank_u: int
+    rank_v: int
+    is_exact: bool
+    is_pseudo: bool
+    is_approx: Optional[bool]
+    kernel_identity: Optional[bool]
+
+
+def exact_pair_verdict(u, v):
+    """`ExactPairVerdict` of the n x d rational analysis matrices u and v."""
+    n, d = len(u), len(u[0])
+    m = _matmul(_transpose(v), u)
+    dev = [[x - e for x, e in zip(row, erow)] for row, erow in zip(m, _identity(d))]
+    approx = None
+    if sum(x * x for row in dev for x in row) < 1:
+        approx = True
+    elif any(sum(x * x for x in line) > 1 for line in dev + _transpose(dev)):
+        approx = False
+    m_inv = _inverse(m)
+    identity = None
+    if m_inv is not None:
+        e = _matmul(_matmul(u, m_inv), _transpose(v))
+        e = [[ie - x for ie, x in zip(irow, row)] for irow, row in zip(_identity(n), e)]
+        image = _matmul(e, _nullspace(_transpose(u), n))  # E(Ker U*), as columns
+        # E(Ker U*) lies in Ker V* and has its dimension n - rank V
+        identity = (all(x == 0 for row in _matmul(_transpose(v), image) for x in row)
+                    and rational_rank(image) == n - rational_rank(v))
+    return ExactPairVerdict(rank_u=rational_rank(u), rank_v=rational_rank(v),
+                            is_exact=m == _identity(d), is_pseudo=m_inv is not None,
+                            is_approx=approx, kernel_identity=identity)
+
+
+def exact_pair_ensemble(seed):
+    """(kind, U, V) rational analysis matrices: for d = 1..4 and n = d..d+4,
+    an integer U of full rank with entries in [-3, 3] and a dual of it,
+    V = U S^{-1} + Q W for an integer W, Q = I - U S^{-1} U* being the
+    projection onto Ker U*.  Four kinds of pair over each U:
+
+    * "dual": V itself;
+    * "pseudo": V T* for an integer invertible T with a row or column of
+      T - I of squared norm above 1, so that V*U = T is not approximately
+      the identity;
+    * "approx": V + E, E an integer matrix halved until
+      0 < ||E*U||_F^2 < 1, so that ||V*U - I|| < 1 but V*U != I;
+    * "singular", for d >= 2: V T* + Q W' for a singular integer T,
+      certified like the pseudo kind, and an integer W' (g spans only
+      when Q W' makes up the rank that T loses).
+    """
+    rng = np.random.default_rng(seed)
+
+    def integers(rows, cols):
+        return [[Fraction(int(x)) for x in row] for row in rng.integers(-3, 4, (rows, cols))]
+
+    def far_from_identity(t):
+        dev = [[x - e for x, e in zip(row, erow)] for row, erow in zip(t, _identity(len(t)))]
+        return any(sum(x * x for x in line) > 1 for line in dev + _transpose(dev))
+
+    for d in range(1, 5):
+        for n in range(d, d + 5):
+            u = integers(n, d)
+            while rational_rank(u) < d:
+                u = integers(n, d)
+            v0 = _matmul(u, _inverse(_matmul(_transpose(u), u)))
+            q = [[ie - x for ie, x in zip(irow, row)]
+                 for irow, row in zip(_identity(n), _matmul(v0, _transpose(u)))]
+            v = [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(v0, _matmul(q, integers(n, d)))]
+            yield "dual", u, v
+            t = integers(d, d)
+            while _inverse(t) is None or not far_from_identity(t):
+                t = integers(d, d)
+            yield "pseudo", u, _matmul(v, _transpose(t))
+            e = integers(n, d)
+            while not any(x != 0 for row in _matmul(_transpose(e), u) for x in row):
+                e = integers(n, d)
+            while sum(x * x for row in _matmul(_transpose(e), u) for x in row) >= 1:
+                e = [[x / 2 for x in row] for row in e]
+            yield "approx", u, [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(v, e)]
+            if d == 1:  # the one singular T is 0, whose distance from 1 is 1
+                continue
+            t = integers(d, d)
+            while _inverse(t) is not None or not far_from_identity(t):
+                t = integers(d, d)
+            yield "singular", u, [[a + b for a, b in zip(ra, rb)] for ra, rb in
+                                  zip(_matmul(v, _transpose(t)), _matmul(q, integers(n, d)))]
 
 
 def deletion_excess(frame, rtol=1e-10):
@@ -176,6 +325,18 @@ def exhaustive_nu_minus_global(frame, chunk=1 << 14):
             best_code = int(codes[k])
     members = tuple(k + 1 for k in range(n) if (best_code >> k) & 1)
     return best_val, fk.IndexSet(members=members, n=n)
+
+
+def seeded_cases(seed, count, *ranges):
+    """count tuples over the inclusive integer ranges (lo, hi): first every
+    range at its low end, then every range at its high end, then draws
+    from a generator seeded with seed.  Deterministic, so every run of a
+    test that loops over them checks the same examples."""
+    rng = np.random.default_rng(seed)
+    cases = [tuple(lo for lo, _ in ranges), tuple(hi for _, hi in ranges)]
+    cases += [tuple(int(rng.integers(lo, hi + 1)) for lo, hi in ranges)
+              for _ in range(count - 2)]
+    return cases
 
 
 def gaussian(rng, rows, cols, complex_valued):

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 import framekit as fk
-from framekit.duals import _kernel_identity_gap
+from framekit.duals import _excess_equality_gap
 from framekit.linalg import adjoint, operator_norm, orthonormal_range
 from helpers import (
     TOL,
@@ -76,7 +76,7 @@ def parseval_ensemble():
 
 def kernel_gap(f, g):
     """The scaled kernel-identity gap that `verify_excess_equality` compares with atol."""
-    return _kernel_identity_gap(f, g, fk.check_duality(f, g, TOL).min_singular_vu, TOL)
+    return _excess_equality_gap(f, g, TOL)
 
 
 def test_acceptance_01_dual_excess_equality(dual_ensemble, announce):

@@ -6,12 +6,13 @@ import weakref
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import given, settings, strategies as st
 
 import framekit as fk
 import framekit.duals
 from framekit.linalg import adjoint, operator_norm, subspace_distance, orthonormal_range
-from helpers import TOL, deletion_excess, gaussian, random_dual_pair, scaled, well_conditioned_invertible
+from helpers import (TOL, deletion_excess, exact_pair_ensemble, exact_pair_verdict,
+                     gaussian, random_dual_pair, scaled, seeded_cases,
+                     well_conditioned_invertible)
 
 GOLDEN = (1.0 + np.sqrt(5.0)) / 2.0
 
@@ -137,6 +138,28 @@ def test_check_duality_errors(mb3, basis2, tol):
     with pytest.raises(fk.NotAFrameError):
         fk.check_duality(mb3, bad, tol)
     assert mb3 not in framekit.duals._DUALITY_REPORTS
+
+
+def test_pair_certificate_falls_back_to_the_dual_svd(monkeypatch, tol):
+    # sigma_min(V*U) = 2e-11 is below rank_rtol ||U||_2 ||V||_F = 1.4e-10, so
+    # the pair cannot certify that g spans; g's own SVD does (ratio 1)
+    f = fk.Frame(dim=2, field="real", vectors=[[1, 0], [0, 1], [0, 0], [0, 0]])
+    g = fk.Frame(dim=2, field="real",
+                 vectors=[[3e-11, 0], [0, -2e-11], [1, 0], [0, 1]])
+    fk.is_frame(f, tol)
+    shapes = []
+
+    def counted(a, *rest, _svd=np.linalg.svd, **kw):
+        shapes.append(np.shape(a))
+        return _svd(a, *rest, **kw)
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    report = fk.check_duality(f, g, tol)
+    assert fk.verify_excess_equality(f, g, tol)
+    assert sorted(shapes) == [(2, 2, 2), (4, 2)]
+    # the grades and figures of the SVD-first rule that preceded the certificate
+    assert report[:3] == (False, True, False)
+    assert report.deviation_norm.hex() == "0x1.0000000015fd8p+0"
+    assert report.min_singular_vu.hex() == "0x1.5fd7fe1796495p-36"
 
 
 def test_check_duality_memo_is_per_tolerance_and_weak(mb3):
@@ -437,6 +460,32 @@ def test_excess_equality_rejects_non_pseudo(tol):
         fk.verify_excess_equality(f, g, tol)
 
 
+def test_pair_verdicts_match_the_exact_oracle(tol):
+    seen = set()
+    for kind, u, v in exact_pair_ensemble(seed=26):
+        exact = exact_pair_verdict(u, v)
+        n, d = len(u), len(u[0])
+        f, g = (fk.Frame(dim=d, field="real", vectors=np.array(m, dtype=float))
+                for m in (u, v))
+        case = (kind, n, d)
+        assert exact.rank_u == d and exact.is_approx is not None, case
+        seen.add(kind if exact.rank_v == d else "g of lower rank")
+        if exact.rank_v < d:
+            with pytest.raises(fk.NotAFrameError):
+                fk.check_duality(f, g, tol)
+            continue
+        report = fk.check_duality(f, g, tol)
+        assert report[:3] == (exact.is_exact, exact.is_pseudo, exact.is_approx), case
+        if exact.is_pseudo:
+            assert fk.verify_excess_equality(f, g, tol) is exact.kernel_identity is True, case
+        else:
+            with pytest.raises(fk.NotPseudoDualError):
+                fk.verify_excess_equality(f, g, tol)
+        assert fk.excess(f, tol).excess == n - exact.rank_u, case
+        assert fk.excess(g, tol).excess == n - exact.rank_v, case
+    assert seen == {"dual", "pseudo", "approx", "singular", "g of lower rank"}
+
+
 def test_excess_equality_holds_for_duals_of_any_scale(tol):
     # ||X|| rounds like eps ||U|| ||V|| / sigma_min(V*U): unscaled, the gap
     # of the s = 1e4 dual reads 1.1e-8, above atol
@@ -462,15 +511,15 @@ def test_excess_equality_allocates_nothing_n_sized(tol):
     assert peak < 1 << 20
 
 
-@settings(max_examples=30, deadline=None)
-@given(st.integers(2, 4), st.integers(0, 3), st.integers(0, 10_000),
-       st.booleans())
-def test_every_free_operator_dual_reconstructs(d, extra, seed, complex_field):
-    field = "complex" if complex_field else "real"
-    f, g = random_dual_pair(d, d + extra, seed, field)
-    rng = np.random.default_rng(seed ^ 0xABCD)
-    x = rng.standard_normal(d) + (1j * rng.standard_normal(d) if complex_field else 0)
-    coeff = fk.analysis_matrix(f) @ x
-    npt.assert_allclose(fk.synthesis_matrix(g) @ coeff, x, atol=1e-8)
-    npt.assert_allclose(
-        fk.synthesis_matrix(f) @ (fk.analysis_matrix(g) @ x), x, atol=1e-8)
+def test_every_free_operator_dual_reconstructs():
+    for case in seeded_cases(466, 30, (2, 4), (0, 3), (0, 10_000), (0, 1)):
+        d, extra, seed, complex_field = case
+        field = "complex" if complex_field else "real"
+        f, g = random_dual_pair(d, d + extra, seed, field)
+        rng = np.random.default_rng(seed ^ 0xABCD)
+        x = rng.standard_normal(d) + (1j * rng.standard_normal(d) if complex_field else 0)
+        coeff = fk.analysis_matrix(f) @ x
+        npt.assert_allclose(fk.synthesis_matrix(g) @ coeff, x, atol=1e-8,
+                            err_msg=str(case))
+        npt.assert_allclose(fk.synthesis_matrix(f) @ (fk.analysis_matrix(g) @ x), x,
+                            atol=1e-8, err_msg=str(case))
