@@ -32,27 +32,7 @@ def scaled(frame, c):
 
 def rational_rank(rows):
     """Rank by Gaussian elimination over exact rationals (real entries)."""
-    m = [[Fraction(x) for x in row] for row in rows]
-    n_rows = len(m)
-    n_cols = len(m[0]) if m else 0
-    rank = 0
-    row = 0
-    for col in range(n_cols):
-        pivot = next((r for r in range(row, n_rows) if m[r][col] != 0), None)
-        if pivot is None:
-            continue
-        m[row], m[pivot] = m[pivot], m[row]
-        inv = m[row][col]
-        m[row] = [x / inv for x in m[row]]
-        for r in range(n_rows):
-            if r != row and m[r][col] != 0:
-                factor = m[r][col]
-                m[r] = [a - factor * b for a, b in zip(m[r], m[row])]
-        rank += 1
-        row += 1
-        if row == n_rows:
-            break
-    return rank
+    return len(_reduced_rows([[Fraction(x) for x in row] for row in rows])[1])
 
 
 def exact_det(*matrices):
@@ -100,6 +80,11 @@ def _identity(n):
     return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
 
 
+def _add(a, b, c=1):
+    """a + c b, entrywise."""
+    return [[x + c * y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
 def _reduced_rows(m):
     """Reduced row echelon form of a rational matrix and its pivot columns."""
     m = [list(row) for row in m]
@@ -127,9 +112,10 @@ def _inverse(m):
     return [row[n:] for row in reduced]
 
 
-def _nullspace(m, cols):
-    """Columns spanning {x : m x = 0}, m having `cols` columns."""
-    reduced, pivots = _reduced_rows(m) if m else ([], [])
+def _nullspace(m):
+    """Columns spanning {x : m x = 0}."""
+    cols = len(m[0])
+    reduced, pivots = _reduced_rows(m)
     basis = []
     for free in (c for c in range(cols) if c not in pivots):
         x = [Fraction(0)] * cols
@@ -140,14 +126,24 @@ def _nullspace(m, cols):
     return _transpose(basis) if basis else [[] for _ in range(cols)]
 
 
+def _approx_certificate(t):
+    """True when ||T - I||_F^2 < 1, which bounds the operator norm below 1;
+    False when a row or column of T - I has squared norm above 1, which
+    bounds it above 1; None when neither settles it."""
+    dev = _add(t, _identity(len(t)), -1)
+    if sum(x * x for row in dev for x in row) < 1:
+        return True
+    if any(sum(x * x for x in line) > 1 for line in dev + _transpose(dev)):
+        return False
+    return None
+
+
 class ExactPairVerdict(NamedTuple):
     """The verdicts on a real frame pair (U, V), decided over exact rationals.
 
-    is_approx is True when ||V*U - I||_F^2 < 1, which bounds the operator
-    norm below 1; False when a row or column of V*U - I has squared norm
-    above 1, which bounds it above 1; None when neither settles it.
-    kernel_identity is whether Ker V* = E(Ker U*), E = I - U M^{-1} V*,
-    and None when M = V*U is singular."""
+    is_approx is `_approx_certificate` of M = V*U; kernel_identity is
+    whether Ker V* = E(Ker U*), E = I - U M^{-1} V*, and None when M is
+    singular."""
 
     rank_u: int
     rank_v: int
@@ -161,24 +157,17 @@ def exact_pair_verdict(u, v):
     """`ExactPairVerdict` of the n x d rational analysis matrices u and v."""
     n, d = len(u), len(u[0])
     m = _matmul(_transpose(v), u)
-    dev = [[x - e for x, e in zip(row, erow)] for row, erow in zip(m, _identity(d))]
-    approx = None
-    if sum(x * x for row in dev for x in row) < 1:
-        approx = True
-    elif any(sum(x * x for x in line) > 1 for line in dev + _transpose(dev)):
-        approx = False
     m_inv = _inverse(m)
     identity = None
     if m_inv is not None:
-        e = _matmul(_matmul(u, m_inv), _transpose(v))
-        e = [[ie - x for ie, x in zip(irow, row)] for irow, row in zip(_identity(n), e)]
-        image = _matmul(e, _nullspace(_transpose(u), n))  # E(Ker U*), as columns
+        e = _add(_identity(n), _matmul(_matmul(u, m_inv), _transpose(v)), -1)
+        image = _matmul(e, _nullspace(_transpose(u)))  # E(Ker U*), as columns
         # E(Ker U*) lies in Ker V* and has its dimension n - rank V
         identity = (all(x == 0 for row in _matmul(_transpose(v), image) for x in row)
                     and rational_rank(image) == n - rational_rank(v))
     return ExactPairVerdict(rank_u=rational_rank(u), rank_v=rational_rank(v),
                             is_exact=m == _identity(d), is_pseudo=m_inv is not None,
-                            is_approx=approx, kernel_identity=identity)
+                            is_approx=_approx_certificate(m), kernel_identity=identity)
 
 
 def exact_pair_ensemble(seed):
@@ -188,9 +177,9 @@ def exact_pair_ensemble(seed):
     projection onto Ker U*.  Four kinds of pair over each U:
 
     * "dual": V itself;
-    * "pseudo": V T* for an integer invertible T with a row or column of
-      T - I of squared norm above 1, so that V*U = T is not approximately
-      the identity;
+    * "pseudo": V T* for an integer invertible T whose
+      `_approx_certificate` is False, so that V*U = T is not
+      approximately the identity;
     * "approx": V + E, E an integer matrix halved until
       0 < ||E*U||_F^2 < 1, so that ||V*U - I|| < 1 but V*U != I;
     * "singular", for d >= 2: V T* + Q W' for a singular integer T,
@@ -202,9 +191,11 @@ def exact_pair_ensemble(seed):
     def integers(rows, cols):
         return [[Fraction(int(x)) for x in row] for row in rng.integers(-3, 4, (rows, cols))]
 
-    def far_from_identity(t):
-        dev = [[x - e for x, e in zip(row, erow)] for row, erow in zip(t, _identity(len(t)))]
-        return any(sum(x * x for x in line) > 1 for line in dev + _transpose(dev))
+    def far_from_identity(invertible):
+        t = integers(d, d)
+        while (_inverse(t) is not None) != invertible or _approx_certificate(t) is not False:
+            t = integers(d, d)
+        return t
 
     for d in range(1, 5):
         for n in range(d, d + 5):
@@ -212,27 +203,20 @@ def exact_pair_ensemble(seed):
             while rational_rank(u) < d:
                 u = integers(n, d)
             v0 = _matmul(u, _inverse(_matmul(_transpose(u), u)))
-            q = [[ie - x for ie, x in zip(irow, row)]
-                 for irow, row in zip(_identity(n), _matmul(v0, _transpose(u)))]
-            v = [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(v0, _matmul(q, integers(n, d)))]
+            q = _add(_identity(n), _matmul(v0, _transpose(u)), -1)
+            v = _add(v0, _matmul(q, integers(n, d)))
             yield "dual", u, v
-            t = integers(d, d)
-            while _inverse(t) is None or not far_from_identity(t):
-                t = integers(d, d)
-            yield "pseudo", u, _matmul(v, _transpose(t))
+            yield "pseudo", u, _matmul(v, _transpose(far_from_identity(True)))
             e = integers(n, d)
             while not any(x != 0 for row in _matmul(_transpose(e), u) for x in row):
                 e = integers(n, d)
             while sum(x * x for row in _matmul(_transpose(e), u) for x in row) >= 1:
                 e = [[x / 2 for x in row] for row in e]
-            yield "approx", u, [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(v, e)]
+            yield "approx", u, _add(v, e)
             if d == 1:  # the one singular T is 0, whose distance from 1 is 1
                 continue
-            t = integers(d, d)
-            while _inverse(t) is not None or not far_from_identity(t):
-                t = integers(d, d)
-            yield "singular", u, [[a + b for a, b in zip(ra, rb)] for ra, rb in
-                                  zip(_matmul(v, _transpose(t)), _matmul(q, integers(n, d)))]
+            yield "singular", u, _add(_matmul(v, _transpose(far_from_identity(False))),
+                                      _matmul(q, integers(n, d)))
 
 
 def deletion_excess(frame, rtol=1e-10):
