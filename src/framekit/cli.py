@@ -285,12 +285,7 @@ def _cmd_lemma(args: argparse.Namespace, tol: ToleranceConfig, seed: int) -> Out
         raise BadParametersError("--probes must be at least 1")
     report = verify_lemma_decomposition(analysis_matrix(f), synthesis_matrix(g),
                                         args.probes, seed, tol)
-    residuals = {
-        "st_is_identity_residual": report.st_is_identity_residual,
-        "kernel_match_residual": report.kernel_match_residual,
-        "direct_sum_residual": report.direct_sum_residual,
-        "idempotent_residual": report.idempotent_residual,
-    }
+    residuals = report._asdict()
     return "pass" if max(residuals.values()) <= tol.atol else "fail", residuals
 
 

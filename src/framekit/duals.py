@@ -79,7 +79,13 @@ class DualityReport(NamedTuple):
     The three flags are nested: exact implies approximate implies
     pseudo.  The pseudo flag is the rank rule of `ToleranceConfig` on
     the singular values of V*U, sigma_min > rank_rtol * sigma_max, so
-    like invertibility it does not change when f or g is scaled.  It is
+    like invertibility it does not change when f or g is scaled.  Both
+    weaker flags also ask V*U to clear its own rounding allowance,
+    4 n d eps ||U||_2 ||V||_F: sigma_min must exceed it for a pseudo
+    dual, 1 - ||V*U - I|| for an approximate one.  A V*U that is zero
+    up to rounding, as when g's analysis range is orthogonal to f's,
+    then grades as neither, though its rounding residue may pass the
+    rank rule and sit just below 1 in deviation.  The pseudo flag is
     forced true whenever the approximate test passes so the nesting
     holds even at the tolerance boundary (||V*U - I|| < 1 already
     certifies invertibility).
@@ -152,17 +158,21 @@ def check_duality(f: Frame, g: Frame, tol: ToleranceConfig) -> DualityReport:
     # one batched call: LAPACK sees each matrix exactly as in two calls
     sigmas = np.linalg.svd(np.array((vu - np.eye(f.dim), vu)), compute_uv=False)
     deviation, sigma = float(sigmas[0, 0]), sigmas[1]
+    sigma_min = float(sigma[-1])
     # Python floats: a product past the float64 range is inf, not a warning
-    bound = (tol.rank_rtol + 4 * f.n * f.dim * _EPS) * float(f.svd.sigma[0])
-    if not (is_frame(f, tol) and (sigma[-1] > bound * float(np.linalg.norm(g.vectors))
-                                  or is_frame(g, tol))):
+    u_norm, v_norm = float(f.svd.sigma[0]), float(np.linalg.norm(g.vectors))
+    bound = (tol.rank_rtol + 4 * f.n * f.dim * _EPS) * u_norm
+    if not (is_frame(f, tol) and (sigma_min > bound * v_norm or is_frame(g, tol))):
         raise NotAFrameError("duality is assessed between frames")
+    # the rounding allowance of the computed V*U (see verify_excess_equality)
+    noise = 4 * f.n * f.dim * _EPS * u_norm * v_norm
     is_exact = deviation <= tol.atol
-    is_approx = deviation < 1.0
-    is_pseudo = rank_from_singular_values(sigma, tol.rank_rtol) == f.dim or is_approx
+    is_approx = is_exact or 1.0 - deviation > noise
+    is_pseudo = is_approx or (sigma_min > noise and
+                              rank_from_singular_values(sigma, tol.rank_rtol) == f.dim)
     report = DualityReport(is_exact_dual=is_exact, is_pseudo_dual=is_pseudo,
                            is_approx_dual=is_approx, deviation_norm=deviation,
-                           min_singular_vu=float(sigma[-1]))
+                           min_singular_vu=sigma_min)
     partners = _DUALITY_REPORTS.setdefault(f, weakref.WeakKeyDictionary())
     partners.setdefault(g, {})[tol] = report
     return report

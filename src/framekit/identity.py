@@ -207,9 +207,9 @@ def nu_minus_global(f: Frame, tol: ToleranceConfig) -> Tuple[float, IndexSet]:
       nu_minus(J) = nu_minus(J^c).  Only the 2^(n-1) subsets without
       index n are screened, from the eigenvalues of S_J alone (real
       arithmetic for a real frame, as in every step).  S_J is
-      low[a] + high[b], two subset-sum tables over the first n // 2
-      indices and over the rest below n, kept as entry planes: one row
-      per entry of the lower triangle, the one eigvalsh reads.
+      low[a] + high[b], two (B, d, d) stacks of partial frame operators
+      over the subsets of the first n // 2 indices and of the rest
+      below n.
     * Prune.  The screen's eigvalsh runs only where a cheaper bound
       cannot rule a subset out.  Let e = max |lambda_i(S) - 1|.  S_J
       and S - S_J = S_{J^c} are positive semidefinite and
@@ -292,10 +292,9 @@ def nu_minus_global(f: Frame, tol: ToleranceConfig) -> Tuple[float, IndexSet]:
         raise TooLargeError(
             f"exhaustive sweep limited to {GLOBAL_SWEEP_LIMIT} vectors, got {n}")
     outer = np.einsum("ki,kj->kij", f.vectors, np.conj(f.vectors))
-    entries = outer.reshape(n, d * d).take(_planes(d)[0], axis=1)
     low_bits = n // 2
-    low = _subset_sums(entries[:low_bits])
-    high = _subset_sums(entries[low_bits:n - 1])
+    low = _subset_sums(outer[:low_bits])
+    high = _subset_sums(outer[low_bits:n - 1])
     e = f.parseval_gap
     delta = 2.0 * e * (1.0 + e) + e * e
     rounding = _ROUNDING * d * n * _EPS
@@ -303,7 +302,7 @@ def nu_minus_global(f: Frame, tol: ToleranceConfig) -> Tuple[float, IndexSet]:
     table, lowest = _bound_table(low, high)
     least = table[np.arange(len(table)), lowest]
     best = np.argsort(least)[:_UPPER_ROWS]
-    upper = _screen(low[:, lowest[best]] + high[:, best]).min()
+    upper = _screen(low[lowest[best]] + high[best]).min()
     limit = _det_limit(upper + window, d, n, e)
     rows = np.flatnonzero(least <= limit)
     hits = np.flatnonzero(table[rows] <= limit)  # 2-d np.nonzero took 4x as long
@@ -312,7 +311,7 @@ def nu_minus_global(f: Frame, tol: ToleranceConfig) -> Tuple[float, IndexSet]:
     for start in range(0, len(codes), _CHUNK):
         chunk = codes[start:start + _CHUNK]
         screen[start:start + len(chunk)] = _screen(
-            low[:, chunk & ((1 << low_bits) - 1)] + high[:, chunk >> low_bits])
+            low[chunk & ((1 << low_bits) - 1)] + high[chunk >> low_bits])
     near = codes[screen <= screen.min() + window]
     # near is ascending and lacks index n, so the complements, reversed,
     # follow it in ascending order (np.union1d would also load numpy.ma)
@@ -326,20 +325,20 @@ def nu_minus_global(f: Frame, tol: ToleranceConfig) -> Tuple[float, IndexSet]:
 
 def _screen(s_j: np.ndarray) -> np.ndarray:
     """Screened value 3/4 + min (t - 1/2)^2 over the eigenvalues t of
-    each S_J in an entry-plane stack (see `_subset_sums`)."""
-    t = np.linalg.eigvalsh(_full(s_j).transpose(2, 0, 1))
+    each S_J in a (B, d, d) stack."""
+    t = np.linalg.eigvalsh(s_j)
     return 0.75 + np.abs(t - 0.5).min(axis=1) ** 2
 
 
 def _bound_table(low: np.ndarray, high: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """|det(S_J - I/2)| for S_J = low[a] + high[b], entry-plane stacks,
-    at row b and column a, and each row's argmin, taken while its block
-    is in cache (see `nu_minus_global`)."""
-    d = _dim(low)
-    table = np.empty((high.shape[1], low.shape[1]))
+    """|det(S_J - I/2)| for S_J = low[a] + high[b], (B, d, d) stacks, at
+    row b and column a, and each row's argmin, taken while its block is
+    in cache (see `nu_minus_global`)."""
+    d = low.shape[-1]
+    table = np.empty((len(high), len(low)))
     lowest = np.empty(len(table), dtype=np.intp)
     bilinear = d <= _BILINEAR_MAX_DIM
-    rows = max(1, _BOUND_BLOCK // (low.shape[1] * (1 if bilinear else d * d)))
+    rows = max(1, _BOUND_BLOCK // (len(low) * (1 if bilinear else d * d)))
     if bilinear:
         fa, fb = _det_features(low, high, 0.5)
     for start in range(0, len(table), rows):
@@ -347,9 +346,11 @@ def _bound_table(low: np.ndarray, high: np.ndarray) -> Tuple[np.ndarray, np.ndar
         if bilinear:
             np.matmul(fb[start:start + rows], fa, out=block)
         else:
-            s_j = low[:, None, :] + high[:, start:start + rows, None]
-            shifted = _full(s_j.reshape(len(low), -1), 0.5).transpose(2, 0, 1)
-            block[...] = np.linalg.det(shifted).real.reshape(block.shape)
+            # the shift goes on the sum: (L + H) - I/2 keeps the bits of
+            # the screened S_J, L + (H - I/2) does not
+            s_j = (low + high[start:start + rows, None]).reshape(-1, d, d)
+            s_j.reshape(-1, d * d)[:, ::d + 1] -= 0.5
+            block[...] = np.linalg.det(s_j).real.reshape(block.shape)
         np.abs(block, out=block)
         block.argmin(axis=1, out=lowest[start:start + rows])
     return table, lowest
@@ -378,7 +379,7 @@ def _det_features(low: np.ndarray, high: np.ndarray, shift: float
                   ) -> Tuple[np.ndarray, np.ndarray]:
     """Real matrices fa (F, A) and fb (B, F) with
     (fb @ fa)[b, a] = det(L_a + C_b), L_a = low[a], C_b = high[b] - shift I
-    for entry-plane stacks low and high.
+    for (B, d, d) stacks low and high of Hermitian matrices.
 
     det(L + C) = sum over |I| = |J| of
     (-1)^(sum I + sum J) det L[I, J] det C[I', J'], I' and J' the
@@ -388,9 +389,10 @@ def _det_features(low: np.ndarray, high: np.ndarray, shift: float
     2 Re(det L[I, J] det C[I', J']), split as Re * Re - Im * Im for a
     complex frame, and each I = J one: (K + 2^d) / 2 features real, K
     complex."""
-    steps, l_rows, c_rows, weights, pairs = _minor_tables(_dim(low))
-    minors_l = _minors(_full(low), steps)
-    minors_c = _minors(_full(high, shift), steps)
+    d = low.shape[-1]
+    steps, l_rows, c_rows, weights, pairs = _minor_tables(d)
+    minors_l = _minors(low, steps)
+    minors_c = _minors(high - shift * np.eye(d), steps)
     fa = [minors_l[l_rows].real]
     fb = [minors_c[c_rows].real * weights[:, None]]
     if low.dtype.kind == "c":
@@ -399,13 +401,14 @@ def _det_features(low: np.ndarray, high: np.ndarray, shift: float
     return np.concatenate(fa), np.concatenate(fb).T
 
 
-def _minors(full: np.ndarray, steps) -> np.ndarray:
+def _minors(stack: np.ndarray, steps) -> np.ndarray:
     """Every minor det M[I, J], |I| = |J| = 0..d, of each matrix of a
-    (d, d, B) stack, in the order of `_minor_tables`.  Level k expands
-    each k x k minor along row min I in (k - 1) x (k - 1) ones, from
-    index tables: k products of whole gathered rows per level."""
-    d = full.shape[0]
-    entries = full.reshape(d * d, -1)
+    (B, d, d) stack, one column per matrix, in the order of
+    `_minor_tables`.  Level k expands each k x k minor along row min I in
+    (k - 1) x (k - 1) ones, from index tables: k products of whole
+    gathered rows per level."""
+    d = stack.shape[-1]
+    entries = stack.reshape(-1, d * d).T
     signed = np.concatenate([entries, -entries])
     minors = np.empty((steps[-1][1], entries.shape[1]), dtype=entries.dtype)
     minors[0] = 1.0
@@ -415,22 +418,6 @@ def _minors(full: np.ndarray, steps) -> np.ndarray:
         for p in range(1, entry.shape[1]):
             level += signed[entry[:, p]] * minors[minor[:, p]]
     return minors
-
-
-# Built once per d: rebuilding these tables on every call cost more than
-# the arithmetic of a small sweep.
-@functools.lru_cache(maxsize=None)
-def _planes(d: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Entry-plane tables of `nu_minus_global` and `_full` for d x d
-    matrices.  Row r = i (i + 1) / 2 + k holds entry (i, k), i >= k:
-    lower[r] = i d + k is its position in a flattened d x d matrix,
-    gather[i d + k] = gather[k d + i] = r, and upper marks the positions
-    i d + k with i < k, which `_full` conjugates."""
-    rows, cols = np.tril_indices(d)
-    gather = np.empty((d, d), dtype=np.intp)
-    gather[rows, cols] = gather[cols, rows] = np.arange(len(rows))
-    upper = (np.arange(d)[:, None] < np.arange(d)).reshape(-1, 1)
-    return rows * d + cols, gather.reshape(-1), upper
 
 
 # C(2d, d) minors: only the bilinear bound, d <= _BILINEAR_MAX_DIM, reads these.
@@ -471,39 +458,18 @@ def _minor_tables(d: int) -> tuple:
             np.abs(weights) == 2)
 
 
-def _dim(s_j: np.ndarray) -> int:
-    """d of an entry-plane stack, which has d (d + 1) / 2 rows."""
-    return math.isqrt(2 * len(s_j))
-
-
-def _full(s_j: np.ndarray, shift: float = 0.0) -> np.ndarray:
-    """The Hermitian matrices H - shift I of an entry-plane stack, as a
-    (d, d, B) array: its entries in the lower triangle, their conjugates
-    in the upper one, a real diagonal."""
-    d = _dim(s_j)
-    _, gather, upper = _planes(d)
-    out = s_j.take(gather, axis=0)
-    diagonal = out[::d + 1]
-    if s_j.dtype.kind == "c":
-        imag = out.imag
-        np.negative(imag, out=imag, where=upper)
-        diagonal.imag = 0.0
-        diagonal = diagonal.real
-    if shift:
-        diagonal -= shift
-    return out.reshape(d, d, -1)
-
-
-def _subset_sums(entries: np.ndarray) -> np.ndarray:
+def _subset_sums(outer: np.ndarray) -> np.ndarray:
     """Partial frame operators over every subset of the given outer
-    products (rows of `entries`), as an entry-plane stack: row
-    i (i + 1) / 2 + k holds entry (i, k), i >= k, column c the subset
-    with binary-counter code c.  Code c + 2^t is code c plus term t, so
-    the table doubles in place and sums each entry in index order."""
-    sums = np.empty((entries.shape[1], 1 << len(entries)), dtype=entries.dtype)
-    sums[:, 0] = 0.0
-    for t, term in enumerate(entries):
-        np.add(sums[:, :1 << t], term[:, None], out=sums[:, 1 << t:2 << t])
+    products f_k f_k^*, as a (2^t, d, d) stack for t products, matrix c
+    the subset with binary-counter code c.  Code c + 2^t is code c plus
+    term t, so the stack doubles in place and sums each entry in index
+    order.  Exact conjugates summed in one order stay exact conjugates:
+    Hermitian outer products, bit for bit, give Hermitian sums, which
+    the determinant bound needs, as it reads both triangles."""
+    sums = np.empty((1 << len(outer),) + outer.shape[1:], dtype=outer.dtype)
+    sums[0] = 0.0
+    for t, term in enumerate(outer):
+        np.add(sums[:1 << t], term, out=sums[1 << t:2 << t])
     return sums
 
 

@@ -24,6 +24,18 @@ def non_pseudo_pair():
     return f, g
 
 
+def orthogonal_range_pairs():
+    # V = Q W, Q = f.range_complement, so V*U = 0 up to rounding: that
+    # residue passed the rank rule, and ||V*U - I|| could round to 1 - 1e-16
+    for field in ("real", "complex"):
+        for d, n in ((1, 3), (2, 4), (3, 7)):
+            for seed in range(30):
+                f = fk.random_frame(d, n, seed, field)
+                q = f.range_complement
+                w = gaussian(np.random.default_rng(seed), q.shape[1], d, field == "complex")
+                yield f, fk.Frame(dim=d, field=field, vectors=np.conj(q @ w))
+
+
 def test_canonical_dual_examples(e1e2e1, mb3, basis2, tol):
     d = fk.canonical_dual(e1e2e1, tol)
     npt.assert_allclose(d.vectors, [[0.5, 0], [0, 1], [0.5, 0]], atol=1e-15)
@@ -89,6 +101,13 @@ def test_check_duality_degenerate(tol):
     assert not (report.is_exact_dual or report.is_approx_dual or report.is_pseudo_dual)
     assert report.min_singular_vu <= 1e-12
     assert report.deviation_norm == pytest.approx(GOLDEN, abs=1e-12)
+    for f, g in [non_pseudo_pair(), *orthogonal_range_pairs()]:
+        report = fk.check_duality(f, g, tol)
+        assert not (report.is_exact_dual or report.is_approx_dual or report.is_pseudo_dual)
+        with pytest.raises(fk.NotPseudoDualError):
+            fk.verify_excess_equality(f, g, tol)
+        with pytest.raises(fk.NotPseudoDualError):
+            fk.pseudo_dual_to_exact(f, g, tol)
 
 
 def test_check_duality_matches_separate_norm_and_svd(mb3, tol):
@@ -129,6 +148,10 @@ def test_pseudo_dual_grade_does_not_depend_on_scale(tol):
     for c in (1.0, 1e-6, 1e-8):
         assert fk.check_duality(f, scaled(g, c), tol).is_pseudo_dual
         assert fk.verify_excess_equality(f, scaled(g, c), tol) is True
+    # a V*U of rounding residue stays ungraded at every scale of g
+    for f, g in orthogonal_range_pairs():
+        for c in (1e-8, 1.0, 1e8):
+            assert not fk.check_duality(f, scaled(g, c), tol).is_pseudo_dual
 
 
 def test_check_duality_errors(mb3, basis2, tol):

@@ -276,6 +276,12 @@ def sweep_cases(mb3):
     for seed in range(4):
         yield near_parseval(basis, seed)
         yield near_parseval(mb3, seed)
+    # the LAPACK det bound, d >= 7, within 2^12 subsets of the oracle
+    for dim, n in ((7, 11), (8, 12)):
+        for field in ("real", "complex"):
+            f = fk.parseval_projection_frame(dim, n, seed=0, field=field)
+            yield f
+            yield near_parseval(f, 0)
     # d = m - 1, up to the d = 6 of m = 7
     for m in (4, 6, 7, 8):
         for rep in range(4):
@@ -366,21 +372,13 @@ def test_half_gap_bound_is_a_lower_bound(monkeypatch):
                     t = np.linalg.eigvalsh(s_j)
                     gap = np.min(np.abs(t - 0.5), axis=1) - d * n * np.finfo(float).eps
                     gap = np.maximum(gap, 0.0)
-                    entries = planes(outer)
                     low_bits = n // 2 + seed  # the split must not matter
                     monkeypatch.setattr(identity, "_BOUND_BLOCK", 1 if seed else 1 << 15)
-                    table, lowest = _bound_table(_subset_sums(entries[:, :low_bits].T),
-                                                 _subset_sums(entries[:, low_bits:].T))
+                    table, lowest = _bound_table(_subset_sums(outer[:low_bits]),
+                                                 _subset_sums(outer[low_bits:]))
                     limits = [_det_limit(x, d, n, e) for x in 0.75 + gap ** 2]
                     assert np.all(table.reshape(-1) <= limits)
                     assert np.array_equal(lowest, np.argmin(table, axis=1))
-
-
-def planes(s_j):
-    """The entry planes of a (B, d, d) stack: its lower triangle, one row
-    per entry."""
-    rows, cols = np.tril_indices(s_j.shape[-1])
-    return s_j[:, rows, cols].T
 
 
 def rational_hermitian_pairs(rng, d, complex_valued, generic):
@@ -430,7 +428,7 @@ def test_shifted_det_matches_the_exact_determinant():
             l, h = rational_hermitian_pairs(rng, d, complex_valued, 40 if d < 6 else 10)
             c = h.copy()
             c[:, range(d), range(d)] -= 0.5
-            fa, fb = _det_features(planes(l), planes(h), 0.5)
+            fa, fb = _det_features(l, h, 0.5)
             terms = math.comb(2 * d, d)
             assert len(fa) == (terms if complex_valued else (terms + 2 ** d) // 2)
             values = np.diagonal(fb @ fa)
@@ -467,45 +465,37 @@ def test_nu_minus_global_calls_lapack_det_only_from_d_7(monkeypatch, tol):
     assert witness.members == oracle_witness.members
 
 
-def test_nu_minus_global_builds_each_table_once(monkeypatch, tol):
-    # the entry-plane tables of d x d matrices are built by the first sweep
-    # of that d and read by every stage of it and of later sweeps.  d <= 6
-    # takes the bilinear bound, which alone builds the C(2d, d) minor
-    # tables; d = 7 and d = 10 take the LAPACK det in blocks and build none
-    built = []
-    kernel = np.tril_indices
-
-    def counted(d, *rest, **kw):
-        built.append(d)
-        return kernel(d, *rest, **kw)
-
-    identity._planes.cache_clear()
+def test_nu_minus_global_builds_each_table_once(tol):
+    # the minor tables of d x d matrices are built by the first sweep of
+    # that d and read by later sweeps.  d <= 6 takes the bilinear bound,
+    # which alone builds them; d = 7 and d = 10 take the LAPACK det in
+    # blocks and build none
     identity._minor_tables.cache_clear()
-    monkeypatch.setattr(np, "tril_indices", counted)
-    dims = list(range(1, 8)) + [10]
-    for d in dims:
+    for d in list(range(1, 8)) + [10]:
         for field in ("real", "complex"):
             f = fk.parseval_projection_frame(d, d + 5, seed=0, field=field)
             for _ in range(2):
                 fk.nu_minus_global(f, tol)
-    monkeypatch.undo()
-    assert built == dims
     assert identity._minor_tables.cache_info().misses == 6  # d = 1..6
 
 
-def test_full_is_the_hermitian_matrix_of_its_planes():
-    # entries below the diagonal as stored, their conjugates above it, and
-    # the real part of the diagonal less the shift
-    rng = np.random.default_rng(5)
+def test_half_tables_are_hermitian_bit_for_bit():
+    # the determinant bound reads both triangles of S_J = low[a] + high[b]
+    # and eigvalsh one, so both must hold the same matrix: exact
+    # conjugates above and below the diagonal, whose imaginary part is
+    # zero, from the outer products through every subset sum
     for d in range(1, 8):
-        for complex_valued in (False, True):
-            lower = np.tril(rng.standard_normal((4, d, d)))
-            if complex_valued:
-                lower = lower + 1j * np.tril(rng.standard_normal((4, d, d)))
-            expected = lower + np.conj(np.swapaxes(np.tril(lower, -1), 1, 2))
-            expected[:, range(d), range(d)] = lower[:, range(d), range(d)].real - 0.5
-            full = identity._full(planes(lower), 0.5)
-            assert np.array_equal(full.transpose(2, 0, 1), expected)
+        n = d + 5
+        for field in ("real", "complex"):
+            for seed in range(3):
+                clean = fk.parseval_projection_frame(d, n, seed=seed, field=field)
+                for f in (clean, near_parseval(clean, seed)):
+                    outer = np.einsum("ki,kj->kij", f.vectors, np.conj(f.vectors))
+                    for half in (outer[:n // 2], outer[n // 2:n - 1]):
+                        sums = _subset_sums(half)
+                        assert np.array_equal(sums, np.conj(np.swapaxes(sums, 1, 2)))
+                        diagonal = np.diagonal(sums, axis1=1, axis2=2)
+                        assert np.all(np.imag(diagonal) == 0.0)
 
 
 def harmonic_frame(dim, n):
