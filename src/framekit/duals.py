@@ -25,11 +25,14 @@ kernel identity Ker V* = (I - U M^{-1} V*)(Ker U*), M = V*U, for every
 pseudo-dual pair.  Both checks use d x n and d x d products only, never
 a basis of the (n - d)-dimensional kernel.  A pair is decided without
 factoring g: an invertible V*U already certifies that g spans, so
-`check_duality` and `verify_excess_equality` read g only through V*U
-and ||V||_F, and compute g's SVD only when that certificate is too weak
-to decide `is_frame(g)`.  Pair-level state lives here, not on `Frame`:
-`check_duality` memoizes its reports in a table keyed weakly by both
-frames.
+`check_duality` reads g only through V*U and ||V||_F, and computes g's
+SVD only when that certificate is too weak to decide `is_frame(g)`.
+V*U is formed once per pair and tolerance, in `check_duality`, and the
+kernel-identity gap of a pseudo-dual pair is computed there from that
+same product; `verify_excess_equality` only compares the kept gap with
+atol.  Pair-level state lives here, not on `Frame`: `check_duality`
+memoizes its report and the gap per tolerance in a table keyed weakly
+by both frames.
 """
 
 from __future__ import annotations
@@ -107,8 +110,10 @@ class LemmaReport(NamedTuple):
     idempotent_residual: float
 
 
-# check_duality's memo, f -> (g -> {ToleranceConfig: report}); both frames
-# are weak keys, so it keeps neither alive.  Frames and tolerances are immutable.
+# check_duality's memo, f -> (g -> {ToleranceConfig: (report, gap)}), the gap
+# being `_excess_equality_gap` for a pseudo-dual pair and None otherwise; both
+# frames are weak keys, so it keeps neither alive.  Frames and tolerances are
+# immutable.
 _DUALITY_REPORTS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 _EPS = 2.0 ** -52  # float64 machine epsilon, the unit of the rounding margins
@@ -139,21 +144,15 @@ def canonical_dual(f: Frame, tol: ToleranceConfig) -> Frame:
     return derived_frame(f.field, canonical_dual_analysis(f).conj(), tol)
 
 
-def check_duality(f: Frame, g: Frame, tol: ToleranceConfig) -> DualityReport:
-    """Classify (f, g) as exact / approximate / pseudo dual via V*U.
-
-    The report is computed once per (f, g, tol) and kept in this module's
-    memo, so the callers that grade a pair and then check its excess
-    equality, projection or upgrade share one V*U product and one d x d
-    SVD.  Shape errors are raised before the lookup.  `is_frame(g)` is
-    decided after V*U is formed, from the rank certificate derived in
-    `verify_excess_equality` or, when that fails, from g's own SVD; a
-    pair that is not two frames raises and leaves no memo entry.
-    """
+def _graded_pair(f: Frame, g: Frame,
+                 tol: ToleranceConfig) -> tuple[DualityReport, float | None]:
+    """(report, gap) of `check_duality`, from its memo or computed and kept
+    there; gap is the `_excess_equality_gap` of a pseudo-dual pair, formed
+    from the same V*U as the report, and None for any other pair."""
     _require_pair(f, g)
-    reports = _DUALITY_REPORTS.get(f, {}).get(g, {})
-    if tol in reports:
-        return reports[tol]
+    graded = _DUALITY_REPORTS.get(f, {}).get(g, {})
+    if tol in graded:
+        return graded[tol]
     vu = synthesis_matrix(g) @ analysis_matrix(f)
     # one batched call: LAPACK sees each matrix exactly as in two calls
     sigmas = np.linalg.svd(np.array((vu - np.eye(f.dim), vu)), compute_uv=False)
@@ -173,9 +172,29 @@ def check_duality(f: Frame, g: Frame, tol: ToleranceConfig) -> DualityReport:
     report = DualityReport(is_exact_dual=is_exact, is_pseudo_dual=is_pseudo,
                            is_approx_dual=is_approx, deviation_norm=deviation,
                            min_singular_vu=sigma_min)
+    gap = None
+    if is_pseudo:  # B = V*, with the bounds of verify_excess_equality
+        gap = _kernel_identity_gap(f, g, None, vu, sigma_min / u_norm, v_norm, sigma_min)
     partners = _DUALITY_REPORTS.setdefault(f, weakref.WeakKeyDictionary())
-    partners.setdefault(g, {})[tol] = report
-    return report
+    partners.setdefault(g, {})[tol] = report, gap
+    return report, gap
+
+
+def check_duality(f: Frame, g: Frame, tol: ToleranceConfig) -> DualityReport:
+    """Classify (f, g) as exact / approximate / pseudo dual via V*U.
+
+    The report is computed once per (f, g, tol) and kept in this module's
+    memo, so the callers that grade a pair and then check its excess
+    equality, projection or upgrade share one V*U product and one d x d
+    SVD.  When the pair grades pseudo-dual, the kernel-identity gap of
+    `verify_excess_equality` is computed here too, from the V*U already
+    formed, and kept with the report.  Shape errors are raised before the
+    lookup.  `is_frame(g)` is decided after V*U is formed, from the rank
+    certificate derived in `verify_excess_equality` or, when that fails,
+    from g's own SVD; a pair that is not two frames raises and leaves no
+    memo entry.
+    """
+    return _graded_pair(f, g, tol)[0]
 
 
 def pseudo_dual_to_exact(f: Frame, g: Frame, tol: ToleranceConfig) -> Frame:
@@ -292,8 +311,8 @@ def _range_basis(f: Frame, tol: ToleranceConfig) -> np.ndarray:
     return f.svd.p[:, :rank_from_singular_values(f.svd.sigma, tol.rank_rtol)]
 
 
-def _kernel_identity_gap(f: Frame, g: Frame, basis: np.ndarray, lower: float,
-                         v_norm: float, min_singular_vu: float) -> float:
+def _kernel_identity_gap(f: Frame, g: Frame, basis: np.ndarray | None, m: np.ndarray,
+                         lower: float, v_norm: float, min_singular_vu: float) -> float:
     """Scaled distance between Ker V* and E(Ker U*), E = I - U M^{-1} V*,
     U and V being the analysis matrices of f and g and M = V*U, both of
     rank r:
@@ -306,9 +325,13 @@ def _kernel_identity_gap(f: Frame, g: Frame, basis: np.ndarray, lower: float,
 
     The rows of the r x n `basis` B span Im V = (Ker V*)^perp: B = K P*,
     P an orthonormal basis of Im V and K invertible with least singular
-    value at least `lower`.  The caller passes min_singular_vu, a lower
-    bound on sigma_min(M), and v_norm, an upper bound on ||V||.  C comes
-    from one d x d solve, so every product is d x n or smaller.
+    value at least `lower`; basis None stands for B = V*, whose B U is M
+    itself.  The caller passes M = V*U, formed as g's synthesis matrix
+    times f's analysis matrix, min_singular_vu, a lower bound on
+    sigma_min(M), and v_norm, an upper bound on ||V||.  C comes from one
+    d x d solve, so every product is d x n or smaller, and X is formed in
+    the one d x n array that C V* needs; for B = V* the analysis matrix
+    of f is not read at all.
 
     E is idempotent with range Ker V* and kernel Im U, so X = 0 exactly.
     For x in Ker U*, UM^{-1}V*x lies in Im U, orthogonal to x, so
@@ -328,10 +351,15 @@ def _kernel_identity_gap(f: Frame, g: Frame, basis: np.ndarray, lower: float,
     lower = sigma_min(M) / ||U|| and v_norm = ||V||_F the gap reads
     ||X||_F / ||V||_F, the relative defect of C = I.
     """
-    u, v_adj = analysis_matrix(f), synthesis_matrix(g)
+    v_adj = synthesis_matrix(g)
+    if basis is None:
+        basis, bu = v_adj, m
+    else:
+        bu = basis @ analysis_matrix(f)
     # C M = B U, transposed to the M^T C^T = (B U)^T that solve takes
-    c = np.linalg.solve((v_adj @ u).T, (basis @ u).T).T
-    x = basis - c @ v_adj
+    c = np.linalg.solve(m.T, bu.T).T
+    x = c @ v_adj
+    np.subtract(basis, x, out=x)
     scale = max(1.0, float(f.svd.sigma[0]) * v_norm / min_singular_vu)
     return min(1.0, float(np.linalg.norm(x)) / lower / scale)
 
@@ -370,8 +398,9 @@ def verify_lemma_decomposition(t: np.ndarray, s: np.ndarray, probes: int,
     # sigma_min(ST) >= 1 - ||ST - I|| by Weyl's inequality
     kernel_residual = 1.0
     if im_t.shape[1] == im_s_adj.shape[1]:
-        kernel_residual = _kernel_identity_gap(f, g, adjoint(im_s_adj), 1.0,
-                                               float(g.svd.sigma[0]), 1.0 - st_residual)
+        kernel_residual = _kernel_identity_gap(
+            f, g, adjoint(im_s_adj), synthesis_matrix(g) @ analysis_matrix(f), 1.0,
+            float(g.svd.sigma[0]), 1.0 - st_residual)
 
     draws = np.random.default_rng(seed).standard_normal((probes, 2, n))
     y = (draws[:, 0] + 1j * draws[:, 1]).T
@@ -410,13 +439,13 @@ def transform_frame(f: Frame, t: np.ndarray, tol: ToleranceConfig) -> Frame:
 
 def _excess_equality_gap(f: Frame, g: Frame, tol: ToleranceConfig) -> float:
     """The kernel-identity gap that `verify_excess_equality` compares with
-    atol: B = V*, with lower bound sigma_min(M) / ||U||_2 and ||V||_F."""
-    report = check_duality(f, g, tol)
+    atol: B = V*, with lower bound sigma_min(M) / ||U||_2 and ||V||_F.
+    `check_duality` computes it from the M it grades the pair with and
+    keeps it with the report, so this only reads the memo."""
+    report, gap = _graded_pair(f, g, tol)
     if not report.is_pseudo_dual:
         raise NotPseudoDualError("excess equality is claimed for pseudo-dual pairs")
-    v_adj, sigma_vu = synthesis_matrix(g), report.min_singular_vu
-    return _kernel_identity_gap(f, g, v_adj, sigma_vu / float(f.svd.sigma[0]),
-                                float(np.linalg.norm(v_adj)), sigma_vu)
+    return gap
 
 
 def verify_excess_equality(f: Frame, g: Frame, tol: ToleranceConfig) -> bool:
@@ -451,5 +480,11 @@ def verify_excess_equality(f: Frame, g: Frame, tol: ToleranceConfig) -> bool:
     in the scale.  For B = V*, C = (V*U) M^{-1} = I, so the gap is a
     rounding check, at most about eps cond(M) in size, of an identity
     that holds by algebra; it is compared with atol.
+
+    Cost.  The gap is computed where M is formed: `check_duality` grades
+    the pair and, when it is pseudo-dual, takes the gap from the same M
+    and keeps it with the report in its memo, per tolerance.  This check
+    reads that memo, so after `check_duality` it forms no product, solves
+    nothing and allocates nothing of size n.
     """
     return _excess_equality_gap(f, g, tol) <= tol.atol

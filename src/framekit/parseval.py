@@ -116,17 +116,29 @@ def _nearest_parseval_dual(f: Frame, tol: ToleranceConfig) -> np.ndarray:
     partial isometry R with the leading synthesis-kernel vectors and
     corrected by g(t) = sqrt(1 - 1/t).  Eigenvalues inside the band are
     left alone, so g never sees an argument below 1.
+
+    The work runs in this order: the kernel columns (the frame's cached
+    `range_complement`, whose QR runs before any n x d array of this
+    function exists), the k x d right factor of the correction (k <= d
+    directions corrected), the canonical part U S^{-1}, and last the
+    correction product, into which U S^{-1} is added in place.  Besides
+    that factor, at most three arrays of n x d or n x (n - d) entries
+    are live at once: the kernel basis, U S^{-1} (or its scaled factor
+    P Sigma^{-1}) and the product.  IEEE addition commutes, so the sum
+    has the bits of U S^{-1} + correction.
     """
     if not is_frame(f, tol):
         raise NotAFrameError("nearest Parseval dual needs a frame")
     lam = f.eigenvalues
     above = np.flatnonzero(lam - 1.0 > tol.eig_one_atol)[: f.n - f.dim]
-    v = canonical_dual_analysis(f)
-    if above.size:
-        u_plus = fix_phase(adjoint(f.svd.rh[above]))
-        g_vals = np.sqrt(1.0 - 1.0 / lam[above])
-        k_cols = kernel_of_synthesis(f, tol)[:, : above.size]
-        v += k_cols @ (g_vals[:, None] * adjoint(u_plus))
+    if not above.size:
+        return canonical_dual_analysis(f)
+    k_cols = kernel_of_synthesis(f, tol)[:, : above.size]
+    g_vals = np.sqrt(1.0 - 1.0 / lam[above])
+    right = g_vals[:, None] * adjoint(fix_phase(adjoint(f.svd.rh[above])))
+    canonical = canonical_dual_analysis(f)
+    v = k_cols @ right
+    v += canonical
     return v
 
 

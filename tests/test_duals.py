@@ -534,6 +534,71 @@ def test_excess_equality_allocates_nothing_n_sized(tol):
     assert peak < 1 << 20
 
 
+def dense_dual_pairs():
+    # a (200, 400) frame with a fresh free dual, real and complex
+    for seed, field in enumerate(("real", "complex")):
+        f = fk.random_frame(200, 400, seed=40 + seed, field=field)
+        w = gaussian(np.random.default_rng(seed), 400, 200, field == "complex")
+        yield f, fk.dual_from_free_operator(f, w, TOL)
+
+
+def test_excess_equality_reads_the_graded_gap(monkeypatch, tol):
+    # check_duality keeps the gap with its report: the verdict forms no
+    # product, solves nothing and allocates no n x d array (the gap formed
+    # here would need 2.5 to 3.5 of them)
+    def refuse(*args, **kwargs):
+        raise AssertionError("verify_excess_equality called numpy.linalg")
+    for f, g in dense_dual_pairs():
+        assert fk.check_duality(f, g, tol).is_exact_dual
+        with monkeypatch.context() as patch:
+            for name in ("solve", "svd", "norm"):
+                patch.setattr(np.linalg, name, refuse)
+            tracemalloc.start()
+            try:
+                assert fk.verify_excess_equality(f, g, tol) is True
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert peak < 64 << 10, (f.field, peak)
+
+
+def test_grading_and_verdict_stay_within_two_and_a_half_n_by_d(tol):
+    # one V*U, its sigma-only stack and one d x n array for the gap
+    for f, g in dense_dual_pairs():
+        tracemalloc.start()
+        try:
+            assert fk.check_duality(f, g, tol).is_exact_dual
+            assert fk.verify_excess_equality(f, g, tol)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * f.vectors.nbytes, (f.field, peak / f.vectors.nbytes)
+
+
+def test_kept_gap_is_the_gap_of_a_fresh_cross_operator(tol):
+    # the gap kept with the report has the bits of _kernel_identity_gap on
+    # an M formed anew, with B = V* passed as a basis so B U is formed too
+    cases = []
+    for seed in range(12):
+        field = "complex" if seed % 2 else "real"
+        d = 2 + seed % 4
+        f, g = random_dual_pair(d, 2 * d + 1, seed, field)
+        t = well_conditioned_invertible(np.random.default_rng(seed), d, field == "complex")
+        cases += [(f, g, True), (f, fk.transform_frame(g, t, tol), False)]
+    for f, g, exact in cases:
+        report = fk.check_duality(f, g, tol)
+        assert report.is_exact_dual is exact and report.is_pseudo_dual
+        v_adj = fk.synthesis_matrix(g)
+        m = v_adj @ fk.analysis_matrix(f)
+        sigma = report.min_singular_vu
+        fresh = framekit.duals._kernel_identity_gap(
+            f, g, v_adj, m, sigma / float(f.svd.sigma[0]),
+            float(np.linalg.norm(v_adj)), sigma)
+        kept = framekit.duals._DUALITY_REPORTS[f][g][tol]
+        assert kept == (report, fresh)
+        assert framekit.duals._excess_equality_gap(f, g, tol).hex() == fresh.hex()
+
+
 def test_every_free_operator_dual_reconstructs():
     for case in seeded_cases(466, 30, (2, 4), (0, 3), (0, 10_000), (0, 1)):
         d, extra, seed, complex_field = case

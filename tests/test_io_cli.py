@@ -12,8 +12,9 @@ import numpy.testing as npt
 import pytest
 
 import framekit as fk
+import framekit.cli
 from framekit.io import canonical_json, dumps_frame, loads_frame
-from helpers import scaled
+from helpers import random_dual_pair, scaled
 
 
 def run(capsys, *argv):
@@ -262,6 +263,31 @@ def test_cli_check(files, capsys):
     assert payload["is_pseudo_dual"] is True
     assert payload["deviation_norm"] == pytest.approx(0.5, abs=1e-12)
     assert payload["excess_equal"] is True
+
+
+def test_cli_check_factors_only_f(capsys, tmp_path, monkeypatch):
+    # excess_g is n - d once check_duality has accepted g as a frame, so a
+    # fresh pair costs f's thin SVD and the sigma-only stack [V*U - I, V*U]
+    f, g = random_dual_pair(3, 6, seed=5)
+    fp, gp = write(tmp_path / "f.json", f), write(tmp_path / "g.json", g)
+    frames, calls = [], []
+
+    def read(path, _read=framekit.cli.read_frame):
+        frames.append(_read(path))
+        return frames[-1]
+
+    def counted(a, *rest, _svd=np.linalg.svd, **kw):
+        calls.append((np.shape(a), kw.get("compute_uv", True)))
+        return _svd(a, *rest, **kw)
+    monkeypatch.setattr(framekit.cli, "read_frame", read)
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    code, out, _ = run(capsys, "check", fp, gp)
+    assert code == 0
+    payload = json.loads(out)["payload"]
+    assert payload["excess_f"] == payload["excess_g"] == 3
+    assert payload["excess_equal"] is True
+    assert sorted(calls) == [((2, 3, 3), False), ((6, 3), True)]
+    assert "svd" in vars(frames[0]) and "svd" not in vars(frames[1])
 
 
 def test_cli_check_non_pseudo(files, capsys, tmp_path):

@@ -3,6 +3,7 @@ import os
 import pkgutil
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -121,6 +122,25 @@ def test_construct_uses_kernel_for_correction(e1e2e1, tol):
     canonical = fk.canonical_dual(e1e2e1, tol)
     diff = fk.analysis_matrix(g) - fk.analysis_matrix(canonical)
     assert operator_norm(fk.synthesis_matrix(e1e2e1) @ diff) <= 1e-12
+
+
+def test_construct_keeps_three_n_by_d_arrays_live(tol):
+    # a random (200, 400) frame has a Parseval dual that corrects all 200
+    # directions; with its SVD cached and its kernel basis not yet, the
+    # build holds the kernel basis, U S^-1 and the correction product, plus
+    # a d x d factor (0.5 n d here); the dual frame's own copy comes after
+    for seed, field in enumerate(("real", "complex")):
+        f = fk.random_frame(200, 400, seed=60 + seed, field=field)
+        assert fk.parseval_dual_exists(f, tol).deviation_dim == 200
+        tracemalloc.start()
+        try:
+            dual = fk.construct_parseval_dual(f, tol).dual
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * f.vectors.nbytes, (field, peak / f.vectors.nbytes)
+        v = fk.analysis_matrix(dual)
+        assert operator_norm(adjoint(v) @ v - np.eye(200)) <= tol.atol
 
 
 def test_rescale_to_admissible(mb3, e1e2e1, tol):
