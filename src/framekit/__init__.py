@@ -27,10 +27,11 @@ _PUBLIC = {
         "PrefixNotContainedError", "TooLargeError", "WrongRangeError",
         "ZeroEntryError", "ZeroVectorError"),
     "frames": (
-        "COMPLEX", "KINDS", "REAL", "ExcessReport", "Frame", "FrameBounds",
-        "ToleranceConfig", "analysis_matrix", "derived_frame", "excess",
-        "excess_from_norms", "frame_bounds", "frame_operator", "gram_matrix",
-        "is_frame", "is_parseval", "kernel_of_synthesis", "synthesis_matrix"),
+        "COMPLEX", "KINDS", "REAL", "Decision", "ExcessReport", "Frame",
+        "FrameBounds", "ToleranceConfig", "analysis_matrix", "decide",
+        "derived_frame", "excess", "excess_from_norms", "frame_bounds",
+        "frame_operator", "gram_matrix", "is_frame", "is_parseval",
+        "kernel_of_synthesis", "synthesis_matrix"),
     "duals": (
         "DualityReport", "LemmaReport", "canonical_dual", "check_duality",
         "dual_from_free_operator", "dual_from_projection", "oblique_projection",
@@ -39,11 +40,11 @@ _PUBLIC = {
     "parseval": (
         "ParsevalDualReport", "best_parseval_dual_residual",
         "construct_parseval_dual", "deviation_dimension", "nonexistence_reasons",
-        "parseval_dual_exists", "rescale_to_admissible"),
+        "parseval_dual_exists", "rescale_to_admissible", "verify_parseval_dual"),
     "identity": (
-        "GLOBAL_SWEEP_LIMIT", "IndexSet", "NuBounds", "identity_sides",
-        "nu_bounds", "nu_minus_global", "quantity_matrix", "tail_threshold",
-        "verify_tail_bound"),
+        "GLOBAL_SWEEP_LIMIT", "IndexSet", "NuBounds", "identity_residual",
+        "identity_sides", "nu_bounds", "nu_in_range", "nu_minus_global",
+        "quantity_matrix", "tail_threshold", "verify_tail_bound"),
     "generators": (
         "generate", "near_riesz_frame", "parseval_projection_frame",
         "projected_basis_frame", "random_frame", "random_unit_alpha"),

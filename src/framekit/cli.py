@@ -1,18 +1,20 @@
 """Command-line interface.
 
 Every subcommand reads frames from JSON files, delegates all numerics
-to the library, and prints a single deterministic JSON report on
-stdout; its bytes repeat exactly under the same numpy build, BLAS and
-number of BLAS threads, and otherwise agree up to rounding.  Exit
-codes: 0 when the verdict is "pass" or "n/a", 1 when a verified
-property fails (a tolerance problem or a bug -- the underlying
-statements are theorems), 2 for usage or input errors and for results
-that cannot be serialized (a non-finite number), 3 when stdout closed
-before the report was written (a reader such as `head` quit early).
-Diagnostics go to stderr, one line each, usage errors included.  Every
-subcommand argument is echoed in the report's inputs (the tolerances
-in a section of their own); seed is the resolved one: --seed, else the
-FRAMEKIT_SEED environment variable, else 0, and never negative.  Each
+and every tolerance decision to the library (a handler only serializes
+the values and verdicts it gets back), and prints a single
+deterministic JSON report on stdout; its bytes repeat exactly under
+the same numpy build, BLAS and number of BLAS threads, and otherwise
+agree up to rounding. Exit codes: 0 when the verdict is "pass" or
+"n/a", 1 when a verified property fails (a tolerance problem or a bug
+-- the underlying statements are theorems), 2 for usage or input
+errors, inputs too large to allocate and results that cannot be
+serialized (a non-finite number), 3 when stdout closed before the
+report was written (a reader such as `head` quit early). Diagnostics
+go to stderr, one line each, usage errors included. Every subcommand
+argument is echoed in the report's inputs (the tolerances in a section
+of their own); seed is the resolved one: --seed, else the
+FRAMEKIT_SEED environment variable, else 0, and never negative. Each
 handler imports the library functions it runs, so that a start loads
 only the modules of its subcommand.
 """
@@ -40,14 +42,12 @@ from .frames import (
     synthesis_matrix,
 )
 from .io import Report, read_frame, read_matrix, rows_obj, write_frame
-from .linalg import adjoint, gaussian_matrix, operator_norm
+from .linalg import gaussian_matrix
 
 
 Outcome = Tuple[str, Dict[str, Any]]  # (verdict, payload)
 _TOLERANCES = ToleranceConfig._fields
 _NOT_ECHOED = {"command", "handler", "seed", *_TOLERANCES}
-# Bound on k * n, the coefficients of one block of k `identity` trials.
-_TRIAL_BLOCK = 1 << 15
 
 
 def _resolve_seed(args: argparse.Namespace) -> int:
@@ -182,7 +182,7 @@ def _cmd_check(args: argparse.Namespace, tol: ToleranceConfig, seed: int) -> Out
 def _cmd_parseval_dual(args: argparse.Namespace, tol: ToleranceConfig,
                        seed: int) -> Outcome:
     from .parseval import (construct_parseval_dual, nonexistence_reasons,
-                           parseval_dual_exists)
+                           parseval_dual_exists, verify_parseval_dual)
 
     f = read_frame(args.frame)
     existence = parseval_dual_exists(f, tol)
@@ -196,14 +196,11 @@ def _cmd_parseval_dual(args: argparse.Namespace, tol: ToleranceConfig,
     verdict = "pass"
     if existence.exists:
         g = construct_parseval_dual(f, tol).dual
-        v = analysis_matrix(g)
-        residual_parseval = operator_norm(adjoint(v) @ v - np.eye(f.dim))
-        residual_dual = operator_norm(
-            synthesis_matrix(g) @ analysis_matrix(f) - np.eye(f.dim))
+        parseval, dual = verify_parseval_dual(f, g, tol)
         payload["dual_vectors"] = rows_obj(g.vectors, g.field)
-        payload["residual_parseval"] = residual_parseval
-        payload["residual_dual"] = residual_dual
-        if residual_parseval > tol.atol or residual_dual > tol.atol:
+        payload["residual_parseval"] = parseval.value
+        payload["residual_dual"] = dual.value
+        if not (parseval.holds and dual.holds):
             verdict = "fail"
         if args.out:
             write_frame(g, args.out)
@@ -211,19 +208,18 @@ def _cmd_parseval_dual(args: argparse.Namespace, tol: ToleranceConfig,
 
 
 def _cmd_nu(args: argparse.Namespace, tol: ToleranceConfig, seed: int) -> Outcome:
-    from .identity import nu_bounds, nu_minus_global
+    from .identity import nu_bounds, nu_in_range, nu_minus_global
 
     f = read_frame(args.frame)
-    lower = 0.75 - tol.atol
     if args.global_min:
         value, witness = nu_minus_global(f, tol)
         payload = {"mode": "global", "nu_minus": value,
                    "witness_j": list(witness.members)}
-        verdict = "pass" if value >= lower else "fail"
+        in_range = nu_in_range(value, None, tol)
     else:
         j = _parse_index_list(args.j, f.n)
         bounds = nu_bounds(f, j, tol)
-        in_range = bounds.nu_minus >= lower and bounds.nu_plus <= 1.0 + tol.atol
+        in_range = nu_in_range(bounds.nu_minus, bounds.nu_plus, tol)
         payload = {
             "mode": "subset",
             "j": list(j.members),
@@ -233,12 +229,11 @@ def _cmd_nu(args: argparse.Namespace, tol: ToleranceConfig, seed: int) -> Outcom
             "argmax_vector": rows_obj(bounds.argmax_vector, f.field),
             "in_range": in_range,
         }
-        verdict = "pass" if in_range else "fail"
-    return verdict, payload
+    return "pass" if in_range else "fail", payload
 
 
 def _cmd_identity(args: argparse.Namespace, tol: ToleranceConfig, seed: int) -> Outcome:
-    from .identity import identity_sides
+    from .identity import identity_residual
 
     f = read_frame(args.frame)
     if args.trials < 1:
@@ -246,13 +241,10 @@ def _cmd_identity(args: argparse.Namespace, tol: ToleranceConfig, seed: int) -> 
     j = _parse_index_list(args.j, f.n)
     rng = np.random.default_rng(seed)
     xs = _random_unit_vectors(rng, f.dim, args.trials, f.field == COMPLEX)
-    block = max(1, _TRIAL_BLOCK // f.n)
-    worst = 0.0
-    for start in range(0, args.trials, block):
-        lhs, rhs = identity_sides(f, j, xs[start:start + block], tol)
-        worst = max(worst, float(np.max(np.abs(lhs - rhs))))
-    payload = {"j": list(j.members), "trials": args.trials, "max_residual": worst}
-    return "pass" if worst <= tol.atol else "fail", payload
+    residual = identity_residual(f, j, xs, tol)
+    payload = {"j": list(j.members), "trials": args.trials,
+               "max_residual": residual.value}
+    return "pass" if residual.holds else "fail", payload
 
 
 def _cmd_tail(args: argparse.Namespace, tol: ToleranceConfig, seed: int) -> Outcome:
@@ -286,7 +278,8 @@ def _cmd_lemma(args: argparse.Namespace, tol: ToleranceConfig, seed: int) -> Out
     report = verify_lemma_decomposition(analysis_matrix(f), synthesis_matrix(g),
                                         args.probes, seed, tol)
     residuals = report._asdict()
-    return "pass" if max(residuals.values()) <= tol.atol else "fail", residuals
+    del residuals["holds"]
+    return "pass" if report.holds else "fail", residuals
 
 
 def _cmd_gen(args: argparse.Namespace, tol: ToleranceConfig, seed: int) -> Outcome:
@@ -420,8 +413,9 @@ def run_command(argv=None) -> int:
         inputs["seed"] = seed
         text = Report(command=args.command, inputs=inputs, verdict=verdict,
                       payload=payload, tolerances=tol).to_json()
-    except (FramekitError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (FramekitError, OSError, MemoryError) as exc:
+        # numpy's MemoryError names the array it could not allocate
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
     try:
         print(text, flush=True)

@@ -59,7 +59,9 @@ from .frames import (
     REAL,
     Frame,
     ToleranceConfig,
+    _range_basis,
     analysis_matrix,
+    decide,
     derived_frame,
     frame_operator,
     is_frame,
@@ -71,7 +73,6 @@ from .linalg import (
     matrix_rank,
     operator_norm,
     orthonormal_range,
-    rank_from_singular_values,
     subspace_distance,
 )
 
@@ -102,12 +103,14 @@ class DualityReport(NamedTuple):
 
 
 class LemmaReport(NamedTuple):
-    """Residuals of the four claims of the decomposition lemma."""
+    """Residuals of the four claims of the decomposition lemma, and
+    whether the largest of them is at most atol."""
 
     st_is_identity_residual: float
     kernel_match_residual: float
     direct_sum_residual: float
     idempotent_residual: float
+    holds: bool
 
 
 # check_duality's memo, f -> (g -> {ToleranceConfig: (report, gap)}), the gap
@@ -154,28 +157,36 @@ def _graded_pair(f: Frame, g: Frame,
     if tol in graded:
         return graded[tol]
     vu = synthesis_matrix(g) @ analysis_matrix(f)
-    # one batched call: LAPACK sees each matrix exactly as in two calls
-    sigmas = np.linalg.svd(np.array((vu - np.eye(f.dim), vu)), compute_uv=False)
+    # V*U - I and V*U in one batched call: LAPACK sees each matrix exactly
+    # as in two calls; 1 is subtracted from a copy's diagonal in place
+    stack = np.array((vu, vu))
+    stack.reshape(2, -1)[0, :: f.dim + 1] -= 1.0
+    sigmas = np.linalg.svd(stack, compute_uv=False)
+    del stack
     deviation, sigma = float(sigmas[0, 0]), sigmas[1]
     sigma_min = float(sigma[-1])
     # Python floats: a product past the float64 range is inf, not a warning
     u_norm, v_norm = float(f.svd.sigma[0]), float(np.linalg.norm(g.vectors))
     bound = (tol.rank_rtol + 4 * f.n * f.dim * _EPS) * u_norm
-    if not (is_frame(f, tol) and (sigma_min > bound * v_norm or is_frame(g, tol))):
+    certified = decide(sigma_min, ">", bound * v_norm).holds
+    if not (is_frame(f, tol) and (certified or is_frame(g, tol))):
         raise NotAFrameError("duality is assessed between frames")
     # the rounding allowance of the computed V*U (see verify_excess_equality)
     noise = 4 * f.n * f.dim * _EPS * u_norm * v_norm
-    is_exact = deviation <= tol.atol
+    is_exact = decide(deviation, "<=", tol.atol).holds
     is_approx = is_exact or 1.0 - deviation > noise
+    # the rank rule, as in is_frame: V*U has rank d when sigma_min clears it
     is_pseudo = is_approx or (sigma_min > noise and
-                              rank_from_singular_values(sigma, tol.rank_rtol) == f.dim)
+                              decide(sigma_min, ">", tol.rank_rtol * float(sigma[0])).holds)
     report = DualityReport(is_exact_dual=is_exact, is_pseudo_dual=is_pseudo,
                            is_approx_dual=is_approx, deviation_norm=deviation,
                            min_singular_vu=sigma_min)
     gap = None
     if is_pseudo:  # B = V*, with the bounds of verify_excess_equality
         gap = _kernel_identity_gap(f, g, None, vu, sigma_min / u_norm, v_norm, sigma_min)
-    partners = _DUALITY_REPORTS.setdefault(f, weakref.WeakKeyDictionary())
+    partners = _DUALITY_REPORTS.get(f)
+    if partners is None:  # not setdefault, which would build a table per call
+        partners = _DUALITY_REPORTS[f] = weakref.WeakKeyDictionary()
     partners.setdefault(g, {})[tol] = report, gap
     return report, gap
 
@@ -229,7 +240,7 @@ def dual_from_free_operator(f: Frame, w: np.ndarray, tol: ToleranceConfig) -> Fr
     # U S^{-1} misses on frames with cond(U) ~ 1.6e3 (see ROADMAP).  They
     # square cond(U), so they are refused once cond(S) >= 1/rank_rtol.
     sigma = f.svd.sigma
-    if sigma[-1] ** 2 <= tol.rank_rtol * sigma[0] ** 2:
+    if decide(sigma[-1] ** 2, "<=", tol.rank_rtol * sigma[0] ** 2).holds:
         raise IllConditionedError(
             f"cond(S) = {(sigma[0] / sigma[-1]) ** 2:.3e} is too large for "
             "the normal equations of the free-operator dual")
@@ -282,10 +293,10 @@ def dual_from_projection(f: Frame, proj: np.ndarray, tol: ToleranceConfig) -> Fr
         raise DimensionMismatchError(
             f"projection must be {(f.n, f.n)}, got {proj.shape}")
     idem = operator_norm(proj @ proj - proj)
-    if idem > tol.atol:
+    if decide(idem, ">", tol.atol).holds:
         raise NotAProjectionError(f"matrix is not idempotent (residual {idem:.3e})")
     range_gap = subspace_distance(orthonormal_range(proj, tol.rank_rtol), f.svd.p)
-    if range_gap > tol.atol:
+    if decide(range_gap, ">", tol.atol).holds:
         raise WrongRangeError(
             f"projection range differs from the analysis range (distance {range_gap:.3e})")
     dual_synthesis = adjoint(canonical_dual_analysis(f)) @ proj
@@ -304,11 +315,6 @@ def projection_from_dual_pair(f: Frame, g: Frame, tol: ToleranceConfig) -> np.nd
         raise NotDualError(
             f"pair is not an exact dual pair (deviation {report.deviation_norm:.3e})")
     return analysis_matrix(f) @ synthesis_matrix(g)
-
-
-def _range_basis(f: Frame, tol: ToleranceConfig) -> np.ndarray:
-    """The columns of the cached P that the rank cutoff keeps."""
-    return f.svd.p[:, :rank_from_singular_values(f.svd.sigma, tol.rank_rtol)]
 
 
 def _kernel_identity_gap(f: Frame, g: Frame, basis: np.ndarray | None, m: np.ndarray,
@@ -385,7 +391,7 @@ def verify_lemma_decomposition(t: np.ndarray, s: np.ndarray, probes: int,
         raise DimensionMismatchError("at least one probe vector is required")
     n, d = t.shape
     st_residual = operator_norm(s @ t - np.eye(d))
-    if st_residual > tol.atol:
+    if decide(st_residual, ">", tol.atol).holds:
         raise NotLeftInverseError(f"S T deviates from identity by {st_residual:.3e}")
     ts = t @ s
     idem_residual = operator_norm(ts @ ts - ts)
@@ -413,10 +419,9 @@ def verify_lemma_decomposition(t: np.ndarray, s: np.ndarray, probes: int,
         np.linalg.norm(u_part - im_t @ (adjoint(im_t) @ u_part), axis=0),
         np.linalg.norm(adjoint(im_s_adj) @ v_part, axis=0),
     ])
-    return LemmaReport(st_is_identity_residual=float(st_residual),
-                       kernel_match_residual=float(kernel_residual),
-                       direct_sum_residual=float(defects.max()),
-                       idempotent_residual=float(idem_residual))
+    residuals = (float(st_residual), float(kernel_residual), float(defects.max()),
+                 float(idem_residual))
+    return LemmaReport(*residuals, decide(max(residuals), "<=", tol.atol).holds)
 
 
 def transform_frame(f: Frame, t: np.ndarray, tol: ToleranceConfig) -> Frame:
@@ -487,4 +492,4 @@ def verify_excess_equality(f: Frame, g: Frame, tol: ToleranceConfig) -> bool:
     reads that memo, so after `check_duality` it forms no product, solves
     nothing and allocates nothing of size n.
     """
-    return _excess_equality_gap(f, g, tol) <= tol.atol
+    return decide(_excess_equality_gap(f, g, tol), "<=", tol.atol).holds

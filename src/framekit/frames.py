@@ -28,8 +28,9 @@ around.
 
 from __future__ import annotations
 
+import operator
 from functools import cached_property
-from typing import List, NamedTuple
+from typing import Any, List, NamedTuple
 
 import numpy as np
 
@@ -40,7 +41,7 @@ from .errors import (
     NotAFrameError,
     NotParsevalError,
 )
-from .linalg import adjoint, fix_phase, qr_complement, rank_from_singular_values
+from .linalg import adjoint, fix_phase, qr_complement
 
 REAL = "real"
 COMPLEX = "complex"
@@ -95,6 +96,27 @@ class ToleranceConfig(_ToleranceFields):
     @classmethod
     def _make(cls, iterable) -> "ToleranceConfig":  # `_replace` validates too
         return cls(*iterable)
+
+
+class Decision(NamedTuple):
+    """A measured value, the threshold it was compared with, and whether
+    the comparison holds (an array of values gives an array of verdicts)."""
+
+    value: Any
+    threshold: Any
+    holds: Any
+
+
+_RULES = {"<=": operator.le, "<": operator.lt, ">=": operator.ge, ">": operator.gt}
+_tuple_new = tuple.__new__  # as a named tuple's own __new__ builds it, but from C
+
+
+def decide(value, rule: str, threshold) -> Decision:
+    """The decision `value rule threshold`, rule one of <=, <, >=, >.  Every
+    comparison with a threshold built from a `ToleranceConfig` field is
+    made here, with the rule that states its property, so that the
+    verdict at equality is the rule's own."""
+    return _tuple_new(Decision, (value, threshold, _RULES[rule](value, threshold)))
 
 
 class ThinSVD(NamedTuple):
@@ -207,7 +229,7 @@ def derived_frame(field: str, vectors: np.ndarray, tol: ToleranceConfig) -> Fram
     arr = np.asarray(vectors)
     if field == REAL and np.iscomplexobj(arr):
         dust = float(np.max(np.abs(arr.imag))) if arr.size else 0.0
-        if dust > tol.atol:
+        if decide(dust, ">", tol.atol).holds:
             raise FramekitError(
                 f"operation on real-field data produced imaginary parts of size {dust:.3e}")
         arr = arr.real
@@ -267,12 +289,13 @@ def is_frame(f: Frame, tol: ToleranceConfig) -> bool:
     all dim singular values, that is, there are dim of them and the
     smallest exceeds rank_rtol * sigma_1."""
     sigma = f.svd.sigma
-    return sigma.size == f.dim and bool(sigma[-1] > tol.rank_rtol * sigma[0])
+    return sigma.size == f.dim and bool(
+        decide(sigma[-1], ">", tol.rank_rtol * sigma[0]).holds)
 
 
 def is_parseval(f: Frame, tol: ToleranceConfig) -> bool:
     """True when the frame operator is the identity within atol."""
-    return f.parseval_gap <= tol.atol
+    return decide(f.parseval_gap, "<=", tol.atol).holds
 
 
 def excess(f: Frame, tol: ToleranceConfig) -> ExcessReport:
@@ -292,6 +315,12 @@ def excess(f: Frame, tol: ToleranceConfig) -> ExcessReport:
                         tolerance_used=tol.rank_rtol)
 
 
+def _range_basis(f: Frame, tol: ToleranceConfig) -> np.ndarray:
+    """The columns of the cached P that the rank cutoff keeps."""
+    sigma = f.svd.sigma
+    return f.svd.p[:, :np.count_nonzero(decide(sigma, ">", tol.rank_rtol * sigma[0]).holds)]
+
+
 def kernel_of_synthesis(f: Frame, tol: ToleranceConfig) -> np.ndarray:
     """Orthonormal basis of the synthesis kernel, i.e. the coefficient
     sequences c with sum c_k f_k = 0 (the orthogonal complement of the
@@ -305,7 +334,7 @@ def kernel_of_synthesis(f: Frame, tol: ToleranceConfig) -> np.ndarray:
     repeated runs return identical vectors.
     """
     p = f.svd.p
-    r = rank_from_singular_values(f.svd.sigma, tol.rank_rtol)
+    r = _range_basis(f, tol).shape[1]
     if r == p.shape[1]:
         return f.range_complement
     return np.hstack([fix_phase(p[:, r:]), f.range_complement])

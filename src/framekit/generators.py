@@ -11,7 +11,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import BadParametersError, NotUnitError, ZeroEntryError
-from .frames import COMPLEX, KINDS, REAL, Frame, ToleranceConfig, derived_frame
+from .frames import COMPLEX, KINDS, REAL, Frame, ToleranceConfig, decide, derived_frame
 from .linalg import gaussian_matrix, inexact, orthonormal_nullspace
 
 
@@ -121,7 +121,7 @@ def projected_basis_frame(alpha: np.ndarray, tol: ToleranceConfig) -> Frame:
     if np.any(alpha == 0.0):
         raise ZeroEntryError("every coefficient must be nonzero")
     norm = float(np.linalg.norm(alpha))
-    if abs(norm - 1.0) > tol.atol:
+    if decide(abs(norm - 1.0), ">", tol.atol).holds:
         raise NotUnitError(f"coefficient vector must have unit norm, got {norm!r}")
     field = REAL if np.all(alpha.imag == 0.0) else COMPLEX
     hyperplane = orthonormal_nullspace(np.conj(alpha)[None, :], tol.rank_rtol)

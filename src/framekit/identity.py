@@ -37,7 +37,7 @@ import functools
 import itertools
 import math
 import operator
-from typing import Iterable, NamedTuple, Tuple
+from typing import Iterable, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -50,9 +50,11 @@ from .errors import (
     ZeroVectorError,
 )
 from .frames import (
+    Decision,
     Frame,
     ToleranceConfig,
     analysis_matrix,
+    decide,
     is_parseval,
 )
 from .linalg import fix_phase, inexact
@@ -73,6 +75,8 @@ _BILINEAR_MAX_DIM = 6
 _BOUND_BLOCK = 1 << 15
 # High rows whose least bound is screened for the upper bound U.
 _UPPER_ROWS = 8
+# Bound on k * n, the coefficients of one block of k rows in `identity_residual`.
+_TRIAL_BLOCK = 1 << 15
 
 
 class _IndexFields(NamedTuple):  # the fields of IndexSet, which normalises them
@@ -162,6 +166,19 @@ def identity_sides(f: Frame, j: IndexSet, x: np.ndarray, tol: ToleranceConfig
     return (float(lhs), float(rhs)) if x.ndim == 1 else (lhs, rhs)
 
 
+def identity_residual(f: Frame, j: IndexSet, xs: np.ndarray,
+                      tol: ToleranceConfig) -> Decision:
+    """The decision max |lhs - rhs| <= atol over the rows of xs, the two
+    sides coming from `identity_sides` in blocks of at most _TRIAL_BLOCK
+    coefficients, so that those of all rows are never held at once."""
+    block = max(1, _TRIAL_BLOCK // f.n)
+    worst = 0.0
+    for start in range(0, len(xs), block):
+        lhs, rhs = identity_sides(f, j, xs[start:start + block], tol)
+        worst = max(worst, float(np.max(np.abs(lhs - rhs))))
+    return decide(worst, "<=", tol.atol)
+
+
 def _norms_sq(v: np.ndarray):
     """Squared Euclidean norm of one vector, or of each row of a stack."""
     if v.ndim == 1:
@@ -193,6 +210,13 @@ def nu_bounds(f: Frame, j: IndexSet, tol: ToleranceConfig) -> NuBounds:
     return NuBounds(nu_minus=float(lam[0]), nu_plus=float(lam[-1]),
                     argmin_vector=fix_phase(vecs[:, 0]),
                     argmax_vector=fix_phase(vecs[:, -1]))
+
+
+def nu_in_range(nu_minus: float, nu_plus: Optional[float], tol: ToleranceConfig) -> bool:
+    """nu_minus >= 3/4 - atol and, unless nu_plus is None (for a value of
+    `nu_minus_global`, a least nu_minus), nu_plus <= 1 + atol."""
+    return decide(nu_minus, ">=", 0.75 - tol.atol).holds and (
+        nu_plus is None or decide(nu_plus, "<=", 1.0 + tol.atol).holds)
 
 
 def nu_minus_global(f: Frame, tol: ToleranceConfig) -> Tuple[float, IndexSet]:

@@ -51,7 +51,8 @@ def fix_phase(v: np.ndarray) -> np.ndarray:
     Deterministic representative of the phase equivalence class; zero
     vectors are left as they are."""
     v = np.asarray(v)
-    lead = np.take_along_axis(v, np.argmax(np.abs(v), axis=0)[None], axis=0)[0]
+    rows = np.argmax(np.abs(v), axis=0)
+    lead = v[rows, np.arange(v.shape[1])] if v.ndim == 2 else v[rows]
     mag = np.abs(lead)
     return v * np.divide(np.conj(lead), mag, out=np.ones_like(lead), where=mag > 0)
 

@@ -43,20 +43,24 @@ misses.
 
 from __future__ import annotations
 
-from typing import List, NamedTuple, Optional
+from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from .errors import NoParsevalDualError, NotAFrameError
 from .frames import (
+    Decision,
     Frame,
     ToleranceConfig,
+    analysis_matrix,
+    decide,
     derived_frame,
     frame_bounds,
     is_frame,
     kernel_of_synthesis,
+    synthesis_matrix,
 )
-from .duals import canonical_dual_analysis
+from .duals import _require_pair, canonical_dual_analysis
 from .linalg import adjoint, fix_phase, operator_norm
 
 
@@ -77,7 +81,7 @@ def deviation_dimension(f: Frame, tol: ToleranceConfig) -> int:
     if not is_frame(f, tol):
         raise NotAFrameError("deviation dimension needs a frame")
     eigs = f.eigenvalues
-    return int(np.count_nonzero(np.abs(eigs - 1.0) > tol.eig_one_atol))
+    return int(np.count_nonzero(decide(np.abs(eigs - 1.0), ">", tol.eig_one_atol).holds))
 
 
 def parseval_dual_exists(f: Frame, tol: ToleranceConfig) -> ParsevalDualReport:
@@ -88,7 +92,7 @@ def parseval_dual_exists(f: Frame, tol: ToleranceConfig) -> ParsevalDualReport:
     a_opt = float(f.eigenvalues.min())
     dev = deviation_dimension(f, tol)
     exc = f.n - f.dim
-    exists = a_opt >= 1.0 - tol.eig_one_atol and dev <= exc
+    exists = decide(a_opt, ">=", 1.0 - tol.eig_one_atol).holds and dev <= exc
     return ParsevalDualReport(exists=exists, a_opt=a_opt,
                               deviation_dim=dev, excess_val=exc)
 
@@ -98,7 +102,7 @@ def nonexistence_reasons(report: ParsevalDualReport,
     """Human-readable reasons why the existence test failed (empty when
     it passed)."""
     reasons = []
-    if report.a_opt < 1.0 - tol.eig_one_atol:
+    if decide(report.a_opt, "<", 1.0 - tol.eig_one_atol).holds:
         reasons.append(f"a_opt {format(report.a_opt, '.17g')} < 1")
     if report.deviation_dim > report.excess_val:
         reasons.append(
@@ -130,7 +134,7 @@ def _nearest_parseval_dual(f: Frame, tol: ToleranceConfig) -> np.ndarray:
     if not is_frame(f, tol):
         raise NotAFrameError("nearest Parseval dual needs a frame")
     lam = f.eigenvalues
-    above = np.flatnonzero(lam - 1.0 > tol.eig_one_atol)[: f.n - f.dim]
+    above = np.flatnonzero(decide(lam - 1.0, ">", tol.eig_one_atol).holds)[: f.n - f.dim]
     if not above.size:
         return canonical_dual_analysis(f)
     k_cols = kernel_of_synthesis(f, tol)[:, : above.size]
@@ -150,8 +154,9 @@ def construct_parseval_dual(f: Frame, tol: ToleranceConfig) -> ParsevalDualRepor
 
     The returned report carries the dual; its defining properties
     (V*V = I and V*U = I within atol) are deliberately left to the
-    caller to verify, so that near-boundary tolerance choices surface
-    as a failed check rather than a construction error.
+    caller to verify (`verify_parseval_dual`), so that near-boundary
+    tolerance choices surface as a failed check rather than a
+    construction error.
     """
     report = parseval_dual_exists(f, tol)
     if not report.exists:
@@ -186,5 +191,19 @@ def best_parseval_dual_residual(f: Frame, tol: ToleranceConfig) -> float:
     when a Parseval dual exists, and a certificate of how far every dual
     is from Parseval when one does not.
     """
-    v = _nearest_parseval_dual(f, tol)
-    return operator_norm(adjoint(v) @ v - np.eye(f.dim))
+    return _gram_deviation(_nearest_parseval_dual(f, tol))
+
+
+def verify_parseval_dual(f: Frame, g: Frame,
+                         tol: ToleranceConfig) -> Tuple[Decision, Decision]:
+    """The decisions ||V*V - I|| <= atol (g is Parseval) and ||V*U - I|| <= atol
+    (g is a dual of f), U and V the analysis matrices of f and g."""
+    _require_pair(f, g)
+    cross = synthesis_matrix(g) @ analysis_matrix(f)
+    return (decide(_gram_deviation(analysis_matrix(g)), "<=", tol.atol),
+            decide(operator_norm(cross - np.eye(f.dim)), "<=", tol.atol))
+
+
+def _gram_deviation(v: np.ndarray) -> float:
+    """||V*V - I|| (operator norm) for an analysis matrix V."""
+    return operator_norm(adjoint(v) @ v - np.eye(v.shape[1]))

@@ -2,7 +2,8 @@
 
 The oracles deliberately avoid the library's own numerics: rank over
 exact rationals, excess by exhaustive deletion, the grades and the kernel
-identity of a frame pair over exact rationals, the nearest Parseval
+identity of a frame pair and the four claims of the decomposition lemma
+over exact rationals, the nearest Parseval
 dual by a Levenberg-Marquardt search over all duals (numpy only)
 instead of the closed form, the global subset minimum by evaluating M_J
 on every subset, determinants by elimination over exact (Gaussian)
@@ -217,6 +218,58 @@ def exact_pair_ensemble(seed):
                 continue
             yield "singular", u, _add(_matmul(v, _transpose(far_from_identity(False))),
                                       _matmul(q, integers(n, d)))
+
+
+class ExactLemmaVerdict(NamedTuple):
+    """The four claims of the decomposition lemma for a pair (T, S),
+    decided over exact rationals, in the order of `LemmaReport`."""
+
+    st_is_identity: bool
+    kernel_match: bool
+    direct_sum: bool
+    idempotent: bool
+
+
+def exact_lemma_verdict(t, s):
+    """`ExactLemmaVerdict` of an n x d rational T and a d x n rational S:
+    ST = I; Ker S = (I - TS)(Ker T*), the image lying in Ker S with its
+    dimension n - rank S; the coefficient space is Im T (+) Ker S, that
+    is, rank T + dim Ker S = n and the columns of T and a basis of
+    Ker S span it; and (TS)^2 = TS."""
+    n, d = len(t), len(t[0])
+    ts = _matmul(t, s)
+    image = _matmul(_add(_identity(n), ts, -1), _nullspace(_transpose(t)))
+    ker_s = _nullspace(s)
+    rank_t, kernel_dim = rational_rank(t), n - rational_rank(s)
+    return ExactLemmaVerdict(
+        st_is_identity=_matmul(s, t) == _identity(d),
+        kernel_match=(all(x == 0 for row in _matmul(s, image) for x in row)
+                      and rational_rank(image) == kernel_dim),
+        direct_sum=(rank_t + kernel_dim == n
+                    and rational_rank([a + b for a, b in zip(t, ker_s)]) == n),
+        idempotent=_matmul(ts, ts) == ts)
+
+
+def exact_lemma_ensemble(seed):
+    """(T, S) pairs: for d = 1..3 and n = d..d+3, an integer T of full
+    column rank with entries in [-3, 3] and the rational left inverse
+    S = (T*T)^{-1} T* + Z (I - T (T*T)^{-1} T*) for an integer Z with
+    entries in [-2, 2], which is T's Moore-Penrose inverse only when
+    Z (I - T T^+) = 0."""
+    rng = np.random.default_rng(seed)
+
+    def integers(rows, cols, bound):
+        return [[Fraction(int(x)) for x in row]
+                for row in rng.integers(-bound, bound + 1, (rows, cols))]
+
+    for d in range(1, 4):
+        for n in range(d, d + 4):
+            t = integers(n, d, 3)
+            while rational_rank(t) < d:
+                t = integers(n, d, 3)
+            pinv = _matmul(_inverse(_matmul(_transpose(t), t)), _transpose(t))
+            off_range = _add(_identity(n), _matmul(t, pinv), -1)
+            yield t, _add(pinv, _matmul(integers(d, n, 2), off_range))
 
 
 def deletion_excess(frame, rtol=1e-10):

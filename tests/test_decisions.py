@@ -1,0 +1,234 @@
+"""Tolerance decisions: one rule per comparison, made in the library.
+
+Every comparison with a threshold built from a `ToleranceConfig` field
+goes through `frames.decide`.  The tests here put each converted
+comparison exactly at its threshold, and one ulp to the failing side,
+and check the verdict that the comparison's rule gives; and they check
+that the CLI makes no such comparison itself.
+"""
+
+import ast
+import json
+
+import numpy as np
+import pytest
+
+import framekit as fk
+import framekit.cli
+from framekit.duals import _excess_equality_gap, canonical_dual_analysis
+from framekit.linalg import orthonormal_range, subspace_distance
+from framekit.parseval import _nearest_parseval_dual
+from helpers import TOL, admissible_frame, random_dual_pair, well_conditioned_invertible
+
+TOLERANCE_FIELDS = set(fk.ToleranceConfig._fields)
+
+
+def below(x):
+    return float(np.nextafter(x, -np.inf))
+
+
+def above(x):
+    return float(np.nextafter(x, np.inf))
+
+
+def frame(rows):
+    rows = np.asarray(rows, dtype=float)
+    return fk.Frame(dim=rows.shape[1], field="real", vectors=rows)
+
+
+def test_decide_keeps_each_rule_at_equality():
+    assert fk.decide(0.5, "<=", 0.5) == fk.Decision(0.5, 0.5, True)
+    assert fk.decide(0.5, ">=", 0.5).holds
+    assert not fk.decide(0.5, "<", 0.5).holds
+    assert not fk.decide(0.5, ">", 0.5).holds
+    verdicts = fk.decide(np.array([0.25, 0.5, 0.75]), ">", 0.5).holds
+    assert verdicts.tolist() == [False, False, True]
+
+
+def test_cli_compares_nothing_with_a_tolerance():
+    with open(framekit.cli.__file__) as source:
+        tree = ast.parse(source.read())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Compare):
+            read = {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
+            assert not read & TOLERANCE_FIELDS, ast.unparse(node)
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+            assert name not in ("operator_norm", "eye"), ast.unparse(node)
+
+
+def test_rank_rule_at_its_cutoff():
+    # singular values 1 and 0.5: at rank_rtol = 0.5 the second is cut off
+    f = frame([[1, 0], [0, 0.5]])
+    assert f.svd.sigma.tolist() == [1.0, 0.5]
+    at = TOL._replace(rank_rtol=0.5)
+    assert not fk.is_frame(f, at)
+    assert fk.kernel_of_synthesis(f, at).shape == (2, 1)
+    assert fk.is_frame(f, TOL._replace(rank_rtol=below(0.5)))
+    assert fk.kernel_of_synthesis(f, TOL._replace(rank_rtol=below(0.5))).shape == (2, 0)
+    # a residual S T - I of 0.5 is accepted at atol = 0.5; Im T and Im S*
+    # keep their one column each
+    report = fk.verify_lemma_decomposition(np.array([[1.0], [0.0]]),
+                                           np.array([[1.5, 0.0]]), 3, 0,
+                                           TOL._replace(atol=0.5))
+    assert report.st_is_identity_residual == 0.5
+    with pytest.raises(fk.NotLeftInverseError):
+        fk.verify_lemma_decomposition(np.array([[1.0], [0.0]]), np.array([[1.5, 0.0]]),
+                                      3, 0, TOL._replace(atol=below(0.5)))
+
+
+def test_free_dual_guard_at_its_cutoff():
+    # cond(S) = 4: refused at rank_rtol = 1/4, built just below it
+    f = frame([[1, 0], [0, 0.5]])
+    w = np.zeros((2, 2))
+    with pytest.raises(fk.IllConditionedError):
+        fk.dual_from_free_operator(f, w, TOL._replace(rank_rtol=0.25))
+    fk.dual_from_free_operator(f, w, TOL._replace(rank_rtol=below(0.25)))
+
+
+def test_pair_certificate_at_its_threshold():
+    # sigma_min(V*U) = 1 against (rank_rtol + 16 eps) ||U||_2 ||V||_F
+    # = (1/2) * 1 * 2: not certified, so g's own SVD decides
+    f = frame([[1], [0], [0], [0]])
+    rtol = 0.5 - 16 * 2.0 ** -52
+    g = frame([[1], [1], [1], [1]])
+    assert fk.check_duality(f, g, TOL._replace(rank_rtol=rtol)).is_exact_dual
+    assert "svd" in vars(g)
+    g = frame([[1], [1], [1], [1]])
+    fk.check_duality(f, g, TOL._replace(rank_rtol=below(rtol)))
+    assert "svd" not in vars(g)
+
+
+def test_pair_grades_at_their_thresholds():
+    f = frame([[1]])
+    g = frame([[1.5]])  # V*U - I = 0.5
+    assert fk.check_duality(f, g, TOL._replace(atol=0.5)).is_exact_dual
+    assert not fk.check_duality(f, g, TOL._replace(atol=below(0.5))).is_exact_dual
+    # V*U = diag(4, 2): rank 1 at rank_rtol = 1/2, so not pseudo-dual
+    f = frame([[1, 0], [0, 1], [0, 0]])
+    g = frame([[4, 0], [0, 2], [0, 2]])
+    assert not fk.check_duality(f, g, TOL._replace(rank_rtol=0.5)).is_pseudo_dual
+    assert fk.check_duality(f, g, TOL._replace(rank_rtol=below(0.5))).is_pseudo_dual
+
+
+def test_excess_equality_at_its_threshold():
+    f, g = random_dual_pair(3, 6, 1)  # a pseudo-dual pair: V*U is not I
+    g = fk.transform_frame(g, well_conditioned_invertible(np.random.default_rng(1), 3, False),
+                           TOL)
+    gap = _excess_equality_gap(f, g, TOL)
+    assert 0.0 < gap < 1.0
+    assert fk.verify_excess_equality(f, g, TOL._replace(atol=gap))
+    assert not fk.verify_excess_equality(f, g, TOL._replace(atol=below(gap)))
+
+
+def test_residual_checks_at_atol():
+    # imaginary dust of 0.25 on a real field
+    vectors = np.array([[1 + 0.25j], [0.5 + 0j]])
+    fk.derived_frame("real", vectors, TOL._replace(atol=0.25))
+    with pytest.raises(fk.FramekitError):
+        fk.derived_frame("real", vectors, TOL._replace(atol=below(0.25)))
+    # Parseval within atol: eigenvalues 1 and 1/4
+    f = frame([[1, 0], [0, 0.5]])
+    assert f.parseval_gap == 0.75
+    assert fk.is_parseval(f, TOL._replace(atol=0.75))
+    assert not fk.is_parseval(f, TOL._replace(atol=below(0.75)))
+    # a unit coefficient vector up to atol
+    alpha = np.array([0.5, 0.5])
+    miss = abs(float(np.linalg.norm(alpha)) - 1.0)
+    fk.projected_basis_frame(alpha, TOL._replace(atol=miss))
+    with pytest.raises(fk.NotUnitError):
+        fk.projected_basis_frame(alpha, TOL._replace(atol=below(miss)))
+
+
+def test_projection_checks_at_atol():
+    basis = frame([[1, 0], [0, 1]])
+    proj = np.diag([1.0, 1.5])  # ||P^2 - P|| = 0.75
+    fk.dual_from_projection(basis, proj, TOL._replace(atol=0.75))
+    with pytest.raises(fk.NotAProjectionError):
+        fk.dual_from_projection(basis, proj, TOL._replace(atol=below(0.75)))
+    line = frame([[1], [0]])
+    proj = np.outer([0.6, 0.8], [0.6, 0.8])  # the range is not span e_1
+    gap = subspace_distance(orthonormal_range(proj, TOL.rank_rtol), line.svd.p)
+    fk.dual_from_projection(line, proj, TOL._replace(atol=gap))
+    with pytest.raises(fk.WrongRangeError):
+        fk.dual_from_projection(line, proj, TOL._replace(atol=below(gap)))
+
+
+def test_eigenvalue_one_band_at_its_edge():
+    # eigenvalues 1 and 1/2: at eig_one_atol = 1/2, A = 1 - 1/2 passes
+    # and 1/2 counts as one; just below, 1 - eig_one_atol is the float
+    # after 1/2
+    f = frame([[1, 0], [0, 0.5], [0, 0.5]])
+    assert f.eigenvalues.tolist() == [1.0, 0.5]
+    at = TOL._replace(eig_one_atol=0.5)
+    assert fk.deviation_dimension(f, at) == 0
+    report = fk.parseval_dual_exists(f, at)
+    assert report.exists and fk.nonexistence_reasons(report, at) == []
+    off = TOL._replace(eig_one_atol=1.0 - above(0.5))
+    assert fk.deviation_dimension(f, off) == 1
+    report = fk.parseval_dual_exists(f, off)
+    assert not report.exists and len(fk.nonexistence_reasons(report, off)) == 1
+    # eigenvalues 1 and 3/2: at the edge the construction corrects nothing
+    f = frame([[1, 0], [0, 1], [0, 0.5], [0, 0.5]])
+    assert f.eigenvalues.tolist() == [1.5, 1.0]
+    np.testing.assert_array_equal(
+        _nearest_parseval_dual(f, TOL._replace(eig_one_atol=0.5)),
+        canonical_dual_analysis(f))
+    corrected = _nearest_parseval_dual(f, TOL._replace(eig_one_atol=below(0.5)))
+    assert not np.array_equal(corrected, canonical_dual_analysis(f))
+
+
+def test_library_verdicts_of_the_cli_at_atol():
+    f = admissible_frame(3, 7, 2, seed=4)
+    g = fk.construct_parseval_dual(f, TOL).dual
+    for k in range(2):
+        value = fk.verify_parseval_dual(f, g, TOL)[k].value
+        assert 0.0 < value < 1.0
+        assert fk.verify_parseval_dual(f, g, TOL._replace(atol=value))[k].holds
+        assert not fk.verify_parseval_dual(f, g, TOL._replace(atol=below(value)))[k].holds
+
+    p = fk.parseval_projection_frame(3, 9, seed=2)
+    j = fk.IndexSet(members=(1, 4), n=9)
+    xs = np.random.default_rng(0).standard_normal((40, 3))
+    worst = fk.identity_residual(p, j, xs, TOL).value
+    assert 0.0 < worst < 1.0
+    assert fk.identity_residual(p, j, xs, TOL._replace(atol=worst)).holds
+    assert not fk.identity_residual(p, j, xs, TOL._replace(atol=below(worst))).holds
+
+    tol = TOL._replace(atol=0.25)  # the range [1/2, 5/4]
+    assert fk.nu_in_range(0.5, None, tol) and fk.nu_in_range(0.5, 1.25, tol)
+    assert not fk.nu_in_range(below(0.5), None, tol)
+    assert not fk.nu_in_range(0.8, above(1.25), tol)
+
+    t = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    s = np.linalg.pinv(t)
+    worst = max(fk.verify_lemma_decomposition(t, s, 5, 1, TOL)[:4])
+    assert 0.0 < worst < 1.0
+    assert fk.verify_lemma_decomposition(t, s, 5, 1, TOL._replace(atol=worst)).holds
+    assert not fk.verify_lemma_decomposition(t, s, 5, 1,
+                                             TOL._replace(atol=below(worst))).holds
+
+
+def test_cli_verdicts_at_atol(tmp_path, capsys):
+    # each verdict's value passed back as --atol passes; one ulp less fails
+    paths = {}
+    for name, f in (("adm", admissible_frame(3, 7, 2, seed=4)),
+                    ("p", fk.parseval_projection_frame(2, 5, seed=3)),
+                    ("f", fk.random_frame(3, 6, 1)),
+                    ("g", random_dual_pair(3, 6, 1)[1])):
+        paths[name] = str(tmp_path / f"{name}.json")
+        fk.write_frame(f, paths[name])
+    calls = ((("parseval-dual", paths["adm"]), ("residual_parseval", "residual_dual")),
+             (("identity", paths["p"], "--j", "1,4", "--trials", "200"), ("max_residual",)),
+             (("lemma", paths["f"], paths["g"]), ("kernel_match_residual",
+                                                   "direct_sum_residual",
+                                                   "idempotent_residual")))
+    for argv, fields in calls:
+        fk.run_command(list(argv))
+        payload = json.loads(capsys.readouterr().out)["payload"]
+        worst = max(payload[field] for field in fields)
+        assert 0.0 < worst < 1e-8
+        for atol, verdict in ((worst, "pass"), (below(worst), "fail")):
+            fk.run_command([*argv, "--atol", repr(atol)])
+            assert json.loads(capsys.readouterr().out)["verdict"] == verdict, (argv, atol)

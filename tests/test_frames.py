@@ -358,6 +358,31 @@ def test_kernel_annihilates_and_is_orthonormal(tol):
                             atol=1e-12)
 
 
+def test_fix_phase_reads_the_lead_entry_by_index():
+    def reference(v):  # the take_along_axis formula
+        lead = np.take_along_axis(v, np.argmax(np.abs(v), axis=0)[None], axis=0)[0]
+        mag = np.abs(lead)
+        return v * np.divide(np.conj(lead), mag, out=np.ones_like(lead), where=mag > 0)
+
+    rng = np.random.default_rng(29)
+    cases = []
+    for complex_valued in (False, True):
+        unit = 1j if complex_valued else 1.0
+        for rows, cols in ((1, 1), (5, 1), (6, 3), (3, 6)):
+            v = gaussian(rng, rows, cols, complex_valued)
+            zeroed = v.copy()
+            zeroed[:, 0] = 0.0
+            cases += [v, v[:, 0], zeroed, zeroed[:, 0]]  # a zero column, a zero vector
+        # magnitude ties: the first of the tied entries leads
+        cases.append(np.array([[1.0, -2.0], [-1.0, 2.0], [1.0, 2.0 * unit]]))
+        cases.append(np.array([0.5, -0.5, 0.5 * unit]))
+    for v in cases:
+        expected = reference(v)
+        got = fix_phase(v)
+        assert got.dtype == expected.dtype and got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
+
+
 def test_excess_from_norms(mb3, basis2, e1e2e1, tol):
     assert fk.excess_from_norms(mb3, tol) == pytest.approx(1.0, abs=1e-12)
     assert fk.excess_from_norms(basis2, tol) == 0.0

@@ -379,7 +379,6 @@ def test_cli_identity(files, capsys):
 
 def test_cli_identity_runs_its_trials_in_blocks(files, big_parseval, capsys,
                                                monkeypatch):
-    import framekit.cli as cli
     import framekit.identity as identity
 
     batches = []
@@ -390,7 +389,7 @@ def test_cli_identity_runs_its_trials_in_blocks(files, big_parseval, capsys,
         return kernel(f, j, x, tol)
 
     monkeypatch.setattr(identity, "identity_sides", spy)
-    block = cli._TRIAL_BLOCK // 2000
+    block = identity._TRIAL_BLOCK // 2000
     for path, trials, expected in ((files["mb3"], 50, [50]),
                                    (big_parseval, 1, [1]),
                                    (big_parseval, block, [block]),
@@ -539,6 +538,24 @@ def test_cli_error_paths(files, capsys, tmp_path):
 
     code, out, err = run(capsys, "--help")
     assert code == 0 and out.startswith("usage: framekit") and err == ""
+
+
+def test_cli_impossible_allocation_exits_2(files, capsys, monkeypatch, tmp_path):
+    # the draw of `identity --trials 100000000000` or of `gen --kind random
+    # --dim 200000 --n 300000` fails before anything is allocated
+    for message, line in (("Unable to allocate 2.18 TiB",
+                           "error: Unable to allocate 2.18 TiB\n"),
+                          ("", "error: out of memory\n")):
+        def refuse(rng, rows, cols, complex_valued):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(framekit.cli, "gaussian_matrix", refuse)
+        monkeypatch.setattr(importlib.import_module("framekit.generators"),
+                            "gaussian_matrix", refuse)
+        for argv in (("identity", files["mb3"], "--j", "1", "--trials", "100000000000"),
+                     ("gen", "--kind", "random", "--dim", "200000", "--n", "300000",
+                      "--out", str(tmp_path / "f.json"))):
+            assert run(capsys, *argv) == (2, "", line)
 
 
 def test_cli_seed_resolution(files, capsys, monkeypatch):
