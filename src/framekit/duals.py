@@ -59,6 +59,7 @@ from .frames import (
     REAL,
     Frame,
     ToleranceConfig,
+    _analysis_frame,
     _range_basis,
     analysis_matrix,
     decide,
@@ -67,14 +68,7 @@ from .frames import (
     is_frame,
     synthesis_matrix,
 )
-from .linalg import (
-    adjoint,
-    inexact,
-    matrix_rank,
-    operator_norm,
-    orthonormal_range,
-    subspace_distance,
-)
+from .linalg import adjoint, inexact, operator_norm, subspace_distance
 
 
 class DualityReport(NamedTuple):
@@ -259,18 +253,19 @@ def oblique_projection(range_basis: Sequence[np.ndarray],
     The two spans must be complementary: together they fill the ambient
     space and meet only at 0.  The result projects onto span(range_basis)
     parallel to span(complement_basis); it is orthogonal exactly when
-    the two spans are orthogonal.
+    the two spans are orthogonal.  Both spans and their sum are ranked by
+    the rank rule, on the cached SVDs of the frames over their bases.
     """
     r_cols = inexact(np.column_stack(range_basis))
     c_cols = inexact(np.column_stack(complement_basis))
     if r_cols.shape[0] != c_cols.shape[0]:
         raise DimensionMismatchError("range and complement live in different spaces")
     ambient = r_cols.shape[0]
-    qr = orthonormal_range(r_cols, tol.rank_rtol)
-    qc = orthonormal_range(c_cols, tol.rank_rtol)
+    qr = _range_basis(_analysis_frame(r_cols), tol)
+    qc = _range_basis(_analysis_frame(c_cols), tol)
     r_dim, c_dim = qr.shape[1], qc.shape[1]
     basis = np.hstack([qr, qc])
-    if r_dim + c_dim != ambient or matrix_rank(basis, tol.rank_rtol) != ambient:
+    if r_dim + c_dim != ambient or not is_frame(_analysis_frame(basis), tol):
         raise NotComplementaryError(
             f"subspaces of dimensions {r_dim} + {c_dim} do not decompose "
             f"a {ambient}-dimensional space")
@@ -292,10 +287,11 @@ def dual_from_projection(f: Frame, proj: np.ndarray, tol: ToleranceConfig) -> Fr
     if proj.shape != (f.n, f.n):
         raise DimensionMismatchError(
             f"projection must be {(f.n, f.n)}, got {proj.shape}")
+    columns = _analysis_frame(proj)  # its range basis spans Im F
     idem = operator_norm(proj @ proj - proj)
     if decide(idem, ">", tol.atol).holds:
         raise NotAProjectionError(f"matrix is not idempotent (residual {idem:.3e})")
-    range_gap = subspace_distance(orthonormal_range(proj, tol.rank_rtol), f.svd.p)
+    range_gap = subspace_distance(_range_basis(columns, tol), f.svd.p)
     if decide(range_gap, ">", tol.atol).holds:
         raise WrongRangeError(
             f"projection range differs from the analysis range (distance {range_gap:.3e})")
@@ -390,15 +386,14 @@ def verify_lemma_decomposition(t: np.ndarray, s: np.ndarray, probes: int,
     if probes < 1:
         raise DimensionMismatchError("at least one probe vector is required")
     n, d = t.shape
+    field = COMPLEX if np.iscomplexobj(t) or np.iscomplexobj(s) else REAL
+    f, g = _analysis_frame(t, field), _analysis_frame(adjoint(s), field)
     st_residual = operator_norm(s @ t - np.eye(d))
     if decide(st_residual, ">", tol.atol).holds:
         raise NotLeftInverseError(f"S T deviates from identity by {st_residual:.3e}")
     ts = t @ s
     idem_residual = operator_norm(ts @ ts - ts)
 
-    field = COMPLEX if np.iscomplexobj(t) or np.iscomplexobj(s) else REAL
-    f = Frame(dim=d, field=field, vectors=t.conj())
-    g = Frame(dim=d, field=field, vectors=s.T)
     im_t, im_s_adj = _range_basis(f, tol), _range_basis(g, tol)
     # the ranks compared are the codimensions of Ker T* and Ker S;
     # sigma_min(ST) >= 1 - ||ST - I|| by Weyl's inequality
@@ -437,7 +432,8 @@ def transform_frame(f: Frame, t: np.ndarray, tol: ToleranceConfig) -> Frame:
     if t.ndim != 2 or t.shape[1] != f.dim:
         raise DimensionMismatchError(
             f"transform must have {f.dim} columns, got shape {t.shape}")
-    if matrix_rank(t, tol.rank_rtol) != t.shape[0]:
+    # the d vectors t^T spanning the target space: rank t = t.shape[0]
+    if not is_frame(_analysis_frame(t.T), tol):
         raise NotSurjectiveError("transform matrix does not have full row rank")
     return derived_frame(f.field, f.vectors @ t.T, tol)
 

@@ -229,7 +229,7 @@ def derived_frame(field: str, vectors: np.ndarray, tol: ToleranceConfig) -> Fram
     arr = np.asarray(vectors)
     if field == REAL and np.iscomplexobj(arr):
         dust = float(np.max(np.abs(arr.imag))) if arr.size else 0.0
-        if decide(dust, ">", tol.atol).holds:
+        if not decide(dust, "<=", tol.atol).holds:  # NaN dust is refused too
             raise FramekitError(
                 f"operation on real-field data produced imaginary parts of size {dust:.3e}")
         arr = arr.real
@@ -319,6 +319,17 @@ def _range_basis(f: Frame, tol: ToleranceConfig) -> np.ndarray:
     """The columns of the cached P that the rank cutoff keeps."""
     sigma = f.svd.sigma
     return f.svd.p[:, :np.count_nonzero(decide(sigma, ">", tol.rank_rtol * sigma[0]).holds)]
+
+
+def _analysis_frame(m: np.ndarray, field: str | None = None) -> Frame:
+    """The frame whose analysis matrix is the 2-d array m, so that a rank
+    or range basis of m is read from that frame's cached SVD under the
+    rank rule (`is_frame`, `_range_basis`).  Its field is complex when m
+    is, unless given.  Building it refuses a non-finite m
+    (`FramekitError`), so callers build it before any other numerics."""
+    if field is None:
+        field = COMPLEX if np.iscomplexobj(m) else REAL
+    return Frame(dim=m.shape[1], field=field, vectors=m.conj())
 
 
 def kernel_of_synthesis(f: Frame, tol: ToleranceConfig) -> np.ndarray:

@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import BadParametersError, NotUnitError, ZeroEntryError
 from .frames import COMPLEX, KINDS, REAL, Frame, ToleranceConfig, decide, derived_frame
-from .linalg import gaussian_matrix, inexact, orthonormal_nullspace
+from .linalg import adjoint, fix_phase, gaussian_matrix, inexact
 
 
 def _check_field(field: str) -> None:
@@ -124,7 +124,10 @@ def projected_basis_frame(alpha: np.ndarray, tol: ToleranceConfig) -> Frame:
     if decide(abs(norm - 1.0), ">", tol.atol).holds:
         raise NotUnitError(f"coefficient vector must have unit norm, got {norm!r}")
     field = REAL if np.all(alpha.imag == 0.0) else COMPLEX
-    hyperplane = orthonormal_nullspace(np.conj(alpha)[None, :], tol.rank_rtol)
+    # the 1 x m row <., alpha> has rank 1 (alpha is a unit vector), so the
+    # trailing m - 1 right singular vectors of its full SVD span its kernel
+    _, _, vh = np.linalg.svd(np.conj(alpha)[None, :])
+    hyperplane = fix_phase(adjoint(vh[1:]))
     return derived_frame(field, np.conj(hyperplane), tol)
 
 

@@ -1,8 +1,11 @@
-"""Shared dense linear-algebra helpers (SVD ranks, subspaces, projections).
+"""Shared dense linear-algebra kernels (norms, phases, complements, angles).
 
 Everything here is a thin, deterministic wrapper over numpy's LAPACK
-bindings. Sign/phase canonicalization makes decompositions reproducible
-across calls so that constructed frames are stable test targets.
+bindings, and tolerance-free: no function takes a tolerance or decides
+a rank.  Every rank and range basis is read from a frame's cached SVD
+under the rank rule of `frames.ToleranceConfig`.  Sign/phase
+canonicalization makes decompositions reproducible across calls so
+that constructed frames are stable test targets.
 """
 
 from __future__ import annotations
@@ -27,22 +30,6 @@ def operator_norm(m: np.ndarray) -> float:
     if m.size == 0:
         return 0.0
     return float(np.linalg.svd(m, compute_uv=False)[0])
-
-
-def rank_from_singular_values(s: np.ndarray, rtol: float) -> int:
-    """Count singular values above the relative cutoff rtol * s_max."""
-    s = np.asarray(s, dtype=float)
-    if s.size == 0 or s[0] <= 0.0:
-        return 0
-    return int(np.count_nonzero(s > rtol * s[0]))
-
-
-def matrix_rank(m: np.ndarray, rtol: float) -> int:
-    m = np.atleast_2d(np.asarray(m))
-    if m.size == 0:
-        return 0
-    s = np.linalg.svd(m, compute_uv=False)
-    return rank_from_singular_values(s, rtol)
 
 
 def fix_phase(v: np.ndarray) -> np.ndarray:
@@ -83,25 +70,6 @@ def qr_complement(p: np.ndarray) -> np.ndarray:
     rows = np.arange(n - k)
     tail[k + rows, rows] += 1.0
     return tail
-
-
-def orthonormal_range(m: np.ndarray, rtol: float) -> np.ndarray:
-    """Orthonormal basis (columns) of the column space of m; a matrix
-    without columns gives an (m.shape[0], 0) array."""
-    m = np.atleast_2d(np.asarray(m))
-    if m.shape[1] == 0:
-        return m.copy()
-    u, s, _ = np.linalg.svd(m, full_matrices=False)
-    r = rank_from_singular_values(s, rtol)
-    return u[:, :r]
-
-
-def orthonormal_nullspace(m: np.ndarray, rtol: float) -> np.ndarray:
-    """Orthonormal basis (columns) of {x : m x = 0}, phase-canonicalized."""
-    m = np.atleast_2d(np.asarray(m))
-    _, s, vh = np.linalg.svd(m, full_matrices=True)
-    r = rank_from_singular_values(s, rtol)
-    return fix_phase(adjoint(vh)[:, r:])
 
 
 def subspace_distance(q1: np.ndarray, q2: np.ndarray) -> float:

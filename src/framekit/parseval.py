@@ -57,7 +57,6 @@ from .frames import (
     derived_frame,
     frame_bounds,
     is_frame,
-    kernel_of_synthesis,
     synthesis_matrix,
 )
 from .duals import _require_pair, canonical_dual_analysis
@@ -80,6 +79,11 @@ def deviation_dimension(f: Frame, tol: ToleranceConfig) -> int:
     not 1 (within eig_one_atol)."""
     if not is_frame(f, tol):
         raise NotAFrameError("deviation dimension needs a frame")
+    return _deviation_dim(f, tol)
+
+
+def _deviation_dim(f: Frame, tol: ToleranceConfig) -> int:
+    """`deviation_dimension` of f, which the caller has found a frame."""
     eigs = f.eigenvalues
     return int(np.count_nonzero(decide(np.abs(eigs - 1.0), ">", tol.eig_one_atol).holds))
 
@@ -90,7 +94,7 @@ def parseval_dual_exists(f: Frame, tol: ToleranceConfig) -> ParsevalDualReport:
         raise NotAFrameError("Parseval-dual existence needs a frame")
     # a frame: A is the least eigenvalue (`frame_bounds`), the excess n - dim
     a_opt = float(f.eigenvalues.min())
-    dev = deviation_dimension(f, tol)
+    dev = _deviation_dim(f, tol)
     exc = f.n - f.dim
     exists = decide(a_opt, ">=", 1.0 - tol.eig_one_atol).holds and dev <= exc
     return ParsevalDualReport(exists=exists, a_opt=a_opt,
@@ -111,8 +115,8 @@ def nonexistence_reasons(report: ParsevalDualReport,
 
 
 def _nearest_parseval_dual(f: Frame, tol: ToleranceConfig) -> np.ndarray:
-    """Analysis matrix V of the dual of f with the smallest ||V*V - I||
-    (operator norm).
+    """Analysis matrix V of the dual of the frame f with the smallest
+    ||V*V - I|| (operator norm); the caller has decided that f is a frame.
 
     The eigenvectors of S with eigenvalue above the eig_one_atol band
     around 1, taken in descending eigenvalue order, phase-fixed for
@@ -131,13 +135,11 @@ def _nearest_parseval_dual(f: Frame, tol: ToleranceConfig) -> np.ndarray:
     P Sigma^{-1}) and the product.  IEEE addition commutes, so the sum
     has the bits of U S^{-1} + correction.
     """
-    if not is_frame(f, tol):
-        raise NotAFrameError("nearest Parseval dual needs a frame")
     lam = f.eigenvalues
     above = np.flatnonzero(decide(lam - 1.0, ">", tol.eig_one_atol).holds)[: f.n - f.dim]
     if not above.size:
         return canonical_dual_analysis(f)
-    k_cols = kernel_of_synthesis(f, tol)[:, : above.size]
+    k_cols = f.range_complement[:, : above.size]
     g_vals = np.sqrt(1.0 - 1.0 / lam[above])
     right = g_vals[:, None] * adjoint(fix_phase(adjoint(f.svd.rh[above])))
     canonical = canonical_dual_analysis(f)
@@ -191,6 +193,8 @@ def best_parseval_dual_residual(f: Frame, tol: ToleranceConfig) -> float:
     when a Parseval dual exists, and a certificate of how far every dual
     is from Parseval when one does not.
     """
+    if not is_frame(f, tol):
+        raise NotAFrameError("nearest Parseval dual needs a frame")
     return _gram_deviation(_nearest_parseval_dual(f, tol))
 
 

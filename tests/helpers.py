@@ -5,7 +5,8 @@ exact rationals, excess by exhaustive deletion, the grades and the kernel
 identity of a frame pair and the four claims of the decomposition lemma
 over exact rationals, the nearest Parseval
 dual by a Levenberg-Marquardt search over all duals (numpy only)
-instead of the closed form, the global subset minimum by evaluating M_J
+instead of the closed form, ranks and range bases from numpy's own SVD
+instead of a frame's cached one, the global subset minimum by evaluating M_J
 on every subset, determinants by elimination over exact (Gaussian)
 rationals.
 """
@@ -270,6 +271,27 @@ def exact_lemma_ensemble(seed):
             pinv = _matmul(_inverse(_matmul(_transpose(t), t)), _transpose(t))
             off_range = _add(_identity(n), _matmul(t, pinv), -1)
             yield t, _add(pinv, _matmul(integers(d, n, 2), off_range))
+
+
+def rank_from_singular_values(s, rtol):
+    """Number of singular values above rtol * s_max, for s in descending
+    order (numpy only, like the two oracles below)."""
+    s = np.asarray(s, dtype=float)
+    if s.size == 0 or s[0] <= 0.0:
+        return 0
+    return int(np.count_nonzero(s > rtol * s[0]))
+
+
+def matrix_rank(m, rtol):
+    """Rank of m under the relative cutoff rtol, from numpy's SVD."""
+    return rank_from_singular_values(np.linalg.svd(m, compute_uv=False), rtol)
+
+
+def orthonormal_range(m, rtol):
+    """Orthonormal basis (columns) of the column space of m under the
+    relative cutoff rtol, from numpy's thin SVD."""
+    u, s, _ = np.linalg.svd(m, full_matrices=False)
+    return u[:, :rank_from_singular_values(s, rtol)]
 
 
 def deletion_excess(frame, rtol=1e-10):

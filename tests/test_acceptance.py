@@ -19,7 +19,7 @@ import pytest
 
 import framekit as fk
 from framekit.duals import _excess_equality_gap
-from framekit.linalg import adjoint, operator_norm, orthonormal_range
+from framekit.linalg import adjoint, operator_norm
 from helpers import (
     TOL,
     admissible_frame,
@@ -27,6 +27,7 @@ from helpers import (
     exact_lemma_ensemble,
     exact_lemma_verdict,
     gaussian,
+    orthonormal_range,
     scaled,
     searched_parseval_dual_residual,
     sharpness_frame,

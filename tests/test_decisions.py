@@ -15,10 +15,12 @@ import pytest
 
 import framekit as fk
 import framekit.cli
+import framekit.linalg
 from framekit.duals import _excess_equality_gap, canonical_dual_analysis
-from framekit.linalg import orthonormal_range, subspace_distance
+from framekit.linalg import subspace_distance
 from framekit.parseval import _nearest_parseval_dual
-from helpers import TOL, admissible_frame, random_dual_pair, well_conditioned_invertible
+from helpers import (TOL, admissible_frame, orthonormal_range, random_dual_pair,
+                     well_conditioned_invertible)
 
 TOLERANCE_FIELDS = set(fk.ToleranceConfig._fields)
 
@@ -56,6 +58,22 @@ def test_cli_compares_nothing_with_a_tolerance():
             func = node.func
             name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
             assert name not in ("operator_norm", "eye"), ast.unparse(node)
+
+
+def test_linalg_takes_no_tolerance():
+    # every rank and range basis is read from a frame's cached SVD under
+    # the rank rule of frames.py; linalg holds tolerance-free kernels only
+    with open(framekit.linalg.__file__) as source:
+        tree = ast.parse(source.read())
+    functions = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+    assert functions
+    for node in functions:
+        args = node.args
+        names = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}
+        assert not names & {"rtol", "atol", "tol"}, node.name
+    for name in ("rank_from_singular_values", "matrix_rank", "orthonormal_range",
+                 "orthonormal_nullspace"):
+        assert not hasattr(framekit.linalg, name), name
 
 
 def test_rank_rule_at_its_cutoff():

@@ -9,9 +9,9 @@ import pytest
 
 import framekit as fk
 import framekit.duals
-from framekit.linalg import adjoint, operator_norm, subspace_distance, orthonormal_range
+from framekit.linalg import adjoint, operator_norm, subspace_distance
 from helpers import (TOL, deletion_excess, exact_pair_ensemble, exact_pair_verdict,
-                     gaussian, random_dual_pair, scaled, seeded_cases,
+                     gaussian, orthonormal_range, random_dual_pair, scaled, seeded_cases,
                      well_conditioned_invertible)
 
 GOLDEN = (1.0 + np.sqrt(5.0)) / 2.0
@@ -464,6 +464,34 @@ def test_transform_frame_errors(mb3, tol):
         fk.transform_frame(mb3, np.array([[1.0, 0.0], [2.0, 0.0]]), tol)
     with pytest.raises(fk.DimensionMismatchError):
         fk.transform_frame(mb3, np.eye(3), tol)
+
+
+def test_non_finite_raw_matrices_are_refused_as_input(tol):
+    # every raw matrix is wrapped in a frame before any other numerics, so
+    # Frame's finiteness check refuses a NaN or inf entry: a FramekitError,
+    # not numpy's LinAlgError, a RuntimeWarning or a rank diagnosis
+    def refused(call, *args):
+        with pytest.raises(fk.FramekitError, match="must be finite") as err:
+            call(*args)
+        assert type(err.value) is fk.FramekitError, err.value
+
+    for dim, extra, cx, seed in seeded_cases(31, 8, (1, 4), (1, 3), (0, 1), (0, 99)):
+        field, n = ("real", "complex")[cx], dim + extra
+        rng = np.random.default_rng(seed)
+        bad = (np.nan, np.inf, -np.inf)[seed % 3]
+        f, g = random_dual_pair(dim, n, seed, field)
+        cols = well_conditioned_invertible(rng, n, bool(cx)).T.copy()
+        cols[rng.integers(dim), rng.integers(n)] = bad
+        refused(fk.oblique_projection, list(cols[:dim]), list(cols[dim:]), tol)
+        proj = fk.projection_from_dual_pair(f, g, tol)
+        proj[rng.integers(n), rng.integers(n)] = bad
+        refused(fk.dual_from_projection, f, proj, tol)
+        t, s = fk.analysis_matrix(f), fk.synthesis_matrix(g).copy()
+        s[rng.integers(dim), rng.integers(n)] = bad
+        refused(fk.verify_lemma_decomposition, t, s, 5, seed, tol)
+        transform = np.eye(dim)
+        transform[rng.integers(dim), rng.integers(dim)] = bad
+        refused(fk.transform_frame, f, transform, tol)
 
 
 def test_excess_equality_on_duals(mb3, tol):

@@ -3,8 +3,8 @@ import numpy.testing as npt
 import pytest
 
 import framekit as fk
-from framekit.linalg import fix_phase, operator_norm, rank_from_singular_values
-from helpers import gaussian, rational_rank, scaled, seeded_cases
+from framekit.linalg import fix_phase, operator_norm
+from helpers import gaussian, rank_from_singular_values, rational_rank, scaled, seeded_cases
 
 SQ23 = np.sqrt(2.0 / 3.0)
 
@@ -23,6 +23,17 @@ def test_frame_validation():
     # complex storage with zero imaginary parts is fine in real mode
     f = fk.Frame(dim=1, field="real", vectors=np.array([[2.0 + 0.0j]]))
     assert f.n == 1
+
+
+def test_derived_frame_refuses_nan_dust(tol):
+    # NaN dust compares false with atol whatever the rule, so the rule
+    # stated is "dust <= atol", which a NaN fails
+    with pytest.raises(fk.FramekitError, match="imaginary parts of size nan"):
+        fk.derived_frame("real", [[complex(1, np.nan)], [2]], tol)
+    at = fk.derived_frame("real", [[complex(1, tol.atol)], [2]], tol)
+    assert at.field == "real" and at.vectors.tolist() == [[1.0], [2.0]]
+    with pytest.raises(fk.FramekitError, match="imaginary parts"):
+        fk.derived_frame("real", [[complex(1, np.nextafter(tol.atol, 1.0))], [2]], tol)
 
 
 def test_real_frames_are_stored_as_float64(tmp_path):

@@ -10,8 +10,10 @@ import numpy.testing as npt
 import pytest
 
 import framekit as fk
-from framekit.linalg import adjoint, matrix_rank, operator_norm
-from helpers import admissible_frame, scaled, searched_parseval_dual_residual
+import framekit.frames
+import framekit.parseval
+from framekit.linalg import adjoint, operator_norm
+from helpers import admissible_frame, matrix_rank, scaled, searched_parseval_dual_residual
 
 
 def two_e1_e2():
@@ -58,6 +60,38 @@ def test_existence_requires_frame(tol):
     bad = fk.Frame(dim=2, field="real", vectors=[[1, 0], [2, 0]])
     with pytest.raises(fk.NotAFrameError):
         fk.parseval_dual_exists(bad, tol)
+
+
+def test_parseval_chains_decide_the_rank_rule_once(monkeypatch, tol):
+    # is_frame once per public call, and no second rank decision through
+    # a kernel basis; non-frames keep each function's own NotAFrameError
+    decisions = []
+
+    def counted(name, original):
+        def call(*args):
+            decisions.append(name)
+            return original(*args)
+        return call
+
+    is_frame = counted("is_frame", framekit.frames.is_frame)
+    for module in (framekit.frames, framekit.parseval):
+        monkeypatch.setattr(module, "is_frame", is_frame)
+    monkeypatch.setattr(framekit.frames, "_range_basis",
+                        counted("_range_basis", framekit.frames._range_basis))
+    for field in ("real", "complex"):
+        f = admissible_frame(3, 7, 2, seed=1, field=field)
+        for call in (fk.parseval_dual_exists, fk.construct_parseval_dual,
+                     fk.best_parseval_dual_residual):
+            decisions.clear()
+            call(f, tol)
+            assert decisions == ["is_frame"], (call.__name__, field, decisions)
+    bad = fk.Frame(dim=2, field="real", vectors=[[1, 0], [2, 0]])
+    for call, message in ((fk.parseval_dual_exists, "Parseval-dual existence needs a frame"),
+                          (fk.construct_parseval_dual, "Parseval-dual existence needs a frame"),
+                          (fk.best_parseval_dual_residual, "nearest Parseval dual needs a frame"),
+                          (fk.deviation_dimension, "deviation dimension needs a frame")):
+        with pytest.raises(fk.NotAFrameError, match=message):
+            call(bad, tol)
 
 
 def test_construct_hand_example(e1e2e1, tol):

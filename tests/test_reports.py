@@ -21,8 +21,11 @@ import os
 import pathlib
 import tempfile
 
+import numpy as np
+
 import framekit as fk
 from framekit.io import dumps_frame
+from framekit.linalg import gaussian_matrix
 
 CORPUS = pathlib.Path(__file__).parent / "data" / "reports.json"
 README = pathlib.Path(__file__).parent.parent / "README.md"
@@ -42,6 +45,9 @@ EXAMPLES = [
     "gen --kind parseval-projection --dim 2 --n 5 --field complex --out pc.json",
     "nu pc.json --global-min",
     "identity pc.json --j 1,3 --trials 200",
+    "gen --kind projected-basis --n 5 --seed 3 --out b.json",
+    "analyze b.json",
+    "dual f.json --mode from-projection --proj uv.json",
 ]
 
 
@@ -109,10 +115,15 @@ def test_readme_examples_match_the_corpus(tmp_path, monkeypatch):
 
 def _fixed_inputs():
     """A real (3, 6) frame scaled to A = 1: it has a Parseval dual, and
-    the construction routes two eigenvectors into its synthesis kernel."""
-    f, _ = fk.rescale_to_admissible(fk.random_frame(3, 6, seed=7),
-                                    fk.ToleranceConfig())
-    return {"f.json": json.loads(dumps_frame(f))}
+    the construction routes two eigenvectors into its synthesis kernel.
+    With it, the oblique projection UV* of f and the dual g that
+    `dual f.json --mode random` writes (seed 0), as a matrix file."""
+    tol = fk.ToleranceConfig()
+    f, _ = fk.rescale_to_admissible(fk.random_frame(3, 6, seed=7), tol)
+    w = gaussian_matrix(np.random.default_rng(0), f.n, f.dim, False)
+    uv = fk.projection_from_dual_pair(f, fk.dual_from_free_operator(f, w, tol), tol)
+    return {"f.json": json.loads(dumps_frame(f)),
+            "uv.json": json.loads(dumps_frame(fk.Frame(dim=f.n, field=f.field, vectors=uv)))}
 
 
 def keep_reproduced(stored, new):
@@ -146,7 +157,8 @@ def regenerate():
                               "written": written})
         finally:
             os.chdir(home)
-    cases = keep_reproduced(stored.get("cases"), cases)
+    stored_cases = {tuple(case["argv"]): case for case in stored.get("cases", [])}
+    cases = [keep_reproduced(stored_cases.get(tuple(case["argv"])), case) for case in cases]
     CORPUS.parent.mkdir(exist_ok=True)
     CORPUS.write_text(json.dumps({"inputs": inputs, "cases": cases}, indent=1) + "\n")
 
