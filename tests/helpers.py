@@ -275,7 +275,7 @@ def exact_lemma_ensemble(seed):
 
 def rank_from_singular_values(s, rtol):
     """Number of singular values above rtol * s_max, for s in descending
-    order (numpy only, like the two oracles below)."""
+    order."""
     s = np.asarray(s, dtype=float)
     if s.size == 0 or s[0] <= 0.0:
         return 0
