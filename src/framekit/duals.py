@@ -18,21 +18,18 @@ Every dual of a fixed frame arises in exactly two equivalent ways:
 The decomposition behind all of this -- for any left inverse S of T,
 the coefficient space splits as Im T (+) Ker S, with TS the oblique
 projection onto Im T along Ker S, and Ker S = (I - TS)(Ker T*) -- is
-verified numerically by `verify_lemma_decomposition`.  Its headline
-consequence, that dual (even pseudo-dual) frames always carry the same
-excess, is exposed through `verify_excess_equality`, which checks the
-kernel identity Ker V* = (I - U M^{-1} V*)(Ker U*), M = V*U, for every
-pseudo-dual pair.  Both checks use d x n and d x d products only, never
-a basis of the (n - d)-dimensional kernel.  A pair is decided without
-factoring g: an invertible V*U already certifies that g spans, so
-`check_duality` reads g only through V*U and ||V||_F, and computes g's
-SVD only when that certificate is too weak to decide `is_frame(g)`.
-V*U is formed once per pair and tolerance, in `check_duality`, and the
-kernel-identity gap of a pseudo-dual pair is computed there from that
-same product; `verify_excess_equality` only compares the kept gap with
-atol.  Pair-level state lives here, not on `Frame`: `check_duality`
-memoizes its report and the gap per tolerance in a table keyed weakly
-by both frames.
+verified numerically by `verify_lemma_decomposition`, whose kernel
+identity uses d x n and d x d products only, never a basis of the
+(n - d)-dimensional kernel.  Its headline consequence, that dual (even
+pseudo-dual) frames always carry the same excess, is in finite
+dimension the statement rank V = rank U = d, which an invertible V*U
+certifies: V* is then onto.  `check_duality` decides that certificate
+on the singular values of V*U, reading g only through V*U and ||V||_F,
+and computes g's SVD only when the certificate is too weak to decide
+`is_frame(g)`; `verify_excess_equality` returns its pseudo-dual grade.
+Pair-level state lives here, not on `Frame`: `check_duality` memoizes
+its report per tolerance in a table keyed weakly by both frames, so
+V*U is formed once per pair and tolerance.
 """
 
 from __future__ import annotations
@@ -59,6 +56,7 @@ from .frames import (
     REAL,
     Frame,
     ToleranceConfig,
+    _EPS,
     _analysis_frame,
     _range_basis,
     analysis_matrix,
@@ -107,13 +105,10 @@ class LemmaReport(NamedTuple):
     holds: bool
 
 
-# check_duality's memo, f -> (g -> {ToleranceConfig: (report, gap)}), the gap
-# being `_excess_equality_gap` for a pseudo-dual pair and None otherwise; both
+# check_duality's memo, f -> (g -> {ToleranceConfig: DualityReport}); both
 # frames are weak keys, so it keeps neither alive.  Frames and tolerances are
 # immutable.
 _DUALITY_REPORTS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-_EPS = 2.0 ** -52  # float64 machine epsilon, the unit of the rounding margins
 
 
 def _require_pair(f: Frame, g: Frame) -> None:
@@ -141,11 +136,17 @@ def canonical_dual(f: Frame, tol: ToleranceConfig) -> Frame:
     return derived_frame(f.field, canonical_dual_analysis(f).conj(), tol)
 
 
-def _graded_pair(f: Frame, g: Frame,
-                 tol: ToleranceConfig) -> tuple[DualityReport, float | None]:
-    """(report, gap) of `check_duality`, from its memo or computed and kept
-    there; gap is the `_excess_equality_gap` of a pseudo-dual pair, formed
-    from the same V*U as the report, and None for any other pair."""
+def check_duality(f: Frame, g: Frame, tol: ToleranceConfig) -> DualityReport:
+    """Classify (f, g) as exact / approximate / pseudo dual via V*U.
+
+    The report is computed once per (f, g, tol) and kept in this module's
+    memo, so the callers that grade a pair and then check its excess
+    equality, projection or upgrade share one V*U product and one d x d
+    SVD.  Shape errors are raised before the lookup.  `is_frame(g)` is
+    decided after V*U is formed, from the rank certificate derived in
+    `verify_excess_equality` or, when that fails, from g's own SVD; a pair
+    that is not two frames raises and leaves no memo entry.
+    """
     _require_pair(f, g)
     graded = _DUALITY_REPORTS.get(f, {}).get(g, {})
     if tol in graded:
@@ -175,31 +176,11 @@ def _graded_pair(f: Frame, g: Frame,
     report = DualityReport(is_exact_dual=is_exact, is_pseudo_dual=is_pseudo,
                            is_approx_dual=is_approx, deviation_norm=deviation,
                            min_singular_vu=sigma_min)
-    gap = None
-    if is_pseudo:  # B = V*, with the bounds of verify_excess_equality
-        gap = _kernel_identity_gap(f, g, None, vu, sigma_min / u_norm, v_norm, sigma_min)
     partners = _DUALITY_REPORTS.get(f)
     if partners is None:  # not setdefault, which would build a table per call
         partners = _DUALITY_REPORTS[f] = weakref.WeakKeyDictionary()
-    partners.setdefault(g, {})[tol] = report, gap
-    return report, gap
-
-
-def check_duality(f: Frame, g: Frame, tol: ToleranceConfig) -> DualityReport:
-    """Classify (f, g) as exact / approximate / pseudo dual via V*U.
-
-    The report is computed once per (f, g, tol) and kept in this module's
-    memo, so the callers that grade a pair and then check its excess
-    equality, projection or upgrade share one V*U product and one d x d
-    SVD.  When the pair grades pseudo-dual, the kernel-identity gap of
-    `verify_excess_equality` is computed here too, from the V*U already
-    formed, and kept with the report.  Shape errors are raised before the
-    lookup.  `is_frame(g)` is decided after V*U is formed, from the rank
-    certificate derived in `verify_excess_equality` or, when that fails,
-    from g's own SVD; a pair that is not two frames raises and leaves no
-    memo entry.
-    """
-    return _graded_pair(f, g, tol)[0]
+    partners.setdefault(g, {})[tol] = report
+    return report
 
 
 def pseudo_dual_to_exact(f: Frame, g: Frame, tol: ToleranceConfig) -> Frame:
@@ -313,59 +294,6 @@ def projection_from_dual_pair(f: Frame, g: Frame, tol: ToleranceConfig) -> np.nd
     return analysis_matrix(f) @ synthesis_matrix(g)
 
 
-def _kernel_identity_gap(f: Frame, g: Frame, basis: np.ndarray | None, m: np.ndarray,
-                         lower: float, v_norm: float, min_singular_vu: float) -> float:
-    """Scaled distance between Ker V* and E(Ker U*), E = I - U M^{-1} V*,
-    U and V being the analysis matrices of f and g and M = V*U, both of
-    rank r:
-
-        ||X||_F / lower / max(1, ||U|| v_norm / sigma_min(M)),
-
-    clamped to 1, with
-
-        X = B E = B - C V*,   C = (B U) M^{-1}.
-
-    The rows of the r x n `basis` B span Im V = (Ker V*)^perp: B = K P*,
-    P an orthonormal basis of Im V and K invertible with least singular
-    value at least `lower`; basis None stands for B = V*, whose B U is M
-    itself.  The caller passes M = V*U, formed as g's synthesis matrix
-    times f's analysis matrix, min_singular_vu, a lower bound on
-    sigma_min(M), and v_norm, an upper bound on ||V||.  C comes from one
-    d x d solve, so every product is d x n or smaller, and X is formed in
-    the one d x n array that C V* needs; for B = V* the analysis matrix
-    of f is not read at all.
-
-    E is idempotent with range Ker V* and kernel Im U, so X = 0 exactly.
-    For x in Ker U*, UM^{-1}V*x lies in Im U, orthogonal to x, so
-    ||Ex|| >= ||x||: every unit vector y of E(Ker U*) is Ex with
-    ||x|| <= 1, and the sine of the largest principal angle between
-    E(Ker U*) and Ker V* is max ||P* y|| <= ||P* E||_2 <= ||X||_F / lower.
-    A factor I - P_U P_U* on the right would change nothing, as E kills
-    Im U.
-
-    Formed in floating point, X carries the rounding of (B U) M^{-1} V*.
-    For B = P* that is about eps ||U|| ||V|| / sigma_min(M), so its norm
-    grows with the scale of either frame although the identity does not;
-    dividing by that bound, when it exceeds 1, keeps the gap at rounding
-    level for duals of any scale (Higham, Accuracy and Stability of
-    Numerical Algorithms, 2nd ed., Sec. 3.5).  For B = V*, B U is M
-    itself, so C is I up to the rounding of one solve, and with
-    lower = sigma_min(M) / ||U|| and v_norm = ||V||_F the gap reads
-    ||X||_F / ||V||_F, the relative defect of C = I.
-    """
-    v_adj = synthesis_matrix(g)
-    if basis is None:
-        basis, bu = v_adj, m
-    else:
-        bu = basis @ analysis_matrix(f)
-    # C M = B U, transposed to the M^T C^T = (B U)^T that solve takes
-    c = np.linalg.solve(m.T, bu.T).T
-    x = c @ v_adj
-    np.subtract(basis, x, out=x)
-    scale = max(1.0, float(f.svd.sigma[0]) * v_norm / min_singular_vu)
-    return min(1.0, float(np.linalg.norm(x)) / lower / scale)
-
-
 def verify_lemma_decomposition(t: np.ndarray, s: np.ndarray, probes: int,
                                seed: int, tol: ToleranceConfig) -> LemmaReport:
     """Check the decomposition lemma for a left-inverse pair ST = I.
@@ -378,6 +306,38 @@ def verify_lemma_decomposition(t: np.ndarray, s: np.ndarray, probes: int,
     Ker S = (Im S*)^perp come from the cached SVDs of two frames whose
     analysis matrices are T and S*, complex if either input is, else real;
     the probes are complex either way.
+
+    The kernel residual, when the ranks of T and S agree, is the scaled
+    distance between Ker S and E(Ker T*), E = I - T M^{-1} S, M = ST:
+
+        ||X||_F / max(1, ||T||_2 ||S||_2 / (1 - ||ST - I||)),
+
+    clamped to 1, with
+
+        X = B E = B - C S,   C = (B T) M^{-1},
+
+    B = P*, P the range basis of S* (an orthonormal basis of
+    Im S* = (Ker S)^perp).  M and B T are formed from the two frames'
+    matrices, so a real T with a complex S is read as complex.  C comes
+    from one d x d solve, so every product is d x n or smaller, and X is
+    formed in the one d x n array that C S needs.
+
+    E is idempotent with range Ker S and kernel Im T, so X = 0 exactly.
+    For x in Ker T*, T M^{-1} S x lies in Im T, orthogonal to x, so
+    ||Ex|| >= ||x||: every unit vector y of E(Ker T*) is Ex with
+    ||x|| <= 1.  For any B = K P* with K invertible, the sine of the
+    largest principal angle between E(Ker T*) and Ker S is then
+    max ||P* y|| <= ||P* E||_2 <= ||X||_F / sigma_min(K); here K = I.
+    A factor I - P_T P_T* on the right would change nothing, as E kills
+    Im T.
+
+    Formed in floating point, X carries the rounding of (B T) M^{-1} S,
+    about eps ||T|| ||S|| / sigma_min(M) for B = P*, so its norm grows
+    with the scale of T or S although the identity does not; dividing by
+    that bound, when it exceeds 1, keeps the residual at rounding level
+    at any scale (Higham, Accuracy and Stability of Numerical Algorithms,
+    2nd ed., Sec. 3.5).  sigma_min(M) >= 1 - ||ST - I|| by Weyl's
+    inequality.
     """
     t, s = inexact(t), inexact(s)
     if t.ndim != 2 or s.shape != (t.shape[1], t.shape[0]):
@@ -395,13 +355,15 @@ def verify_lemma_decomposition(t: np.ndarray, s: np.ndarray, probes: int,
     idem_residual = operator_norm(ts @ ts - ts)
 
     im_t, im_s_adj = _range_basis(f, tol), _range_basis(g, tol)
-    # the ranks compared are the codimensions of Ker T* and Ker S;
-    # sigma_min(ST) >= 1 - ||ST - I|| by Weyl's inequality
+    # the ranks compared are the codimensions of Ker T* and Ker S
     kernel_residual = 1.0
     if im_t.shape[1] == im_s_adj.shape[1]:
-        kernel_residual = _kernel_identity_gap(
-            f, g, adjoint(im_s_adj), synthesis_matrix(g) @ analysis_matrix(f), 1.0,
-            float(g.svd.sigma[0]), 1.0 - st_residual)
+        basis, t_matrix, s_matrix = adjoint(im_s_adj), analysis_matrix(f), synthesis_matrix(g)
+        # C M = B T, transposed to the M^T C^T = (B T)^T that solve takes
+        x = np.linalg.solve((s_matrix @ t_matrix).T, (basis @ t_matrix).T).T @ s_matrix
+        np.subtract(basis, x, out=x)
+        scale = max(1.0, float(f.svd.sigma[0]) * float(g.svd.sigma[0]) / (1.0 - st_residual))
+        kernel_residual = min(1.0, float(np.linalg.norm(x)) / scale)
 
     draws = np.random.default_rng(seed).standard_normal((probes, 2, n))
     y = (draws[:, 0] + 1j * draws[:, 1]).T
@@ -438,27 +400,19 @@ def transform_frame(f: Frame, t: np.ndarray, tol: ToleranceConfig) -> Frame:
     return derived_frame(f.field, f.vectors @ t.T, tol)
 
 
-def _excess_equality_gap(f: Frame, g: Frame, tol: ToleranceConfig) -> float:
-    """The kernel-identity gap that `verify_excess_equality` compares with
-    atol: B = V*, with lower bound sigma_min(M) / ||U||_2 and ||V||_F.
-    `check_duality` computes it from the M it grades the pair with and
-    keeps it with the report, so this only reads the memo."""
-    report, gap = _graded_pair(f, g, tol)
-    if not report.is_pseudo_dual:
-        raise NotPseudoDualError("excess equality is claimed for pseudo-dual pairs")
-    return gap
-
-
 def verify_excess_equality(f: Frame, g: Frame, tol: ToleranceConfig) -> bool:
-    """Check that a (pseudo-)dual pair carries the same excess.
+    """Check that a (pseudo-)dual pair carries the same excess: True for
+    every pseudo-dual pair, exact ones included; `NotPseudoDualError`
+    for any other pair of frames.
 
-    In finite dimension the equality itself is automatic (two frames of
-    one shape both have excess n - d), and so is what proves it once
-    M = V*U is invertible: V* is then onto, so rank V = rank U = d, and
-    E = I - U M^{-1} V* gives V*E = V* - M M^{-1} V* = 0, which makes the
-    kernel identity Ker V* = E(Ker U*) hold by algebra.  The verdict
-    certifies both, for every pseudo-dual pair, exact ones included, and
-    reads g only through V*U and ||V||_F; the result is a Python bool.
+    In finite dimension the equality is the statement rank V = rank U = d,
+    and an invertible M = V*U proves it: V* is then onto.  So the verdict
+    is the pseudo-dual grade of `check_duality`, which is the rank rule of
+    `ToleranceConfig` on the singular values of M, and reads g only
+    through M and ||V||_F.  The kernel identity Ker V* = E(Ker U*),
+    E = I - U M^{-1} V*, then holds by algebra, since
+    V*E = V* - M M^{-1} V* = 0; `verify_lemma_decomposition` measures its
+    residual where C = (B U) M^{-1} is not I by algebra.
 
     Rank.  sigma_d(M) <= sigma_d(V) ||U||_2 and sigma_1(V) <= ||V||_F, so
 
@@ -474,18 +428,10 @@ def verify_excess_equality(f: Frame, g: Frame, tol: ToleranceConfig) -> bool:
     by the backward stability of the SVD), so a certified g is one that
     `is_frame` accepts too.  When the certificate fails, g's SVD decides.
 
-    Kernel identity.  The scaled gap of `_kernel_identity_gap` is read
-    through B = V* = R Sigma P*, P an orthonormal basis of Im V:
-    ||P* E|| <= ||V* E|| / sigma_d(V) <= ||U||_2 ||V* E|| / sigma_min(M),
-    so the lower bound is sigma_min(M) / ||U||_2, and ||V||_F bounds ||V||
-    in the scale.  For B = V*, C = (V*U) M^{-1} = I, so the gap is a
-    rounding check, at most about eps cond(M) in size, of an identity
-    that holds by algebra; it is compared with atol.
-
-    Cost.  The gap is computed where M is formed: `check_duality` grades
-    the pair and, when it is pseudo-dual, takes the gap from the same M
-    and keeps it with the report in its memo, per tolerance.  This check
-    reads that memo, so after `check_duality` it forms no product, solves
-    nothing and allocates nothing of size n.
+    Cost.  The grade is read from `check_duality`'s memo, so after
+    `check_duality` this forms no product, solves nothing and allocates
+    nothing of size n.  The result is a Python bool.
     """
-    return decide(_excess_equality_gap(f, g, tol), "<=", tol.atol).holds
+    if not check_duality(f, g, tol).is_pseudo_dual:
+        raise NotPseudoDualError("excess equality is claimed for pseudo-dual pairs")
+    return True

@@ -49,6 +49,7 @@ COMPLEX = "complex"
 # parser can offer them without loading the generators.
 KINDS = ("random", "parseval-projection", "near-riesz", "projected-basis")
 FIELD_DTYPES = {REAL: np.float64, COMPLEX: np.complex128}
+_EPS = 2.0 ** -52  # float64 machine epsilon, the unit of every rounding allowance
 
 
 class _ToleranceFields(NamedTuple):  # the fields and defaults of ToleranceConfig

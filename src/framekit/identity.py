@@ -53,6 +53,7 @@ from .frames import (
     Decision,
     Frame,
     ToleranceConfig,
+    _EPS,
     analysis_matrix,
     decide,
     is_parseval,
@@ -60,7 +61,6 @@ from .frames import (
 from .linalg import fix_phase, inexact
 
 GLOBAL_SWEEP_LIMIT = 20
-_EPS = float(np.finfo(np.float64).eps)
 # Matrices per eigvalsh call of the screen and of the certify step.
 _CHUNK = 1 << 14
 # Rounding allowance of the certify window, in units of d * n * eps.

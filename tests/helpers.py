@@ -3,7 +3,8 @@
 The oracles deliberately avoid the library's own numerics: rank over
 exact rationals, excess by exhaustive deletion, the grades and the kernel
 identity of a frame pair and the four claims of the decomposition lemma
-over exact rationals, the nearest Parseval
+over exact rationals, the kernel identity of a pair as a principal angle
+between subspaces from numpy's SVD, the nearest Parseval
 dual by a Levenberg-Marquardt search over all duals (numpy only)
 instead of the closed form, ranks and range bases from numpy's own SVD
 instead of a frame's cached one, the global subset minimum by evaluating M_J
@@ -292,6 +293,29 @@ def orthonormal_range(m, rtol):
     relative cutoff rtol, from numpy's thin SVD."""
     u, s, _ = np.linalg.svd(m, full_matrices=False)
     return u[:, :rank_from_singular_values(s, rtol)]
+
+
+def kernel_identity_angle(u, v, rtol=1e-10):
+    """Sine of the largest principal angle between Ker V* and
+    (I - U M^{-1} V*)(Ker U*), M = V*U, for n x d analysis matrices u and v
+    with M invertible; 1 when the two kernels differ in dimension.  Both
+    kernel bases, under the relative cutoff rtol, and the basis of the
+    mapped kernel come from numpy's SVD."""
+    def kernel_of_adjoint(a):
+        p, s, _ = np.linalg.svd(a)
+        return p[:, rank_from_singular_values(s, rtol):]
+
+    u, v = np.asarray(u), np.asarray(v)
+    ker_u, ker_v = kernel_of_adjoint(u), kernel_of_adjoint(v)
+    if ker_u.shape[1] != ker_v.shape[1]:
+        return 1.0
+    if ker_v.shape[1] == 0:
+        return 0.0
+    v_adj = v.conj().T
+    # ||Ex|| >= ||x|| on Ker U*, so the image has full column rank
+    image = ker_u - u @ np.linalg.solve(v_adj @ u, v_adj @ ker_u)
+    mapped = np.linalg.svd(image, full_matrices=False)[0]
+    return float(np.linalg.norm(mapped - ker_v @ (ker_v.conj().T @ mapped), 2))
 
 
 def deletion_excess(frame, rtol=1e-10):

@@ -16,11 +16,10 @@ import pytest
 import framekit as fk
 import framekit.cli
 import framekit.linalg
-from framekit.duals import _excess_equality_gap, canonical_dual_analysis
+from framekit.duals import canonical_dual_analysis
 from framekit.linalg import subspace_distance
 from framekit.parseval import _nearest_parseval_dual
-from helpers import (TOL, admissible_frame, orthonormal_range, random_dual_pair,
-                     well_conditioned_invertible)
+from helpers import TOL, admissible_frame, orthonormal_range, random_dual_pair
 
 TOLERANCE_FIELDS = set(fk.ToleranceConfig._fields)
 
@@ -131,13 +130,13 @@ def test_pair_grades_at_their_thresholds():
 
 
 def test_excess_equality_at_its_threshold():
-    f, g = random_dual_pair(3, 6, 1)  # a pseudo-dual pair: V*U is not I
-    g = fk.transform_frame(g, well_conditioned_invertible(np.random.default_rng(1), 3, False),
-                           TOL)
-    gap = _excess_equality_gap(f, g, TOL)
-    assert 0.0 < gap < 1.0
-    assert fk.verify_excess_equality(f, g, TOL._replace(atol=gap))
-    assert not fk.verify_excess_equality(f, g, TOL._replace(atol=below(gap)))
+    # the verdict is the pseudo-dual grade: V*U = diag(4, 2) has rank 2
+    # below rank_rtol = 1/2 and rank 1 at it
+    f = frame([[1, 0], [0, 1], [0, 0]])
+    g = frame([[4, 0], [0, 2], [0, 2]])
+    assert fk.verify_excess_equality(f, g, TOL._replace(rank_rtol=below(0.5))) is True
+    with pytest.raises(fk.NotPseudoDualError):
+        fk.verify_excess_equality(f, g, TOL._replace(rank_rtol=0.5))
 
 
 def test_residual_checks_at_atol():

@@ -193,6 +193,7 @@ def test_check_duality_memo_is_per_tolerance_and_weak(mb3):
     assert report.deviation_norm == pytest.approx(1e-9, rel=1e-5)
     assert fk.check_duality(mb3, g, fk.ToleranceConfig(atol=1e-8)) is report
     assert len(framekit.duals._DUALITY_REPORTS[mb3][g]) == 1  # equal configs, one entry
+    assert framekit.duals._DUALITY_REPORTS[mb3][g][loose] is report  # the bare report
     # a separate report per tolerance, each kept
     tight_report = fk.check_duality(mb3, g, tight)
     assert tight_report is not report and not tight_report.is_exact_dual
@@ -538,8 +539,8 @@ def test_pair_verdicts_match_the_exact_oracle(tol):
 
 
 def test_excess_equality_holds_for_duals_of_any_scale(tol):
-    # ||X|| rounds like eps ||U|| ||V|| / sigma_min(V*U): unscaled, the gap
-    # of the s = 1e4 dual reads 1.1e-8, above atol
+    # the verdict is the pseudo-dual grade, whose rank rule is relative to
+    # sigma_max(V*U), so it holds whatever the size of the free operator
     f = fk.random_frame(50, 100, seed=3, field="complex")
     w = gaussian(np.random.default_rng(0), 100, 50, True)
     for s in (1.0, 1e2, 1e4):
@@ -570,10 +571,9 @@ def dense_dual_pairs():
         yield f, fk.dual_from_free_operator(f, w, TOL)
 
 
-def test_excess_equality_reads_the_graded_gap(monkeypatch, tol):
-    # check_duality keeps the gap with its report: the verdict forms no
-    # product, solves nothing and allocates no n x d array (the gap formed
-    # here would need 2.5 to 3.5 of them)
+def test_excess_equality_reads_the_graded_report(monkeypatch, tol):
+    # check_duality keeps its report: the verdict forms no product, solves
+    # nothing and allocates no n x d array
     def refuse(*args, **kwargs):
         raise AssertionError("verify_excess_equality called numpy.linalg")
     for f, g in dense_dual_pairs():
@@ -590,8 +590,9 @@ def test_excess_equality_reads_the_graded_gap(monkeypatch, tol):
         assert peak < 64 << 10, (f.field, peak)
 
 
-def test_grading_and_verdict_stay_within_two_and_a_half_n_by_d(tol):
-    # one V*U, its sigma-only stack and one d x n array for the gap
+def test_grading_and_verdict_stay_within_one_and_three_quarters_n_by_d(tol):
+    # V*U beside its sigma-only stack of two d x d copies, or beside the
+    # conjugated U of a complex f; d = n / 2 here
     for f, g in dense_dual_pairs():
         tracemalloc.start()
         try:
@@ -600,31 +601,7 @@ def test_grading_and_verdict_stay_within_two_and_a_half_n_by_d(tol):
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 2.5 * f.vectors.nbytes, (f.field, peak / f.vectors.nbytes)
-
-
-def test_kept_gap_is_the_gap_of_a_fresh_cross_operator(tol):
-    # the gap kept with the report has the bits of _kernel_identity_gap on
-    # an M formed anew, with B = V* passed as a basis so B U is formed too
-    cases = []
-    for seed in range(12):
-        field = "complex" if seed % 2 else "real"
-        d = 2 + seed % 4
-        f, g = random_dual_pair(d, 2 * d + 1, seed, field)
-        t = well_conditioned_invertible(np.random.default_rng(seed), d, field == "complex")
-        cases += [(f, g, True), (f, fk.transform_frame(g, t, tol), False)]
-    for f, g, exact in cases:
-        report = fk.check_duality(f, g, tol)
-        assert report.is_exact_dual is exact and report.is_pseudo_dual
-        v_adj = fk.synthesis_matrix(g)
-        m = v_adj @ fk.analysis_matrix(f)
-        sigma = report.min_singular_vu
-        fresh = framekit.duals._kernel_identity_gap(
-            f, g, v_adj, m, sigma / float(f.svd.sigma[0]),
-            float(np.linalg.norm(v_adj)), sigma)
-        kept = framekit.duals._DUALITY_REPORTS[f][g][tol]
-        assert kept == (report, fresh)
-        assert framekit.duals._excess_equality_gap(f, g, tol).hex() == fresh.hex()
+        assert peak < 1.75 * f.vectors.nbytes, (f.field, peak / f.vectors.nbytes)
 
 
 def test_every_free_operator_dual_reconstructs():

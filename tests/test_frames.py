@@ -249,7 +249,7 @@ def test_spanning_verdict_follows_the_rank_cutoff_at_every_scale(tol):
 
 
 def test_one_factorization_per_frame(monkeypatch, tol):
-    calls = {name: [] for name in ("svd", "eigvalsh", "eigh", "qr")}
+    calls = {name: [] for name in ("svd", "eigvalsh", "eigh", "qr", "solve")}
     for name, args in calls.items():
         def counted(a, *rest, _kernel=getattr(np.linalg, name), _args=args, **kw):
             _args.append((np.array(a), kw))
@@ -274,10 +274,9 @@ def test_one_factorization_per_frame(monkeypatch, tol):
 
     # a fresh dual of a frame whose SVD is cached: the pair certifies that
     # the dual spans, so grading it and checking its excess equality make
-    # one sigma-only SVD, of the stack [V*U - I, V*U], and none of V; the
-    # kernel-identity gap takes no QR and no SVD of the kernel (4 columns
-    # here, U and V have 3); the single raw QR of P is the Parseval dual's
-    # kernel basis
+    # one sigma-only SVD, of the stack [V*U - I, V*U], and none of V; they
+    # take no QR and solve nothing; the single raw QR of P is the Parseval
+    # dual's kernel basis
     f = fk.rescale_to_admissible(fk.random_frame(3, 7, seed=3), tol)[0]
     w = np.random.default_rng(4).standard_normal((7, 3))
     g = fk.dual_from_free_operator(f, w, tol)
@@ -287,7 +286,7 @@ def test_one_factorization_per_frame(monkeypatch, tol):
     assert fk.verify_excess_equality(f, g, tol)
     assert [(a.shape, kw.get("compute_uv")) for a, kw in calls["svd"]] == [((2, 3, 3), False)]
     assert "svd" not in vars(g)
-    assert calls["qr"] == []
+    assert calls["qr"] == [] and calls["solve"] == []
     assert fk.construct_parseval_dual(f, tol).dual is not None
     assert calls["eigvalsh"] == [] and calls["eigh"] == []
     assert [kw.get("mode") for _, kw in calls["qr"]] == ["raw"]

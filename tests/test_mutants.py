@@ -1,0 +1,14 @@
+"""The mutant table of `mutants.py` stays applicable: every old snippet
+occurs exactly once in its file under `src/`, and every row names test
+files that exist.  Running the table itself is `python tests/mutants.py`."""
+
+from mutants import MUTANTS, ROOT
+
+
+def test_every_mutant_snippet_occurs_once_in_src():
+    for mutant in MUTANTS:
+        text = (ROOT / "src" / mutant.file).read_text()
+        assert text.count(mutant.old) == 1, mutant.name
+        assert mutant.new != mutant.old, mutant.name
+        for path in mutant.tests:
+            assert (ROOT / path).is_file(), (mutant.name, path)
