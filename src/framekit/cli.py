@@ -139,7 +139,7 @@ def _cmd_dual(args: argparse.Namespace, tol: ToleranceConfig, seed: int) -> Outc
                             f.field == COMPLEX)
         g = dual_from_free_operator(f, w, tol)
     report = check_duality(f, g, tol)
-    equal = verify_excess_equality(f, g, tol)
+    equal = verify_excess_equality(f, g, tol)  # True, or NotPseudoDualError
     if args.out:
         write_frame(g, args.out)
     payload = {
@@ -151,7 +151,7 @@ def _cmd_dual(args: argparse.Namespace, tol: ToleranceConfig, seed: int) -> Outc
         "excess_g": g.n - g.dim,  # check_duality passed: g is a frame
         "excess_equal": equal,
     }
-    return "pass" if report.is_exact_dual and equal else "fail", payload
+    return "pass" if report.is_exact_dual else "fail", payload
 
 
 def _cmd_check(args: argparse.Namespace, tol: ToleranceConfig, seed: int) -> Outcome:
@@ -169,14 +169,11 @@ def _cmd_check(args: argparse.Namespace, tol: ToleranceConfig, seed: int) -> Out
         "excess_f": excess(f, tol).excess,
         "excess_g": g.n - g.dim,  # check_duality passed: g is a frame
     }
-    if report.is_pseudo_dual:
-        equal = verify_excess_equality(f, g, tol)
-        payload["excess_equal"] = equal
-        verdict = "pass" if equal else "fail"
-    else:
+    if not report.is_pseudo_dual:
         payload["excess_equal"] = None
-        verdict = "n/a"
-    return verdict, payload
+        return "n/a", payload
+    payload["excess_equal"] = verify_excess_equality(f, g, tol)  # True for a pseudo-dual
+    return "pass", payload
 
 
 def _cmd_parseval_dual(args: argparse.Namespace, tol: ToleranceConfig,

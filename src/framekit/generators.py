@@ -81,18 +81,20 @@ def near_riesz_frame(dim: int, k: int, seed: int, field: str = REAL) -> Frame:
     return Frame(dim=dim, field=field, vectors=np.vstack([basis, combos]))
 
 
-def random_unit_alpha(m: int, seed: int, field: str = REAL,
-                      first_sq_min: float = 7.0 / 8.0) -> np.ndarray:
-    """Unit coefficient vector with |alpha_1|^2 strictly above first_sq_min
-    and all entries bounded away from zero; feeds projected_basis_frame."""
+# the |alpha_1|^2 bound of the projected-basis example (acceptance 09):
+# above it the norm deficits after the first sum to less than 1/8
+_FIRST_SQ_MIN = 7.0 / 8.0
+
+
+def random_unit_alpha(m: int, seed: int, field: str = REAL) -> np.ndarray:
+    """Unit coefficient vector with |alpha_1|^2 strictly above 7/8 and all
+    entries bounded away from zero; feeds projected_basis_frame."""
     _check_field(field)
     if m < 2:
         raise BadParametersError("need at least two coefficients")
-    if not 0.0 < first_sq_min < 1.0:
-        raise BadParametersError("first_sq_min must lie in (0, 1)")
     rng = np.random.default_rng(seed)
-    first_sq = rng.uniform(first_sq_min + 0.6 * (1.0 - first_sq_min),
-                           first_sq_min + 0.9 * (1.0 - first_sq_min))
+    first_sq = rng.uniform(_FIRST_SQ_MIN + 0.6 * (1.0 - _FIRST_SQ_MIN),
+                           _FIRST_SQ_MIN + 0.9 * (1.0 - _FIRST_SQ_MIN))
     rest = rng.uniform(0.2, 1.0, size=m - 1)
     rest *= np.sqrt(1.0 - first_sq) / np.linalg.norm(rest)
     alpha = np.concatenate([[np.sqrt(first_sq)], rest])

@@ -534,10 +534,7 @@ def tail_threshold(f: Frame, eps: float, tol: ToleranceConfig) -> int:
         raise NotParsevalError("tail threshold is stated for Parseval frames")
     deficits = 1.0 - np.sum(np.abs(f.vectors) ** 2, axis=1)
     tails = np.concatenate([np.cumsum(deficits[::-1])[::-1], [0.0]])
-    for n0, tail in enumerate(tails):
-        if tail < eps:
-            return n0
-    return f.n
+    return int(np.argmax(tails < eps))
 
 
 def verify_tail_bound(f: Frame, eps: float, j: IndexSet,

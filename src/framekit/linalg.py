@@ -74,15 +74,12 @@ def qr_complement(p: np.ndarray) -> np.ndarray:
 
 def subspace_distance(q1: np.ndarray, q2: np.ndarray) -> float:
     """Sine of the largest principal angle between the column spans of two
-    orthonormal bases. Subspaces of unequal dimension are at distance 1;
-    two zero-dimensional subspaces are at distance 0."""
+    orthonormal bases. Subspaces of unequal dimension are at distance 1."""
     q1 = np.atleast_2d(np.asarray(q1))
     q2 = np.atleast_2d(np.asarray(q2))
     d1, d2 = q1.shape[1], q2.shape[1]
     if d1 != d2:
         return 1.0
-    if d1 == 0:
-        return 0.0
     # ||(I - Q1 Q1*) Q2|| rather than sqrt(1 - cos^2): the latter amplifies
     # rounding in the cosines to ~1e-8 for subspaces that are actually equal
     residual = q2 - q1 @ (adjoint(q1) @ q2)

@@ -57,9 +57,8 @@ from .frames import (
     derived_frame,
     frame_bounds,
     is_frame,
-    synthesis_matrix,
 )
-from .duals import _require_pair, canonical_dual_analysis
+from .duals import canonical_dual_analysis, check_duality
 from .linalg import adjoint, fix_phase, operator_norm
 
 
@@ -201,11 +200,13 @@ def best_parseval_dual_residual(f: Frame, tol: ToleranceConfig) -> float:
 def verify_parseval_dual(f: Frame, g: Frame,
                          tol: ToleranceConfig) -> Tuple[Decision, Decision]:
     """The decisions ||V*V - I|| <= atol (g is Parseval) and ||V*U - I|| <= atol
-    (g is a dual of f), U and V the analysis matrices of f and g."""
-    _require_pair(f, g)
-    cross = synthesis_matrix(g) @ analysis_matrix(f)
+    (g is a dual of f), U and V the analysis matrices of f and g.
+
+    The second reads the deviation of `check_duality`, so the pair shares
+    its one V*U product, and a pair that is not two frames raises
+    NotAFrameError as every pair check does."""
     return (decide(_gram_deviation(analysis_matrix(g)), "<=", tol.atol),
-            decide(operator_norm(cross - np.eye(f.dim)), "<=", tol.atol))
+            decide(check_duality(f, g, tol).deviation_norm, "<=", tol.atol))
 
 
 def _gram_deviation(v: np.ndarray) -> float:

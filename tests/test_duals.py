@@ -359,14 +359,22 @@ def test_projection_from_dual_pair_rejects_non_dual(mb3, tol):
         fk.projection_from_dual_pair(mb3, scaled(mb3, 1.5), tol)
 
 
-def test_projection_dual_round_trip(tol):
+def small_and_dense_pairs():
+    # six (3, 6) pairs, real and complex, then the real (200, 400) pair of
+    # dense_dual_pairs, whose UV* is a 400 x 400 projection
     for seed in range(6):
-        field = "complex" if seed % 2 else "real"
-        f, g = random_dual_pair(3, 6, seed, field)
+        yield random_dual_pair(3, 6, seed, "complex" if seed % 2 else "real")
+    yield next(dense_dual_pairs())
+
+
+def test_projection_dual_round_trip(tol):
+    for f, g in small_and_dense_pairs():
         p = fk.projection_from_dual_pair(f, g, tol)
         assert operator_norm(p @ p - p) <= 1e-9
         g_back = fk.dual_from_projection(f, p, tol)
         npt.assert_allclose(g_back.vectors, g.vectors, atol=1e-8)
+        assert fk.check_duality(f, g_back, tol).is_exact_dual
+        assert fk.verify_excess_equality(f, g_back, tol)
         p_back = fk.projection_from_dual_pair(f, g_back, tol)
         npt.assert_allclose(p_back, p, atol=1e-8)
 
@@ -383,12 +391,11 @@ def test_dual_from_projection_errors(e1e2e1, tol):
 
 
 def test_lemma_on_dual_pairs(tol):
-    for seed in range(6):
-        field = "complex" if seed % 2 else "real"
-        f, g = random_dual_pair(3, 6, seed, field)
+    for seed, (f, g) in enumerate(small_and_dense_pairs()):
         report = fk.verify_lemma_decomposition(
             fk.analysis_matrix(f), fk.synthesis_matrix(g), probes=20,
             seed=seed, tol=tol)
+        assert report.holds
         assert report.st_is_identity_residual <= 1e-9
         assert report.kernel_match_residual <= 1e-8
         assert report.direct_sum_residual <= 1e-8

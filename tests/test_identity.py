@@ -326,11 +326,21 @@ def test_nu_minus_global_screens_half_the_subsets(monkeypatch, tol):
 
     f = fk.parseval_projection_frame(3, 14, seed=0)
     monkeypatch.setattr(np.linalg, "eigvalsh", counted)
-    value, witness = fk.nu_minus_global(f, tol)
+    fk.nu_minus_global(f, tol)
     monkeypatch.undo()
     assert sum(matrices) <= (1 << 13) + 64
-    assert fk.nu_bounds(f, witness, tol).nu_minus == pytest.approx(value,
-                                                                   abs=1e-12)
+    # each witness gives back its value, in range: here, on the bilinear
+    # (d <= 6) and LAPACK (d >= 7) bounds in both fields, and at
+    # n = GLOBAL_SWEEP_LIMIT
+    for f in (f, *(fk.parseval_projection_frame(dim, n, seed=1, field=field)
+                   for dim, n, field in ((5, 16, "complex"), (7, 12, "complex"),
+                                         (3, fk.GLOBAL_SWEEP_LIMIT, "real"),
+                                         (8, 14, "real")))):
+        value, witness = fk.nu_minus_global(f, tol)
+        bounds = fk.nu_bounds(f, witness, tol)
+        assert bounds.nu_minus == pytest.approx(value, abs=1e-12), (f.dim, f.n)
+        assert fk.nu_in_range(value, None, tol)
+        assert fk.nu_in_range(bounds.nu_minus, bounds.nu_plus, tol)
 
 
 def test_nu_minus_global_prunes_the_screen(monkeypatch, tol):

@@ -171,7 +171,9 @@ def big_parseval(tmp_path_factory):
                  fk.Frame(dim=3, field="real", vectors=q))
 
 
-def test_cli_analyze(files, capsys):
+def test_cli_analyze(files, big_parseval, capsys):
+    code, out, _ = run(capsys, "analyze", big_parseval)
+    assert code == 0 and json.loads(out)["payload"]["is_parseval"] is True
     code, out, _ = run(capsys, "analyze", files["mb3"])
     assert code == 0
     report = json.loads(out)
@@ -253,7 +255,15 @@ def test_cli_dual_random_is_seeded(files, capsys):
     assert json.loads(out1)["verdict"] == "pass"
 
 
-def test_cli_check(files, capsys):
+def test_cli_check(files, big_parseval, capsys, tmp_path):
+    g_path = str(tmp_path / "g.json")
+    for argv in (("dual", big_parseval, "--mode", "random", "--out", g_path),
+                 ("check", big_parseval, g_path)):
+        code, out, _ = run(capsys, *argv)
+        report = json.loads(out)
+        assert code == 0 and report["verdict"] == "pass", argv
+        assert report["payload"]["excess_equal"] is True, argv
+
     code, out, _ = run(capsys, "check", files["mb3"], files["scaled"])
     assert code == 0
     report = json.loads(out)
@@ -339,7 +349,10 @@ def test_cli_parseval_dual_fails_with_abused_tolerance(files, capsys):
     assert report["payload"]["residual_dual"] <= 1e-10
 
 
-def test_cli_nu(files, capsys):
+def test_cli_nu(files, big_parseval, capsys):
+    code, out, _ = run(capsys, "nu", big_parseval, "--j", "1,3")
+    assert code == 0 and json.loads(out)["verdict"] == "pass"
+
     code, out, _ = run(capsys, "nu", files["mb3"], "--j", "1")
     assert code == 0
     payload = json.loads(out)["payload"]

@@ -56,10 +56,13 @@ def test_existence_verdicts(mb3, e1e2e1, tol):
         and reasons[0].endswith("< 1")
 
 
-def test_existence_requires_frame(tol):
+def test_existence_requires_frame(basis2, tol):
     bad = fk.Frame(dim=2, field="real", vectors=[[1, 0], [2, 0]])
     with pytest.raises(fk.NotAFrameError):
         fk.parseval_dual_exists(bad, tol)
+    for f, g in ((basis2, bad), (bad, basis2)):
+        with pytest.raises(fk.NotAFrameError):
+            fk.verify_parseval_dual(f, g, tol)
 
 
 def test_parseval_chains_decide_the_rank_rule_once(monkeypatch, tol):
@@ -173,8 +176,8 @@ def test_construct_keeps_three_n_by_d_arrays_live(tol):
         finally:
             tracemalloc.stop()
         assert peak < 4 * f.vectors.nbytes, (field, peak / f.vectors.nbytes)
-        v = fk.analysis_matrix(dual)
-        assert operator_norm(adjoint(v) @ v - np.eye(200)) <= tol.atol
+        decisions = fk.verify_parseval_dual(f, dual, tol)
+        assert all(d.holds for d in decisions), (field, decisions)
 
 
 def test_rescale_to_admissible(mb3, e1e2e1, tol):
