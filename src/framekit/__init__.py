@@ -48,9 +48,7 @@ _PUBLIC = {
     "generators": (
         "generate", "near_riesz_frame", "parseval_projection_frame",
         "projected_basis_frame", "random_frame", "random_unit_alpha"),
-    "io": (
-        "Report", "canonical_json", "dumps_frame", "frame_to_obj", "loads_frame",
-        "parse_frame_obj", "read_frame", "read_matrix", "write_frame"),
+    "io": ("canonical_json", "dumps_frame", "loads_frame", "read_frame", "write_frame"),
     "cli": ("run_command",),
 }
 _MODULE_OF = {name: module for module, names in _PUBLIC.items() for name in names}

@@ -41,7 +41,7 @@ from .frames import (
     is_parseval,
     synthesis_matrix,
 )
-from .io import Report, read_frame, read_matrix, rows_obj, write_frame
+from .io import canonical_json, read_frame, rows_obj, write_frame
 from .linalg import gaussian_matrix
 
 
@@ -129,11 +129,11 @@ def _cmd_dual(args: argparse.Namespace, tol: ToleranceConfig, seed: int) -> Outc
     elif args.mode == "from-projection":
         if not args.proj:
             raise BadParametersError("--proj is required for mode from-projection")
-        g = dual_from_projection(f, read_matrix(args.proj), tol)
+        g = dual_from_projection(f, read_frame(args.proj).vectors, tol)
     elif args.mode == "from-w":
         if not args.w:
             raise BadParametersError("--w is required for mode from-w")
-        g = dual_from_free_operator(f, read_matrix(args.w), tol)
+        g = dual_from_free_operator(f, read_frame(args.w).vectors, tol)
     else:  # random
         w = gaussian_matrix(np.random.default_rng(seed), f.n, f.dim,
                             f.field == COMPLEX)
@@ -147,8 +147,8 @@ def _cmd_dual(args: argparse.Namespace, tol: ToleranceConfig, seed: int) -> Outc
         "dual_vectors": rows_obj(g.vectors, g.field),
         "deviation_norm": report.deviation_norm,
         "min_singular_vu": report.min_singular_vu,
-        "excess_f": excess(f, tol).excess,
-        "excess_g": g.n - g.dim,  # check_duality passed: g is a frame
+        "excess_f": f.n - f.dim,  # check_duality passed: f and g are frames
+        "excess_g": g.n - g.dim,
         "excess_equal": equal,
     }
     return "pass" if report.is_exact_dual else "fail", payload
@@ -166,8 +166,8 @@ def _cmd_check(args: argparse.Namespace, tol: ToleranceConfig, seed: int) -> Out
         "is_approx_dual": report.is_approx_dual,
         "deviation_norm": report.deviation_norm,
         "min_singular_vu": report.min_singular_vu,
-        "excess_f": excess(f, tol).excess,
-        "excess_g": g.n - g.dim,  # check_duality passed: g is a frame
+        "excess_f": f.n - f.dim,  # check_duality passed: f and g are frames
+        "excess_g": g.n - g.dim,
     }
     if not report.is_pseudo_dual:
         payload["excess_equal"] = None
@@ -408,8 +408,9 @@ def run_command(argv=None) -> int:
         inputs = {key: value for key, value in vars(args).items()
                   if key not in _NOT_ECHOED}
         inputs["seed"] = seed
-        text = Report(command=args.command, inputs=inputs, verdict=verdict,
-                      payload=payload, tolerances=tol).to_json()
+        text = canonical_json({"command": args.command, "inputs": inputs,
+                               "verdict": verdict, "payload": payload,
+                               "tolerances": tol._asdict()})
     except (FramekitError, OSError, MemoryError) as exc:
         # numpy's MemoryError names the array it could not allocate
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)

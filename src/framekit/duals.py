@@ -111,12 +111,6 @@ class LemmaReport(NamedTuple):
 _DUALITY_REPORTS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
-def _require_pair(f: Frame, g: Frame) -> None:
-    if f.dim != g.dim or f.n != g.n:
-        raise DimensionMismatchError(
-            f"frames disagree in shape: ({f.n}, {f.dim}) vs ({g.n}, {g.dim})")
-
-
 def canonical_dual_analysis(f: Frame) -> np.ndarray:
     """Analysis matrix U S^{-1} of the canonical dual of the frame f.
 
@@ -147,7 +141,9 @@ def check_duality(f: Frame, g: Frame, tol: ToleranceConfig) -> DualityReport:
     `verify_excess_equality` or, when that fails, from g's own SVD; a pair
     that is not two frames raises and leaves no memo entry.
     """
-    _require_pair(f, g)
+    if f.dim != g.dim or f.n != g.n:
+        raise DimensionMismatchError(
+            f"frames disagree in shape: ({f.n}, {f.dim}) vs ({g.n}, {g.dim})")
     graded = _DUALITY_REPORTS.get(f, {}).get(g, {})
     if tol in graded:
         return graded[tol]

@@ -1,4 +1,4 @@
-"""Frame files and deterministic report serialization.
+"""The frame-file format and canonical JSON.
 
 Frames travel as JSON objects ``{"dim": d, "field": "real"|"complex",
 "vectors": [...]}`` where each vector is a row of ``dim`` numbers in
@@ -8,7 +8,8 @@ same container (``dim`` = column count, one row per matrix row).
 Serialization is deterministic: insertion-ordered keys, floats rendered
 with 17 significant digits (enough to round-trip doubles bit-exactly),
 no whitespace.  Identical values therefore serialize to identical
-bytes, which the CLI relies on for reproducible reports.
+bytes, which the CLI relies on for reproducible reports; the report
+envelope itself is written by `cli.run_command`.
 """
 
 from __future__ import annotations
@@ -16,14 +17,12 @@ from __future__ import annotations
 import json
 import math
 import reprlib
-from typing import Any, Dict, List
+from typing import Any, List
 
 import numpy as np
 
 from .errors import FrameFileError, FramekitError
-from .frames import COMPLEX, FIELD_DTYPES, REAL, Frame, ToleranceConfig
-
-_VERDICTS = ("pass", "fail", "n/a")
+from .frames import COMPLEX, FIELD_DTYPES, REAL, Frame
 
 
 def _format_float(x: float) -> str:
@@ -63,10 +62,6 @@ def rows_obj(vectors: np.ndarray, field: str) -> List[list]:
     return np.stack([arr.real, arr.imag], axis=-1).tolist()
 
 
-def frame_to_obj(f: Frame) -> Dict[str, Any]:
-    return {"dim": f.dim, "field": f.field, "vectors": rows_obj(f.vectors, f.field)}
-
-
 def _require_number(value: Any, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise FrameFileError(f"{where}: expected a number, got {reprlib.repr(value)}")
@@ -79,7 +74,7 @@ def _require_number(value: Any, where: str) -> float:
     return number
 
 
-def parse_frame_obj(obj: Any) -> Frame:
+def _parse_frame_obj(obj: Any) -> Frame:
     """Validate a decoded JSON object against the frame-file schema."""
     if not isinstance(obj, dict):
         raise FrameFileError("top level must be an object")
@@ -126,7 +121,7 @@ def loads_frame(text: str) -> Frame:
         raise FrameFileError(f"invalid JSON: {exc}") from exc
     except RecursionError as exc:
         raise FrameFileError("invalid JSON: nested too deeply") from exc
-    return parse_frame_obj(obj)
+    return _parse_frame_obj(obj)
 
 
 def read_frame(path: str) -> Frame:
@@ -142,41 +137,11 @@ def read_frame(path: str) -> Frame:
 
 
 def dumps_frame(f: Frame) -> str:
-    return canonical_json(frame_to_obj(f)) + "\n"
+    obj = {"dim": f.dim, "field": f.field, "vectors": rows_obj(f.vectors, f.field)}
+    return canonical_json(obj) + "\n"
 
 
 def write_frame(f: Frame, path: str) -> None:
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(dumps_frame(f))
 
-
-def read_matrix(path: str) -> np.ndarray:
-    """Read a matrix stored in the frame-file container; returns the rows
-    as an (n, dim) array, float64 for a real file, complex128 for a complex one."""
-    return np.array(read_frame(path).vectors)
-
-
-class Report:
-    """Machine-readable outcome of one CLI command."""
-
-    def __init__(self, command: str, inputs: Dict[str, Any], verdict: str,
-                 payload: Dict[str, Any], tolerances: ToleranceConfig) -> None:
-        if verdict not in _VERDICTS:
-            raise FramekitError(f"verdict must be one of {_VERDICTS}")
-        self.command = command
-        self.inputs = inputs
-        self.verdict = verdict
-        self.payload = payload
-        self.tolerances = tolerances
-
-    def to_obj(self) -> Dict[str, Any]:
-        return {
-            "command": self.command,
-            "inputs": self.inputs,
-            "verdict": self.verdict,
-            "payload": self.payload,
-            "tolerances": self.tolerances._asdict(),
-        }
-
-    def to_json(self) -> str:
-        return canonical_json(self.to_obj())

@@ -318,6 +318,12 @@ def kernel_identity_angle(u, v, rtol=1e-10):
     return float(np.linalg.norm(mapped - ker_v @ (ker_v.conj().T @ mapped), 2))
 
 
+def all_subsets(n):
+    """Every subset of the 1-based indices 1..n, as sorted tuples, by size."""
+    for r in range(n + 1):
+        yield from combinations(range(1, n + 1), r)
+
+
 def deletion_excess(frame, rtol=1e-10):
     """Greatest k such that deleting some k vectors leaves a spanning set,
     found by exhaustive search (small n only)."""

@@ -64,6 +64,11 @@ MUTANTS = (
            "(certified or is_frame(g, tol))",
            "certified",
            ("tests/test_duals.py",)),
+    Mutant("report envelope with verdict and payload swapped",
+           "framekit/cli.py",
+           '"verdict": verdict, "payload": payload,',
+           '"payload": payload, "verdict": verdict,',
+           ("tests/test_reports.py",)),
 )
 
 

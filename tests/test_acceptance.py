@@ -8,7 +8,6 @@ ensembles and prints a single machine-greppable line
 to the real stdout (bypassing capture), then asserts.
 """
 
-import itertools
 import json
 import os
 import subprocess
@@ -22,6 +21,7 @@ from framekit.linalg import adjoint, operator_norm
 from helpers import (
     TOL,
     admissible_frame,
+    all_subsets,
     deletion_excess,
     exact_lemma_ensemble,
     exact_lemma_verdict,
@@ -227,11 +227,6 @@ def test_acceptance_06_parseval_dual_necessity(mb3, announce):
              f"{results[0]:.3f} and {results[1]:.3f} (must exceed 1e-06), "
              f"search over all duals agrees within {oracle_gap:.2e} "
              f"(bound 1e-05)")
-
-
-def all_subsets(n):
-    for r in range(n + 1):
-        yield from itertools.combinations(range(1, n + 1), r)
 
 
 def test_acceptance_07_fundamental_identity(parseval_ensemble, announce):

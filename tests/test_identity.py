@@ -11,14 +11,9 @@ from framekit import identity
 from framekit.identity import (_bound_table, _det_features, _det_limit,
                                _partial_operators, _product_roundings, _subset_sums)
 from framekit.linalg import adjoint
-from helpers import (TOL, direct_sum_frames, exact_det,
+from helpers import (TOL, all_subsets, direct_sum_frames, exact_det,
                      exhaustive_nu_minus_global, seeded_cases, sharpness_frame,
                      sort_rows_by_deficit)
-
-
-def all_subsets(n):
-    for r in range(n + 1):
-        yield from itertools.combinations(range(1, n + 1), r)
 
 
 def test_index_set_basics():

@@ -130,19 +130,6 @@ def test_read_frame_missing_file_names_path(tmp_path):
     assert "nope.json" in str(err.value)
 
 
-def test_report_validates_verdict(tol):
-    with pytest.raises(fk.FramekitError):
-        fk.Report(command="x", inputs={}, verdict="maybe", payload={},
-                  tolerances=tol)
-    report = fk.Report(command="x", inputs={"a": 1}, verdict="pass",
-                       payload={"v": 0.5}, tolerances=tol)
-    text = report.to_json()
-    assert text.startswith('{"command":"x","inputs":{"a":1},"verdict":"pass"')
-    assert text == report.to_json()
-    keys = list(json.loads(text))
-    assert keys == ["command", "inputs", "verdict", "payload", "tolerances"]
-
-
 # ---------------------------------------------------------------- CLI
 
 
