@@ -42,9 +42,9 @@ _PUBLIC = {
         "construct_parseval_dual", "deviation_dimension", "nonexistence_reasons",
         "parseval_dual_exists", "rescale_to_admissible", "verify_parseval_dual"),
     "identity": (
-        "GLOBAL_SWEEP_LIMIT", "IndexSet", "NuBounds", "identity_residual",
-        "identity_sides", "nu_bounds", "nu_in_range", "nu_minus_global",
-        "quantity_matrix", "tail_threshold", "verify_tail_bound"),
+        "GLOBAL_SWEEP_LIMIT", "IndexSet", "NuBounds", "TailReport",
+        "identity_residual", "identity_sides", "nu_bounds", "nu_in_range",
+        "nu_minus_global", "quantity_matrix", "tail_threshold", "verify_tail_bound"),
     "generators": (
         "generate", "near_riesz_frame", "parseval_projection_frame",
         "projected_basis_frame", "random_frame", "random_unit_alpha"),

@@ -245,24 +245,14 @@ def _cmd_identity(args: argparse.Namespace, tol: ToleranceConfig, seed: int) -> 
 
 
 def _cmd_tail(args: argparse.Namespace, tol: ToleranceConfig, seed: int) -> Outcome:
-    from .identity import IndexSet, nu_bounds, tail_threshold, verify_tail_bound
+    from .identity import verify_tail_bound
 
     f = read_frame(args.frame)
-    n0 = tail_threshold(f, args.eps, tol)
-    if args.j is not None:
-        j = _parse_index_list(args.j, f.n)
-    else:
-        j = IndexSet.from_iterable(range(1, n0 + 1), f.n)
-    holds = verify_tail_bound(f, args.eps, j, tol)
-    payload = {
-        "n0": n0,
-        "j": list(j.members),
-        "nu_minus": nu_bounds(f, j, tol).nu_minus,
-        "nu_minus_mirrored": nu_bounds(f, j.complement(), tol).nu_minus,
-        "bound": 1.0 - args.eps,
-        "holds": holds,
-    }
-    return "pass" if holds else "fail", payload
+    j = None if args.j is None else _parse_index_list(args.j, f.n)
+    report = verify_tail_bound(f, args.eps, j, tol)
+    payload = report._asdict()
+    payload["j"] = list(report.j.members)
+    return "pass" if report.holds else "fail", payload
 
 
 def _cmd_lemma(args: argparse.Namespace, tol: ToleranceConfig, seed: int) -> Outcome:
@@ -270,8 +260,6 @@ def _cmd_lemma(args: argparse.Namespace, tol: ToleranceConfig, seed: int) -> Out
 
     f = read_frame(args.frame)
     g = read_frame(args.other)
-    if args.probes < 1:
-        raise BadParametersError("--probes must be at least 1")
     report = verify_lemma_decomposition(analysis_matrix(f), synthesis_matrix(g),
                                         args.probes, seed, tol)
     residuals = report._asdict()

@@ -134,6 +134,19 @@ class NuBounds(NamedTuple):
     argmax_vector: np.ndarray
 
 
+class TailReport(NamedTuple):
+    """The tail lower bound checked for one J: the threshold n0, J, the
+    least subset quantity on J and on its complement, the bound 1 - eps,
+    and whether both exceed it."""
+
+    n0: int
+    j: IndexSet
+    nu_minus: float
+    nu_minus_mirrored: float
+    bound: float
+    holds: bool
+
+
 def _check_universe(f: Frame, j: IndexSet) -> None:
     if j.n != f.n:
         raise DimensionMismatchError(
@@ -171,6 +184,8 @@ def identity_residual(f: Frame, j: IndexSet, xs: np.ndarray,
     """The decision max |lhs - rhs| <= atol over the rows of xs, the two
     sides coming from `identity_sides` in blocks of at most _TRIAL_BLOCK
     coefficients, so that those of all rows are never held at once."""
+    if len(xs) == 0:
+        raise DimensionMismatchError("at least one trial vector is required")
     block = max(1, _TRIAL_BLOCK // f.n)
     worst = 0.0
     for start in range(0, len(xs), block):
@@ -537,21 +552,22 @@ def tail_threshold(f: Frame, eps: float, tol: ToleranceConfig) -> int:
     return int(np.argmax(tails < eps))
 
 
-def verify_tail_bound(f: Frame, eps: float, j: IndexSet,
-                      tol: ToleranceConfig) -> bool:
-    """Check the tail lower bound for one admissible J.
-
-    J must contain the leading {1..n0} indices; the claim is that both
-    nu_minus(J) and the mirrored nu_minus (on the complement) exceed
-    1 - eps.  The returned flag should always be true when the
-    precondition holds.
-    """
-    _check_universe(f, j)
+def verify_tail_bound(f: Frame, eps: float, j: Optional[IndexSet],
+                      tol: ToleranceConfig) -> TailReport:
+    """Check the tail lower bound on a J that contains {1..n0}, or on
+    exactly {1..n0} when j is None: nu_minus(J) and the mirrored nu_minus
+    (on the complement) both exceed 1 - eps, so `holds` should always be
+    true."""
+    if j is not None:
+        _check_universe(f, j)
     n0 = tail_threshold(f, eps, tol)
-    if not set(range(1, n0 + 1)) <= set(j.members):
+    prefix = range(1, n0 + 1)
+    if j is None:
+        j = IndexSet.from_iterable(prefix, f.n)
+    elif not set(prefix) <= set(j.members):
         raise PrefixNotContainedError(
             f"index set must contain 1..{n0} for eps={eps!r}")
     bound = 1.0 - eps
     direct = nu_bounds(f, j, tol).nu_minus
     mirrored = nu_bounds(f, j.complement(), tol).nu_minus
-    return direct > bound and mirrored > bound
+    return TailReport(n0, j, direct, mirrored, bound, direct > bound and mirrored > bound)

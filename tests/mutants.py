@@ -69,6 +69,26 @@ MUTANTS = (
            '"verdict": verdict, "payload": payload,',
            '"payload": payload, "verdict": verdict,',
            ("tests/test_reports.py",)),
+    Mutant("pair rounding allowance made 1000 times larger",
+           "framekit/duals.py",
+           "noise = 4 * f.n * f.dim * _EPS * u_norm * v_norm",
+           "noise = 4000 * f.n * f.dim * _EPS * u_norm * v_norm",
+           ("tests/test_duals.py",)),
+    Mutant("lemma kernel residual without its scale",
+           "framekit/duals.py",
+           "kernel_residual = min(1.0, float(np.linalg.norm(x)) / scale)",
+           "kernel_residual = min(1.0, float(np.linalg.norm(x)) / 1.0)",
+           ("tests/test_duals.py",)),
+    Mutant("verify_tail_bound reports holds=True unconditionally",
+           "framekit/identity.py",
+           "bound, direct > bound and mirrored > bound)",
+           "bound, True)",
+           ("tests/test_identity.py",)),
+    Mutant("identity_residual without its empty-set check",
+           "framekit/identity.py",
+           "if len(xs) == 0:",
+           "if False:",
+           ("tests/test_identity.py",)),
 )
 
 

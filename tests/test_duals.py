@@ -94,6 +94,16 @@ def test_check_duality_grading(mb3, tol):
     assert report.is_pseudo_dual  # V*U = 3I is invertible
     assert report.deviation_norm == pytest.approx(2.0, abs=1e-12)
 
+    # V*U = diag(1, ..., 1, 1e-9): sigma_min lies above the rounding
+    # allowance of V*U (7.4e-12 here), and 1000 times that allowance
+    # would bury it
+    f = fk.random_frame(20, 40, 1)
+    v = np.array(fk.canonical_dual(f, tol).vectors)
+    v[:, -1] *= 1e-9
+    report = fk.check_duality(f, fk.Frame(dim=20, field="real", vectors=v), tol)
+    assert report.is_approx_dual and report.is_pseudo_dual
+    assert report.min_singular_vu == pytest.approx(1e-9)
+
 
 def test_check_duality_degenerate(tol):
     f, g = non_pseudo_pair()
@@ -400,6 +410,15 @@ def test_lemma_on_dual_pairs(tol):
         assert report.kernel_match_residual <= 1e-8
         assert report.direct_sum_residual <= 1e-8
         assert report.idempotent_residual <= 1e-8
+    # a free operator of size 2e4: the kernel residual is scaled by its
+    # rounding bound, and unscaled it would read 2e-8 (holds fails here on
+    # the unscaled idempotency residual, so only the kernel one is checked)
+    f = fk.random_frame(50, 100, 3)
+    g = fk.dual_from_free_operator(
+        f, 2e4 * np.random.default_rng(0).standard_normal((100, 50)), tol)
+    report = fk.verify_lemma_decomposition(
+        fk.analysis_matrix(f), fk.synthesis_matrix(g), probes=5, seed=0, tol=tol)
+    assert report.kernel_match_residual <= tol.atol
 
 
 def test_lemma_plain_matrices(tol):

@@ -113,6 +113,10 @@ def test_identity_sides_empty_batch(mb3, tol):
     lhs, rhs = fk.identity_sides(mb3, fk.IndexSet(members=(1,), n=3),
                                  np.empty((0, 2)), tol)
     assert lhs.shape == rhs.shape == (0,)
+    # but the residual over no trial vectors at all decides nothing
+    with pytest.raises(fk.DimensionMismatchError):
+        fk.identity_residual(fk.parseval_projection_frame(3, 10, 1),
+                             fk.IndexSet(members=(1, 3), n=10), np.empty((0, 3)), tol)
 
 
 def test_quantity_matrix_examples(mb3):
@@ -597,10 +601,24 @@ def test_tail_threshold_is_minimal(tol):
 
 def test_verify_tail_bound(mb3, tol):
     j = fk.IndexSet(members=(1, 2), n=3)
-    assert fk.verify_tail_bound(mb3, 0.5, j, tol)
-    assert fk.verify_tail_bound(mb3, 0.5, fk.IndexSet(members=(1, 2, 3), n=3), tol)
+    report = fk.verify_tail_bound(mb3, 0.5, j, tol)
+    assert report.holds
+    assert (report.n0, report.j, report.bound) == (2, j, 0.5)
+    assert report.nu_minus == fk.nu_bounds(mb3, j, tol).nu_minus
+    assert report.nu_minus_mirrored == fk.nu_bounds(mb3, j.complement(), tol).nu_minus
+    assert fk.verify_tail_bound(mb3, 0.5, None, tol) == report  # J is exactly 1..n0
+    assert fk.verify_tail_bound(mb3, 0.5, fk.IndexSet(members=(1, 2, 3), n=3), tol).holds
     with pytest.raises(fk.PrefixNotContainedError):
         fk.verify_tail_bound(mb3, 0.5, fk.IndexSet(members=(1,), n=3), tol)
+    # sqrt(0.9) e_1, sqrt(0.9) e_2 is Parseval only under a wide atol; its
+    # M_J has the eigenvalues 0.9 on J and 0.81 off it, below 1 - eps
+    wide = tol._replace(atol=0.2)
+    report = fk.verify_tail_bound(fk.Frame(dim=2, field="real",
+                                           vectors=np.sqrt(0.9) * np.eye(2)),
+                                  0.15, None, wide)
+    assert report.n0 == 1 and report.j.members == (1,)
+    assert report.nu_minus == pytest.approx(0.81) == report.nu_minus_mirrored
+    assert not report.holds
 
 
 def test_tail_bound_on_projected_basis(tol):
@@ -611,7 +629,7 @@ def test_tail_bound_on_projected_basis(tol):
         assert fk.tail_threshold(f, 1.0 / 8.0, tol) == 1
         for members in ((1,), (1, 3), (1, 2, 4), (1, 2, 3, 4)):
             j = fk.IndexSet(members=members, n=4)
-            assert fk.verify_tail_bound(f, 1.0 / 8.0, j, tol)
+            assert fk.verify_tail_bound(f, 1.0 / 8.0, j, tol).holds
             assert fk.nu_bounds(f, j, tol).nu_minus > 7.0 / 8.0
 
 
@@ -628,7 +646,7 @@ def test_tail_bound_on_direct_sums(tol):
             base = tuple(range(1, n0 + 1))
             for extra in ((), (n0 + 2,) if n0 + 2 <= f.n else ()):
                 j = fk.IndexSet(members=base + extra, n=f.n)
-                assert fk.verify_tail_bound(f, eps, j, tol)
+                assert fk.verify_tail_bound(f, eps, j, tol).holds
 
 
 def test_projected_basis_frame_small(tol):

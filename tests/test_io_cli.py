@@ -429,9 +429,24 @@ def test_cli_closed_stdout_exits_quietly(files):
     assert proc.returncode == 3 and err == b""
 
 
-def test_cli_tail(files, capsys):
+def test_cli_tail(files, capsys, monkeypatch):
+    import framekit.identity as identity
+
+    calls = []
+
+    def counted(name, function):
+        def spy(*args, **kwargs):
+            calls.append(name)
+            return function(*args, **kwargs)
+        return spy
+
+    monkeypatch.setattr(np.linalg, "eigh", counted("eigh", np.linalg.eigh))
+    monkeypatch.setattr(identity, "tail_threshold",
+                        counted("tail_threshold", identity.tail_threshold))
     code, out, _ = run(capsys, "tail", files["mb3"], "--eps", "0.5")
     assert code == 0
+    # one threshold, and one eigh each for J and its complement
+    assert sorted(calls) == ["eigh", "eigh", "tail_threshold"]
     payload = json.loads(out)["payload"]
     assert payload["n0"] == 2
     assert payload["j"] == [1, 2]
@@ -461,6 +476,9 @@ def test_cli_lemma(files, capsys, tmp_path):
     assert max(report["payload"].values()) <= 1e-10
     code, _, err = run(capsys, "lemma", files["e1e2e1"], files["scaled"])
     assert code == 2 and "error" in err
+    code, out, err = run(capsys, "lemma", files["e1e2e1"], g_path, "--probes", "0")
+    assert code == 2 and out == ""
+    assert err == "error: at least one probe vector is required\n"
 
 
 def test_cli_gen_all_kinds(capsys, tmp_path):
