@@ -41,7 +41,7 @@ from .frames import (
     is_parseval,
     synthesis_matrix,
 )
-from .io import canonical_json, read_frame, rows_obj, write_frame
+from .io import canonical_json, read_frame, write_frame
 from .linalg import gaussian_matrix
 
 
@@ -95,17 +95,15 @@ def _random_unit_vectors(rng: np.random.Generator, dim: int, count: int,
 
 def _cmd_analyze(args: argparse.Namespace, tol: ToleranceConfig, seed: int) -> Outcome:
     f = read_frame(args.frame)
-    bounds = frame_bounds(f)
     spanning = is_frame(f, tol)
     payload = {
         "n": f.n,
         "dim": f.dim,
         "field": f.field,
-        "a_opt": bounds.a_opt,
-        "b_opt": bounds.b_opt,
+        **frame_bounds(f)._asdict(),
         "is_frame": spanning,
         "is_parseval": is_parseval(f, tol),
-        "norms_sq": [float(v) for v in np.sum(np.abs(f.vectors) ** 2, axis=1)],
+        "norms_sq": np.sum(np.abs(f.vectors) ** 2, axis=1),
     }
     if spanning:
         report = excess(f, tol)
@@ -144,7 +142,7 @@ def _cmd_dual(args: argparse.Namespace, tol: ToleranceConfig, seed: int) -> Outc
         write_frame(g, args.out)
     payload = {
         "mode": args.mode,
-        "dual_vectors": rows_obj(g.vectors, g.field),
+        "dual_vectors": g.vectors,
         "deviation_norm": report.deviation_norm,
         "min_singular_vu": report.min_singular_vu,
         "excess_f": f.n - f.dim,  # check_duality passed: f and g are frames
@@ -160,15 +158,9 @@ def _cmd_check(args: argparse.Namespace, tol: ToleranceConfig, seed: int) -> Out
     f = read_frame(args.frame)
     g = read_frame(args.other)
     report = check_duality(f, g, tol)
-    payload = {
-        "is_exact_dual": report.is_exact_dual,
-        "is_pseudo_dual": report.is_pseudo_dual,
-        "is_approx_dual": report.is_approx_dual,
-        "deviation_norm": report.deviation_norm,
-        "min_singular_vu": report.min_singular_vu,
-        "excess_f": f.n - f.dim,  # check_duality passed: f and g are frames
-        "excess_g": g.n - g.dim,
-    }
+    payload = report._asdict()
+    payload["excess_f"] = f.n - f.dim  # check_duality passed: f and g are frames
+    payload["excess_g"] = g.n - g.dim
     if not report.is_pseudo_dual:
         payload["excess_equal"] = None
         return "n/a", payload
@@ -194,7 +186,7 @@ def _cmd_parseval_dual(args: argparse.Namespace, tol: ToleranceConfig,
     if existence.exists:
         g = construct_parseval_dual(f, tol).dual
         parseval, dual = verify_parseval_dual(f, g, tol)
-        payload["dual_vectors"] = rows_obj(g.vectors, g.field)
+        payload["dual_vectors"] = g.vectors
         payload["residual_parseval"] = parseval.value
         payload["residual_dual"] = dual.value
         if not (parseval.holds and dual.holds):
@@ -211,21 +203,14 @@ def _cmd_nu(args: argparse.Namespace, tol: ToleranceConfig, seed: int) -> Outcom
     if args.global_min:
         value, witness = nu_minus_global(f, tol)
         payload = {"mode": "global", "nu_minus": value,
-                   "witness_j": list(witness.members)}
+                   "witness_j": witness.members}
         in_range = nu_in_range(value, None, tol)
     else:
         j = _parse_index_list(args.j, f.n)
         bounds = nu_bounds(f, j, tol)
         in_range = nu_in_range(bounds.nu_minus, bounds.nu_plus, tol)
-        payload = {
-            "mode": "subset",
-            "j": list(j.members),
-            "nu_minus": bounds.nu_minus,
-            "nu_plus": bounds.nu_plus,
-            "argmin_vector": rows_obj(bounds.argmin_vector, f.field),
-            "argmax_vector": rows_obj(bounds.argmax_vector, f.field),
-            "in_range": in_range,
-        }
+        payload = {"mode": "subset", "j": j.members, **bounds._asdict(),
+                   "in_range": in_range}
     return "pass" if in_range else "fail", payload
 
 
@@ -239,7 +224,7 @@ def _cmd_identity(args: argparse.Namespace, tol: ToleranceConfig, seed: int) -> 
     rng = np.random.default_rng(seed)
     xs = _random_unit_vectors(rng, f.dim, args.trials, f.field == COMPLEX)
     residual = identity_residual(f, j, xs, tol)
-    payload = {"j": list(j.members), "trials": args.trials,
+    payload = {"j": j.members, "trials": args.trials,
                "max_residual": residual.value}
     return "pass" if residual.holds else "fail", payload
 
@@ -251,7 +236,7 @@ def _cmd_tail(args: argparse.Namespace, tol: ToleranceConfig, seed: int) -> Outc
     j = None if args.j is None else _parse_index_list(args.j, f.n)
     report = verify_tail_bound(f, args.eps, j, tol)
     payload = report._asdict()
-    payload["j"] = list(report.j.members)
+    payload["j"] = report.j.members
     return "pass" if report.holds else "fail", payload
 
 

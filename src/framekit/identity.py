@@ -184,6 +184,7 @@ def identity_residual(f: Frame, j: IndexSet, xs: np.ndarray,
     """The decision max |lhs - rhs| <= atol over the rows of xs, the two
     sides coming from `identity_sides` in blocks of at most _TRIAL_BLOCK
     coefficients, so that those of all rows are never held at once."""
+    xs = np.atleast_2d(xs)  # one vector is one trial, whatever the block size
     if len(xs) == 0:
         raise DimensionMismatchError("at least one trial vector is required")
     block = max(1, _TRIAL_BLOCK // f.n)

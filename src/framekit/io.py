@@ -7,9 +7,11 @@ same container (``dim`` = column count, one row per matrix row).
 
 Serialization is deterministic: insertion-ordered keys, floats rendered
 with 17 significant digits (enough to round-trip doubles bit-exactly),
-no whitespace.  Identical values therefore serialize to identical
-bytes, which the CLI relies on for reproducible reports; the report
-envelope itself is written by `cli.run_command`.
+arrays as nested lists with complex entries as ``[re, im]`` pairs (the
+frame-file convention, so a frame's ``vectors`` array is written as it
+is stored), no whitespace.  Identical values therefore serialize to
+identical bytes, which the CLI relies on for reproducible reports; the
+report envelope itself is written by `cli.run_command`.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from __future__ import annotations
 import json
 import math
 import reprlib
-from typing import Any, List
+from typing import Any
 
 import numpy as np
 
@@ -32,7 +34,8 @@ def _format_float(x: float) -> str:
 
 
 def canonical_json(value: Any) -> str:
-    """Render a value as deterministic JSON (see module docstring)."""
+    """Render a value as deterministic JSON (see module docstring): an
+    array as nested lists, a complex entry as an ``[re, im]`` pair."""
     if value is None:
         return "null"
     if isinstance(value, (bool, np.bool_)):
@@ -46,20 +49,14 @@ def canonical_json(value: Any) -> str:
     if isinstance(value, (list, tuple)):
         return "[" + ",".join(canonical_json(v) for v in value) + "]"
     if isinstance(value, np.ndarray):
+        if np.iscomplexobj(value):
+            value = np.stack([value.real, value.imag], axis=-1)
         return canonical_json(value.tolist())
     if isinstance(value, dict):
         return "{" + ",".join(
             json.dumps(str(k)) + ":" + canonical_json(v) for k, v in value.items()
         ) + "}"
     raise TypeError(f"cannot serialize {type(value).__name__} canonically")
-
-
-def rows_obj(vectors: np.ndarray, field: str) -> List[list]:
-    """A matrix (row by row) or a vector in frame-file form for the field."""
-    arr = np.asarray(vectors)
-    if field == REAL:
-        return arr.real.tolist()
-    return np.stack([arr.real, arr.imag], axis=-1).tolist()
 
 
 def _require_number(value: Any, where: str) -> float:
@@ -137,7 +134,7 @@ def read_frame(path: str) -> Frame:
 
 
 def dumps_frame(f: Frame) -> str:
-    obj = {"dim": f.dim, "field": f.field, "vectors": rows_obj(f.vectors, f.field)}
+    obj = {"dim": f.dim, "field": f.field, "vectors": f.vectors}
     return canonical_json(obj) + "\n"
 
 

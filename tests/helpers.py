@@ -274,6 +274,128 @@ def exact_lemma_ensemble(seed):
             yield t, _add(pinv, _matmul(integers(d, n, 2), off_range))
 
 
+def inertia(s, c):
+    """Numbers of eigenvalues of the symmetric rational matrix s above and
+    below c, read from the pivot signs of a symmetric elimination of
+    s - cI: congruence keeps them (Sylvester's law of inertia; Golub and
+    Van Loan, Matrix Computations, 4th ed., 8.1).  No eigenvalue is
+    computed."""
+    m = [[x - c if i == j else x for j, x in enumerate(row)] for i, row in enumerate(s)]
+    above = below = 0
+    while m:
+        k = next((i for i in range(len(m)) if m[i][i] != 0), None)
+        if k is None:  # a zero diagonal
+            k, j = next(((i, j) for i, row in enumerate(m) for j, x in enumerate(row)
+                         if x != 0), (None, None))
+            if k is None:
+                break  # the rest is zero
+            # row and column k += row and column j make m[k][k] = 2 m[k][j]
+            m[k] = [a + b for a, b in zip(m[k], m[j])]
+            for row in m:
+                row[k] += row[j]
+        p = m[k][k]
+        above += p > 0
+        below += p < 0
+        m = [[x - row[k] * m[k][j] / p for j, x in enumerate(row) if j != k]
+             for i, row in enumerate(m) if i != k]
+    return above, below
+
+
+class ExactBandVerdict(NamedTuple):
+    """The eigenvalue-band verdicts on a real frame, decided over the exact
+    values of its float entries, in the library's terms."""
+
+    deviation_dim: int  # eigenvalues of S outside [1 - eig_one_atol, 1 + eig_one_atol]
+    exists: bool  # A >= 1 - eig_one_atol and deviation_dim <= excess
+    is_parseval: bool  # every eigenvalue of S in [1 - atol, 1 + atol]
+    excess: int  # n - rank U
+
+
+def exact_frame_operator(rows):
+    """S = U*U of the real frame with these float rows, over the exact
+    values of its entries."""
+    u = [[Fraction(float(x)) for x in row] for row in rows]
+    return _matmul(_transpose(u), u)
+
+
+def exact_band_verdict(rows, tol):
+    """`ExactBandVerdict` of the real frame with these float rows: S and
+    the shifts 1 +- eig_one_atol and 1 +- atol are exact rationals, so the
+    counts of `inertia` are exact."""
+    s = exact_frame_operator(rows)
+    band, atol = Fraction(tol.eig_one_atol), Fraction(tol.atol)
+    dev = inertia(s, 1 + band)[0] + inertia(s, 1 - band)[1]
+    excess = len(rows) - rational_rank(rows)
+    return ExactBandVerdict(
+        deviation_dim=dev, exists=inertia(s, 1 - band)[1] == 0 and dev <= excess,
+        is_parseval=inertia(s, 1 + atol)[0] == 0 and inertia(s, 1 - atol)[1] == 0,
+        excess=excess)
+
+
+# A skew conference matrix (K*K = 3I): its Cayley transform is -(I + K)/2,
+# every entry +-1/2, so its columns are Parseval frames in floats exactly.
+_CONFERENCE = ((0, 1, 1, 1), (-1, 0, -1, 1), (-1, 1, 0, -1), (-1, -1, 1, 0))
+
+
+def cayley_parseval(rng, n, d):
+    """n x d float rows: the first d columns of the rational orthogonal
+    (I - K)(I + K)^{-1}, K skew-symmetric with entries in [-2, 2] (at
+    n = 4, every other draw the conference matrix, which is exact in
+    floats), each entry rounded to the nearest float."""
+    if n == 4 and rng.integers(2):
+        k = np.array(_CONFERENCE)
+    else:
+        k = np.triu(rng.integers(-2, 3, (n, n)), 1)
+        k = k - k.T
+    k = [[Fraction(int(x)) for x in row] for row in k]
+    q = _matmul(_add(_identity(n), k, -1), _inverse(_add(_identity(n), k)))
+    return np.array([[float(x) for x in row[:d]] for row in q])
+
+
+def band_ensemble(seed, band):
+    """(kind, rows) real frames, d = 2..4, for the eigenvalue-band oracle.
+    Each kind aims at one verdict class; the oracle, not the kind, decides
+    it:
+
+    * "parseval": a `cayley_parseval` frame, n = d..d+3;
+    * "below" and "equal": that frame with m of its rows scaled by 5/4,
+      3/2 or 2 (A stays >= 1, the deviation dimension is generically m),
+      or m vectors of halves appended to a frame of n - m rows, where m is
+      below or equal to the excess n - d;
+    * "above": m = n - d + 1 <= d rows scaled up;
+    * "low": one row scaled by 1/2 or 3/4, so A < 1;
+    * "edge inside" and "edge outside": the longest row u_k scaled by
+      sqrt(1 + t / ||u_k||^2), which moves one eigenvalue to 1 + t, for
+      t = +-band (1 -+ 1e-3), just inside and just outside the band.
+    """
+    rng = np.random.default_rng(seed)
+    ups = (1.25, 1.5, 2.0)
+    for trial in range(45):
+        d = 2 + trial // 5 % 3
+        kind = ("parseval", "below", "equal", "above", "low")[trial % 5]
+        m = int(rng.integers(1, d + 1))  # scaled or appended vectors
+        n = {"parseval": d + int(rng.integers(4)), "below": d + m + 1, "equal": d + m,
+             "above": d + m - 1, "low": d + int(rng.integers(4))}[kind]
+        if kind in ("below", "equal") and trial % 2:
+            rows = np.vstack([cayley_parseval(rng, n - m, d),
+                              rng.integers(-3, 4, (m, d)) / 2])
+        else:
+            rows = cayley_parseval(rng, n, d)
+            if kind == "low":
+                rows[rng.integers(n)] *= (0.5, 0.75)[trial % 2]
+            elif kind != "parseval":
+                rows[rng.choice(n, m, replace=False)] *= rng.choice(ups, m)[:, None]
+        yield kind, rows
+    for d in (2, 3, 4):
+        for t in (band * (1 + 1e-3), band * (1 - 1e-3), -band * (1 - 1e-3),
+                  -band * (1 + 1e-3)):
+            rows = cayley_parseval(rng, d + int(rng.integers(3)), d)
+            norms_sq = np.sum(rows ** 2, axis=1)
+            k = norms_sq.argmax()
+            rows[k] *= np.sqrt(1 + t / norms_sq[k])
+            yield "edge " + ("inside" if abs(t) < band else "outside"), rows
+
+
 def rank_from_singular_values(s, rtol):
     """Number of singular values above rtol * s_max, for s in descending
     order."""

@@ -7,9 +7,11 @@ applies each mutant to a temporary copy of `src/`, runs `pytest -x -q` on
 the row's test files against that copy, and prints killed or survived.
 It exits 1 if any mutant survives or its run ends in an error other than
 a failing test.  The table lists only mutants the tests kill; a known
-survivor joins it together with the test that kills it.  Standard
-library only; pytest does not collect this file, and the Tier-1 test
-`test_mutants.py` checks that each old snippet still occurs exactly once
+survivor joins it together with the test that kills it.  `PROOF_ONLY`
+lists the rounding allowances that no known input needs, each with the
+derivation that keeps it; the runner skips them.  Standard library only;
+pytest does not collect this file, and the Tier-1 test `test_mutants.py`
+checks that each old snippet of either table still occurs exactly once
 in `src/`.
 """
 
@@ -89,6 +91,80 @@ MUTANTS = (
            "if len(xs) == 0:",
            "if False:",
            ("tests/test_identity.py",)),
+    Mutant("Parseval-dual existence without its lower-bound condition",
+           "framekit/parseval.py",
+           'exists = decide(a_opt, ">=", 1.0 - tol.eig_one_atol).holds and dev <= exc',
+           "exists = dev <= exc",
+           ("tests/test_decisions.py",)),
+    Mutant("deviation dimension with atol as the band half-width",
+           "framekit/parseval.py",
+           'decide(np.abs(eigs - 1.0), ">", tol.eig_one_atol)',
+           'decide(np.abs(eigs - 1.0), ">", tol.atol)',
+           ("tests/test_decisions.py",)),
+    Mutant("identity_residual cuts a lone vector into blocks",
+           "framekit/identity.py",
+           "xs = np.atleast_2d(xs)  # one vector is one trial, whatever the block size",
+           "xs = xs",
+           ("tests/test_identity.py",)),
+    Mutant("subset sweep's certify window without its rounding term",
+           "framekit/identity.py",
+           "_ROUNDING = 16",
+           "_ROUNDING = 0",
+           ("tests/test_identity.py",)),
+    Mutant("complex array written as its real part",
+           "framekit/io.py",
+           "value = np.stack([value.real, value.imag], axis=-1)",
+           "value = value.real",
+           ("tests/test_io_cli.py",)),
+)
+
+
+
+class ProofOnly(NamedTuple):
+    """A rounding allowance that no known input needs: the mutant that
+    drops it survives the tests, and `why`, the derivation that gives the
+    allowance, is the reason it stays until a proof shows it is not
+    needed (a search that finds no failing input is not such a proof)."""
+
+    name: str
+    file: str
+    old: str
+    new: str
+    why: str
+
+
+# Searched with 257 frames exact in floats, so that ||S - I|| = 0 and the
+# certify window is its rounding term alone: columns of the 16 x 16
+# Hadamard matrix / 4, direct sums of columns of the 4 x 4 one / 2, and
+# H4 / 2 rotations of vectors on the axes with dyadic lengths, d up to 6
+# and n up to 18.  Many have subsets whose S_J has the eigenvalue 1/2
+# exactly, where |det(S_J - I/2)| = 0 meets the limit.  `_ROUNDING = 0`
+# changed the witness on 11 of them (one is in `test_identity.py`); the
+# two mutants below changed no value and no witness of `nu_minus_global`
+# against the exhaustive sweep.
+PROOF_ONLY = (
+    ProofOnly("det limit without the bilinear evaluation term of eta",
+              "framekit/identity.py",
+              "eta += _product_roundings(d) * d ** (d / 2) * 3 ** d * (1.0 + e)",
+              "eta += 0",
+              "Each of the d! terms of det(L + C) reaches the bilinear sum "
+              "through at most N = `_product_roundings(d)` roundings, so the sum "
+              "strays from det(L + C) by at most N eps per(|L| + |C|) <= "
+              "N d^(d/2) 3^(d - 1) (3/2 + 2e) eps after the division by "
+              "(1/2 + e)^(d - 1) (`nu_minus_global`, eta).  The other term, "
+              "_DET_ROUNDING d^2 n eps, covers only the rounding of the sum, "
+              "the shift and eigvalsh, not this one, which is 1.5e8 eps at d = 6."),
+    ProofOnly("det limit without its upward rounding factor",
+              "framekit/identity.py",
+              "* (eta * _EPS + reach) * (1.0 + 4.0 * _EPS)",
+              "* (eta * _EPS + reach)",
+              "With u = eps/2, the screen's m is at most r / (1 - u)^2 for the "
+              "computed r = fl(sqrt(fl(x+ - 3/4))), and three more roundings (the "
+              "sum eta eps + r, the product with s, the factor itself) lose at "
+              "most (1 - u)^3; 1 + 4 eps = 1 + 8u makes (1 - u)^5 (1 + 8u) > 1, "
+              "so the computed limit is at least s (eta + m) >= |det| "
+              "(`nu_minus_global`, screen).  Without it a subset at the limit "
+              "may be pruned by the rounding of the limit alone."),
 )
 
 

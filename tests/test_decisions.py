@@ -9,6 +9,7 @@ that the CLI makes no such comparison itself.
 
 import ast
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -19,7 +20,9 @@ import framekit.linalg
 from framekit.duals import canonical_dual_analysis
 from framekit.linalg import subspace_distance
 from framekit.parseval import _nearest_parseval_dual
-from helpers import TOL, admissible_frame, orthonormal_range, random_dual_pair
+from helpers import (TOL, admissible_frame, band_ensemble, exact_band_verdict,
+                     exact_frame_operator, inertia, orthonormal_range,
+                     random_dual_pair)
 
 TOLERANCE_FIELDS = set(fk.ToleranceConfig._fields)
 
@@ -194,6 +197,35 @@ def test_eigenvalue_one_band_at_its_edge():
         canonical_dual_analysis(f))
     corrected = _nearest_parseval_dual(f, TOL._replace(eig_one_atol=below(0.5)))
     assert not np.array_equal(corrected, canonical_dual_analysis(f))
+
+
+def _band_class(verdict):
+    if verdict.is_parseval:
+        return "parseval"
+    if verdict.exists:
+        return "dual, dev " + ("<" if verdict.deviation_dim < verdict.excess else "=")
+    return "no dual, dev >" if verdict.deviation_dim > verdict.excess else "no dual, A < 1 - band"
+
+
+def test_eigenvalue_band_verdicts_match_the_exact_oracle():
+    # under the default tolerances, and with a band wider than atol, so
+    # that a band of the wrong half-width shows
+    for band in (TOL.eig_one_atol, 1e-3):
+        tol = TOL._replace(eig_one_atol=band)
+        classes, kinds = Counter(), Counter()
+        for kind, rows in band_ensemble(19, band):
+            f = fk.Frame(dim=rows.shape[1], field="real", vectors=rows)
+            exact = exact_band_verdict(rows, tol)
+            assert (fk.deviation_dimension(f, tol), fk.parseval_dual_exists(f, tol).exists,
+                    fk.is_parseval(f, tol), fk.excess(f, tol).excess) == exact, (band, kind)
+            classes[_band_class(exact)] += 1
+            kinds[kind] += 1
+            above, below = inertia(exact_frame_operator(rows), 1)
+            classes["A = 1 exactly"] += below == 0 and above < f.dim
+        print(band, dict(classes), dict(kinds))
+        main = [classes[name] for name in ("parseval", "dual, dev <", "dual, dev =",
+                                           "no dual, dev >", "no dual, A < 1 - band")]
+        assert min(main) >= max(main) / 2 and classes["A = 1 exactly"], classes
 
 
 def test_library_verdicts_of_the_cli_at_atol():

@@ -107,6 +107,15 @@ def test_identity_sides_batched_equals_looped(tol):
             for x, batched in zip(xs, zip(lhs, rhs)):
                 for v, w in zip(batched, fk.identity_sides(f, j, x, tol)):
                     assert abs(v - w) <= 4 * eps * max(1.0, abs(w))
+    # a lone vector is one trial of identity_residual, also where its block
+    # of _TRIAL_BLOCK // n = 2 rows is shorter than the vector
+    f = fk.Frame(dim=3, field="real", vectors=np.linalg.qr(
+        np.random.default_rng(0).standard_normal((12000, 3)))[0])
+    j = fk.IndexSet(members=(1, 3), n=12000)
+    x = np.array([1.0, 2.0, 3.0])
+    stacked = fk.identity_residual(f, j, x[None, :], tol)
+    assert stacked.holds
+    assert fk.identity_residual(f, j, x, tol) == stacked
 
 
 def test_identity_sides_empty_batch(mb3, tol):
@@ -275,6 +284,14 @@ def sweep_cases(mb3):
     for seed in range(4):
         yield near_parseval(basis, seed)
         yield near_parseval(mb3, seed)
+    # exact in floats, so ||S - I|| = 0 and the certify window is its
+    # rounding term alone: the H4 / 2 rotation of three unit vectors and
+    # 7/8, 3/8, 1/4, 1/8, 1/8 on one axis, whose exact ties screen an ulp
+    # apart
+    exact = np.array([[-16, -16, -16, -16], [-2, 2, 2, -2], [-16, 16, -16, 16],
+                      [16, 16, -16, -16], [-14, 14, 14, -14], [-6, 6, 6, -6],
+                      [-4, 4, 4, -4], [-2, 2, 2, -2]]) / 32
+    yield fk.Frame(dim=4, field="real", vectors=exact)
     # the LAPACK det bound, d >= 7, within 2^12 subsets of the oracle
     for dim, n in ((7, 11), (8, 12)):
         for field in ("real", "complex"):

@@ -41,6 +41,7 @@ def test_canonical_json_scalars():
     assert canonical_json({"b": 1, "a": 2}) == '{"b":1,"a":2}'  # insertion order
     assert canonical_json(np.float64(0.5)) == "0.5"
     assert canonical_json(np.arange(3)) == "[0,1,2]"
+    assert canonical_json(np.array([1 + 2j, 0.5])) == "[[1,2],[0.5,0]]"
     with pytest.raises(fk.FramekitError):
         canonical_json(float("nan"))
     with pytest.raises(fk.FramekitError):
