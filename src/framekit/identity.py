@@ -157,8 +157,9 @@ def identity_sides(f: Frame, j: IndexSet, x: np.ndarray, tol: ToleranceConfig
                    ) -> Tuple[float, float] | Tuple[np.ndarray, np.ndarray]:
     """Evaluate both sides of the identity at x: (J-form, mirrored form).
 
-    x is one nonzero vector of length dim, giving two floats, or a
-    (k, dim) stack of them, one per row, giving two length-k arrays.
+    x is one finite nonzero vector of length dim, giving two floats, or a
+    (k, dim) stack of them, one per row, giving two length-k arrays; a
+    squared norm that overflows counts as not finite.
     For a Parseval frame the two sides agree up to rounding for every x;
     the pair is returned so the residual can be inspected directly.
     """
@@ -169,8 +170,11 @@ def identity_sides(f: Frame, j: IndexSet, x: np.ndarray, tol: ToleranceConfig
     if x.ndim not in (1, 2) or x.shape[-1] != f.dim:
         raise DimensionMismatchError(f"x must have shape ({f.dim},) or (k, {f.dim})")
     norms = _norms_sq(x)
-    if not (norms > 0.0 if x.ndim == 1 else (norms > 0.0).all()):
-        raise ZeroVectorError("x must be nonzero")
+    if not (0.0 < norms < np.inf if x.ndim == 1
+            else ((0.0 < norms) & (norms < np.inf)).all()):
+        if np.isfinite(norms).all():
+            raise ZeroVectorError("x must be nonzero")
+        raise BadParametersError("x must be finite, with a finite squared norm")
     coeff = np.dot(x, analysis_matrix(f).T)
     c_in = np.where(j.mask(), coeff, 0.0)
     c_out = np.subtract(coeff, c_in, out=coeff)
@@ -466,33 +470,41 @@ def _minor_tables(d: int) -> tuple:
     """Index tables of `_minors` and `_det_features` for d x d matrices.
 
     The minors are numbered by size k, then I, then J, each in
-    lexicographic order.  steps[k - 1] = (start, stop, entry, minor) fills
-    size k: the minor of (I, J) is the sum over p of signed entry
-    entry[., p] (row i_0 * d + J[p] of the entries, shifted by d^2 when
-    negated) times minor minor[., p] of (I - i_0, J - J[p]).  l_rows and
-    c_rows pair (I, J) with (I', J') for each feature, weights holds
-    (-1)^(sum I + sum J) (doubled for I < J), pairs marks I < J."""
-    index = {((), ()): 0}
+    lexicographic order, so (I, J) is minor offsets[k] + rank(I) * C(d, k)
+    + rank(J).  steps[k - 1] = (start, stop, entry, minor) fills size k:
+    the minor of (I, J) is the sum over p of signed entry entry[., p]
+    (row i_0 * d + J[p] of the entries, shifted by d^2 when negated) times
+    minor minor[., p] of (I - i_0, J - J[p]); a row is a J-part, formed
+    once per J, plus a share of I.  l_rows and c_rows pair (I, J) with
+    (I', J') for each feature, weights holds (-1)^(sum I + sum J)
+    (doubled for I < J), pairs marks I < J."""
+    levels = [list(itertools.combinations(range(d), k)) for k in range(d + 1)]
+    ranks = [{s: r for r, s in enumerate(level)} for level in levels]
+    offsets = [0, *itertools.accumulate(len(level) ** 2 for level in levels)]
     steps = []
     for k in range(1, d + 1):
-        start = len(index)
-        subsets = list(itertools.combinations(range(d), k))
+        below, width = ranks[k - 1], len(levels[k - 1])
+        j_entry, j_minor = [], []
+        for j in levels[k]:
+            j_entry += [c + (p % 2) * d * d for p, c in enumerate(j)]
+            j_minor += [offsets[k - 1] + below[j[:p] + j[p + 1:]] for p in range(k)]
         entry, minor = [], []
-        for i in subsets:
-            for j in subsets:
-                index[i, j] = len(index)
-                entry.append([i[0] * d + c + (p % 2) * d * d for p, c in enumerate(j)])
-                minor.append([index[i[1:], j[:p] + j[p + 1:]] for p in range(k)])
-        steps.append((start, len(index), np.array(entry), np.array(minor)))
-    def rest(s):
-        return tuple(k for k in range(d) if k not in s)
-
+        for i in levels[k]:
+            row, share = i[0] * d, below[i[1:]] * width
+            entry += [e + row for e in j_entry]
+            minor += [m + share for m in j_minor]
+        steps.append((offsets[k], offsets[k + 1], np.array(entry).reshape(-1, k),
+                      np.array(minor).reshape(-1, k)))
     l_rows, c_rows, weights = [], [], []
-    for (i, j), row in index.items():
-        if i <= j:
-            l_rows.append(row)
-            c_rows.append(index[rest(i), rest(j)])
-            weights.append((-1) ** (sum(i) + sum(j)) * (2 if i < j else 1))
+    for k, level in enumerate(levels):
+        size, rest = len(level), ranks[d - k]
+        comp = [rest[tuple(c for c in range(d) if c not in s)] for s in level]
+        sign = [(-1) ** sum(s) for s in level]
+        for a in range(size):
+            for b in range(a, size):
+                l_rows.append(offsets[k] + a * size + b)
+                c_rows.append(offsets[d - k] + comp[a] * size + comp[b])
+                weights.append(sign[a] * sign[b] * (2 if a < b else 1))
     weights = np.array(weights, dtype=np.float64)
     return (tuple(steps), np.array(l_rows), np.array(c_rows), weights,
             np.abs(weights) == 2)

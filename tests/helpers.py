@@ -9,9 +9,11 @@ dual by a Levenberg-Marquardt search over all duals (numpy only)
 instead of the closed form, ranks and range bases from numpy's own SVD
 instead of a frame's cached one, the global subset minimum by evaluating M_J
 on every subset, determinants by elimination over exact (Gaussian)
-rationals.
+rationals, the minor tables of the determinant bound numbered through a
+dict over every (I, J) pair.
 """
 
+import itertools
 from fractions import Fraction
 from itertools import combinations
 from typing import NamedTuple, Optional
@@ -536,6 +538,36 @@ def exhaustive_nu_minus_global(frame, chunk=1 << 14):
             best_code = int(codes[k])
     members = tuple(k + 1 for k in range(n) if (best_code >> k) & 1)
     return best_val, fk.IndexSet(members=members, n=n)
+
+
+def reference_minor_tables(d):
+    """The tables of `identity._minor_tables(d)`, each minor (I, J) numbered
+    by a dict over all pairs in the order they are first met, the
+    complement pair looked up by its subsets, not by ranks."""
+    index = {((), ()): 0}
+    steps = []
+    for k in range(1, d + 1):
+        start = len(index)
+        subsets = list(itertools.combinations(range(d), k))
+        entry, minor = [], []
+        for i in subsets:
+            for j in subsets:
+                index[i, j] = len(index)
+                entry.append([i[0] * d + c + (p % 2) * d * d for p, c in enumerate(j)])
+                minor.append([index[i[1:], j[:p] + j[p + 1:]] for p in range(k)])
+        steps.append((start, len(index), np.array(entry), np.array(minor)))
+    def rest(s):
+        return tuple(k for k in range(d) if k not in s)
+
+    l_rows, c_rows, weights = [], [], []
+    for (i, j), row in index.items():
+        if i <= j:
+            l_rows.append(row)
+            c_rows.append(index[rest(i), rest(j)])
+            weights.append((-1) ** (sum(i) + sum(j)) * (2 if i < j else 1))
+    weights = np.array(weights, dtype=np.float64)
+    return (tuple(steps), np.array(l_rows), np.array(c_rows), weights,
+            np.abs(weights) == 2)
 
 
 def seeded_cases(seed, count, *ranges):

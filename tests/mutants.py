@@ -116,6 +116,18 @@ MUTANTS = (
            "value = np.stack([value.real, value.imag], axis=-1)",
            "value = value.real",
            ("tests/test_io_cli.py",)),
+    Mutant("identity_sides without the upper bound on the squared norm",
+           "framekit/identity.py",
+           "if not (0.0 < norms < np.inf if x.ndim == 1\n"
+           "            else ((0.0 < norms) & (norms < np.inf)).all()):",
+           "if not (0.0 < norms if x.ndim == 1\n"
+           "            else (0.0 < norms).all()):",
+           ("tests/test_identity.py",)),
+    Mutant("minor tables pairing (I, J) with (I', I')",
+           "framekit/identity.py",
+           "c_rows.append(offsets[d - k] + comp[a] * size + comp[b])",
+           "c_rows.append(offsets[d - k] + comp[a] * size + comp[a])",
+           ("tests/test_identity.py",)),
 )
 
 

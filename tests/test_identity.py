@@ -12,8 +12,8 @@ from framekit.identity import (_bound_table, _det_features, _det_limit,
                                _partial_operators, _product_roundings, _subset_sums)
 from framekit.linalg import adjoint
 from helpers import (TOL, all_subsets, direct_sum_frames, exact_det,
-                     exhaustive_nu_minus_global, seeded_cases, sharpness_frame,
-                     sort_rows_by_deficit)
+                     exhaustive_nu_minus_global, reference_minor_tables, seeded_cases,
+                     sharpness_frame, sort_rows_by_deficit)
 
 
 def test_index_set_basics():
@@ -90,6 +90,15 @@ def test_identity_sides_errors(mb3, e1e2e1, tol):
     for shape in ((4, 3), (1, 4, 2), ()):
         with pytest.raises(fk.DimensionMismatchError):
             fk.identity_sides(mb3, j, np.ones(shape), tol)
+    # a NaN or infinite entry, or a squared norm that overflows, is a bad x:
+    # neither read as zero nor carried into NaN sides
+    for bad in (np.nan, np.inf, -np.inf, 1e200):
+        x = np.array([bad, 1.0])
+        batch = np.concatenate([xs[:2], x[None, :], xs[2:]])
+        for call, arg in ((fk.identity_sides, x), (fk.identity_sides, batch),
+                          (fk.identity_residual, x), (fk.identity_residual, batch)):
+            with pytest.raises(fk.BadParametersError, match="finite"):
+                call(mb3, j, arg, tol)
 
 
 def test_identity_sides_batched_equals_looped(tol):
@@ -503,6 +512,21 @@ def test_nu_minus_global_builds_each_table_once(tol):
             for _ in range(2):
                 fk.nu_minus_global(f, tol)
     assert identity._minor_tables.cache_info().misses == 6  # d = 1..6
+
+
+def test_minor_tables_equal_the_dict_numbered_reference():
+    # arithmetic numbering builds the same tables as a dict over every
+    # (I, J) pair: the step bounds, and each array's values, dtype and shape
+    for d in range(1, 9):
+        steps, *tables = identity._minor_tables.__wrapped__(d)
+        ref_steps, *ref_tables = reference_minor_tables(d)
+        assert [step[:2] for step in steps] == [step[:2] for step in ref_steps]
+        arrays = [a for step in steps for a in step[2:]] + tables
+        ref_arrays = [a for step in ref_steps for a in step[2:]] + ref_tables
+        assert len(arrays) == len(ref_arrays) == 2 * d + 4
+        for a, ref in zip(arrays, ref_arrays):
+            assert (a.dtype, a.shape) == (ref.dtype, ref.shape)
+            npt.assert_array_equal(a, ref)
 
 
 def test_half_tables_are_hermitian_bit_for_bit():
