@@ -59,7 +59,8 @@ class _ToleranceFields(NamedTuple):  # the fields and defaults of ToleranceConfi
 
 
 class ToleranceConfig(_ToleranceFields):
-    """Numerical knobs shared by every predicate in the package.
+    """Numerical knobs shared by every predicate in the package, each
+    strictly between 0 and 1.
 
     Every decision about a frame reads the singular values
     sigma_1 >= ... of its analysis matrix U (the cached `Frame.svd`):
@@ -72,16 +73,8 @@ class ToleranceConfig(_ToleranceFields):
       when |lambda_i - 1| <= eig_one_atol, and the frame is Parseval
       when all lie within atol of 1.
 
-    Parameters
-    ----------
-    rank_rtol : float
-        Relative singular-value cutoff for rank decisions: singular
-        values above ``rank_rtol * sigma_max`` count toward the rank.
-    atol : float
-        Absolute tolerance for operator-norm and vector comparisons.
-    eig_one_atol : float
-        Half-width of the band around 1 inside which a frame-operator
-        eigenvalue is classified as "equal to one".
+    Every other residual (an operator norm, a vector or an imaginary
+    part) passes when it is at most atol.
     """
 
     __slots__ = ()
@@ -113,10 +106,13 @@ _tuple_new = tuple.__new__  # as a named tuple's own __new__ builds it, but from
 
 
 def decide(value, rule: str, threshold) -> Decision:
-    """The decision `value rule threshold`, rule one of <=, <, >=, >.  Every
-    comparison with a threshold built from a `ToleranceConfig` field is
-    made here, with the rule that states its property, so that the
-    verdict at equality is the rule's own."""
+    """The decision `value rule threshold`, rule one of <=, <, >=, >, the one
+    that states the property, so that the verdict at equality is its own.
+    Every comparison with a `ToleranceConfig` field is made here, by one of
+    two rules: rank (sigma_i against rank_rtol * sigma_1) or gap (a
+    residual, or the gap x - c or c - x of x from a band's centre c,
+    against the tolerance itself, never x against a rounded c -+ tol; for
+    x within a factor 2 of c the gap is exact, by Sterbenz's lemma)."""
     return _tuple_new(Decision, (value, threshold, _RULES[rule](value, threshold)))
 
 

@@ -136,8 +136,8 @@ class NuBounds(NamedTuple):
 
 class TailReport(NamedTuple):
     """The tail lower bound checked for one J: the threshold n0, J, the
-    least subset quantity on J and on its complement, the bound 1 - eps,
-    and whether both exceed it."""
+    least subset quantity on J and on its complement, the bound fl(1 - eps),
+    and whether both exceed 1 - eps (each 1 - nu_minus < eps, exactly)."""
 
     n0: int
     j: IndexSet
@@ -233,10 +233,10 @@ def nu_bounds(f: Frame, j: IndexSet, tol: ToleranceConfig) -> NuBounds:
 
 
 def nu_in_range(nu_minus: float, nu_plus: Optional[float], tol: ToleranceConfig) -> bool:
-    """nu_minus >= 3/4 - atol and, unless nu_plus is None (for a value of
-    `nu_minus_global`, a least nu_minus), nu_plus <= 1 + atol."""
-    return decide(nu_minus, ">=", 0.75 - tol.atol).holds and (
-        nu_plus is None or decide(nu_plus, "<=", 1.0 + tol.atol).holds)
+    """3/4 - nu_minus <= atol and, unless nu_plus is None (for a value of
+    `nu_minus_global`, a least nu_minus), nu_plus - 1 <= atol."""
+    return decide(0.75 - nu_minus, "<=", tol.atol).holds and (
+        nu_plus is None or decide(nu_plus - 1.0, "<=", tol.atol).holds)
 
 
 def nu_minus_global(f: Frame, tol: ToleranceConfig) -> Tuple[float, IndexSet]:
@@ -569,8 +569,8 @@ def verify_tail_bound(f: Frame, eps: float, j: Optional[IndexSet],
                       tol: ToleranceConfig) -> TailReport:
     """Check the tail lower bound on a J that contains {1..n0}, or on
     exactly {1..n0} when j is None: nu_minus(J) and the mirrored nu_minus
-    (on the complement) both exceed 1 - eps, so `holds` should always be
-    true."""
+    (on the complement) both exceed 1 - eps, decided on the gaps 1 - nu
+    against eps, so `holds` should always be true."""
     if j is not None:
         _check_universe(f, j)
     n0 = tail_threshold(f, eps, tol)
@@ -580,7 +580,7 @@ def verify_tail_bound(f: Frame, eps: float, j: Optional[IndexSet],
     elif not set(prefix) <= set(j.members):
         raise PrefixNotContainedError(
             f"index set must contain 1..{n0} for eps={eps!r}")
-    bound = 1.0 - eps
     direct = nu_bounds(f, j, tol).nu_minus
     mirrored = nu_bounds(f, j.complement(), tol).nu_minus
-    return TailReport(n0, j, direct, mirrored, bound, direct > bound and mirrored > bound)
+    return TailReport(n0, j, direct, mirrored, 1.0 - eps,
+                      1.0 - direct < eps and 1.0 - mirrored < eps)

@@ -38,7 +38,8 @@ min(k, #{eigenvalues of S above 1}) deviating eigenvectors, in
 descending eigenvalue order.  The bound is 0 exactly when A >= 1 and
 dim Im(S - I) <= k, so a frame failing either condition has no Parseval
 dual, and `best_parseval_dual_residual` reports by how much every dual
-misses.
+misses.  In floats both read the band |lambda - 1| <= eig_one_atol: (a)
+holds when no eigenvalue lies below it, and (b) counts those outside it.
 """
 
 from __future__ import annotations
@@ -95,7 +96,7 @@ def parseval_dual_exists(f: Frame, tol: ToleranceConfig) -> ParsevalDualReport:
     a_opt = float(f.eigenvalues.min())
     dev = _deviation_dim(f, tol)
     exc = f.n - f.dim
-    exists = decide(a_opt, ">=", 1.0 - tol.eig_one_atol).holds and dev <= exc
+    exists = not decide(1.0 - a_opt, ">", tol.eig_one_atol).holds and dev <= exc
     return ParsevalDualReport(exists=exists, a_opt=a_opt,
                               deviation_dim=dev, excess_val=exc)
 
@@ -105,7 +106,7 @@ def nonexistence_reasons(report: ParsevalDualReport,
     """Human-readable reasons why the existence test failed (empty when
     it passed)."""
     reasons = []
-    if decide(report.a_opt, "<", 1.0 - tol.eig_one_atol).holds:
+    if decide(1.0 - report.a_opt, ">", tol.eig_one_atol).holds:
         reasons.append(f"a_opt {format(report.a_opt, '.17g')} < 1")
     if report.deviation_dim > report.excess_val:
         reasons.append(

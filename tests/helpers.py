@@ -10,10 +10,13 @@ instead of the closed form, ranks and range bases from numpy's own SVD
 instead of a frame's cached one, the global subset minimum by evaluating M_J
 on every subset, determinants by elimination over exact (Gaussian)
 rationals, the minor tables of the determinant bound numbered through a
-dict over every (I, J) pair.
+dict over every (I, J) pair, the eigenvalue-band verdicts by Sylvester
+inertia over exact rationals (a complex frame through its real
+embedding).
 """
 
 import itertools
+import math
 from fractions import Fraction
 from itertools import combinations
 from typing import NamedTuple, Optional
@@ -304,34 +307,50 @@ def inertia(s, c):
 
 
 class ExactBandVerdict(NamedTuple):
-    """The eigenvalue-band verdicts on a real frame, decided over the exact
+    """The eigenvalue-band verdicts on a frame, decided over the exact
     values of its float entries, in the library's terms."""
 
     deviation_dim: int  # eigenvalues of S outside [1 - eig_one_atol, 1 + eig_one_atol]
-    exists: bool  # A >= 1 - eig_one_atol and deviation_dim <= excess
+    exists: bool  # no eigenvalue of S below 1 - eig_one_atol, deviation_dim <= excess
     is_parseval: bool  # every eigenvalue of S in [1 - atol, 1 + atol]
     excess: int  # n - rank U
 
 
+def real_embedding(rows):
+    """The float rows of a complex frame as the real 2n x 2d rows
+    [[Re, -Im], [Im, Re]]; real rows as they are.  The embedding keeps
+    products and adjoints, so the frame operator of the embedded rows is
+    the embedding [[Re S', -Im S'], [Im S', Re S']] of S' = conj(S): it
+    holds every eigenvalue of S twice, and its rank is twice the rank."""
+    rows = np.asarray(rows)
+    if not np.iscomplexobj(rows):
+        return rows
+    return np.block([[rows.real, -rows.imag], [rows.imag, rows.real]])
+
+
 def exact_frame_operator(rows):
-    """S = U*U of the real frame with these float rows, over the exact
-    values of its entries."""
-    u = [[Fraction(float(x)) for x in row] for row in rows]
+    """S = U*U of the frame with these float rows over the exact values of
+    their entries; for a complex frame, its `real_embedding`."""
+    u = [[Fraction(float(x)) for x in row] for row in real_embedding(rows)]
     return _matmul(_transpose(u), u)
 
 
 def exact_band_verdict(rows, tol):
-    """`ExactBandVerdict` of the real frame with these float rows: S and
-    the shifts 1 +- eig_one_atol and 1 +- atol are exact rationals, so the
-    counts of `inertia` are exact."""
+    """`ExactBandVerdict` of the real or complex frame with these float
+    rows: S and the shifts 1 +- eig_one_atol and 1 +- atol are exact
+    rationals, so the counts of `inertia` are exact.  A complex frame is
+    decided on its `real_embedding`, whose counts are halved."""
+    copies = 2 if np.iscomplexobj(rows) else 1
     s = exact_frame_operator(rows)
     band, atol = Fraction(tol.eig_one_atol), Fraction(tol.atol)
-    dev = inertia(s, 1 + band)[0] + inertia(s, 1 - band)[1]
-    excess = len(rows) - rational_rank(rows)
+    # (above c, below c) for each shift c
+    count = {c: [x // copies for x in inertia(s, c)]
+             for c in {1 + band, 1 - band, 1 + atol, 1 - atol}}
+    dev = count[1 + band][0] + count[1 - band][1]
+    excess = len(rows) - rational_rank(real_embedding(rows)) // copies
     return ExactBandVerdict(
-        deviation_dim=dev, exists=inertia(s, 1 - band)[1] == 0 and dev <= excess,
-        is_parseval=inertia(s, 1 + atol)[0] == 0 and inertia(s, 1 - atol)[1] == 0,
-        excess=excess)
+        deviation_dim=dev, exists=count[1 - band][1] == 0 and dev <= excess,
+        is_parseval=count[1 + atol][0] == 0 and count[1 - atol][1] == 0, excess=excess)
 
 
 # A skew conference matrix (K*K = 3I): its Cayley transform is -(I + K)/2,
@@ -339,25 +358,58 @@ def exact_band_verdict(rows, tol):
 _CONFERENCE = ((0, 1, 1, 1), (-1, 0, -1, 1), (-1, 1, 0, -1), (-1, -1, 1, 0))
 
 
-def cayley_parseval(rng, n, d):
-    """n x d float rows: the first d columns of the rational orthogonal
-    (I - K)(I + K)^{-1}, K skew-symmetric with entries in [-2, 2] (at
-    n = 4, every other draw the conference matrix, which is exact in
-    floats), each entry rounded to the nearest float."""
+def cayley_parseval(rng, n, d, complex_valued=False):
+    """n x d float rows: the first d columns of the rational unitary
+    (I - K)(I + K)^{-1}, each entry rounded to the nearest float.  K is
+    skew-symmetric with entries in [-2, 2], plus i times a symmetric one
+    with entries in [-2, 2] when complex_valued; at n = 4, every other
+    draw is the conference matrix instead, for a complex frame conjugated
+    by a diagonal of 1s and is, so that K*K = 3I still and the columns
+    are exact in floats.  A complex K is inverted as its
+    `real_embedding`, itself skew-symmetric."""
     if n == 4 and rng.integers(2):
         k = np.array(_CONFERENCE)
+        if complex_valued:
+            phases = np.where(rng.integers(2, size=n), 1j, 1)
+            k = phases[:, None] * k * phases.conj()
     else:
         k = np.triu(rng.integers(-2, 3, (n, n)), 1)
         k = k - k.T
+        if complex_valued:
+            b = np.triu(rng.integers(-2, 3, (n, n)))
+            k = k + 1j * (b + np.triu(b, 1).T)
+    k = real_embedding(k)
+    size = len(k)
     k = [[Fraction(int(x)) for x in row] for row in k]
-    q = _matmul(_add(_identity(n), k, -1), _inverse(_add(_identity(n), k)))
-    return np.array([[float(x) for x in row[:d]] for row in q])
+    # (I + K)^{-1} E, E the first d columns of I; I + K is invertible
+    reduced = _reduced_rows([row + e[:d] for row, e in
+                             zip(_add(_identity(size), k), _identity(size))])[0]
+    q = _matmul(_add(_identity(size), k, -1), [row[size:] for row in reduced])
+    q = np.array([[float(x) for x in row] for row in q])
+    return q[:n] + 1j * q[n:] if complex_valued else q
 
 
-def band_ensemble(seed, band):
-    """(kind, rows) real frames, d = 2..4, for the eigenvalue-band oracle.
-    Each kind aims at one verdict class; the oracle, not the kind, decides
-    it:
+def square_roots(c):
+    """Floats x_1 <= ... whose squares sum to the float c in [1/2, 2)
+    exactly, the squares and every partial sum in this order being exact
+    in floats too: c 2^54 is an integer C, the last x is the even integer
+    nearest below sqrt(C) (even, so that its square fits in 53 bits), and the rest
+    take the greedy integer square roots of what remains, each below 2^16,
+    all times 2^-27."""
+    rest = int(Fraction(c) * 2 ** 54)
+    assert rest == Fraction(c) * 2 ** 54 and 2 ** 53 <= rest < 2 ** 55, c
+    roots = [2 * (math.isqrt(rest) // 2)]
+    rest -= roots[0] ** 2
+    while rest:
+        roots.append(math.isqrt(rest))
+        rest -= roots[-1] ** 2
+    return [p * 2.0 ** -27 for p in reversed(roots)]
+
+
+def band_ensemble(seed, band, complex_valued=False):
+    """(kind, rows) real or complex frames, d = 2..4, for the
+    eigenvalue-band oracle.  Each kind aims at one verdict class; the
+    oracle, not the kind, decides it:
 
     * "parseval": a `cayley_parseval` frame, n = d..d+3;
     * "below" and "equal": that frame with m of its rows scaled by 5/4,
@@ -368,10 +420,20 @@ def band_ensemble(seed, band):
     * "low": one row scaled by 1/2 or 3/4, so A < 1;
     * "edge inside" and "edge outside": the longest row u_k scaled by
       sqrt(1 + t / ||u_k||^2), which moves one eigenvalue to 1 + t, for
-      t = +-band (1 -+ 1e-3), just inside and just outside the band.
+      t = +-band (1 -+ 1e-3), just inside and just outside the band;
+    * "edge at fl(1 - band)" and "edge at fl(1 + band)": a Parseval
+      frame on the first d - 1 coordinates, and `square_roots` of
+      c = fl(1 -+ band) along the last, so that S has the eigenvalue c
+      exactly; that column is orthogonal to the others, so the library
+      reads c without rounding, and the verdict is the band rule's own.
     """
     rng = np.random.default_rng(seed)
     ups = (1.25, 1.5, 2.0)
+
+    def halves(rows, cols):
+        h = rng.integers(-3, 4, (rows, cols)) / 2
+        return h + 1j * rng.integers(-3, 4, (rows, cols)) / 2 if complex_valued else h
+
     for trial in range(45):
         d = 2 + trial // 5 % 3
         kind = ("parseval", "below", "equal", "above", "low")[trial % 5]
@@ -379,10 +441,10 @@ def band_ensemble(seed, band):
         n = {"parseval": d + int(rng.integers(4)), "below": d + m + 1, "equal": d + m,
              "above": d + m - 1, "low": d + int(rng.integers(4))}[kind]
         if kind in ("below", "equal") and trial % 2:
-            rows = np.vstack([cayley_parseval(rng, n - m, d),
-                              rng.integers(-3, 4, (m, d)) / 2])
+            rows = np.vstack([cayley_parseval(rng, n - m, d, complex_valued),
+                              halves(m, d)])
         else:
-            rows = cayley_parseval(rng, n, d)
+            rows = cayley_parseval(rng, n, d, complex_valued)
             if kind == "low":
                 rows[rng.integers(n)] *= (0.5, 0.75)[trial % 2]
             elif kind != "parseval":
@@ -391,11 +453,17 @@ def band_ensemble(seed, band):
     for d in (2, 3, 4):
         for t in (band * (1 + 1e-3), band * (1 - 1e-3), -band * (1 - 1e-3),
                   -band * (1 + 1e-3)):
-            rows = cayley_parseval(rng, d + int(rng.integers(3)), d)
-            norms_sq = np.sum(rows ** 2, axis=1)
+            rows = cayley_parseval(rng, d + int(rng.integers(3)), d, complex_valued)
+            norms_sq = np.sum(np.abs(rows) ** 2, axis=1)
             k = norms_sq.argmax()
             rows[k] *= np.sqrt(1 + t / norms_sq[k])
             yield "edge " + ("inside" if abs(t) < band else "outside"), rows
+        for sign in "-+":
+            top = cayley_parseval(rng, d - 1 + int(rng.integers(3)), d - 1, complex_valued)
+            edge = np.outer(square_roots(1 - band if sign == "-" else 1 + band),
+                            np.eye(d)[-1])
+            rows = np.vstack([np.hstack([top, np.zeros((len(top), 1))]), edge])
+            yield f"edge at fl(1 {sign} band)", rows
 
 
 def rank_from_singular_values(s, rtol):

@@ -1,12 +1,12 @@
 """Mutant table: each row breaks one decision in `src/` and names the test
-files that must catch it.
+files, or single tests, that must catch it.
 
     python tests/mutants.py
 
 applies each mutant to a temporary copy of `src/`, runs `pytest -x -q` on
-the row's test files against that copy, and prints killed or survived.
-It exits 1 if any mutant survives or its run ends in an error other than
-a failing test.  The table lists only mutants the tests kill; a known
+the row's tests against that copy, and prints killed or survived.  It
+exits 1 if any mutant survives or its run ends in an error other than a
+failing test.  The table lists only mutants the tests kill; a known
 survivor joins it together with the test that kills it.  `PROOF_ONLY`
 lists the rounding allowances that no known input needs, each with the
 derivation that keeps it; the runner skips them.  Standard library only;
@@ -32,7 +32,7 @@ class Mutant(NamedTuple):
     file: str  # relative to src/
     old: str  # occurs exactly once in that file
     new: str
-    tests: Tuple[str, ...]  # pytest arguments, relative to the repository root
+    tests: Tuple[str, ...]  # test files or test ids, relative to the repository root
 
 
 MUTANTS = (
@@ -83,8 +83,13 @@ MUTANTS = (
            ("tests/test_duals.py",)),
     Mutant("verify_tail_bound reports holds=True unconditionally",
            "framekit/identity.py",
-           "bound, direct > bound and mirrored > bound)",
-           "bound, True)",
+           "1.0 - direct < eps and 1.0 - mirrored < eps)",
+           "True)",
+           ("tests/test_identity.py",)),
+    Mutant("verify_tail_bound against the rounded bound fl(1 - eps)",
+           "framekit/identity.py",
+           "1.0 - direct < eps and 1.0 - mirrored < eps)",
+           "direct > 1.0 - eps and mirrored > 1.0 - eps)",
            ("tests/test_identity.py",)),
     Mutant("identity_residual without its empty-set check",
            "framekit/identity.py",
@@ -93,9 +98,20 @@ MUTANTS = (
            ("tests/test_identity.py",)),
     Mutant("Parseval-dual existence without its lower-bound condition",
            "framekit/parseval.py",
-           'exists = decide(a_opt, ">=", 1.0 - tol.eig_one_atol).holds and dev <= exc',
+           'exists = not decide(1.0 - a_opt, ">", tol.eig_one_atol).holds and dev <= exc',
            "exists = dev <= exc",
            ("tests/test_decisions.py",)),
+    Mutant("Parseval-dual lower bound against the rounded fl(1 - eig_one_atol)",
+           "framekit/parseval.py",
+           'exists = not decide(1.0 - a_opt, ">", tol.eig_one_atol).holds and dev <= exc',
+           'exists = decide(a_opt, ">=", 1.0 - tol.eig_one_atol).holds and dev <= exc',
+           ("tests/test_decisions.py::test_eigenvalue_one_band_at_its_edge",
+            "tests/test_decisions.py::test_eigenvalue_band_verdicts_match_the_exact_oracle")),
+    Mutant("nu_in_range against the rounded fl(3/4 - atol)",
+           "framekit/identity.py",
+           'decide(0.75 - nu_minus, "<=", tol.atol).holds',
+           'decide(nu_minus, ">=", 0.75 - tol.atol).holds',
+           ("tests/test_decisions.py::test_library_verdicts_of_the_cli_at_atol",)),
     Mutant("deviation dimension with atol as the band half-width",
            "framekit/parseval.py",
            'decide(np.abs(eigs - 1.0), ">", tol.eig_one_atol)',

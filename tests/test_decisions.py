@@ -4,12 +4,15 @@ Every comparison with a threshold built from a `ToleranceConfig` field
 goes through `frames.decide`.  The tests here put each converted
 comparison exactly at its threshold, and one ulp to the failing side,
 and check the verdict that the comparison's rule gives; and they check
-that the CLI makes no such comparison itself.
+that the CLI makes no such comparison itself and that no source rounds a
+band edge c +- tol.
 """
 
 import ast
 import json
+import math
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -60,6 +63,31 @@ def test_cli_compares_nothing_with_a_tolerance():
             func = node.func
             name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
             assert name not in ("operator_norm", "eye", "tail_threshold"), ast.unparse(node)
+
+
+def test_no_threshold_is_a_tolerance_added_to_a_constant():
+    # the gap rule: a band around c compares x - c or c - x with the
+    # tolerance itself, never x with a rounded c +- tol; scaled rules such
+    # as rank_rtol * sigma_1, and tolerances plus non-constant allowances,
+    # stay allowed
+    def is_number(node):
+        if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.UAdd, ast.USub)):
+            node = node.operand
+        return (isinstance(node, ast.Constant) and not isinstance(node.value, bool)
+                and isinstance(node.value, (int, float)))
+
+    def reads_tolerance(node):
+        return any(isinstance(n, ast.Attribute) and n.attr in TOLERANCE_FIELDS
+                   for n in ast.walk(node))
+
+    sources = sorted(Path(framekit.__file__).parent.glob("*.py"))
+    assert len(sources) > 5
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Add, ast.Sub)):
+                sides = (node.left, node.right)
+                assert not (any(map(is_number, sides)) and any(map(reads_tolerance, sides))), \
+                    f"{path.name}:{node.lineno}: {ast.unparse(node)}"
 
 
 def test_linalg_takes_no_tolerance():
@@ -197,6 +225,14 @@ def test_eigenvalue_one_band_at_its_edge():
         canonical_dual_analysis(f))
     corrected = _nearest_parseval_dual(f, TOL._replace(eig_one_atol=below(0.5)))
     assert not np.array_equal(corrected, canonical_dual_analysis(f))
+    # eigenvalues 1 and 0.99999999 = fl(1 - 1e-8), whose gap 1.000000005e-8
+    # from 1 exceeds the default band: A fails as the eigenvalue does,
+    # though 0.99999999 >= fl(1 - eig_one_atol)
+    f = frame([[1, 0], [0, 0.79999999375], [0, 0.6]])
+    assert f.eigenvalues.tolist() == [1.0, 1.0 - 1e-8]
+    report = fk.parseval_dual_exists(f, TOL)
+    assert (report.exists, report.deviation_dim) == (False, 1)
+    assert fk.nonexistence_reasons(report, TOL) == ["a_opt 0.99999998999999995 < 1"]
 
 
 def _band_class(verdict):
@@ -208,21 +244,33 @@ def _band_class(verdict):
 
 
 def test_eigenvalue_band_verdicts_match_the_exact_oracle():
+    _match_band_oracle("real")
+
+
+def test_complex_eigenvalue_band_verdicts_match_the_exact_oracle():
+    _match_band_oracle("complex")
+
+
+def _match_band_oracle(field):
     # under the default tolerances, and with a band wider than atol, so
     # that a band of the wrong half-width shows
     for band in (TOL.eig_one_atol, 1e-3):
         tol = TOL._replace(eig_one_atol=band)
         classes, kinds = Counter(), Counter()
-        for kind, rows in band_ensemble(19, band):
-            f = fk.Frame(dim=rows.shape[1], field="real", vectors=rows)
+        for kind, rows in band_ensemble(19, band, field == "complex"):
+            f = fk.Frame(dim=rows.shape[1], field=field, vectors=rows)
             exact = exact_band_verdict(rows, tol)
             assert (fk.deviation_dimension(f, tol), fk.parseval_dual_exists(f, tol).exists,
                     fk.is_parseval(f, tol), fk.excess(f, tol).excess) == exact, (band, kind)
+            if kind.startswith("edge at"):  # the library reads fl(1 -+ band) exactly
+                edge = 1.0 - band if "-" in kind else 1.0 + band
+                assert edge in f.eigenvalues.tolist(), (band, kind)
             classes[_band_class(exact)] += 1
             kinds[kind] += 1
-            above, below = inertia(exact_frame_operator(rows), 1)
-            classes["A = 1 exactly"] += below == 0 and above < f.dim
-        print(band, dict(classes), dict(kinds))
+            s = exact_frame_operator(rows)
+            above, below = inertia(s, 1)
+            classes["A = 1 exactly"] += below == 0 and above < len(s)
+        print(field, band, dict(classes), dict(kinds))
         main = [classes[name] for name in ("parseval", "dual, dev <", "dual, dev =",
                                            "no dual, dev >", "no dual, A < 1 - band")]
         assert min(main) >= max(main) / 2 and classes["A = 1 exactly"], classes
@@ -249,6 +297,9 @@ def test_library_verdicts_of_the_cli_at_atol():
     assert fk.nu_in_range(0.5, None, tol) and fk.nu_in_range(0.5, 1.25, tol)
     assert not fk.nu_in_range(below(0.5), None, tol)
     assert not fk.nu_in_range(0.8, above(1.25), tol)
+    # 3/4 - 0.74999999 exceeds atol although 0.74999999 >= fl(3/4 - atol)
+    assert not fk.nu_in_range(0.74999999, None, TOL)
+    assert fk.nu_in_range(math.nextafter(0.74999999, 1), None, TOL)
 
     t = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
     s = np.linalg.pinv(t)

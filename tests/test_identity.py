@@ -651,6 +651,11 @@ def test_verify_tail_bound(mb3, tol):
     assert fk.verify_tail_bound(mb3, 0.5, fk.IndexSet(members=(1, 2, 3), n=3), tol).holds
     with pytest.raises(fk.PrefixNotContainedError):
         fk.verify_tail_bound(mb3, 0.5, fk.IndexSet(members=(1,), n=3), tol)
+    # nu_minus = 1 on both sides exceeds 1 - 1e-20, though not fl(1 - 1e-20) = 1
+    report = fk.verify_tail_bound(fk.Frame(dim=3, field="real", vectors=np.eye(3)),
+                                  1e-20, None, tol)
+    assert (report.nu_minus, report.nu_minus_mirrored, report.bound) == (1.0, 1.0, 1.0)
+    assert report.holds
     # sqrt(0.9) e_1, sqrt(0.9) e_2 is Parseval only under a wide atol; its
     # M_J has the eigenvalues 0.9 on J and 0.81 off it, below 1 - eps
     wide = tol._replace(atol=0.2)

@@ -466,6 +466,24 @@ def test_cli_tail(files, capsys, monkeypatch):
     assert code == 2 and "error" in err
 
 
+def test_cli_band_edges(capsys, tmp_path):
+    # the identity frame's nu_minus = 1 exceeds 1 - 1e-20, so the tail
+    # bound holds although fl(1 - 1e-20) = 1
+    eye = write(tmp_path / "eye.json", fk.Frame(dim=3, field="real", vectors=np.eye(3)))
+    code, out, _ = run(capsys, "tail", eye, "--eps", "1e-20")
+    assert code == 0
+    assert json.loads(out)["payload"]["holds"] is True
+    # eigenvalues 1 and fl(1 - 1e-8), just below the default band
+    edge = write(tmp_path / "edge.json", fk.Frame(
+        dim=2, field="real", vectors=[[1, 0], [0, 0.79999999375], [0, 0.6]]))
+    code, out, _ = run(capsys, "parseval-dual", edge)
+    assert code == 0
+    payload = json.loads(out)["payload"]
+    assert payload["exists"] is False
+    assert payload["reasons"] == ["a_opt 0.99999998999999995 < 1"]
+    assert "dual_vectors" not in payload
+
+
 def test_cli_lemma(files, capsys, tmp_path):
     f = fk.read_frame(files["e1e2e1"])
     g = fk.canonical_dual(f, fk.ToleranceConfig())
