@@ -27,6 +27,9 @@ certifies: V* is then onto.  `check_duality` decides that certificate
 on the singular values of V*U, reading g only through V*U and ||V||_F,
 and computes g's SVD only when the certificate is too weak to decide
 `is_frame(g)`; `verify_excess_equality` returns its pseudo-dual grade.
+For a near-dual pair, ||V*U - I|| <= 1/2, those singular values and
+||V*U - I|| come from one batched `eigvalsh` of the Gram matrices of
+V*U and V*U - I; any other pair goes on to a sigma-only SVD of both.
 Pair-level state lives here, not on `Frame`: `check_duality` memoizes
 its report per tolerance in a table keyed weakly by both frames, so
 V*U is formed once per pair and tolerance.
@@ -34,8 +37,9 @@ V*U is formed once per pair and tolerance.
 
 from __future__ import annotations
 
+import math
 import weakref
-from typing import NamedTuple, Sequence
+from typing import NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -71,6 +75,11 @@ from .linalg import adjoint, inexact, operator_norm, subspace_distance
 
 class DualityReport(NamedTuple):
     """Classification of a frame pair by its cross operator V*U.
+
+    `deviation_norm` is ||V*U - I||_2 and `min_singular_vu` the least
+    singular value of V*U: for a near-dual pair (deviation at most 1/2)
+    read off Gram matrices within the bound that `check_duality` states,
+    for any other pair the values of a sigma-only SVD.
 
     The three flags are nested: exact implies approximate implies
     pseudo.  The pseudo flag is the rank rule of `ToleranceConfig` on
@@ -111,6 +120,51 @@ class LemmaReport(NamedTuple):
 _DUALITY_REPORTS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
+# check_duality reads the spectrum of V*U off two Gram matrices when
+# ||V*U - I|| is at most this, and off a sigma-only SVD otherwise
+_NEAR_DUAL = 0.5
+
+
+def _gram(m: np.ndarray, out: np.ndarray) -> None:
+    """Write m*m into out.  numpy runs a real m.T @ m as a symmetric
+    rank-k update; a complex m fills only the lower triangle, which is all
+    that `eigvalsh` reads, by blocks of 16 rows, so that no d x d conjugate
+    of m is held beside it."""
+    if not np.iscomplexobj(m):
+        np.matmul(m.T, m, out=out)
+        return
+    for i in range(0, m.shape[1], 16):
+        np.matmul(adjoint(m[:, i:i + 16]), m[:, :i + 16], out=out[i:i + 16, :i + 16])
+
+
+def _cross_spectrum(vu: np.ndarray) -> Tuple[float, float, float]:
+    """(||V*U - I||, sigma_min(V*U), sigma_max(V*U)) of the cross operator
+    vu, which it overwrites.  The two paths and the bound of the near one
+    are in `check_duality`."""
+    d = vu.shape[0]
+    diagonal = vu.reshape(-1)[:: d + 1]
+    kept = diagonal.copy()
+    diagonal -= 1.0  # vu is now E = V*U - I
+    # ||E||_F^2; np.vdot, unlike matmul, raises no overflow warning, and a
+    # huge E reads inf or nan here and fails the test
+    if np.vdot(vu, vu).real <= d * _NEAR_DUAL ** 2:
+        grams = np.zeros((2, d, d), vu.dtype)
+        _gram(vu, grams[0])
+        diagonal[:] = kept
+        _gram(vu, grams[1])
+        lam = np.linalg.eigvalsh(grams)
+        del grams
+        deviation = math.sqrt(max(lam[0, -1], 0.0))
+        if deviation <= _NEAR_DUAL:
+            return deviation, math.sqrt(max(lam[1, 0], 0.0)), math.sqrt(lam[1, -1])
+    # V*U - I and V*U in one batched call: LAPACK sees each matrix exactly
+    # as in two calls
+    stack = np.array((vu, vu))
+    stack.reshape(2, -1)[:, :: d + 1] = (kept - 1.0, kept)
+    sigmas = np.linalg.svd(stack, compute_uv=False)
+    return float(sigmas[0, 0]), float(sigmas[1, -1]), float(sigmas[1, 0])
+
+
 def canonical_dual_analysis(f: Frame) -> np.ndarray:
     """Analysis matrix U S^{-1} of the canonical dual of the frame f.
 
@@ -135,11 +189,58 @@ def check_duality(f: Frame, g: Frame, tol: ToleranceConfig) -> DualityReport:
 
     The report is computed once per (f, g, tol) and kept in this module's
     memo, so the callers that grade a pair and then check its excess
-    equality, projection or upgrade share one V*U product and one d x d
-    SVD.  Shape errors are raised before the lookup.  `is_frame(g)` is
-    decided after V*U is formed, from the rank certificate derived in
+    equality, projection or upgrade share one V*U product and its
+    spectrum.  Shape errors are raised before the lookup.  `is_frame(g)`
+    is decided after V*U is formed, from the rank certificate derived in
     `verify_excess_equality` or, when that fails, from g's own SVD; a pair
     that is not two frames raises and leaves no memo entry.
+
+    Spectrum.  The grades read ||E||, E = V*U - I, and the extreme
+    singular values of V*U.  E is V*U with 1 subtracted from its diagonal
+    in place.  As ||E||_F <= sqrt(d) ||E||, a pair with ||E||_F above
+    sqrt(d) / 2 goes to the far path at once.  Otherwise every entry of a
+    Gram is at most (||E||_F + sqrt(d))^2 <= 9 d / 4 in magnitude and
+    cannot overflow, and one batched `eigvalsh` takes the eigenvalues of
+    the two Gram matrices E*E and (V*U)*(V*U):
+
+    * near path, sqrt(lambda_max(E*E)) <= 1/2: that root is the
+      deviation, and the singular values of V*U are the roots of the
+      second Gram's eigenvalues, clamped at 0;
+    * far path, otherwise: the sigma-only SVDs of the stack [E, V*U],
+      each matrix as LAPACK sees it alone, so the figures are numpy's
+      ||E||_2 and singular values of V*U to the bit.  A pseudo-dual or
+      unrelated pair can have sigma_min(V*U) below sqrt(eps) sigma_max,
+      which a Gram, whose eigenvalues move by eps sigma_max^2, cannot
+      resolve.  Only a far pair that passes the Frobenius test above
+      pays for the Grams and `eigvalsh` before its SVD.
+
+    Why 1/2.  Within ||E|| <= r every diagonal entry of V*U lies in
+    [1 - r, 1 + r], and r = 1/2 is the largest radius that keeps it within
+    the factor 2 of 1 that makes the subtraction forming E exact
+    (Sterbenz).  It also keeps every singular value of V*U in [1/2, 3/2]
+    (Weyl), so the second Gram's eigenvalues lie in [1/4, 9/4], away from
+    0: an error eta in an eigenvalue moves its root by at most 2 eta.
+
+    Bound of the near path.  Let M be E or V*U, s_1 >= ... >= s_d its
+    singular values, u = eps / 2 and gamma_k = k u / (1 - k u).  The
+    computed Gram is M*M + F with |F| <= gamma_{d+2} |M|*|M| (a real or
+    complex inner product of length d; Higham, Accuracy and Stability of
+    Numerical Algorithms, 2nd ed., Secs. 3.1 and 3.6), so
+    ||F||_2 <= gamma_{d+2} ||M||_F^2 <= gamma_{d+2} d s_1^2.  `eigvalsh`
+    returns the eigenvalues of the computed Gram G up to a backward error
+    of p(d) eps ||G||_2, taking LAPACK's modestly growing p(d) as d.  So
+    each eigenvalue lambda lies within
+
+        eta = 2 d (d + 2) eps s_1^2
+
+    of the s^2 that it stands for, and its root within eta / s of s, plus
+    half an ulp from the square root.  For M = E, s = s_1 = ||E||: the
+    deviation is within 2 d (d + 2) eps ||E|| of ||E||.  For M = V*U,
+    s_1 <= 3/2 and s >= 1/2 (to first order, as the path is chosen on
+    the computed deviation): min_singular_vu is within 9 d (d + 2) eps of
+    sigma_min(V*U).  Below ||E|| of about 1e-154 the entries of E*E
+    underflow, and the deviation may read smaller, down to 0; every
+    `atol` lies far above.
     """
     if f.dim != g.dim or f.n != g.n:
         raise DimensionMismatchError(
@@ -147,15 +248,8 @@ def check_duality(f: Frame, g: Frame, tol: ToleranceConfig) -> DualityReport:
     graded = _DUALITY_REPORTS.get(f, {}).get(g, {})
     if tol in graded:
         return graded[tol]
-    vu = synthesis_matrix(g) @ analysis_matrix(f)
-    # V*U - I and V*U in one batched call: LAPACK sees each matrix exactly
-    # as in two calls; 1 is subtracted from a copy's diagonal in place
-    stack = np.array((vu, vu))
-    stack.reshape(2, -1)[0, :: f.dim + 1] -= 1.0
-    sigmas = np.linalg.svd(stack, compute_uv=False)
-    del stack
-    deviation, sigma = float(sigmas[0, 0]), sigmas[1]
-    sigma_min = float(sigma[-1])
+    deviation, sigma_min, sigma_max = _cross_spectrum(
+        synthesis_matrix(g) @ analysis_matrix(f))
     # Python floats: a product past the float64 range is inf, not a warning
     u_norm, v_norm = float(f.svd.sigma[0]), float(np.linalg.norm(g.vectors))
     bound = (tol.rank_rtol + 4 * f.n * f.dim * _EPS) * u_norm
@@ -168,7 +262,7 @@ def check_duality(f: Frame, g: Frame, tol: ToleranceConfig) -> DualityReport:
     is_approx = is_exact or 1.0 - deviation > noise
     # the rank rule, as in is_frame: V*U has rank d when sigma_min clears it
     is_pseudo = is_approx or (sigma_min > noise and
-                              decide(sigma_min, ">", tol.rank_rtol * float(sigma[0])).holds)
+                              decide(sigma_min, ">", tol.rank_rtol * sigma_max).holds)
     report = DualityReport(is_exact_dual=is_exact, is_pseudo_dual=is_pseudo,
                            is_approx_dual=is_approx, deviation_norm=deviation,
                            min_singular_vu=sigma_min)
@@ -423,6 +517,13 @@ def verify_excess_equality(f: Frame, g: Frame, tol: ToleranceConfig) -> bool:
     the singular values that g's own SVD would give (O(n d eps) sigma_1(V)
     by the backward stability of the SVD), so a certified g is one that
     `is_frame` accepts too.  When the certificate fails, g's SVD decides.
+    On the near path of `check_duality`, sigma_min(M) comes from a Gram
+    within 9 d (d + 2) eps instead.  A g that fails the rank rule has
+    sigma_min(M) <= sigma_d(V) ||U||_2 <= rank_rtol ||U||_2 ||V||_F, so a
+    near pair (sigma_min(M) >= 1/2) with such a g has
+    ||U||_2 ||V||_F >= 1 / (2 rank_rtol), and the margin is then at least
+    2 n d eps / rank_rtol: more than 7e8 times that error at the default
+    rank_rtol = 1e-10, and above it for every rank_rtol <= 2/27.
 
     Cost.  The grade is read from `check_duality`'s memo, so after
     `check_duality` this forms no product, solves nothing and allocates

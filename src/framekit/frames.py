@@ -75,6 +75,14 @@ class ToleranceConfig(_ToleranceFields):
 
     Every other residual (an operator norm, a vector or an imaginary
     part) passes when it is at most atol.
+
+    The gap rule of `decide` gives the exact verdict on the float x only
+    for a tolerance below half the band's centre on its lower side:
+    atol < 3/8 for 3/4 - nu_minus in `nu_in_range`, and atol or
+    eig_one_atol < 1/2 for 1 - x.  A wider tolerance is accepted, but at
+    its edge the rounded gap decides: with atol = 0.6,
+    `nu_in_range(0.15, None, tol)` holds, as fl(0.75 - 0.15) = 0.6,
+    although 3/4 - 0.15 exceeds 0.6.
     """
 
     __slots__ = ()
@@ -112,7 +120,10 @@ def decide(value, rule: str, threshold) -> Decision:
     two rules: rank (sigma_i against rank_rtol * sigma_1) or gap (a
     residual, or the gap x - c or c - x of x from a band's centre c,
     against the tolerance itself, never x against a rounded c -+ tol; for
-    x within a factor 2 of c the gap is exact, by Sterbenz's lemma)."""
+    x within a factor 2 of c the gap is exact, by Sterbenz's lemma).  So a
+    gap verdict is exact for every tolerance below c/2, and above c/2 on
+    the lower side an x below c/2 can read a rounded gap equal to the
+    tolerance (`ToleranceConfig`)."""
     return _tuple_new(Decision, (value, threshold, _RULES[rule](value, threshold)))
 
 

@@ -66,6 +66,21 @@ MUTANTS = (
            "(certified or is_frame(g, tol))",
            "certified",
            ("tests/test_duals.py",)),
+    Mutant("pair spectrum read off the Grams at any deviation",
+           "framekit/duals.py",
+           "if deviation <= _NEAR_DUAL:",
+           "if True:",
+           ("tests/test_duals.py::test_far_pair_keeps_the_svd",)),
+    Mutant("pair spectrum never read off the Grams",
+           "framekit/duals.py",
+           "if deviation <= _NEAR_DUAL:",
+           "if False:",
+           ("tests/test_frames.py::test_one_factorization_per_frame",)),
+    Mutant("Grams formed whatever the Frobenius norm of V*U - I",
+           "framekit/duals.py",
+           "if np.vdot(vu, vu).real <= d * _NEAR_DUAL ** 2:",
+           "if True:",
+           ("tests/test_duals.py::test_far_pair_keeps_the_svd",)),
     Mutant("report envelope with verdict and payload swapped",
            "framekit/cli.py",
            '"verdict": verdict, "payload": payload,',

@@ -148,11 +148,25 @@ def test_pair_certificate_at_its_threshold():
     assert "svd" not in vars(g)
 
 
-def test_pair_grades_at_their_thresholds():
+def test_pair_grades_at_their_thresholds(monkeypatch):
     f = frame([[1]])
     g = frame([[1.5]])  # V*U - I = 0.5
     assert fk.check_duality(f, g, TOL._replace(atol=0.5)).is_exact_dual
     assert not fk.check_duality(f, g, TOL._replace(atol=below(0.5))).is_exact_dual
+    # ||V*U - I|| = 1/2 is the edge of the Gram path, one float more takes
+    # the SVD; both grade as SVDs of V*U would
+    stacks = []
+
+    def counted(a, *rest, _svd=np.linalg.svd, **kw):
+        stacks.append(np.shape(a))
+        return _svd(a, *rest, **kw)
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    edge = fk.check_duality(f, g, TOL)
+    assert stacks == [] and edge.deviation_norm == 0.5
+    over = np.nextafter(1.5, 2.0)
+    above = fk.check_duality(f, frame([[over]]), TOL)
+    assert stacks == [(2, 1, 1)] and above.deviation_norm == over - 1.0
+    assert edge[:3] == above[:3] == (False, True, True)
     # V*U = diag(4, 2): rank 1 at rank_rtol = 1/2, so not pseudo-dual
     f = frame([[1, 0], [0, 1], [0, 0]])
     g = frame([[4, 0], [0, 2], [0, 2]])

@@ -120,24 +120,119 @@ def test_check_duality_degenerate(tol):
             fk.pseudo_dual_to_exact(f, g, tol)
 
 
+def numpy_spectrum(f, g):
+    """numpy's ||V*U - I|| and singular values of V*U."""
+    vu = np.conj(fk.analysis_matrix(g)).T @ fk.analysis_matrix(f)
+    return np.linalg.norm(vu - np.eye(f.dim), 2), np.linalg.svd(vu, compute_uv=False)
+
+
+def record_shapes(patch, name):
+    """Patch numpy.linalg's function `name` to record the shape of each
+    input; the record."""
+    shapes = []
+
+    def counted(a, *rest, _call=getattr(np.linalg, name), **kw):
+        shapes.append(np.shape(a))
+        return _call(a, *rest, **kw)
+    patch.setattr(np.linalg, name, counted)
+    return shapes
+
+
+def assert_within_gram_allowance(report, f, g):
+    # the near path's bound (check_duality's docstring): a singular value s
+    # of the d x d matrix M is read within 2 d (d + 2) eps ||M||^2 / s, plus
+    # half an ulp from the square root; numpy's SVD adds its own d eps ||M||
+    deviation, sigma = numpy_spectrum(f, g)
+    d, eps = f.dim, 2.0 ** -52
+
+    def allowance(s, s_1):
+        return 2 * d * (d + 2) * eps * s_1 ** 2 / s + eps * s + d * eps * s_1
+    assert deviation <= 0.5 + allowance(deviation, deviation)
+    assert abs(report.deviation_norm - deviation) <= allowance(deviation, deviation), (
+        d, report.deviation_norm, deviation)
+    assert abs(report.min_singular_vu - sigma[-1]) <= allowance(sigma[-1], sigma[0]), (
+        d, report.min_singular_vu, sigma[-1])
+
+
 def test_check_duality_matches_separate_norm_and_svd(mb3, tol):
-    # both numbers come from one batched SVD of [V*U - I, V*U]; they equal
-    # numpy's spectral norm of V*U - I and least singular value of V*U
-    pairs = [random_dual_pair(3, 6, 0, "real"),
-             random_dual_pair(3, 6, 1, "complex"),
-             (mb3, scaled(mb3, 3.0)),
-             (fk.random_frame(3, 6, 10), fk.random_frame(3, 6, 11)),
-             (fk.random_frame(3, 6, 10, "complex"),
-              fk.random_frame(3, 6, 11, "complex")),
-             non_pseudo_pair()]
+    # a far pair, ||V*U - I|| > 1/2, reads both numbers from one batched
+    # SVD of [V*U - I, V*U]: they equal numpy's spectral norm of V*U - I and
+    # least singular value of V*U; a near pair reads them from the Gram
+    # matrices, within the allowance of check_duality's docstring
+    near = [random_dual_pair(3, 6, 0, "real"), random_dual_pair(3, 6, 1, "complex")]
+    far = [(mb3, scaled(mb3, 3.0)),
+           (fk.random_frame(3, 6, 10), fk.random_frame(3, 6, 11)),
+           (fk.random_frame(3, 6, 10, "complex"), fk.random_frame(3, 6, 11, "complex")),
+           non_pseudo_pair()]
     grades = set()
-    for f, g in pairs:
+    for f, g in near + far:
         report = fk.check_duality(f, g, tol)
         grades.add((report.is_exact_dual, report.is_pseudo_dual))
-        vu = np.conj(fk.analysis_matrix(g)).T @ fk.analysis_matrix(f)
-        assert report.deviation_norm == np.linalg.norm(vu - np.eye(f.dim), 2)
-        assert report.min_singular_vu == np.linalg.svd(vu, compute_uv=False)[-1]
+        if (f, g) in near:
+            assert_within_gram_allowance(report, f, g)
+            continue
+        deviation, sigma = numpy_spectrum(f, g)
+        assert deviation > 0.5
+        assert report.deviation_norm == deviation
+        assert report.min_singular_vu == sigma[-1]
     assert grades == {(True, True), (False, True), (False, False)}
+
+
+def test_far_pair_keeps_the_svd(monkeypatch, tol):
+    # V*U = I - (1 - 1e-9) r r^T, r a unit vector: sigma_min is 1e-9 <
+    # sqrt(eps) sigma_max, which the Gram's eigenvalue, 1e-18 to within
+    # about eps, cannot resolve; ||V*U - I|| = 1 - 1e-9, so the pair is an
+    # approximate dual one.  At d = 4, ||V*U - I||_F^2 < d / 4 and the Grams
+    # are formed before the SVD decides; at d = 2 (V*U = R diag(1, 1e-9) R^T,
+    # R a rotation) the SVD decides alone, as it does for V*U = 1e200 I,
+    # whose Grams would overflow
+    cases = []
+    for r, grams in ((np.full(4, 0.5), [(2, 4, 4)]),
+                     (np.array([-np.sin(0.3), np.cos(0.3)]), [])):
+        d = r.size
+        f = fk.Frame(dim=d, field="real", vectors=np.vstack([np.eye(d), np.zeros(d)]))
+        vu = np.eye(d) - (1 - 1e-9) * np.outer(r, r)
+        g = fk.Frame(dim=d, field="real", vectors=np.vstack([vu, np.ones(d)]))
+        cases.append((f, g, (False, True, True), grams))
+    big = scaled(cases[1][0], 1e100)
+    cases.append((big, big, (False, True, False), []))
+    svds = record_shapes(monkeypatch, "svd")
+    eigvalshs = record_shapes(monkeypatch, "eigvalsh")
+    for f, g, grade, grams in cases:
+        fk.is_frame(f, tol)
+        svds.clear()
+        eigvalshs.clear()
+        report = fk.check_duality(f, g, tol)
+        assert report[:3] == grade
+        assert (2, f.dim, f.dim) in svds and eigvalshs == grams
+        deviation, sigma = numpy_spectrum(f, g)
+        assert report.deviation_norm == deviation
+        assert report.min_singular_vu == sigma[-1]
+
+
+def test_near_pairs_read_from_the_grams_within_their_allowance(monkeypatch, tol):
+    # free-operator duals (||V*U - I|| at rounding level) and their images
+    # under T = I + X, ||X|| = 0.45 (V*U = T, singular values spread over
+    # [0.55, 1.45]); each graded as the SVD path grades it
+    pairs = []
+    for d, extra, seed, complex_field in seeded_cases(4040, 24, (2, 40), (0, 6),
+                                                      (0, 10_000), (0, 1)):
+        field = "complex" if complex_field else "real"
+        f, g = random_dual_pair(d, d + extra, seed, field)
+        x = gaussian(np.random.default_rng(seed), d, d, complex_field)
+        t = np.eye(d) + 0.45 * x / np.linalg.norm(x, 2)
+        pairs += [(f, g), (f, fk.transform_frame(g, t, tol))]
+    with monkeypatch.context() as patch:
+        shapes = record_shapes(patch, "svd")
+        reports = [fk.check_duality(f, g, tol) for f, g in pairs]
+    assert not [shape for shape in shapes if len(shape) == 3]
+    for (f, g), report in zip(pairs, reports):
+        assert_within_gram_allowance(report, f, g)
+    # the SVD path's grades, on fresh copies of the frames
+    monkeypatch.setattr(framekit.duals, "_NEAR_DUAL", -1.0)
+    for (f, g), report in zip(pairs, reports):
+        copies = [fk.Frame(dim=h.dim, field=h.field, vectors=h.vectors) for h in (f, g)]
+        assert fk.check_duality(*copies, tol)[:3] == report[:3]
 
 
 def test_pseudo_dual_grade_does_not_depend_on_scale(tol):

@@ -273,8 +273,9 @@ def test_one_factorization_per_frame(monkeypatch, tol):
     npt.assert_array_equal(calls["qr"][0][0], f.svd.p)
 
     # a fresh dual of a frame whose SVD is cached: the pair certifies that
-    # the dual spans, so grading it and checking its excess equality make
-    # one sigma-only SVD, of the stack [V*U - I, V*U], and none of V; they
+    # the dual spans, and it is near-dual, so grading it and checking its
+    # excess equality make one eigvalsh, of the Gram stack
+    # [(V*U - I)*(V*U - I), (V*U)*(V*U)], and no SVD, of V or of V*U; they
     # take no QR and solve nothing; the single raw QR of P is the Parseval
     # dual's kernel basis
     f = fk.rescale_to_admissible(fk.random_frame(3, 7, seed=3), tol)[0]
@@ -284,14 +285,16 @@ def test_one_factorization_per_frame(monkeypatch, tol):
         args.clear()
     assert fk.check_duality(f, g, tol).is_exact_dual
     assert fk.verify_excess_equality(f, g, tol)
-    assert [(a.shape, kw.get("compute_uv")) for a, kw in calls["svd"]] == [((2, 3, 3), False)]
-    assert "svd" not in vars(g)
+    assert [a.shape for a, _ in calls["eigvalsh"]] == [(2, 3, 3)]
+    vu = fk.synthesis_matrix(g) @ fk.analysis_matrix(f)
+    npt.assert_allclose(calls["eigvalsh"][0][0][1], vu.T @ vu, rtol=1e-14)
+    assert calls["svd"] == [] and "svd" not in vars(g)
     assert calls["qr"] == [] and calls["solve"] == []
     assert fk.construct_parseval_dual(f, tol).dual is not None
-    assert calls["eigvalsh"] == [] and calls["eigh"] == []
+    assert len(calls["eigvalsh"]) == 1 and calls["eigh"] == []
     assert [kw.get("mode") for _, kw in calls["qr"]] == ["raw"]
     npt.assert_array_equal(calls["qr"][0][0], f.svd.p)
-    assert len(calls["svd"]) == 1 and "svd" not in vars(g)
+    assert calls["svd"] == [] and "svd" not in vars(g)
 
 
 def test_is_parseval(mb3, basis2, e1e2e1, tol):

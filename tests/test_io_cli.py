@@ -265,7 +265,8 @@ def test_cli_check(files, big_parseval, capsys, tmp_path):
 
 def test_cli_check_factors_only_f(capsys, tmp_path, monkeypatch):
     # excess_g is n - d once check_duality has accepted g as a frame, so a
-    # fresh pair costs f's thin SVD and the sigma-only stack [V*U - I, V*U]
+    # fresh near-dual pair costs f's thin SVD and one eigvalsh of the Gram
+    # stack of V*U - I and V*U
     f, g = random_dual_pair(3, 6, seed=5)
     fp, gp = write(tmp_path / "f.json", f), write(tmp_path / "g.json", g)
     frames, calls = [], []
@@ -275,16 +276,21 @@ def test_cli_check_factors_only_f(capsys, tmp_path, monkeypatch):
         return frames[-1]
 
     def counted(a, *rest, _svd=np.linalg.svd, **kw):
-        calls.append((np.shape(a), kw.get("compute_uv", True)))
+        calls.append(("svd", np.shape(a), kw.get("compute_uv", True)))
         return _svd(a, *rest, **kw)
+
+    def counted_eigvalsh(a, *rest, _eigvalsh=np.linalg.eigvalsh, **kw):
+        calls.append(("eigvalsh", np.shape(a)))
+        return _eigvalsh(a, *rest, **kw)
     monkeypatch.setattr(framekit.cli, "read_frame", read)
     monkeypatch.setattr(np.linalg, "svd", counted)
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted_eigvalsh)
     code, out, _ = run(capsys, "check", fp, gp)
     assert code == 0
     payload = json.loads(out)["payload"]
     assert payload["excess_f"] == payload["excess_g"] == 3
     assert payload["excess_equal"] is True
-    assert sorted(calls) == [((2, 3, 3), False), ((6, 3), True)]
+    assert sorted(calls) == [("eigvalsh", (2, 3, 3)), ("svd", (6, 3), True)]
     assert "svd" in vars(frames[0]) and "svd" not in vars(frames[1])
 
 
