@@ -27,9 +27,10 @@ certifies: V* is then onto.  `check_duality` decides that certificate
 on the singular values of V*U, reading g only through V*U and ||V||_F,
 and computes g's SVD only when the certificate is too weak to decide
 `is_frame(g)`; `verify_excess_equality` returns its pseudo-dual grade.
-For a near-dual pair, ||V*U - I|| <= 1/2, those singular values and
-||V*U - I|| come from one batched `eigvalsh` of the Gram matrices of
-V*U and V*U - I; any other pair goes on to a sigma-only SVD of both.
+Each pair pays for one spectral call, chosen on ||V*U - I||_F alone: at
+most 1/2, those singular values and ||V*U - I|| come from one batched
+`eigvalsh` of the Gram matrices of V*U and V*U - I; above it, from one
+sigma-only SVD of both, and no Gram is formed.
 Pair-level state lives here, not on `Frame`: `check_duality` memoizes
 its report per tolerance in a table keyed weakly by both frames, so
 V*U is formed once per pair and tolerance.
@@ -77,9 +78,9 @@ class DualityReport(NamedTuple):
     """Classification of a frame pair by its cross operator V*U.
 
     `deviation_norm` is ||V*U - I||_2 and `min_singular_vu` the least
-    singular value of V*U: for a near-dual pair (deviation at most 1/2)
-    read off Gram matrices within the bound that `check_duality` states,
-    for any other pair the values of a sigma-only SVD.
+    singular value of V*U: for a pair with ||V*U - I||_F <= 1/2 read off
+    Gram matrices within the bound that `check_duality` states, for any
+    other pair the values of a sigma-only SVD.
 
     The three flags are nested: exact implies approximate implies
     pseudo.  The pseudo flag is the rank rule of `ToleranceConfig` on
@@ -121,7 +122,7 @@ _DUALITY_REPORTS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 # check_duality reads the spectrum of V*U off two Gram matrices when
-# ||V*U - I|| is at most this, and off a sigma-only SVD otherwise
+# ||V*U - I||_F is at most this, and off a sigma-only SVD otherwise
 _NEAR_DUAL = 0.5
 
 
@@ -139,28 +140,26 @@ def _gram(m: np.ndarray, out: np.ndarray) -> None:
 
 def _cross_spectrum(vu: np.ndarray) -> Tuple[float, float, float]:
     """(||V*U - I||, sigma_min(V*U), sigma_max(V*U)) of the cross operator
-    vu, which it overwrites.  The two paths and the bound of the near one
-    are in `check_duality`."""
+    vu, which it overwrites.  The two paths, the gate between them and the
+    bound of the near one are in `check_duality`."""
     d = vu.shape[0]
     diagonal = vu.reshape(-1)[:: d + 1]
     kept = diagonal.copy()
     diagonal -= 1.0  # vu is now E = V*U - I
     # ||E||_F^2; np.vdot, unlike matmul, raises no overflow warning, and a
-    # huge E reads inf or nan here and fails the test
-    if np.vdot(vu, vu).real <= d * _NEAR_DUAL ** 2:
+    # huge E reads inf or nan and fails the test
+    if np.vdot(vu, vu).real <= _NEAR_DUAL ** 2:
         grams = np.zeros((2, d, d), vu.dtype)
         _gram(vu, grams[0])
         diagonal[:] = kept
         _gram(vu, grams[1])
         lam = np.linalg.eigvalsh(grams)
-        del grams
-        deviation = math.sqrt(max(lam[0, -1], 0.0))
-        if deviation <= _NEAR_DUAL:
-            return deviation, math.sqrt(max(lam[1, 0], 0.0)), math.sqrt(lam[1, -1])
-    # V*U - I and V*U in one batched call: LAPACK sees each matrix exactly
-    # as in two calls
+        return (math.sqrt(max(lam[0, -1], 0.0)), math.sqrt(max(lam[1, 0], 0.0)),
+                math.sqrt(lam[1, -1]))
+    # E and V*U in one batched call: LAPACK sees each matrix exactly as in
+    # two calls
     stack = np.array((vu, vu))
-    stack.reshape(2, -1)[:, :: d + 1] = (kept - 1.0, kept)
+    stack[1].reshape(-1)[:: d + 1] = kept
     sigmas = np.linalg.svd(stack, compute_uv=False)
     return float(sigmas[0, 0]), float(sigmas[1, -1]), float(sigmas[1, 0])
 
@@ -197,35 +196,46 @@ def check_duality(f: Frame, g: Frame, tol: ToleranceConfig) -> DualityReport:
 
     Spectrum.  The grades read ||E||, E = V*U - I, and the extreme
     singular values of V*U.  E is V*U with 1 subtracted from its diagonal
-    in place.  As ||E||_F <= sqrt(d) ||E||, a pair with ||E||_F above
-    sqrt(d) / 2 goes to the far path at once.  Otherwise every entry of a
-    Gram is at most (||E||_F + sqrt(d))^2 <= 9 d / 4 in magnitude and
-    cannot overflow, and one batched `eigvalsh` takes the eigenvalues of
-    the two Gram matrices E*E and (V*U)*(V*U):
+    in place, and the path is chosen once, on the computed
+    s = fl(||E||_F^2), before any spectral call:
 
-    * near path, sqrt(lambda_max(E*E)) <= 1/2: that root is the
-      deviation, and the singular values of V*U are the roots of the
-      second Gram's eigenvalues, clamped at 0;
+    * near path, s <= 1/4: one batched `eigvalsh` takes the eigenvalues
+      of the two Gram matrices E*E and (V*U)*(V*U).  The root of the
+      largest of the first is the deviation, and the singular values of
+      V*U are the roots of the second's, clamped at 0;
     * far path, otherwise: the sigma-only SVDs of the stack [E, V*U],
       each matrix as LAPACK sees it alone, so the figures are numpy's
-      ||E||_2 and singular values of V*U to the bit.  A pseudo-dual or
-      unrelated pair can have sigma_min(V*U) below sqrt(eps) sigma_max,
-      which a Gram, whose eigenvalues move by eps sigma_max^2, cannot
-      resolve.  Only a far pair that passes the Frobenius test above
-      pays for the Grams and `eigvalsh` before its SVD.
+      ||E||_2 and singular values of V*U to the bit, and no Gram is
+      formed.  A pseudo-dual or unrelated pair can have sigma_min(V*U)
+      below sqrt(eps) sigma_max, which a Gram, whose eigenvalues move by
+      eps sigma_max^2, cannot resolve; its ||E|| is near 1 or above.
+
+    The gate.  Let u = eps / 2 and gamma_k = k u / (1 - k u).  s sums at
+    most N = 2 d^2 nonnegative rounded products, so
+    s >= (1 - gamma_N) ||E||_F^2 (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2nd ed., Sec. 3.1), and s <= 1/4 certifies
+
+        ||E||_2 <= ||E||_F <= r = 1 / (2 sqrt(1 - gamma_N)),
+
+    with r - 1/2 < gamma_N / 2, about d^2 eps / 2 (3e-11 at d = 500).  A
+    huge E reads inf or nan and fails the gate.  Below it every entry of
+    a Gram, an inner product of two columns of M = E or V*U, is at most
+    ||M||_2^2 <= (1 + r)^2 in magnitude and cannot overflow.
 
     Why 1/2.  Within ||E|| <= r every diagonal entry of V*U lies in
     [1 - r, 1 + r], and r = 1/2 is the largest radius that keeps it within
     the factor 2 of 1 that makes the subtraction forming E exact
-    (Sterbenz).  It also keeps every singular value of V*U in [1/2, 3/2]
-    (Weyl), so the second Gram's eigenvalues lie in [1/4, 9/4], away from
-    0: an error eta in an eigenvalue moves its root by at most 2 eta.
+    (Sterbenz); an entry in [1 - r, 1/2), which only the excess r - 1/2
+    admits, loses at most eps / 4.  It also keeps every singular value of
+    V*U in [1 - r, 1 + r] (Weyl), so the second Gram's eigenvalues lie
+    in [(1 - r)^2, (1 + r)^2], away from 0: an error eta in an eigenvalue
+    moves its root by at most about 2 eta.  The excess r - 1/2 changes
+    the constants below by a relative O(d^2 eps), which they leave out.
 
-    Bound of the near path.  Let M be E or V*U, s_1 >= ... >= s_d its
-    singular values, u = eps / 2 and gamma_k = k u / (1 - k u).  The
-    computed Gram is M*M + F with |F| <= gamma_{d+2} |M|*|M| (a real or
-    complex inner product of length d; Higham, Accuracy and Stability of
-    Numerical Algorithms, 2nd ed., Secs. 3.1 and 3.6), so
+    Bound of the near path.  Let M be E or V*U and s_1 >= ... >= s_d its
+    singular values.  The computed Gram is M*M + F with
+    |F| <= gamma_{d+2} |M|*|M| (a real or complex inner product of length
+    d; Higham, Secs. 3.1 and 3.6), so
     ||F||_2 <= gamma_{d+2} ||M||_F^2 <= gamma_{d+2} d s_1^2.  `eigvalsh`
     returns the eigenvalues of the computed Gram G up to a backward error
     of p(d) eps ||G||_2, taking LAPACK's modestly growing p(d) as d.  So
@@ -236,11 +246,10 @@ def check_duality(f: Frame, g: Frame, tol: ToleranceConfig) -> DualityReport:
     of the s^2 that it stands for, and its root within eta / s of s, plus
     half an ulp from the square root.  For M = E, s = s_1 = ||E||: the
     deviation is within 2 d (d + 2) eps ||E|| of ||E||.  For M = V*U,
-    s_1 <= 3/2 and s >= 1/2 (to first order, as the path is chosen on
-    the computed deviation): min_singular_vu is within 9 d (d + 2) eps of
-    sigma_min(V*U).  Below ||E|| of about 1e-154 the entries of E*E
-    underflow, and the deviation may read smaller, down to 0; every
-    `atol` lies far above.
+    s_1 <= 3/2 and s >= 1/2, as the gate certifies before any Gram is
+    formed: min_singular_vu is within 9 d (d + 2) eps of sigma_min(V*U).
+    Below ||E|| of about 1e-154 the entries of E*E underflow, and the
+    deviation may read smaller, down to 0; every `atol` lies far above.
     """
     if f.dim != g.dim or f.n != g.n:
         raise DimensionMismatchError(
@@ -517,10 +526,10 @@ def verify_excess_equality(f: Frame, g: Frame, tol: ToleranceConfig) -> bool:
     the singular values that g's own SVD would give (O(n d eps) sigma_1(V)
     by the backward stability of the SVD), so a certified g is one that
     `is_frame` accepts too.  When the certificate fails, g's SVD decides.
-    On the near path of `check_duality`, sigma_min(M) comes from a Gram
-    within 9 d (d + 2) eps instead.  A g that fails the rank rule has
-    sigma_min(M) <= sigma_d(V) ||U||_2 <= rank_rtol ||U||_2 ||V||_F, so a
-    near pair (sigma_min(M) >= 1/2) with such a g has
+    On the near path of `check_duality`, ||M - I||_F <= 1/2, sigma_min(M)
+    comes from a Gram within 9 d (d + 2) eps instead.  A g that fails the
+    rank rule has sigma_min(M) <= sigma_d(V) ||U||_2 <= rank_rtol ||U||_2
+    ||V||_F, so a near pair (sigma_min(M) >= 1/2) with such a g has
     ||U||_2 ||V||_F >= 1 / (2 rank_rtol), and the margin is then at least
     2 n d eps / rank_rtol: more than 7e8 times that error at the default
     rank_rtol = 1e-10, and above it for every rank_rtol <= 2/27.

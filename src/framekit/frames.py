@@ -28,6 +28,7 @@ around.
 
 from __future__ import annotations
 
+import math
 import operator
 from functools import cached_property
 from typing import Any, List, NamedTuple
@@ -75,14 +76,6 @@ class ToleranceConfig(_ToleranceFields):
 
     Every other residual (an operator norm, a vector or an imaginary
     part) passes when it is at most atol.
-
-    The gap rule of `decide` gives the exact verdict on the float x only
-    for a tolerance below half the band's centre on its lower side:
-    atol < 3/8 for 3/4 - nu_minus in `nu_in_range`, and atol or
-    eig_one_atol < 1/2 for 1 - x.  A wider tolerance is accepted, but at
-    its edge the rounded gap decides: with atol = 0.6,
-    `nu_in_range(0.15, None, tol)` holds, as fl(0.75 - 0.15) = 0.6,
-    although 3/4 - 0.15 exceeds 0.6.
     """
 
     __slots__ = ()
@@ -119,12 +112,28 @@ def decide(value, rule: str, threshold) -> Decision:
     Every comparison with a `ToleranceConfig` field is made here, by one of
     two rules: rank (sigma_i against rank_rtol * sigma_1) or gap (a
     residual, or the gap x - c or c - x of x from a band's centre c,
-    against the tolerance itself, never x against a rounded c -+ tol; for
-    x within a factor 2 of c the gap is exact, by Sterbenz's lemma).  So a
-    gap verdict is exact for every tolerance below c/2, and above c/2 on
-    the lower side an x below c/2 can read a rounded gap equal to the
-    tolerance (`ToleranceConfig`)."""
-    return _tuple_new(Decision, (value, threshold, _RULES[rule](value, threshold)))
+    against the tolerance itself, never x against a rounded c -+ tol).
+
+    A gap is passed as the pair (a, b) that stands for a - b: (c, x) or
+    (x, c), or arrays of such terms.  The Decision carries fl(a - b), and
+    its verdict is that of the exact a - b at every tolerance: rounding is
+    monotone, so fl(a - b) lies on the wrong side of the threshold only by
+    landing on it, and there the sign of `math.fsum`'s correctly rounded
+    a - b - threshold decides.  (For x within a factor 2 of c the
+    subtraction is exact anyway, by Sterbenz's lemma.)"""
+    compare = _RULES[rule]
+    if type(value) is not tuple:
+        return _tuple_new(Decision, (value, threshold, compare(value, threshold)))
+    a, b = value
+    value = a - b
+    holds = compare(value, threshold)
+    if isinstance(value, np.ndarray):
+        a, b = np.broadcast_arrays(a, b)
+        for i in np.flatnonzero(value == threshold):
+            holds.flat[i] = compare(math.fsum((a.flat[i], -b.flat[i], -threshold)), 0.0)
+    elif value == threshold:
+        holds = compare(math.fsum((a, -b, -threshold)), 0.0)
+    return _tuple_new(Decision, (value, threshold, holds))
 
 
 class ThinSVD(NamedTuple):
@@ -303,7 +312,15 @@ def is_frame(f: Frame, tol: ToleranceConfig) -> bool:
 
 def is_parseval(f: Frame, tol: ToleranceConfig) -> bool:
     """True when the frame operator is the identity within atol."""
-    return decide(f.parseval_gap, "<=", tol.atol).holds
+    gap = f.parseval_gap
+    # |lambda - 1| is exact for lambda in [1/2, 2] (Sterbenz) and above every
+    # tolerance beyond 2, so only a largest gap fl(1 - lambda_min) of at
+    # least 1/2 may have rounded onto the tolerance: then the pair decides
+    if gap >= 0.5:
+        low = float(f.eigenvalues.min())
+        if 1.0 - low == gap:
+            gap = (1.0, low)
+    return decide(gap, "<=", tol.atol).holds
 
 
 def excess(f: Frame, tol: ToleranceConfig) -> ExcessReport:

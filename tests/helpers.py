@@ -335,6 +335,16 @@ def exact_frame_operator(rows):
     return _matmul(_transpose(u), u)
 
 
+def exact_quantity_matrix(rows, j):
+    """M_J = S_J + S_{J^c}^2 of the frame with these float rows over the
+    exact values of their entries, J an `IndexSet`; for a complex frame,
+    its `real_embedding`, which holds every eigenvalue of M_J twice."""
+    rows = np.asarray(rows)
+    inside = j.mask()[:, None]
+    s_in, s_out = exact_frame_operator(rows * inside), exact_frame_operator(rows * ~inside)
+    return _add(s_in, _matmul(s_out, s_out))
+
+
 def exact_band_verdict(rows, tol):
     """`ExactBandVerdict` of the real or complex frame with these float
     rows: S and the shifts 1 +- eig_one_atol and 1 +- atol are exact

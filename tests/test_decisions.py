@@ -12,6 +12,7 @@ import ast
 import json
 import math
 from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -19,13 +20,14 @@ import pytest
 
 import framekit as fk
 import framekit.cli
+import framekit.identity
 import framekit.linalg
 from framekit.duals import canonical_dual_analysis
 from framekit.linalg import subspace_distance
 from framekit.parseval import _nearest_parseval_dual
-from helpers import (TOL, admissible_frame, band_ensemble, exact_band_verdict,
-                     exact_frame_operator, inertia, orthonormal_range,
-                     random_dual_pair)
+from helpers import (TOL, admissible_frame, band_ensemble, cayley_parseval,
+                     exact_band_verdict, exact_frame_operator, exact_quantity_matrix,
+                     inertia, orthonormal_range, random_dual_pair, square_roots)
 
 TOLERANCE_FIELDS = set(fk.ToleranceConfig._fields)
 
@@ -288,6 +290,120 @@ def _match_band_oracle(field):
         main = [classes[name] for name in ("parseval", "dual, dev <", "dual, dev =",
                                            "no dual, dev >", "no dual, A < 1 - band")]
         assert min(main) >= max(main) / 2 and classes["A = 1 exactly"], classes
+
+
+def around(x):
+    """The float x and its three neighbours on each side."""
+    xs = [x]
+    for direction in (-np.inf, np.inf):
+        y = x
+        for _ in range(3):
+            y = math.nextafter(y, direction)
+            xs.append(y)
+    return xs
+
+
+def line_frame(x):
+    """A frame of the line whose one eigenvalue is x or a float near it:
+    the `square_roots` of x 4^k in [1/2, 2), times 2^-k, and a zero row,
+    so that the excess is at least 1."""
+    k = 0
+    while x * 4.0 ** k < 0.5:
+        k += 1
+    while x * 4.0 ** k >= 2.0:
+        k -= 1
+    return frame([[r * 2.0 ** -k] for r in square_roots(x * 4.0 ** k)] + [[0.0]])
+
+
+def test_gap_verdicts_are_exact_at_every_tolerance(monkeypatch):
+    # every gap verdict against Fraction arithmetic, at tolerances up to
+    # 0.99 and at x around fl(c -+ tol): beyond tol = c/2 a rounded gap
+    # c - x can land on the tolerance although the exact one does not, as
+    # fl(0.75 - 0.15) = 0.6 < 3/4 - 0.15
+    assert not fk.nu_in_range(0.15, None, TOL._replace(atol=0.6))
+    rng = np.random.default_rng(24)
+    ties, tails = Counter(), []
+    monkeypatch.setattr(framekit.identity, "nu_bounds",
+                        lambda f, j, tol: fk.NuBounds(tails[-1], 1.0, None, None))
+    basis = frame(np.eye(2))
+    for t in (0.6, 0.9, 0.99, 0.5, 0.375, 0.25, 1e-8, *rng.uniform(0.0, 0.99, 16)):
+        t = float(t)
+        tol = TOL._replace(atol=t, eig_one_atol=t)
+        exact = Fraction(t)
+        for x in around(0.75 - t):
+            assert fk.nu_in_range(x, None, tol) == (Fraction(3, 4) - Fraction(x) <= exact)
+            ties["nu_minus"] += 0.75 - x == t != Fraction(3, 4) - Fraction(x)
+        for x in around(1.0 + t):
+            assert fk.nu_in_range(0.75, x, tol) == (Fraction(x) - 1 <= exact)
+        for x in around(1.0 - t) + around(1.0 + t):
+            f = line_frame(x)
+            x = float(f.eigenvalues[0])
+            gap = Fraction(x) - 1
+            ties["A"] += 1.0 - x == t != -gap
+            report = fk.parseval_dual_exists(f, tol)
+            assert report.exists == (-gap <= exact), (t, x)
+            assert bool(fk.nonexistence_reasons(report, tol)) == (-gap > exact)
+            assert fk.deviation_dimension(f, tol) == (abs(gap) > exact)
+            assert fk.is_parseval(f, tol) == (abs(gap) <= exact)
+            corrected = _nearest_parseval_dual(f, tol)
+            assert (not np.array_equal(corrected, canonical_dual_analysis(f))) == (gap > exact)
+        for x in around(1.0 - t):
+            tails.append(x)
+            report = fk.verify_tail_bound(basis, t, None, tol)
+            assert report.holds == (1 - Fraction(x) < exact), (t, x)
+            ties["tail"] += 1.0 - x == t != 1 - Fraction(x)
+    assert min(ties[site] for site in ("nu_minus", "A", "tail")) > 0, ties
+
+
+def _nu_cases():
+    """(rows, J, Parseval tolerance, tolerances of the verdict) for the
+    nu_in_range oracle."""
+    # the dyadic sharpness instance: M_J = 3/4 I exactly for J = {1, 2}
+    rows = np.array([[1, 1], [1, -1], [1, 1], [1, -1]]) / 2
+    for members in ((1, 2), (1,), (1, 3), ()):
+        yield rows, fk.IndexSet(members, 4), TOL, (1e-14, 1e-8, 0.25, 0.6)
+    rng = np.random.default_rng(19)
+    for trial in range(24):
+        d, complex_field = 2 + trial % 2, trial % 4 >= 2
+        n = d + int(rng.integers(4))
+        rows = cayley_parseval(rng, n, d, complex_field)
+        # exact Parseval frames at a narrowed atol, where nu_minus >= 3/4 holds
+        # up to rounding; then one row scaled by 1 +- a/4, within atol a of
+        # Parseval, where nu_minus can fall below 3/4 and nu_plus rise above
+        # 1, decided at a and at narrower tolerances
+        a = (1e-12, 1e-3, 0.05, 0.2)[trial % 4]
+        atols = (a,)
+        if a > 1e-12:
+            rows[rng.integers(n)] *= 1 + (a if trial % 8 < 4 else -a) / 4
+            atols = tuple(a * 4.0 ** -k for k in range(4))
+        for _ in range(3):
+            members = np.flatnonzero(rng.integers(2, size=n)) + 1
+            yield rows, fk.IndexSet(members, n), TOL._replace(atol=a), atols
+
+
+def test_nu_in_range_matches_the_exact_oracle():
+    # nu_minus >= 3/4 - a exactly when M_J - (3/4 - a) I has no negative
+    # pivot, and nu_plus <= 1 + a when (1 + a) I - M_J has none; the library
+    # decides on eigh's floats.  A disagreement is allowed only where an
+    # eigenvalue of M_J lies within eigh's backward error of the edge
+    verdicts, near = Counter(), 0
+    for rows, j, parseval_tol, atols in _nu_cases():
+        field = "complex" if np.iscomplexobj(rows) else "real"
+        f = fk.Frame(dim=rows.shape[1], field=field, vectors=rows)
+        bounds = fk.nu_bounds(f, j, parseval_tol)
+        m = exact_quantity_matrix(rows, j)
+        allowance = Fraction(8 * f.dim * 2.0 ** -52)  # ||M_J|| < 2
+        for a in atols:
+            edges = (Fraction(3, 4) - Fraction(a), 1 + Fraction(a))
+            exact = inertia(m, edges[0])[1] == 0 and inertia(m, edges[1])[0] == 0
+            library = fk.nu_in_range(bounds.nu_minus, bounds.nu_plus, TOL._replace(atol=a))
+            close = any(inertia(m, e - allowance)[1] != inertia(m, e + allowance)[1]
+                        for e in edges)
+            near += close
+            verdicts[exact, library] += 1
+            assert library == exact or close, (rows, j, a)
+    print(dict(verdicts), "within eigh's error of an edge:", near)
+    assert verdicts[True, True] and verdicts[False, False]
 
 
 def test_library_verdicts_of_the_cli_at_atol():

@@ -11,8 +11,8 @@ import framekit as fk
 import framekit.duals
 from framekit.linalg import adjoint, operator_norm, subspace_distance
 from helpers import (TOL, deletion_excess, exact_pair_ensemble, exact_pair_verdict,
-                     gaussian, orthonormal_range, random_dual_pair, scaled, seeded_cases,
-                     well_conditioned_invertible)
+                     gaussian, haar_columns, orthonormal_range, random_dual_pair, scaled,
+                     seeded_cases, well_conditioned_invertible)
 
 GOLDEN = (1.0 + np.sqrt(5.0)) / 2.0
 
@@ -182,45 +182,49 @@ def test_far_pair_keeps_the_svd(monkeypatch, tol):
     # V*U = I - (1 - 1e-9) r r^T, r a unit vector: sigma_min is 1e-9 <
     # sqrt(eps) sigma_max, which the Gram's eigenvalue, 1e-18 to within
     # about eps, cannot resolve; ||V*U - I|| = 1 - 1e-9, so the pair is an
-    # approximate dual one.  At d = 4, ||V*U - I||_F^2 < d / 4 and the Grams
-    # are formed before the SVD decides; at d = 2 (V*U = R diag(1, 1e-9) R^T,
-    # R a rotation) the SVD decides alone, as it does for V*U = 1e200 I,
-    # whose Grams would overflow
+    # approximate dual one.  At d = 4 (r = (1/2, ..., 1/2)) and at d = 2
+    # (V*U = R diag(1, 1e-9) R^T, R a rotation) ||V*U - I||_F > 1/2, so the
+    # SVD decides and no Gram is formed, as for V*U = 1e200 I, whose Grams
+    # would overflow
     cases = []
-    for r, grams in ((np.full(4, 0.5), [(2, 4, 4)]),
-                     (np.array([-np.sin(0.3), np.cos(0.3)]), [])):
+    for r in (np.full(4, 0.5), np.array([-np.sin(0.3), np.cos(0.3)])):
         d = r.size
         f = fk.Frame(dim=d, field="real", vectors=np.vstack([np.eye(d), np.zeros(d)]))
         vu = np.eye(d) - (1 - 1e-9) * np.outer(r, r)
         g = fk.Frame(dim=d, field="real", vectors=np.vstack([vu, np.ones(d)]))
-        cases.append((f, g, (False, True, True), grams))
+        cases.append((f, g, (False, True, True)))
     big = scaled(cases[1][0], 1e100)
-    cases.append((big, big, (False, True, False), []))
+    cases.append((big, big, (False, True, False)))
     svds = record_shapes(monkeypatch, "svd")
     eigvalshs = record_shapes(monkeypatch, "eigvalsh")
-    for f, g, grade, grams in cases:
+    for f, g, grade in cases:
         fk.is_frame(f, tol)
         svds.clear()
-        eigvalshs.clear()
         report = fk.check_duality(f, g, tol)
         assert report[:3] == grade
-        assert (2, f.dim, f.dim) in svds and eigvalshs == grams
+        assert (2, f.dim, f.dim) in svds and eigvalshs == []
         deviation, sigma = numpy_spectrum(f, g)
         assert report.deviation_norm == deviation
         assert report.min_singular_vu == sigma[-1]
 
 
+def numpy_cross_spectrum(vu):
+    """`duals._cross_spectrum` from numpy's SVD of V*U alone."""
+    sigma = np.linalg.svd(vu, compute_uv=False)
+    return np.linalg.norm(vu - np.eye(len(vu)), 2), sigma[-1], sigma[0]
+
+
 def test_near_pairs_read_from_the_grams_within_their_allowance(monkeypatch, tol):
     # free-operator duals (||V*U - I|| at rounding level) and their images
-    # under T = I + X, ||X|| = 0.45 (V*U = T, singular values spread over
-    # [0.55, 1.45]); each graded as the SVD path grades it
+    # under T = I + X, ||X||_F = 0.45 (V*U = T, singular values spread
+    # inside [0.55, 1.45]); each graded as numpy's SVD figures grade it
     pairs = []
     for d, extra, seed, complex_field in seeded_cases(4040, 24, (2, 40), (0, 6),
                                                       (0, 10_000), (0, 1)):
         field = "complex" if complex_field else "real"
         f, g = random_dual_pair(d, d + extra, seed, field)
         x = gaussian(np.random.default_rng(seed), d, d, complex_field)
-        t = np.eye(d) + 0.45 * x / np.linalg.norm(x, 2)
+        t = np.eye(d) + 0.45 * x / np.linalg.norm(x)
         pairs += [(f, g), (f, fk.transform_frame(g, t, tol))]
     with monkeypatch.context() as patch:
         shapes = record_shapes(patch, "svd")
@@ -228,11 +232,49 @@ def test_near_pairs_read_from_the_grams_within_their_allowance(monkeypatch, tol)
     assert not [shape for shape in shapes if len(shape) == 3]
     for (f, g), report in zip(pairs, reports):
         assert_within_gram_allowance(report, f, g)
-    # the SVD path's grades, on fresh copies of the frames
-    monkeypatch.setattr(framekit.duals, "_NEAR_DUAL", -1.0)
+    # the grades of numpy's figures, on fresh copies of the frames
+    monkeypatch.setattr(framekit.duals, "_cross_spectrum", numpy_cross_spectrum)
     for (f, g), report in zip(pairs, reports):
         copies = [fk.Frame(dim=h.dim, field=h.field, vectors=h.vectors) for h in (f, g)]
         assert fk.check_duality(*copies, tol)[:3] == report[:3]
+
+
+def test_every_pair_class_pays_for_one_spectral_call(monkeypatch, tol):
+    # one spectral call per pair, chosen on ||V*U - I||_F: a free-operator
+    # dual takes one eigvalsh of its Gram stack; V*U = I + X with
+    # ||X||_2 = 0.45 but ||X||_F = 0.45 sqrt(d) > 1/2 (X = 0.45 W, W unitary),
+    # and with ||X||_2 = ||X||_F = 0.8 spread over all entries (X = 0.8 r r*),
+    # take one sigma-only SVD of [V*U - I, V*U] and no Gram, and report
+    # numpy's figures to the bit
+    svds = record_shapes(monkeypatch, "svd")
+    eigvalshs = record_shapes(monkeypatch, "eigvalsh")
+    for d in (2, 4, 40):
+        for complex_field in (False, True):
+            field = "complex" if complex_field else "real"
+            rng = np.random.default_rng(d)
+            unitary = haar_columns(rng, d, d, complex_field)
+            r = haar_columns(rng, d, 1, complex_field)
+            basis = fk.Frame(dim=d, field=field, vectors=np.vstack([np.eye(d), np.zeros(d)]))
+            cases = [(*random_dual_pair(d, d + 2, d, field), True)]
+            for x in (0.45 * unitary, 0.8 * r @ np.conj(r).T):
+                # U = [I; 0], so V*U is the transpose of g's first d rows
+                g = fk.Frame(dim=d, field=field, vectors=np.vstack([(np.eye(d) + x).T,
+                                                                    np.ones(d)]))
+                cases.append((basis, g, False))
+            for f, g, exact in cases:
+                fk.is_frame(f, tol)
+                svds.clear()
+                eigvalshs.clear()
+                report = fk.check_duality(f, g, tol)
+                assert report[:3] == (exact, True, True), (d, field)
+                stacks = [shape for shape in svds if len(shape) == 3]
+                if exact:
+                    assert (stacks, eigvalshs) == ([], [(2, d, d)]), (d, field)
+                    continue
+                assert (stacks, eigvalshs) == ([(2, d, d)], []), (d, field)
+                deviation, sigma = numpy_spectrum(f, g)
+                assert report.deviation_norm == deviation, (d, field)
+                assert report.min_singular_vu == sigma[-1], (d, field)
 
 
 def test_pseudo_dual_grade_does_not_depend_on_scale(tol):
