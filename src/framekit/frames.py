@@ -11,8 +11,9 @@ lower bound is positive.
 
 Every spectral fact comes from one thin SVD U = P Sigma R* of the
 analysis matrix, cached on the frame (`Frame.svd`): S has eigenvectors
-R and eigenvalues Sigma^2 (`Frame.eigenvalues`, whose largest distance
-max |lambda_i - 1| from 1 is `Frame.parseval_gap`), and P spans the
+R and eigenvalues Sigma^2 (`Frame.eigenvalues`, whose extremes are
+`Frame.eigenvalue_range` and largest distance max |lambda_i - 1| from 1
+is `Frame.parseval_gap`), and P spans the
 analysis range.  The Householder reflectors of one QR of P give an
 orthonormal basis of the rest of the coefficient space, also cached
 (`Frame.range_complement`) and formed without the n x n Q; every
@@ -31,7 +32,7 @@ from __future__ import annotations
 import math
 import operator
 from functools import cached_property
-from typing import Any, List, NamedTuple
+from typing import Any, List, NamedTuple, Tuple
 
 import numpy as np
 
@@ -106,7 +107,7 @@ _RULES = {"<=": operator.le, "<": operator.lt, ">=": operator.ge, ">": operator.
 _tuple_new = tuple.__new__  # as a named tuple's own __new__ builds it, but from C
 
 
-def decide(value, rule: str, threshold) -> Decision:
+def decide(value, rule: str, threshold, minus=None) -> Decision:
     """The decision `value rule threshold`, rule one of <=, <, >=, >, the one
     that states the property, so that the verdict at equality is its own.
     Every comparison with a `ToleranceConfig` field is made here, by one of
@@ -114,26 +115,28 @@ def decide(value, rule: str, threshold) -> Decision:
     residual, or the gap x - c or c - x of x from a band's centre c,
     against the tolerance itself, never x against a rounded c -+ tol).
 
-    A gap is passed as the pair (a, b) that stands for a - b: (c, x) or
-    (x, c), or arrays of such terms.  The Decision carries fl(a - b), and
-    its verdict is that of the exact a - b at every tolerance: rounding is
-    monotone, so fl(a - b) lies on the wrong side of the threshold only by
-    landing on it, and there the sign of `math.fsum`'s correctly rounded
-    a - b - threshold decides.  (For x within a factor 2 of c the
-    subtraction is exact anyway, by Sterbenz's lemma.)"""
+    A gap is passed as its two terms, `value - minus`: `decide(c, rule,
+    tol, minus=x)` or `decide(x, rule, tol, minus=c)`, scalars or arrays
+    of one shape.  The Decision carries fl(value - minus), and its verdict
+    is that of the exact difference at every tolerance: rounding is
+    monotone, so the rounded gap lies on the wrong side of the threshold
+    only by landing on it, and there the sign of `math.fsum`'s correctly
+    rounded value - minus - threshold decides.  (For x within a factor 2
+    of c the subtraction is exact anyway, by Sterbenz's lemma.)"""
     compare = _RULES[rule]
-    if type(value) is not tuple:
+    if minus is None:
         return _tuple_new(Decision, (value, threshold, compare(value, threshold)))
-    a, b = value
-    value = a - b
-    holds = compare(value, threshold)
-    if isinstance(value, np.ndarray):
-        a, b = np.broadcast_arrays(a, b)
-        for i in np.flatnonzero(value == threshold):
-            holds.flat[i] = compare(math.fsum((a.flat[i], -b.flat[i], -threshold)), 0.0)
-    elif value == threshold:
-        holds = compare(math.fsum((a, -b, -threshold)), 0.0)
-    return _tuple_new(Decision, (value, threshold, holds))
+    gap = value - minus
+    holds = compare(gap, threshold)
+    if isinstance(gap, np.ndarray):
+        ties = gap == threshold
+        if np.count_nonzero(ties):  # half the cost of flatnonzero on no ties
+            for i in np.flatnonzero(ties):
+                holds.flat[i] = compare(
+                    math.fsum((value.flat[i], -minus.flat[i], -threshold)), 0.0)
+    elif gap == threshold:
+        holds = compare(math.fsum((value, -minus, -threshold)), 0.0)
+    return _tuple_new(Decision, (gap, threshold, holds))
 
 
 class ThinSVD(NamedTuple):
@@ -220,9 +223,16 @@ class Frame:
         return lam
 
     @cached_property
+    def eigenvalue_range(self) -> Tuple[float, float]:
+        """(lambda_min, lambda_max) of S, as floats."""
+        lam = self.eigenvalues
+        return float(lam.min()), float(lam.max())
+
+    @cached_property
     def parseval_gap(self) -> float:
-        """max |lambda_i - 1|, which `is_parseval` compares with atol."""
-        return float(np.abs(self.eigenvalues - 1.0).max())
+        """max |lambda_i - 1|, the larger of 1 - lambda_min and lambda_max - 1."""
+        low, high = self.eigenvalue_range
+        return max(1.0 - low, high - 1.0)
 
     @cached_property
     def range_complement(self) -> np.ndarray:
@@ -297,8 +307,8 @@ def gram_matrix(f: Frame) -> np.ndarray:
 def frame_bounds(f: Frame) -> FrameBounds:
     """Extreme eigenvalues of the frame operator; a_opt = 0 signals that
     the system does not span."""
-    lam = f.eigenvalues
-    return FrameBounds(a_opt=float(lam.min()), b_opt=float(lam.max()))
+    a_opt, b_opt = f.eigenvalue_range
+    return FrameBounds(a_opt=a_opt, b_opt=b_opt)
 
 
 def is_frame(f: Frame, tol: ToleranceConfig) -> bool:
@@ -311,16 +321,11 @@ def is_frame(f: Frame, tol: ToleranceConfig) -> bool:
 
 
 def is_parseval(f: Frame, tol: ToleranceConfig) -> bool:
-    """True when the frame operator is the identity within atol."""
-    gap = f.parseval_gap
-    # |lambda - 1| is exact for lambda in [1/2, 2] (Sterbenz) and above every
-    # tolerance beyond 2, so only a largest gap fl(1 - lambda_min) of at
-    # least 1/2 may have rounded onto the tolerance: then the pair decides
-    if gap >= 0.5:
-        low = float(f.eigenvalues.min())
-        if 1.0 - low == gap:
-            gap = (1.0, low)
-    return decide(gap, "<=", tol.atol).holds
+    """True when every eigenvalue of the frame operator lies within atol
+    of 1: both gaps, 1 - lambda_min and lambda_max - 1, at most atol."""
+    low, high = f.eigenvalue_range
+    return (decide(1.0, "<=", tol.atol, minus=low).holds
+            and decide(high, "<=", tol.atol, minus=1.0).holds)
 
 
 def excess(f: Frame, tol: ToleranceConfig) -> ExcessReport:

@@ -123,7 +123,7 @@ def projected_basis_frame(alpha: np.ndarray, tol: ToleranceConfig) -> Frame:
     if np.any(alpha == 0.0):
         raise ZeroEntryError("every coefficient must be nonzero")
     norm = float(np.linalg.norm(alpha))
-    if decide(abs(norm - 1.0), ">", tol.atol).holds:
+    if decide(max(norm, 1.0), ">", tol.atol, minus=min(norm, 1.0)).holds:
         raise NotUnitError(f"coefficient vector must have unit norm, got {norm!r}")
     field = REAL if np.all(alpha.imag == 0.0) else COMPLEX
     # the 1 x m row <., alpha> has rank 1 (alpha is a unit vector), so the

@@ -235,8 +235,8 @@ def nu_bounds(f: Frame, j: IndexSet, tol: ToleranceConfig) -> NuBounds:
 def nu_in_range(nu_minus: float, nu_plus: Optional[float], tol: ToleranceConfig) -> bool:
     """3/4 - nu_minus <= atol and, unless nu_plus is None (for a value of
     `nu_minus_global`, a least nu_minus), nu_plus - 1 <= atol."""
-    return decide((0.75, nu_minus), "<=", tol.atol).holds and (
-        nu_plus is None or decide((nu_plus, 1.0), "<=", tol.atol).holds)
+    return decide(0.75, "<=", tol.atol, minus=nu_minus).holds and (
+        nu_plus is None or decide(nu_plus, "<=", tol.atol, minus=1.0).holds)
 
 
 def nu_minus_global(f: Frame, tol: ToleranceConfig) -> Tuple[float, IndexSet]:
@@ -583,4 +583,4 @@ def verify_tail_bound(f: Frame, eps: float, j: Optional[IndexSet],
     direct = nu_bounds(f, j, tol).nu_minus
     mirrored = nu_bounds(f, j.complement(), tol).nu_minus
     return TailReport(n0, j, direct, mirrored, 1.0 - eps,
-                      decide((1.0, min(direct, mirrored)), "<", eps).holds)
+                      decide(1.0, "<", eps, minus=min(direct, mirrored)).holds)

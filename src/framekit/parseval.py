@@ -85,12 +85,10 @@ def deviation_dimension(f: Frame, tol: ToleranceConfig) -> int:
 def _deviation_dim(f: Frame, tol: ToleranceConfig) -> int:
     """`deviation_dimension` of f, which the caller has found a frame."""
     eigs = f.eigenvalues
-    gaps = np.abs(eigs - 1.0)
-    # 1 - lambda is exact from lambda = 1/2 up (Sterbenz); below, it is at
-    # least 1/2 and may round onto a tolerance that wide: decide takes the pair
-    if tol.eig_one_atol >= 0.5:
-        gaps = (np.maximum(eigs, 1.0), np.minimum(eigs, 1.0))
-    return int(np.count_nonzero(decide(gaps, ">", tol.eig_one_atol).holds))
+    # |lambda - 1| as max(lambda, 1) - min(lambda, 1)
+    outside = decide(np.maximum(eigs, 1.0), ">", tol.eig_one_atol,
+                     minus=np.minimum(eigs, 1.0))
+    return int(np.count_nonzero(outside.holds))
 
 
 def parseval_dual_exists(f: Frame, tol: ToleranceConfig) -> ParsevalDualReport:
@@ -101,7 +99,7 @@ def parseval_dual_exists(f: Frame, tol: ToleranceConfig) -> ParsevalDualReport:
     a_opt = float(f.eigenvalues.min())
     dev = _deviation_dim(f, tol)
     exc = f.n - f.dim
-    exists = not decide((1.0, a_opt), ">", tol.eig_one_atol).holds and dev <= exc
+    exists = not decide(1.0, ">", tol.eig_one_atol, minus=a_opt).holds and dev <= exc
     return ParsevalDualReport(exists=exists, a_opt=a_opt,
                               deviation_dim=dev, excess_val=exc)
 
@@ -111,7 +109,7 @@ def nonexistence_reasons(report: ParsevalDualReport,
     """Human-readable reasons why the existence test failed (empty when
     it passed)."""
     reasons = []
-    if decide((1.0, report.a_opt), ">", tol.eig_one_atol).holds:
+    if decide(1.0, ">", tol.eig_one_atol, minus=report.a_opt).holds:
         reasons.append(f"a_opt {format(report.a_opt, '.17g')} < 1")
     if report.deviation_dim > report.excess_val:
         reasons.append(

@@ -71,6 +71,11 @@ MUTANTS = (
            "if np.vdot(vu, vu).real <= _NEAR_DUAL ** 2:",
            "if True:",
            ("tests/test_duals.py::test_far_pair_keeps_the_svd",)),
+    Mutant("Grams never formed",
+           "framekit/duals.py",
+           "if np.vdot(vu, vu).real <= _NEAR_DUAL ** 2:",
+           "if False:",
+           ("tests/test_frames.py::test_one_factorization_per_frame",)),
     Mutant("Gram path up to ||V*U - I||_F = sqrt(d) / 2",
            "framekit/duals.py",
            "if np.vdot(vu, vu).real <= _NEAR_DUAL ** 2:",
@@ -93,12 +98,12 @@ MUTANTS = (
            ("tests/test_duals.py",)),
     Mutant("verify_tail_bound reports holds=True unconditionally",
            "framekit/identity.py",
-           'decide((1.0, min(direct, mirrored)), "<", eps).holds)',
+           'decide(1.0, "<", eps, minus=min(direct, mirrored)).holds)',
            "True)",
            ("tests/test_identity.py",)),
     Mutant("verify_tail_bound against the rounded bound fl(1 - eps)",
            "framekit/identity.py",
-           'decide((1.0, min(direct, mirrored)), "<", eps).holds)',
+           'decide(1.0, "<", eps, minus=min(direct, mirrored)).holds)',
            "direct > 1.0 - eps and mirrored > 1.0 - eps)",
            ("tests/test_identity.py",)),
     Mutant("identity_residual without its empty-set check",
@@ -108,29 +113,34 @@ MUTANTS = (
            ("tests/test_identity.py",)),
     Mutant("Parseval-dual existence without its lower-bound condition",
            "framekit/parseval.py",
-           'exists = not decide((1.0, a_opt), ">", tol.eig_one_atol).holds and dev <= exc',
+           'exists = not decide(1.0, ">", tol.eig_one_atol, minus=a_opt).holds and dev <= exc',
            "exists = dev <= exc",
            ("tests/test_decisions.py",)),
     Mutant("Parseval-dual lower bound against the rounded fl(1 - eig_one_atol)",
            "framekit/parseval.py",
-           'exists = not decide((1.0, a_opt), ">", tol.eig_one_atol).holds and dev <= exc',
+           'exists = not decide(1.0, ">", tol.eig_one_atol, minus=a_opt).holds and dev <= exc',
            'exists = decide(a_opt, ">=", 1.0 - tol.eig_one_atol).holds and dev <= exc',
            ("tests/test_decisions.py::test_eigenvalue_one_band_at_its_edge",
             "tests/test_decisions.py::test_eigenvalue_band_verdicts_match_the_exact_oracle")),
     Mutant("nu_in_range against the rounded fl(3/4 - atol)",
            "framekit/identity.py",
-           'decide((0.75, nu_minus), "<=", tol.atol).holds',
+           'decide(0.75, "<=", tol.atol, minus=nu_minus).holds',
            'decide(nu_minus, ">=", 0.75 - tol.atol).holds',
            ("tests/test_decisions.py::test_library_verdicts_of_the_cli_at_atol",)),
     Mutant("nu_in_range on the rounded gap fl(3/4 - nu_minus)",
            "framekit/identity.py",
-           'decide((0.75, nu_minus), "<=", tol.atol).holds',
+           'decide(0.75, "<=", tol.atol, minus=nu_minus).holds',
            'decide(0.75 - nu_minus, "<=", tol.atol).holds',
+           ("tests/test_decisions.py::test_gap_verdicts_are_exact_at_every_tolerance",)),
+    Mutant("projected_basis_frame on the rounded gap |norm - 1|",
+           "framekit/generators.py",
+           'decide(max(norm, 1.0), ">", tol.atol, minus=min(norm, 1.0))',
+           'decide(abs(norm - 1.0), ">", tol.atol)',
            ("tests/test_decisions.py::test_gap_verdicts_are_exact_at_every_tolerance",)),
     Mutant("deviation dimension with atol as the band half-width",
            "framekit/parseval.py",
-           'decide(gaps, ">", tol.eig_one_atol)',
-           'decide(gaps, ">", tol.atol)',
+           'decide(np.maximum(eigs, 1.0), ">", tol.eig_one_atol,',
+           'decide(np.maximum(eigs, 1.0), ">", tol.atol,',
            ("tests/test_decisions.py",)),
     Mutant("identity_residual cuts a lone vector into blocks",
            "framekit/identity.py",

@@ -347,12 +347,23 @@ def test_gap_verdicts_are_exact_at_every_tolerance(monkeypatch):
             assert fk.is_parseval(f, tol) == (abs(gap) <= exact)
             corrected = _nearest_parseval_dual(f, tol)
             assert (not np.array_equal(corrected, canonical_dual_analysis(f))) == (gap > exact)
+        for x in around(1.0 - t) + around(1.0 + t):
+            # projected_basis_frame's unit-norm band, on the norm it computes
+            alpha = np.array([x, 1e-200])
+            norm = float(np.linalg.norm(alpha))
+            gap = abs(Fraction(norm) - 1)
+            ties["unit"] += abs(norm - 1.0) == t != gap
+            if gap <= exact:
+                fk.projected_basis_frame(alpha, tol)
+            else:
+                with pytest.raises(fk.NotUnitError):
+                    fk.projected_basis_frame(alpha, tol)
         for x in around(1.0 - t):
             tails.append(x)
             report = fk.verify_tail_bound(basis, t, None, tol)
             assert report.holds == (1 - Fraction(x) < exact), (t, x)
             ties["tail"] += 1.0 - x == t != 1 - Fraction(x)
-    assert min(ties[site] for site in ("nu_minus", "A", "tail")) > 0, ties
+    assert min(ties[site] for site in ("nu_minus", "A", "unit", "tail")) > 0, ties
 
 
 def _nu_cases():
