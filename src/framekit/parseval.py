@@ -85,9 +85,11 @@ def deviation_dimension(f: Frame, tol: ToleranceConfig) -> int:
 def _deviation_dim(f: Frame, tol: ToleranceConfig) -> int:
     """`deviation_dimension` of f, which the caller has found a frame."""
     eigs = f.eigenvalues
-    # |lambda - 1| as max(lambda, 1) - min(lambda, 1)
-    outside = decide(np.maximum(eigs, 1.0), ">", tol.eig_one_atol,
-                     minus=np.minimum(eigs, 1.0))
+    if tol.eig_one_atol < 0.5:  # fl|lambda - 1| decides, as in `is_parseval`
+        outside = decide(np.abs(eigs - 1.0), ">", tol.eig_one_atol)
+    else:
+        outside = decide(np.maximum(eigs, 1.0), ">", tol.eig_one_atol,
+                         minus=np.minimum(eigs, 1.0))
     return int(np.count_nonzero(outside.holds))
 
 

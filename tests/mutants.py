@@ -137,10 +137,20 @@ MUTANTS = (
            'decide(max(norm, 1.0), ">", tol.atol, minus=min(norm, 1.0))',
            'decide(abs(norm - 1.0), ">", tol.atol)',
            ("tests/test_decisions.py::test_gap_verdicts_are_exact_at_every_tolerance",)),
+    Mutant("is_parseval on the rounded gap at atol >= 1/2",
+           "framekit/frames.py",
+           "if tol.atol < 0.5:",
+           "if True:",
+           ("tests/test_decisions.py::test_gap_verdicts_are_exact_at_every_tolerance",)),
+    Mutant("deviation dimension on the rounded gap at eig_one_atol >= 1/2",
+           "framekit/parseval.py",
+           "if tol.eig_one_atol < 0.5:",
+           "if True:",
+           ("tests/test_decisions.py::test_gap_verdicts_are_exact_at_every_tolerance",)),
     Mutant("deviation dimension with atol as the band half-width",
            "framekit/parseval.py",
-           'decide(np.maximum(eigs, 1.0), ">", tol.eig_one_atol,',
-           'decide(np.maximum(eigs, 1.0), ">", tol.atol,',
+           'decide(np.abs(eigs - 1.0), ">", tol.eig_one_atol)',
+           'decide(np.abs(eigs - 1.0), ">", tol.atol)',
            ("tests/test_decisions.py",)),
     Mutant("identity_residual cuts a lone vector into blocks",
            "framekit/identity.py",
