@@ -11,8 +11,8 @@ lower bound is positive.
 
 Every spectral fact comes from one thin SVD U = P Sigma R* of the
 analysis matrix, cached on the frame (`Frame.svd`): S has eigenvectors
-R and eigenvalues Sigma^2 (`Frame.eigenvalues`, whose largest distance
-max |lambda_i - 1| from 1 is `Frame.parseval_gap`), and P spans the
+R and eigenvalues Sigma^2 (`Frame.eigenvalues`, whose least and largest,
+the optimal frame bounds, are `Frame.eigenvalue_range`), and P spans the
 analysis range.  The Householder reflectors of one QR of P give an
 orthonormal basis of the rest of the coefficient space, also cached
 (`Frame.range_complement`) and formed without the n x n Q; every
@@ -116,7 +116,8 @@ def decide(value, rule: str, threshold, minus=None) -> Decision:
 
     A gap is passed as its two terms, `value - minus`: `decide(c, rule,
     tol, minus=x)` or `decide(x, rule, tol, minus=c)`, scalars or arrays
-    of one shape.  The Decision carries fl(value - minus), and its verdict
+    of one shape, or one of each, the scalar standing for every entry (it
+    broadcasts).  The Decision carries fl(value - minus), and its verdict
     is that of the exact difference at every tolerance: rounding is
     monotone, so the rounded gap lies on the wrong side of the threshold
     only by landing on it, and there the sign of `math.fsum`'s correctly
@@ -128,12 +129,22 @@ def decide(value, rule: str, threshold, minus=None) -> Decision:
     gap = value - minus
     holds = compare(gap, threshold)
     if isinstance(gap, np.ndarray):
-        for i in np.flatnonzero(gap == threshold):
-            holds.flat[i] = compare(
-                math.fsum((value.flat[i], -minus.flat[i], -threshold)), 0.0)
+        tied = gap == threshold
+        if np.count_nonzero(tied):  # half the cost of np.flatnonzero on small arrays
+            value, minus = np.broadcast_arrays(value, minus)
+            for i in np.flatnonzero(tied):
+                holds.flat[i] = compare(
+                    math.fsum((value.flat[i], -minus.flat[i], -threshold)), 0.0)
     elif gap == threshold:
         holds = compare(math.fsum((value, -minus, -threshold)), 0.0)
     return _tuple_new(Decision, (gap, threshold, holds))
+
+
+class FrameBounds(NamedTuple):
+    """Optimal constants A, B in A||x||^2 <= sum |<x,f_k>|^2 <= B||x||^2."""
+
+    a_opt: float
+    b_opt: float
 
 
 class ThinSVD(NamedTuple):
@@ -220,9 +231,10 @@ class Frame:
         return lam
 
     @cached_property
-    def parseval_gap(self) -> float:
-        """max |lambda_i - 1|, which `is_parseval` compares with atol."""
-        return float(np.abs(self.eigenvalues - 1.0).max())
+    def eigenvalue_range(self) -> FrameBounds:
+        """(least, largest) of `eigenvalues`, Python floats: the optimal bounds."""
+        lam = self.eigenvalues
+        return FrameBounds(float(lam.min()), float(lam.max()))
 
     @cached_property
     def range_complement(self) -> np.ndarray:
@@ -251,13 +263,6 @@ def derived_frame(field: str, vectors: np.ndarray, tol: ToleranceConfig) -> Fram
                 f"operation on real-field data produced imaginary parts of size {dust:.3e}")
         arr = arr.real
     return Frame(dim=arr.shape[1], field=field, vectors=arr)
-
-
-class FrameBounds(NamedTuple):
-    """Optimal constants A, B in A||x||^2 <= sum |<x,f_k>|^2 <= B||x||^2."""
-
-    a_opt: float
-    b_opt: float
 
 
 class ExcessReport(NamedTuple):
@@ -295,10 +300,9 @@ def gram_matrix(f: Frame) -> np.ndarray:
 
 
 def frame_bounds(f: Frame) -> FrameBounds:
-    """Extreme eigenvalues of the frame operator; a_opt = 0 signals that
-    the system does not span."""
-    lam = f.eigenvalues
-    return FrameBounds(a_opt=float(lam.min()), b_opt=float(lam.max()))
+    """Extreme eigenvalues of the frame operator, the cached `eigenvalue_range`;
+    a_opt = 0 signals that the system does not span."""
+    return f.eigenvalue_range
 
 
 def is_frame(f: Frame, tol: ToleranceConfig) -> bool:
@@ -312,15 +316,10 @@ def is_frame(f: Frame, tol: ToleranceConfig) -> bool:
 
 def is_parseval(f: Frame, tol: ToleranceConfig) -> bool:
     """True when every eigenvalue of the frame operator lies within atol
-    of 1: both gaps, 1 - lambda_min and lambda_max - 1, at most atol."""
-    # fl|lambda - 1| is exact for lambda in [1/2, 2] (Sterbenz) and at least
-    # 1/2 outside, so below a tolerance of 1/2 it decides as the exact gap;
-    # deciding both terms always cost small_batch 3-4 % of its wall time
-    if tol.atol < 0.5:
-        return decide(f.parseval_gap, "<=", tol.atol).holds
-    lam = f.eigenvalues
-    return (decide(1.0, "<=", tol.atol, minus=float(lam.min())).holds
-            and decide(float(lam.max()), "<=", tol.atol, minus=1.0).holds)
+    of 1: both gaps, 1 - lambda_min and lambda_max - 1, on their two terms."""
+    lo, hi = f.eigenvalue_range
+    return (decide(1.0, "<=", tol.atol, minus=lo).holds
+            and decide(hi, "<=", tol.atol, minus=1.0).holds)
 
 
 def excess(f: Frame, tol: ToleranceConfig) -> ExcessReport:

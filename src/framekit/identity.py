@@ -339,7 +339,8 @@ def nu_minus_global(f: Frame, tol: ToleranceConfig) -> Tuple[float, IndexSet]:
     low_bits = n // 2
     low = _subset_sums(outer[:low_bits])
     high = _subset_sums(outer[low_bits:n - 1])
-    e = f.parseval_gap
+    lo, hi = f.eigenvalue_range
+    e = max(1.0 - lo, hi - 1.0)  # max fl|lambda - 1|, as rounding is monotone
     delta = 2.0 * e * (1.0 + e) + e * e
     rounding = _ROUNDING * d * n * _EPS
     window = 2.0 * (delta + rounding)

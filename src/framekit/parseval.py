@@ -83,13 +83,11 @@ def deviation_dimension(f: Frame, tol: ToleranceConfig) -> int:
 
 
 def _deviation_dim(f: Frame, tol: ToleranceConfig) -> int:
-    """`deviation_dimension` of f, which the caller has found a frame."""
+    """`deviation_dimension` of f, which the caller has found a frame: the
+    gaps max(lambda, 1) - min(lambda, 1), on their two terms, above eig_one_atol."""
     eigs = f.eigenvalues
-    if tol.eig_one_atol < 0.5:  # fl|lambda - 1| decides, as in `is_parseval`
-        outside = decide(np.abs(eigs - 1.0), ">", tol.eig_one_atol)
-    else:
-        outside = decide(np.maximum(eigs, 1.0), ">", tol.eig_one_atol,
-                         minus=np.minimum(eigs, 1.0))
+    outside = decide(np.maximum(eigs, 1.0), ">", tol.eig_one_atol,
+                     minus=np.minimum(eigs, 1.0))
     return int(np.count_nonzero(outside.holds))
 
 
@@ -98,7 +96,7 @@ def parseval_dual_exists(f: Frame, tol: ToleranceConfig) -> ParsevalDualReport:
     if not is_frame(f, tol):
         raise NotAFrameError("Parseval-dual existence needs a frame")
     # a frame: A is the least eigenvalue (`frame_bounds`), the excess n - dim
-    a_opt = float(f.eigenvalues.min())
+    a_opt = f.eigenvalue_range.a_opt
     dev = _deviation_dim(f, tol)
     exc = f.n - f.dim
     exists = not decide(1.0, ">", tol.eig_one_atol, minus=a_opt).holds and dev <= exc
@@ -141,9 +139,7 @@ def _nearest_parseval_dual(f: Frame, tol: ToleranceConfig) -> np.ndarray:
     has the bits of U S^{-1} + correction.
     """
     lam = f.eigenvalues
-    # lam - 1 is exact up to lam = 2 (Sterbenz), exceeds every tolerance
-    # above, and is at most 0 below 1: the rounded gap is exact here
-    above = np.flatnonzero(decide(lam - 1.0, ">", tol.eig_one_atol).holds)[: f.n - f.dim]
+    above = np.flatnonzero(decide(lam, ">", tol.eig_one_atol, minus=1.0).holds)[: f.n - f.dim]
     if not above.size:
         return canonical_dual_analysis(f)
     k_cols = f.range_complement[:, : above.size]

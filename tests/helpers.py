@@ -1,18 +1,18 @@
 """Shared test utilities: independent oracles and seeded ensemble builders.
 
 The oracles deliberately avoid the library's own numerics: rank over
-exact rationals, excess by exhaustive deletion, the grades and the kernel
-identity of a frame pair and the four claims of the decomposition lemma
-over exact rationals, the kernel identity of a pair as a principal angle
-between subspaces from numpy's SVD, the nearest Parseval
-dual by a Levenberg-Marquardt search over all duals (numpy only)
-instead of the closed form, ranks and range bases from numpy's own SVD
-instead of a frame's cached one, the global subset minimum by evaluating M_J
-on every subset, determinants by elimination over exact (Gaussian)
-rationals, the minor tables of the determinant bound numbered through a
-dict over every (I, J) pair, the eigenvalue-band verdicts by Sylvester
-inertia over exact rationals (a complex frame through its real
-embedding).
+exact rationals, excess by exhaustive deletion, the grades and the
+kernel identity of a frame pair and the four claims of the decomposition
+lemma over exact rationals (a complex pair through its real embedding),
+the kernel identity of a pair as a principal angle between subspaces
+from numpy's SVD, the nearest Parseval dual by a Levenberg-Marquardt
+search over all duals (numpy only) instead of the closed form, ranks and
+range bases from numpy's own SVD instead of a frame's cached one, the
+global subset minimum by evaluating M_J on every subset, determinants by
+elimination over exact (Gaussian) rationals, the minor tables of the
+determinant bound numbered through a dict over every (I, J) pair, the
+eigenvalue-band verdicts by Sylvester inertia over exact rationals (a
+complex frame through its real embedding).
 """
 
 import itertools
@@ -134,12 +134,15 @@ def _nullspace(m):
     return _transpose(basis) if basis else [[] for _ in range(cols)]
 
 
-def _approx_certificate(t):
-    """True when ||T - I||_F^2 < 1, which bounds the operator norm below 1;
-    False when a row or column of T - I has squared norm above 1, which
-    bounds it above 1; None when neither settles it."""
+def _approx_certificate(t, copies=1):
+    """True when ||T - I||_F^2 < copies, which bounds the operator norm
+    below 1; False when a row or column of T - I has squared norm above 1,
+    which bounds it above 1; None when neither settles it.  For the
+    `real_embedding` of a complex T, copies = 2: the embedding doubles the
+    squared Frobenius norm and keeps the squared norm of every row and
+    column."""
     dev = _add(t, _identity(len(t)), -1)
-    if sum(x * x for row in dev for x in row) < 1:
+    if sum(x * x for row in dev for x in row) < copies:
         return True
     if any(sum(x * x for x in line) > 1 for line in dev + _transpose(dev)):
         return False
@@ -147,7 +150,7 @@ def _approx_certificate(t):
 
 
 class ExactPairVerdict(NamedTuple):
-    """The verdicts on a real frame pair (U, V), decided over exact rationals.
+    """The verdicts on a frame pair (U, V), decided over exact rationals.
 
     is_approx is `_approx_certificate` of M = V*U; kernel_identity is
     whether Ker V* = E(Ker U*), E = I - U M^{-1} V*, and None when M is
@@ -161,8 +164,11 @@ class ExactPairVerdict(NamedTuple):
     kernel_identity: Optional[bool]
 
 
-def exact_pair_verdict(u, v):
-    """`ExactPairVerdict` of the n x d rational analysis matrices u and v."""
+def exact_pair_verdict(u, v, copies=1):
+    """`ExactPairVerdict` of the n x d rational analysis matrices u and v,
+    or, for copies = 2, of the complex pair whose `real_embedding`s they
+    are: the embedding keeps products, adjoints and inverses, and doubles
+    every rank, which the verdict halves."""
     n, d = len(u), len(u[0])
     m = _matmul(_transpose(v), u)
     m_inv = _inverse(m)
@@ -173,16 +179,41 @@ def exact_pair_verdict(u, v):
         # E(Ker U*) lies in Ker V* and has its dimension n - rank V
         identity = (all(x == 0 for row in _matmul(_transpose(v), image) for x in row)
                     and rational_rank(image) == n - rational_rank(v))
-    return ExactPairVerdict(rank_u=rational_rank(u), rank_v=rational_rank(v),
+    return ExactPairVerdict(rank_u=rational_rank(u) // copies,
+                            rank_v=rational_rank(v) // copies,
                             is_exact=m == _identity(d), is_pseudo=m_inv is not None,
-                            is_approx=_approx_certificate(m), kernel_identity=identity)
+                            is_approx=_approx_certificate(m, copies),
+                            kernel_identity=identity)
 
 
-def exact_pair_ensemble(seed):
-    """(kind, U, V) rational analysis matrices: for d = 1..4 and n = d..d+4,
-    an integer U of full rank with entries in [-3, 3] and a dual of it,
-    V = U S^{-1} + Q W for an integer W, Q = I - U S^{-1} U* being the
-    projection onto Ker U*.  Four kinds of pair over each U:
+def _integers(rng, rows, cols, bound, copies):
+    """A rows x cols matrix with integer entries in [-bound, bound], as
+    Fractions; for copies = 2 the `real_embedding` of one with Gaussian
+    integer entries, real and imaginary parts in that range."""
+    draw = rng.integers(-bound, bound + 1, (copies, rows, cols))
+    m = draw[0] if copies == 1 else real_embedding(draw[0] + 1j * draw[1])
+    return [[Fraction(int(x)) for x in row] for row in m]
+
+
+def from_real_embedding(m, copies):
+    """The float matrix whose `real_embedding` is the rational matrix m:
+    m itself for copies = 1, else the complex matrix with real part the
+    top-left quarter of m and imaginary part the bottom-left one."""
+    m = np.array(m, dtype=float)
+    if copies == 1:
+        return m
+    rows, cols = m.shape[0] // 2, m.shape[1] // 2
+    return m[:rows, :cols] + 1j * m[rows:, :cols]
+
+
+def exact_pair_ensemble(seed, copies=1, dims=range(1, 5)):
+    """(kind, U, V) rational analysis matrices: for d in dims and
+    n = d..d+4, an integer U of full rank with entries in [-3, 3] and a
+    dual of it, V = U S^{-1} + Q W for an integer W, Q = I - U S^{-1} U*
+    being the projection onto Ker U*.  For copies = 2 the pair is complex:
+    U, W and the T's below have Gaussian integer entries, and every matrix
+    is held as its `real_embedding`, in which all the arithmetic is done.
+    Four kinds of pair over each U:
 
     * "dual": V itself;
     * "pseudo": V T* for an integer invertible T whose
@@ -197,7 +228,7 @@ def exact_pair_ensemble(seed):
     rng = np.random.default_rng(seed)
 
     def integers(rows, cols):
-        return [[Fraction(int(x)) for x in row] for row in rng.integers(-3, 4, (rows, cols))]
+        return _integers(rng, rows, cols, 3, copies)
 
     def far_from_identity(invertible):
         t = integers(d, d)
@@ -205,20 +236,20 @@ def exact_pair_ensemble(seed):
             t = integers(d, d)
         return t
 
-    for d in range(1, 5):
+    for d in dims:
         for n in range(d, d + 5):
             u = integers(n, d)
-            while rational_rank(u) < d:
+            while rational_rank(u) < copies * d:
                 u = integers(n, d)
             v0 = _matmul(u, _inverse(_matmul(_transpose(u), u)))
-            q = _add(_identity(n), _matmul(v0, _transpose(u)), -1)
+            q = _add(_identity(copies * n), _matmul(v0, _transpose(u)), -1)
             v = _add(v0, _matmul(q, integers(n, d)))
             yield "dual", u, v
             yield "pseudo", u, _matmul(v, _transpose(far_from_identity(True)))
             e = integers(n, d)
             while not any(x != 0 for row in _matmul(_transpose(e), u) for x in row):
                 e = integers(n, d)
-            while sum(x * x for row in _matmul(_transpose(e), u) for x in row) >= 1:
+            while sum(x * x for row in _matmul(_transpose(e), u) for x in row) >= copies:
                 e = [[x / 2 for x in row] for row in e]
             yield "approx", u, _add(v, e)
             if d == 1:  # the one singular T is 0, whose distance from 1 is 1
@@ -257,26 +288,23 @@ def exact_lemma_verdict(t, s):
         idempotent=_matmul(ts, ts) == ts)
 
 
-def exact_lemma_ensemble(seed):
+def exact_lemma_ensemble(seed, copies=1):
     """(T, S) pairs: for d = 1..3 and n = d..d+3, an integer T of full
     column rank with entries in [-3, 3] and the rational left inverse
     S = (T*T)^{-1} T* + Z (I - T (T*T)^{-1} T*) for an integer Z with
     entries in [-2, 2], which is T's Moore-Penrose inverse only when
-    Z (I - T T^+) = 0."""
+    Z (I - T T^+) = 0.  For copies = 2, T and Z have Gaussian integer
+    entries and both matrices are held as their `real_embedding`s, on
+    which `exact_lemma_verdict` decides the complex pair's claims."""
     rng = np.random.default_rng(seed)
-
-    def integers(rows, cols, bound):
-        return [[Fraction(int(x)) for x in row]
-                for row in rng.integers(-bound, bound + 1, (rows, cols))]
-
     for d in range(1, 4):
         for n in range(d, d + 4):
-            t = integers(n, d, 3)
-            while rational_rank(t) < d:
-                t = integers(n, d, 3)
+            t = _integers(rng, n, d, 3, copies)
+            while rational_rank(t) < copies * d:
+                t = _integers(rng, n, d, 3, copies)
             pinv = _matmul(_inverse(_matmul(_transpose(t), t)), _transpose(t))
-            off_range = _add(_identity(n), _matmul(t, pinv), -1)
-            yield t, _add(pinv, _matmul(integers(d, n, 2), off_range))
+            off_range = _add(_identity(copies * n), _matmul(t, pinv), -1)
+            yield t, _add(pinv, _matmul(_integers(rng, d, n, 2, copies), off_range))
 
 
 def inertia(s, c):

@@ -91,6 +91,16 @@ MUTANTS = (
            "noise = 4 * f.n * f.dim * _EPS * u_norm * v_norm",
            "noise = 4000 * f.n * f.dim * _EPS * u_norm * v_norm",
            ("tests/test_duals.py",)),
+    Mutant("approximate grade holds at its rounding allowance",
+           "framekit/duals.py",
+           "is_approx = is_exact or 1.0 - deviation > noise",
+           "is_approx = is_exact or 1.0 - deviation >= noise",
+           ("tests/test_duals.py::test_grades_at_their_rounding_allowance",)),
+    Mutant("pseudo-dual grade holds at its rounding allowance",
+           "framekit/duals.py",
+           "is_pseudo = is_approx or (sigma_min > noise and\n",
+           "is_pseudo = is_approx or (sigma_min >= noise and\n",
+           ("tests/test_duals.py::test_grades_at_their_rounding_allowance",)),
     Mutant("lemma kernel residual without its scale",
            "framekit/duals.py",
            "kernel_residual = min(1.0, float(np.linalg.norm(x)) / scale)",
@@ -137,20 +147,22 @@ MUTANTS = (
            'decide(max(norm, 1.0), ">", tol.atol, minus=min(norm, 1.0))',
            'decide(abs(norm - 1.0), ">", tol.atol)',
            ("tests/test_decisions.py::test_gap_verdicts_are_exact_at_every_tolerance",)),
-    Mutant("is_parseval on the rounded gap at atol >= 1/2",
+    Mutant("is_parseval on the rounded gap max(1 - lambda_min, lambda_max - 1)",
            "framekit/frames.py",
-           "if tol.atol < 0.5:",
-           "if True:",
+           'return (decide(1.0, "<=", tol.atol, minus=lo).holds\n'
+           '            and decide(hi, "<=", tol.atol, minus=1.0).holds)',
+           'return decide(max(1.0 - lo, hi - 1.0), "<=", tol.atol).holds',
            ("tests/test_decisions.py::test_gap_verdicts_are_exact_at_every_tolerance",)),
-    Mutant("deviation dimension on the rounded gap at eig_one_atol >= 1/2",
+    Mutant("deviation dimension on the rounded gap |lambda - 1|",
            "framekit/parseval.py",
-           "if tol.eig_one_atol < 0.5:",
-           "if True:",
+           'decide(np.maximum(eigs, 1.0), ">", tol.eig_one_atol,\n'
+           '                     minus=np.minimum(eigs, 1.0))',
+           'decide(np.abs(eigs - 1.0), ">", tol.eig_one_atol)',
            ("tests/test_decisions.py::test_gap_verdicts_are_exact_at_every_tolerance",)),
     Mutant("deviation dimension with atol as the band half-width",
            "framekit/parseval.py",
-           'decide(np.abs(eigs - 1.0), ">", tol.eig_one_atol)',
-           'decide(np.abs(eigs - 1.0), ">", tol.atol)',
+           'decide(np.maximum(eigs, 1.0), ">", tol.eig_one_atol,',
+           'decide(np.maximum(eigs, 1.0), ">", tol.atol,',
            ("tests/test_decisions.py",)),
     Mutant("identity_residual cuts a lone vector into blocks",
            "framekit/identity.py",

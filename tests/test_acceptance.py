@@ -25,6 +25,7 @@ from helpers import (
     deletion_excess,
     exact_lemma_ensemble,
     exact_lemma_verdict,
+    from_real_embedding,
     gaussian,
     kernel_identity_angle,
     orthonormal_range,
@@ -122,29 +123,30 @@ def test_acceptance_03_decomposition_lemma(dual_ensemble, announce):
         worst = max(worst, report.st_is_identity_residual,
                     report.kernel_match_residual, report.direct_sum_residual,
                     report.idempotent_residual)
-    # the exact oracle: integer T, rational left inverse S; every claim it
-    # decides must match the report's verdict and each residual's at atol,
-    # and for (T, 2S) the oracle's ST != I must match NotLeftInverseError
+    # the exact oracle: integer T, rational left inverse S, real over seeds
+    # 0-2 and complex (Gaussian integer T, decided on the real embeddings)
+    # over seed 0; every claim it decides must match the report's verdict
+    # and each residual's at atol, and for (T, 2S) the oracle's ST != I
+    # must match NotLeftInverseError
     agree = oracle_pairs = 0
-    for seed in range(3):
-        for t, s in exact_lemma_ensemble(seed):
+    for seed, copies in ((0, 1), (1, 1), (2, 1), (0, 2)):
+        for t, s in exact_lemma_ensemble(seed, copies):
             exact = exact_lemma_verdict(t, s)
-            report = fk.verify_lemma_decomposition(
-                np.array(t, dtype=float), np.array(s, dtype=float),
-                probes=10, seed=seed, tol=TOL)
+            t_float, s_float = (from_real_embedding(m, copies) for m in (t, s))
+            report = fk.verify_lemma_decomposition(t_float, s_float,
+                                                   probes=10, seed=seed, tol=TOL)
             doubled = exact_lemma_verdict(t, [[2 * x for x in row] for row in s])
             with pytest.raises(fk.NotLeftInverseError):
-                fk.verify_lemma_decomposition(
-                    np.array(t, dtype=float), 2 * np.array(s, dtype=float),
-                    probes=1, seed=seed, tol=TOL)
+                fk.verify_lemma_decomposition(t_float, 2 * s_float,
+                                              probes=1, seed=seed, tol=TOL)
             oracle_pairs += 1
             agree += (report.holds == all(exact)
                       and [r <= TOL.atol for r in report[:4]] == list(exact)
                       and not doubled.st_is_identity and not doubled.idempotent)
     announce(3, worst <= 1e-8 and agree == oracle_pairs,
              f"worst lemma residual {worst:.2e} over {len(dual_ensemble)} pairs "
-             f"(bound 1e-08); {agree}/{oracle_pairs} integer pairs agree with "
-             f"the exact oracle")
+             f"(bound 1e-08); {agree}/{oracle_pairs} integer and Gaussian-integer "
+             f"pairs agree with the exact oracle")
 
 
 def test_acceptance_04_projection_round_trip(announce):

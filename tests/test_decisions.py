@@ -54,6 +54,17 @@ def test_decide_keeps_each_rule_at_equality():
     assert verdicts.tolist() == [False, False, True]
 
 
+def test_decide_broadcasts_a_scalar_term_at_a_tie():
+    # one term an array, the other a scalar: the ties are decided on the
+    # exact gap as when both are arrays
+    assert fk.decide(np.array([1.5]), ">", 0.5, minus=1.0).holds.tolist() == [False]
+    assert fk.decide(1.0, "<", 0.5, minus=np.array([0.5, 0.25])).holds.tolist() == [
+        False, False]
+    # fl(0.75 - 0.15) = 0.6, though 3/4 - 0.15 exceeds 0.6
+    gaps = fk.decide(0.75, "<=", 0.6, minus=np.array([0.15, 0.25]))
+    assert gaps.value.tolist() == [0.6, 0.5] and gaps.holds.tolist() == [False, True]
+
+
 def test_cli_compares_nothing_with_a_tolerance():
     with open(framekit.cli.__file__) as source:
         tree = ast.parse(source.read())
@@ -90,6 +101,30 @@ def test_no_threshold_is_a_tolerance_added_to_a_constant():
                 sides = (node.left, node.right)
                 assert not (any(map(is_number, sides)) and any(map(reads_tolerance, sides))), \
                     f"{path.name}:{node.lineno}: {ast.unparse(node)}"
+
+
+def test_every_gap_reaches_decide_as_its_two_terms():
+    # a gap x - c or c - x from a numeric constant c is passed as its two
+    # terms (decide(x, rule, tol, minus=c)) and never rounded first, not
+    # even inside abs or np.abs
+    def is_number(node):
+        if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.UAdd, ast.USub)):
+            node = node.operand
+        return (isinstance(node, ast.Constant) and not isinstance(node.value, bool)
+                and isinstance(node.value, (int, float)))
+
+    calls, rounded = 0, []
+    for path in sorted(Path(framekit.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not (isinstance(node, ast.Call) and node.args
+                    and getattr(node.func, "id", getattr(node.func, "attr", "")) == "decide"):
+                continue
+            calls += 1
+            rounded += [f"{path.name}:{gap.lineno}: {ast.unparse(node)}"
+                        for gap in ast.walk(node.args[0])
+                        if isinstance(gap, ast.BinOp) and isinstance(gap.op, ast.Sub)
+                        and (is_number(gap.left) or is_number(gap.right))]
+    assert calls > 15 and rounded == []
 
 
 def test_linalg_takes_no_tolerance():
@@ -194,7 +229,7 @@ def test_residual_checks_at_atol():
         fk.derived_frame("real", vectors, TOL._replace(atol=below(0.25)))
     # Parseval within atol: eigenvalues 1 and 1/4
     f = frame([[1, 0], [0, 0.5]])
-    assert f.parseval_gap == 0.75
+    assert f.eigenvalue_range == (0.25, 1.0)
     assert fk.is_parseval(f, TOL._replace(atol=0.75))
     assert not fk.is_parseval(f, TOL._replace(atol=below(0.75)))
     # a unit coefficient vector up to atol

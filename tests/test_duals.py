@@ -1,4 +1,5 @@
 import gc
+import math
 import pickle
 import tracemalloc
 import weakref
@@ -11,8 +12,8 @@ import framekit as fk
 import framekit.duals
 from framekit.linalg import adjoint, operator_norm, subspace_distance
 from helpers import (TOL, deletion_excess, exact_pair_ensemble, exact_pair_verdict,
-                     gaussian, haar_columns, orthonormal_range, random_dual_pair, scaled,
-                     seeded_cases, well_conditioned_invertible)
+                     from_real_embedding, gaussian, haar_columns, orthonormal_range,
+                     random_dual_pair, scaled, seeded_cases, well_conditioned_invertible)
 
 GOLDEN = (1.0 + np.sqrt(5.0)) / 2.0
 
@@ -299,6 +300,28 @@ def test_pseudo_dual_grade_does_not_depend_on_scale(tol):
     for f, g in orthogonal_range_pairs():
         for c in (1e-8, 1.0, 1e8):
             assert not fk.check_duality(f, scaled(g, c), tol).is_pseudo_dual
+
+
+def test_grades_at_their_rounding_allowance(monkeypatch, tol):
+    # the allowance noise of the computed V*U, recomputed as check_duality
+    # forms it: ||V*U - I|| = 1 - noise is not approximately dual, nor is
+    # sigma_min(V*U) = noise pseudo-dual; one float beyond, each grade holds.
+    # By Sterbenz 1 - (1 - noise) is noise whenever 1 - noise is a float
+    f = fk.Frame(dim=2, field="real", vectors=[[1, 0], [0, 1], [0, 0]])
+    rows = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    noise = 4 * f.n * f.dim * 2.0 ** -52 * float(f.svd.sigma[0]) * float(np.linalg.norm(rows))
+    assert 1.0 - (1.0 - noise) == noise
+
+    def grade(deviation, sigma_min):
+        monkeypatch.setattr(framekit.duals, "_cross_spectrum",
+                            lambda vu: (deviation, sigma_min, sigma_min))
+        return fk.check_duality(f, fk.Frame(dim=2, field="real", vectors=rows), tol)
+
+    edge = 1.0 - noise
+    assert not grade(edge, 1.0).is_approx_dual
+    assert grade(math.nextafter(edge, 0.0), 1.0).is_approx_dual
+    assert not grade(1.0, noise).is_pseudo_dual
+    assert grade(1.0, math.nextafter(noise, 1.0)).is_pseudo_dual
 
 
 def test_check_duality_errors(mb3, basis2, tol):
@@ -676,11 +699,22 @@ def test_excess_equality_rejects_non_pseudo(tol):
 
 
 def test_pair_verdicts_match_the_exact_oracle(tol):
+    _match_pair_oracle(exact_pair_ensemble(seed=26), 1, tol)
+
+
+def test_complex_pair_verdicts_match_the_exact_oracle(tol):
+    # the complex pairs decided on their real embeddings; d <= 2 keeps the
+    # search for singular Gaussian-integer T short
+    _match_pair_oracle(exact_pair_ensemble(seed=26, copies=2, dims=range(1, 3)), 2, tol)
+
+
+def _match_pair_oracle(ensemble, copies, tol):
     seen = set()
-    for kind, u, v in exact_pair_ensemble(seed=26):
-        exact = exact_pair_verdict(u, v)
-        n, d = len(u), len(u[0])
-        f, g = (fk.Frame(dim=d, field="real", vectors=np.array(m, dtype=float))
+    for kind, u, v in ensemble:
+        exact = exact_pair_verdict(u, v, copies)
+        n, d = len(u) // copies, len(u[0]) // copies
+        f, g = (fk.Frame(dim=d, field=("real", "complex")[copies - 1],
+                         vectors=from_real_embedding(m, copies).conj())
                 for m in (u, v))
         case = (kind, n, d)
         assert exact.rank_u == d and exact.is_approx is not None, case

@@ -3,6 +3,7 @@ import numpy.testing as npt
 import pytest
 
 import framekit as fk
+import framekit.identity
 from framekit.linalg import fix_phase, operator_norm
 from helpers import gaussian, rank_from_singular_values, rational_rank, scaled, seeded_cases
 
@@ -301,8 +302,31 @@ def test_is_parseval(mb3, basis2, e1e2e1, tol):
     assert fk.is_parseval(mb3, tol)
     assert fk.is_parseval(basis2, tol)
     assert not fk.is_parseval(e1e2e1, tol)
-    assert basis2.parseval_gap == 0.0 and e1e2e1.parseval_gap == 1.0
-    assert mb3.parseval_gap == float(np.max(np.abs(mb3.eigenvalues - 1.0)))
+    assert basis2.eigenvalue_range == (1.0, 1.0) and e1e2e1.eigenvalue_range == (1.0, 2.0)
+    assert mb3.eigenvalue_range == (mb3.eigenvalues.min(), mb3.eigenvalues.max())
+
+
+def test_band_summaries_are_the_eigenvalues_to_the_bit(monkeypatch, tol):
+    # frame_bounds, the a_opt of the existence test and the sweep's
+    # distance e from Parseval are the min, the max and the max |lambda - 1|
+    # of the cached eigenvalues, bit for bit
+    seen = []
+
+    def recorded(x, d, n, e, _limit=framekit.identity._det_limit):
+        seen.append(e)
+        return _limit(x, d, n, e)
+    monkeypatch.setattr(framekit.identity, "_det_limit", recorded)
+    for seed, field in enumerate(("real", "complex") * 4):
+        d = 2 + seed % 3
+        f = fk.random_frame(d, d + 3, seed=seed, field=field)
+        lam = f.eigenvalues
+        assert fk.frame_bounds(f) == (lam.min(), lam.max()), (seed, field)
+        assert fk.frame_bounds(f) is f.eigenvalue_range
+        assert fk.parseval_dual_exists(f, tol).a_opt == lam.min(), (seed, field)
+        p = fk.parseval_projection_frame(d, d + 4, seed=seed, field=field)
+        fk.nu_minus_global(p, tol)
+        assert seen[-1] == np.abs(p.eigenvalues - 1.0).max(), (seed, field)
+    assert sum(e > 0.0 for e in seen) >= 4, seen
 
 
 def test_excess_examples(mb3, basis2, tol):
