@@ -402,7 +402,8 @@ def main() -> None:
     # Freezing moves the heap that start-up and the imports built (about
     # 21,000 tracked objects, most of them the interpreter's and numpy's)
     # out of the collector's reach, so that neither the command's
-    # collections nor the interpreter's closing ones rescan it.  `run_command` and the library leave the collector alone.
+    # collections nor the interpreter's closing ones rescan it.
+    # `run_command` and the library leave the collector alone.
     gc.freeze()
     sys.exit(run_command(sys.argv[1:]))
 

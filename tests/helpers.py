@@ -12,14 +12,17 @@ global subset minimum by evaluating M_J on every subset, determinants by
 elimination over exact (Gaussian) rationals, the minor tables of the
 determinant bound numbered through a dict over every (I, J) pair, the
 eigenvalue-band verdicts by Sylvester inertia over exact rationals (a
-complex frame through its real embedding).
+complex frame through its real embedding).  Spies and memory probes go
+through `record_calls` and `traced_peak`.
 """
 
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 from typing import NamedTuple, Optional
+from unittest.mock import Mock
 
 import numpy as np
 
@@ -32,6 +35,33 @@ TOL = fk.ToleranceConfig()
 _LM_ITERATIONS = 200
 _LM_MIN_DAMPING = 1e-12
 _LM_MAX_DAMPING = 1e16
+
+
+def record_calls(patch, owner, *names):
+    """Set each named attribute of owner, through the monkeypatch patch,
+    to a Mock that wraps the original: every call still runs, and the
+    mock's call_args_list holds its arguments (references, not copies).
+    The mocks, in the order of names."""
+    mocks = tuple(Mock(wraps=getattr(owner, name)) for name in names)
+    for name, mock in zip(names, mocks):
+        patch.setattr(owner, name, mock)
+    return mocks
+
+
+def shapes(mock):
+    """The shape of the first argument of each call recorded by mock."""
+    return [np.shape(call.args[0]) for call in mock.call_args_list]
+
+
+def traced_peak(fn, *args):
+    """fn(*args) and the peak of the memory tracemalloc traced during it."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
 
 
 def scaled(frame, c):
@@ -223,17 +253,27 @@ def exact_pair_ensemble(seed, copies=1, dims=range(1, 5)):
       0 < ||E*U||_F^2 < 1, so that ||V*U - I|| < 1 but V*U != I;
     * "singular", for d >= 2: V T* + Q W' for a singular integer T,
       certified like the pseudo kind, and an integer W' (g spans only
-      when Q W' makes up the rank that T loses).
+      when Q W' makes up the rank that T loses).  A complex singular T is
+      built so: its last row is a Gaussian integer combination of the
+      others (a draw is singular too rarely to wait for at d = 3).
     """
     rng = np.random.default_rng(seed)
 
     def integers(rows, cols):
         return _integers(rng, rows, cols, 3, copies)
 
+    def square(invertible):
+        if invertible or copies == 1:
+            return integers(d, d)
+        draw = rng.integers(-3, 4, (2, d, d))
+        t = draw[0] + 1j * draw[1]
+        t[-1] = t[-1, :-1] @ t[:-1]
+        return [[Fraction(int(x)) for x in row] for row in real_embedding(t)]
+
     def far_from_identity(invertible):
-        t = integers(d, d)
+        t = square(invertible)
         while (_inverse(t) is not None) != invertible or _approx_certificate(t) is not False:
-            t = integers(d, d)
+            t = square(invertible)
         return t
 
     for d in dims:

@@ -27,7 +27,8 @@ from framekit.linalg import subspace_distance
 from framekit.parseval import _nearest_parseval_dual
 from helpers import (TOL, admissible_frame, band_ensemble, cayley_parseval,
                      exact_band_verdict, exact_frame_operator, exact_quantity_matrix,
-                     inertia, orthonormal_range, random_dual_pair, square_roots)
+                     inertia, orthonormal_range, random_dual_pair, record_calls, shapes,
+                     square_roots)
 
 TOLERANCE_FIELDS = set(fk.ToleranceConfig._fields)
 
@@ -192,17 +193,12 @@ def test_pair_grades_at_their_thresholds(monkeypatch):
     assert not fk.check_duality(f, g, TOL._replace(atol=below(0.5))).is_exact_dual
     # ||V*U - I|| = 1/2 is the edge of the Gram path, one float more takes
     # the SVD; both grade as SVDs of V*U would
-    stacks = []
-
-    def counted(a, *rest, _svd=np.linalg.svd, **kw):
-        stacks.append(np.shape(a))
-        return _svd(a, *rest, **kw)
-    monkeypatch.setattr(np.linalg, "svd", counted)
+    [svd] = record_calls(monkeypatch, np.linalg, "svd")
     edge = fk.check_duality(f, g, TOL)
-    assert stacks == [] and edge.deviation_norm == 0.5
+    assert shapes(svd) == [] and edge.deviation_norm == 0.5
     over = np.nextafter(1.5, 2.0)
     above = fk.check_duality(f, frame([[over]]), TOL)
-    assert stacks == [(2, 1, 1)] and above.deviation_norm == over - 1.0
+    assert shapes(svd) == [(2, 1, 1)] and above.deviation_norm == over - 1.0
     assert edge[:3] == above[:3] == (False, True, True)
     # V*U = diag(4, 2): rank 1 at rank_rtol = 1/2, so not pseudo-dual
     f = frame([[1, 0], [0, 1], [0, 0]])

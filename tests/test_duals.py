@@ -1,7 +1,6 @@
 import gc
 import math
 import pickle
-import tracemalloc
 import weakref
 
 import numpy as np
@@ -13,7 +12,8 @@ import framekit.duals
 from framekit.linalg import adjoint, operator_norm, subspace_distance
 from helpers import (TOL, deletion_excess, exact_pair_ensemble, exact_pair_verdict,
                      from_real_embedding, gaussian, haar_columns, orthonormal_range,
-                     random_dual_pair, scaled, seeded_cases, well_conditioned_invertible)
+                     random_dual_pair, record_calls, scaled, seeded_cases, shapes,
+                     traced_peak, well_conditioned_invertible)
 
 GOLDEN = (1.0 + np.sqrt(5.0)) / 2.0
 
@@ -127,18 +127,6 @@ def numpy_spectrum(f, g):
     return np.linalg.norm(vu - np.eye(f.dim), 2), np.linalg.svd(vu, compute_uv=False)
 
 
-def record_shapes(patch, name):
-    """Patch numpy.linalg's function `name` to record the shape of each
-    input; the record."""
-    shapes = []
-
-    def counted(a, *rest, _call=getattr(np.linalg, name), **kw):
-        shapes.append(np.shape(a))
-        return _call(a, *rest, **kw)
-    patch.setattr(np.linalg, name, counted)
-    return shapes
-
-
 def assert_within_gram_allowance(report, f, g):
     # the near path's bound (check_duality's docstring): a singular value s
     # of the d x d matrix M is read within 2 d (d + 2) eps ||M||^2 / s, plus
@@ -196,14 +184,13 @@ def test_far_pair_keeps_the_svd(monkeypatch, tol):
         cases.append((f, g, (False, True, True)))
     big = scaled(cases[1][0], 1e100)
     cases.append((big, big, (False, True, False)))
-    svds = record_shapes(monkeypatch, "svd")
-    eigvalshs = record_shapes(monkeypatch, "eigvalsh")
+    svd, eigvalsh = record_calls(monkeypatch, np.linalg, "svd", "eigvalsh")
     for f, g, grade in cases:
         fk.is_frame(f, tol)
-        svds.clear()
+        svd.reset_mock()
         report = fk.check_duality(f, g, tol)
         assert report[:3] == grade
-        assert (2, f.dim, f.dim) in svds and eigvalshs == []
+        assert (2, f.dim, f.dim) in shapes(svd) and not eigvalsh.called
         deviation, sigma = numpy_spectrum(f, g)
         assert report.deviation_norm == deviation
         assert report.min_singular_vu == sigma[-1]
@@ -228,9 +215,9 @@ def test_near_pairs_read_from_the_grams_within_their_allowance(monkeypatch, tol)
         t = np.eye(d) + 0.45 * x / np.linalg.norm(x)
         pairs += [(f, g), (f, fk.transform_frame(g, t, tol))]
     with monkeypatch.context() as patch:
-        shapes = record_shapes(patch, "svd")
+        [svd] = record_calls(patch, np.linalg, "svd")
         reports = [fk.check_duality(f, g, tol) for f, g in pairs]
-    assert not [shape for shape in shapes if len(shape) == 3]
+    assert not [shape for shape in shapes(svd) if len(shape) == 3]
     for (f, g), report in zip(pairs, reports):
         assert_within_gram_allowance(report, f, g)
     # the grades of numpy's figures, on fresh copies of the frames
@@ -247,8 +234,7 @@ def test_every_pair_class_pays_for_one_spectral_call(monkeypatch, tol):
     # and with ||X||_2 = ||X||_F = 0.8 spread over all entries (X = 0.8 r r*),
     # take one sigma-only SVD of [V*U - I, V*U] and no Gram, and report
     # numpy's figures to the bit
-    svds = record_shapes(monkeypatch, "svd")
-    eigvalshs = record_shapes(monkeypatch, "eigvalsh")
+    svd, eigvalsh = record_calls(monkeypatch, np.linalg, "svd", "eigvalsh")
     for d in (2, 4, 40):
         for complex_field in (False, True):
             field = "complex" if complex_field else "real"
@@ -264,15 +250,15 @@ def test_every_pair_class_pays_for_one_spectral_call(monkeypatch, tol):
                 cases.append((basis, g, False))
             for f, g, exact in cases:
                 fk.is_frame(f, tol)
-                svds.clear()
-                eigvalshs.clear()
+                svd.reset_mock()
+                eigvalsh.reset_mock()
                 report = fk.check_duality(f, g, tol)
                 assert report[:3] == (exact, True, True), (d, field)
-                stacks = [shape for shape in svds if len(shape) == 3]
+                stacks = [shape for shape in shapes(svd) if len(shape) == 3]
                 if exact:
-                    assert (stacks, eigvalshs) == ([], [(2, d, d)]), (d, field)
+                    assert (stacks, shapes(eigvalsh)) == ([], [(2, d, d)]), (d, field)
                     continue
-                assert (stacks, eigvalshs) == ([(2, d, d)], []), (d, field)
+                assert (stacks, shapes(eigvalsh)) == ([(2, d, d)], []), (d, field)
                 deviation, sigma = numpy_spectrum(f, g)
                 assert report.deviation_norm == deviation, (d, field)
                 assert report.min_singular_vu == sigma[-1], (d, field)
@@ -340,15 +326,10 @@ def test_pair_certificate_falls_back_to_the_dual_svd(monkeypatch, tol):
     g = fk.Frame(dim=2, field="real",
                  vectors=[[3e-11, 0], [0, -2e-11], [1, 0], [0, 1]])
     fk.is_frame(f, tol)
-    shapes = []
-
-    def counted(a, *rest, _svd=np.linalg.svd, **kw):
-        shapes.append(np.shape(a))
-        return _svd(a, *rest, **kw)
-    monkeypatch.setattr(np.linalg, "svd", counted)
+    [svd] = record_calls(monkeypatch, np.linalg, "svd")
     report = fk.check_duality(f, g, tol)
     assert fk.verify_excess_equality(f, g, tol)
-    assert sorted(shapes) == [(2, 2, 2), (4, 2)]
+    assert sorted(shapes(svd)) == [(2, 2, 2), (4, 2)]
     # the grades and figures of the SVD-first rule that preceded the certificate
     assert report[:3] == (False, True, False)
     assert report.deviation_norm.hex() == "0x1.0000000015fd8p+0"
@@ -558,6 +539,9 @@ def test_dual_from_projection_errors(e1e2e1, tol):
         fk.dual_from_projection(e1e2e1, rank_one, tol)
     with pytest.raises(fk.DimensionMismatchError):
         fk.dual_from_projection(e1e2e1, np.eye(2), tol)
+    with pytest.raises(fk.NotAFrameError):
+        fk.dual_from_projection(fk.Frame(dim=2, field="real", vectors=[[1, 0], [2, 0]]),
+                                np.eye(2), tol)
 
 
 def test_lemma_on_dual_pairs(tol):
@@ -591,31 +575,23 @@ def test_lemma_plain_matrices(tol):
 
 
 def test_lemma_reads_the_cached_svds(monkeypatch, tol):
-    calls, dtypes = [], []
-
-    def counted(a, *rest, _svd=np.linalg.svd, **kw):
-        # only the SVDs that compute vectors; operator norms take sigma-only ones
-        if kw.get("compute_uv", True):
-            calls.append(kw.get("full_matrices", rest[0] if rest else True))
-        dtypes.append(np.asarray(a).dtype)
-        return _svd(a, *rest, **kw)
-
-    def qr(a, *rest, _qr=np.linalg.qr, **kw):
-        dtypes.append(np.asarray(a).dtype)
-        return _qr(a, *rest, **kw)
-
-    monkeypatch.setattr(np.linalg, "svd", counted)
-    monkeypatch.setattr(np.linalg, "qr", qr)
+    svd, qr = record_calls(monkeypatch, np.linalg, "svd", "qr")
     # the factorizations run in the pair's own field; the probes (not
     # spied on) are complex either way
     for field, dtype in (("real", np.float64), ("complex", np.complex128)):
         f, g = random_dual_pair(3, 6, 0, field)
         t, s = fk.analysis_matrix(f), fk.synthesis_matrix(g)
-        calls.clear()
-        dtypes.clear()
+        svd.reset_mock()
+        qr.reset_mock()
         report = fk.verify_lemma_decomposition(t, s, probes=5, seed=0, tol=tol)
         assert report.kernel_match_residual <= 1e-12
-        # one thin SVD of T and one of S*; the mapped kernel basis is a QR
+        # one thin SVD of T and one of S*; the mapped kernel basis is a QR;
+        # only the SVDs that compute vectors count, operator norms take
+        # sigma-only ones
+        calls = [call.kwargs.get("full_matrices", call.args[1] if call.args[1:] else True)
+                 for call in svd.call_args_list if call.kwargs.get("compute_uv", True)]
+        dtypes = [np.asarray(call.args[0]).dtype
+                  for call in svd.call_args_list + qr.call_args_list]
         assert len(calls) <= 2
         assert True not in calls
         assert dtypes and set(dtypes) == {np.dtype(dtype)}, (field, dtypes)
@@ -651,6 +627,9 @@ def test_transform_frame_errors(mb3, tol):
         fk.transform_frame(mb3, np.array([[1.0, 0.0], [2.0, 0.0]]), tol)
     with pytest.raises(fk.DimensionMismatchError):
         fk.transform_frame(mb3, np.eye(3), tol)
+    with pytest.raises(fk.NotAFrameError):
+        fk.transform_frame(fk.Frame(dim=2, field="real", vectors=[[1, 0], [2, 0]]),
+                           np.eye(2), tol)
 
 
 def test_non_finite_raw_matrices_are_refused_as_input(tol):
@@ -703,9 +682,8 @@ def test_pair_verdicts_match_the_exact_oracle(tol):
 
 
 def test_complex_pair_verdicts_match_the_exact_oracle(tol):
-    # the complex pairs decided on their real embeddings; d <= 2 keeps the
-    # search for singular Gaussian-integer T short
-    _match_pair_oracle(exact_pair_ensemble(seed=26, copies=2, dims=range(1, 3)), 2, tol)
+    # the complex pairs decided on their real embeddings, d = 1..3
+    _match_pair_oracle(exact_pair_ensemble(seed=26, copies=2, dims=range(1, 4)), 2, tol)
 
 
 def _match_pair_oracle(ensemble, copies, tol):
@@ -751,13 +729,8 @@ def test_excess_equality_allocates_nothing_n_sized(tol):
     f = fk.random_frame(3, 2000, seed=1)
     g = fk.dual_from_free_operator(f, np.random.default_rng(2).standard_normal((2000, 3)), tol)
     fk.is_frame(g, tol)
-    tracemalloc.start()
-    try:
-        assert fk.verify_excess_equality(f, g, tol)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 1 << 20
+    equal, peak = traced_peak(fk.verify_excess_equality, f, g, tol)
+    assert equal and peak < 1 << 20
 
 
 def dense_dual_pairs():
@@ -771,33 +744,22 @@ def dense_dual_pairs():
 def test_excess_equality_reads_the_graded_report(monkeypatch, tol):
     # check_duality keeps its report: the verdict forms no product, solves
     # nothing and allocates no n x d array
-    def refuse(*args, **kwargs):
-        raise AssertionError("verify_excess_equality called numpy.linalg")
     for f, g in dense_dual_pairs():
         assert fk.check_duality(f, g, tol).is_exact_dual
         with monkeypatch.context() as patch:
-            for name in ("solve", "svd", "norm"):
-                patch.setattr(np.linalg, name, refuse)
-            tracemalloc.start()
-            try:
-                assert fk.verify_excess_equality(f, g, tol) is True
-                _, peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
-        assert peak < 64 << 10, (f.field, peak)
+            calls = record_calls(patch, np.linalg, "solve", "svd", "norm")
+            equal, peak = traced_peak(fk.verify_excess_equality, f, g, tol)
+        assert [mock.call_count for mock in calls] == [0, 0, 0], f.field
+        assert equal is True and peak < 64 << 10, (f.field, peak)
 
 
 def test_grading_and_verdict_stay_within_one_and_three_quarters_n_by_d(tol):
     # V*U beside its sigma-only stack of two d x d copies, or beside the
     # conjugated U of a complex f; d = n / 2 here
     for f, g in dense_dual_pairs():
-        tracemalloc.start()
-        try:
-            assert fk.check_duality(f, g, tol).is_exact_dual
-            assert fk.verify_excess_equality(f, g, tol)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        verdicts, peak = traced_peak(lambda: (fk.check_duality(f, g, tol).is_exact_dual,
+                                              fk.verify_excess_equality(f, g, tol)))
+        assert all(verdicts)
         assert peak < 1.75 * f.vectors.nbytes, (f.field, peak / f.vectors.nbytes)
 
 

@@ -5,7 +5,8 @@ import pytest
 import framekit as fk
 import framekit.identity
 from framekit.linalg import fix_phase, operator_norm
-from helpers import gaussian, rank_from_singular_values, rational_rank, scaled, seeded_cases
+from helpers import (gaussian, rank_from_singular_values, rational_rank, record_calls, scaled,
+                     seeded_cases, shapes)
 
 SQ23 = np.sqrt(2.0 / 3.0)
 
@@ -54,16 +55,15 @@ def test_real_frames_are_stored_as_float64(tmp_path):
     for bad in ([[1.0, 1e-300j]], [[np.nan, 0.0]], [[complex(np.nan, 0.0), 0.0]]):
         with pytest.raises(fk.FramekitError):
             fk.Frame(dim=2, field="real", vectors=bad)
+    for bad in ([1.0, 0.0], [[[1.0, 0.0]]]):  # 1-d and 3-d vectors
+        with pytest.raises(fk.DimensionMismatchError):
+            fk.Frame(dim=2, field="real", vectors=bad)
 
 
 def test_real_frames_run_real_linear_algebra(monkeypatch, tol):
     # every numpy.linalg call made on a real frame's data gets float64
-    seen = []
-    for name in ("svd", "qr", "solve", "inv", "norm", "eigh", "eigvalsh"):
-        def spy(a, *rest, _kernel=getattr(np.linalg, name), **kw):
-            seen.append(np.asarray(a).dtype)
-            return _kernel(a, *rest, **kw)
-        monkeypatch.setattr(np.linalg, name, spy)
+    calls = record_calls(monkeypatch, np.linalg,
+                         "svd", "qr", "solve", "inv", "norm", "eigh", "eigvalsh")
     f = fk.random_frame(3, 6, seed=1)
     w = np.random.default_rng(2).standard_normal((6, 3))
     h = fk.dual_from_free_operator(f, w, tol)
@@ -95,6 +95,7 @@ def test_real_frames_run_real_linear_algebra(monkeypatch, tol):
         assert g.svd.p.dtype == np.float64
     assert oblique.dtype == proj.dtype == np.float64
     assert fk.kernel_of_synthesis(f, tol).dtype == np.float64
+    seen = [np.asarray(call.args[0]).dtype for mock in calls for call in mock.call_args_list]
     assert seen and set(seen) == {np.dtype(np.float64)}
 
 
@@ -250,12 +251,8 @@ def test_spanning_verdict_follows_the_rank_cutoff_at_every_scale(tol):
 
 
 def test_one_factorization_per_frame(monkeypatch, tol):
-    calls = {name: [] for name in ("svd", "eigvalsh", "eigh", "qr", "solve")}
-    for name, args in calls.items():
-        def counted(a, *rest, _kernel=getattr(np.linalg, name), _args=args, **kw):
-            _args.append((np.array(a), kw))
-            return _kernel(a, *rest, **kw)
-        monkeypatch.setattr(np.linalg, name, counted)
+    calls = record_calls(monkeypatch, np.linalg, "svd", "eigvalsh", "eigh", "qr", "solve")
+    svd, eigvalsh, eigh, qr, solve = calls
     # S = diag(2, 1) with excess 1: the Parseval dual needs a kernel vector
     f = fk.Frame(dim=2, field="real", vectors=[[1, 0], [0, 1], [1, 0]])
     fk.frame_bounds(f)
@@ -266,12 +263,12 @@ def test_one_factorization_per_frame(monkeypatch, tol):
     fk.deviation_dimension(f, tol)
     assert fk.parseval_dual_exists(f, tol).exists
     fk.construct_parseval_dual(f, tol)
-    assert len(calls["svd"]) == 1
-    npt.assert_array_equal(calls["svd"][0][0], fk.analysis_matrix(f))
-    assert calls["eigvalsh"] == [] and calls["eigh"] == []
+    assert svd.call_count == 1
+    npt.assert_array_equal(svd.call_args.args[0], fk.analysis_matrix(f))
+    assert not eigvalsh.called and not eigh.called
     # the kernel basis: one QR of the range basis, never of U
-    assert len(calls["qr"]) == 1
-    npt.assert_array_equal(calls["qr"][0][0], f.svd.p)
+    assert qr.call_count == 1
+    npt.assert_array_equal(qr.call_args.args[0], f.svd.p)
 
     # a fresh dual of a frame whose SVD is cached: the pair certifies that
     # the dual spans, and it is near-dual, so grading it and checking its
@@ -282,20 +279,20 @@ def test_one_factorization_per_frame(monkeypatch, tol):
     f = fk.rescale_to_admissible(fk.random_frame(3, 7, seed=3), tol)[0]
     w = np.random.default_rng(4).standard_normal((7, 3))
     g = fk.dual_from_free_operator(f, w, tol)
-    for args in calls.values():
-        args.clear()
+    for mock in calls:
+        mock.reset_mock()
     assert fk.check_duality(f, g, tol).is_exact_dual
     assert fk.verify_excess_equality(f, g, tol)
-    assert [a.shape for a, _ in calls["eigvalsh"]] == [(2, 3, 3)]
+    assert shapes(eigvalsh) == [(2, 3, 3)]
     vu = fk.synthesis_matrix(g) @ fk.analysis_matrix(f)
-    npt.assert_allclose(calls["eigvalsh"][0][0][1], vu.T @ vu, rtol=1e-14)
-    assert calls["svd"] == [] and "svd" not in vars(g)
-    assert calls["qr"] == [] and calls["solve"] == []
+    npt.assert_allclose(eigvalsh.call_args.args[0][1], vu.T @ vu, rtol=1e-14)
+    assert not svd.called and "svd" not in vars(g)
+    assert not qr.called and not solve.called
     assert fk.construct_parseval_dual(f, tol).dual is not None
-    assert len(calls["eigvalsh"]) == 1 and calls["eigh"] == []
-    assert [kw.get("mode") for _, kw in calls["qr"]] == ["raw"]
-    npt.assert_array_equal(calls["qr"][0][0], f.svd.p)
-    assert calls["svd"] == [] and "svd" not in vars(g)
+    assert eigvalsh.call_count == 1 and not eigh.called
+    assert [call.kwargs.get("mode") for call in qr.call_args_list] == ["raw"]
+    npt.assert_array_equal(qr.call_args.args[0], f.svd.p)
+    assert not svd.called and "svd" not in vars(g)
 
 
 def test_is_parseval(mb3, basis2, e1e2e1, tol):
@@ -310,12 +307,7 @@ def test_band_summaries_are_the_eigenvalues_to_the_bit(monkeypatch, tol):
     # frame_bounds, the a_opt of the existence test and the sweep's
     # distance e from Parseval are the min, the max and the max |lambda - 1|
     # of the cached eigenvalues, bit for bit
-    seen = []
-
-    def recorded(x, d, n, e, _limit=framekit.identity._det_limit):
-        seen.append(e)
-        return _limit(x, d, n, e)
-    monkeypatch.setattr(framekit.identity, "_det_limit", recorded)
+    [limit] = record_calls(monkeypatch, framekit.identity, "_det_limit")
     for seed, field in enumerate(("real", "complex") * 4):
         d = 2 + seed % 3
         f = fk.random_frame(d, d + 3, seed=seed, field=field)
@@ -325,7 +317,9 @@ def test_band_summaries_are_the_eigenvalues_to_the_bit(monkeypatch, tol):
         assert fk.parseval_dual_exists(f, tol).a_opt == lam.min(), (seed, field)
         p = fk.parseval_projection_frame(d, d + 4, seed=seed, field=field)
         fk.nu_minus_global(p, tol)
-        assert seen[-1] == np.abs(p.eigenvalues - 1.0).max(), (seed, field)
+        e = limit.call_args.args[3]
+        assert e == np.abs(p.eigenvalues - 1.0).max(), (seed, field)
+    seen = [call.args[3] for call in limit.call_args_list]
     assert sum(e > 0.0 for e in seen) >= 4, seen
 
 
@@ -472,15 +466,9 @@ def test_parseval_projection_matches_the_full_qr(dim, n, field):
 @pytest.mark.parametrize("field", ["real", "complex"])
 @pytest.mark.parametrize("dim,n", PROJECTION_SIZES)
 def test_parseval_projection_factors_only_the_kept_columns(monkeypatch, dim, n, field):
-    shapes = []
-
-    def spy(a, *rest, _qr=np.linalg.qr, **kw):
-        shapes.append(np.shape(a))
-        return _qr(a, *rest, **kw)
-
-    monkeypatch.setattr(np.linalg, "qr", spy)
+    [qr] = record_calls(monkeypatch, np.linalg, "qr")
     fk.parseval_projection_frame(dim, n, seed=0, field=field)
-    assert shapes == [(n, dim)]
+    assert shapes(qr) == [(n, dim)]
 
 
 def test_rank_matches_rational_oracle(tol):

@@ -12,8 +12,8 @@ from framekit.identity import (_bound_table, _det_features, _det_limit,
                                _partial_operators, _product_roundings, _subset_sums)
 from framekit.linalg import adjoint
 from helpers import (TOL, all_subsets, direct_sum_frames, exact_det,
-                     exhaustive_nu_minus_global, reference_minor_tables, seeded_cases,
-                     sharpness_frame, sort_rows_by_deficit)
+                     exhaustive_nu_minus_global, record_calls, reference_minor_tables,
+                     seeded_cases, shapes, sharpness_frame, sort_rows_by_deficit)
 
 
 def test_index_set_basics():
@@ -341,19 +341,17 @@ def test_partial_operators_do_not_depend_on_the_batch():
         assert np.array_equal(together, alone)
 
 
+def screened(eigvalsh):
+    """The number of matrices in the eigvalsh calls recorded."""
+    return sum(int(np.prod(shape[:-2])) for shape in shapes(eigvalsh))
+
+
 def test_nu_minus_global_screens_half_the_subsets(monkeypatch, tol):
-    matrices = []
-    kernel = np.linalg.eigvalsh
-
-    def counted(a, *rest, **kw):
-        matrices.append(int(np.prod(np.shape(a)[:-2])))
-        return kernel(a, *rest, **kw)
-
     f = fk.parseval_projection_frame(3, 14, seed=0)
-    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    [eigvalsh] = record_calls(monkeypatch, np.linalg, "eigvalsh")
     fk.nu_minus_global(f, tol)
     monkeypatch.undo()
-    assert sum(matrices) <= (1 << 13) + 64
+    assert screened(eigvalsh) <= (1 << 13) + 64
     # each witness gives back its value, in range: here, on the bilinear
     # (d <= 6) and LAPACK (d >= 7) bounds in both fields, and at
     # n = GLOBAL_SWEEP_LIMIT
@@ -369,18 +367,11 @@ def test_nu_minus_global_screens_half_the_subsets(monkeypatch, tol):
 
 
 def test_nu_minus_global_prunes_the_screen(monkeypatch, tol):
-    matrices = []
-    kernel = np.linalg.eigvalsh
-
-    def counted(a, *rest, **kw):
-        matrices.append(int(np.prod(np.shape(a)[:-2])))
-        return kernel(a, *rest, **kw)
-
     f = fk.parseval_projection_frame(3, 14, seed=0)
-    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    [eigvalsh] = record_calls(monkeypatch, np.linalg, "eigvalsh")
     value, _ = fk.nu_minus_global(f, tol)
     monkeypatch.undo()
-    assert sum(matrices) <= 1 << 8
+    assert screened(eigvalsh) <= 1 << 8
     assert repr(value) == repr(exhaustive_nu_minus_global(f)[0])
 
 
@@ -478,22 +469,15 @@ def test_shifted_det_matches_the_exact_determinant():
 
 
 def test_nu_minus_global_calls_lapack_det_only_from_d_7(monkeypatch, tol):
-    stacks = []
-    kernel = np.linalg.det
-
-    def counted(a, *rest, **kw):
-        stacks.append(np.shape(a))
-        return kernel(a, *rest, **kw)
-
-    monkeypatch.setattr(np.linalg, "det", counted)
+    [det] = record_calls(monkeypatch, np.linalg, "det")
     for d, n in ((3, 14), (4, 10), (5, 10), (6, 10)):
         for field in ("real", "complex"):
             fk.nu_minus_global(fk.parseval_projection_frame(d, n, seed=0, field=field),
                                tol)
-    assert stacks == []
+    assert shapes(det) == []
     f = fk.parseval_projection_frame(7, 10, seed=0, field="complex")
     value, witness = fk.nu_minus_global(f, tol)
-    assert stacks and all(shape[1:] == (7, 7) for shape in stacks)
+    assert shapes(det) and all(shape[1:] == (7, 7) for shape in shapes(det))
     monkeypatch.undo()
     oracle_value, oracle_witness = exhaustive_nu_minus_global(f)
     assert repr(value) == repr(oracle_value)
@@ -607,6 +591,9 @@ def test_nu_minus_global_refuses_large_sweeps(tol):
     f = fk.parseval_projection_frame(2, fk.GLOBAL_SWEEP_LIMIT + 1, seed=0)
     with pytest.raises(fk.TooLargeError):
         fk.nu_minus_global(f, tol)
+    with pytest.raises(fk.NotParsevalError):
+        fk.nu_minus_global(fk.Frame(dim=2, field="real", vectors=[[1, 0], [0, 1], [1, 0]]),
+                           tol)
 
 
 def test_tail_threshold_examples(mb3, basis2, tol):

@@ -5,7 +5,6 @@ import os
 import pkgutil
 import subprocess
 import sys
-import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -14,7 +13,7 @@ import pytest
 import framekit as fk
 import framekit.cli
 from framekit.io import canonical_json, dumps_frame, loads_frame
-from helpers import random_dual_pair, scaled
+from helpers import TOL, random_dual_pair, record_calls, scaled, shapes, traced_peak
 
 
 def run(capsys, *argv):
@@ -108,20 +107,24 @@ def test_frame_file_schema_errors():
         '{"dim": 1, "field": "real", "vectors": [[%s1%s]]}' % ("[" * 980, "]" * 980),
         '{"dim": [%s], "field": "real", "vectors": [[1]]}' % ",".join(["1"] * 1000),
         '{"dim": 1, "field": "%s", "vectors": [[1]]}' % ("x" * 2000),
+        # a float literal beyond the float range, which the decoder reads as inf
+        '{"dim": 2, "field": "real", "vectors": [[1e400, 0]]}',
+        '{"dim": 1, "field": "complex", "vectors": [[[0, -1e400]]]}',
     ]
     # each is refused before the frame's array is allocated: the dim of
     # 10^12 would ask for 7.28 TiB if the array came first; and in one
     # short line, however long the offending value is
-    tracemalloc.start()
-    try:
+    def refuse_all():
+        messages = []
         for text in bad_cases:
             with pytest.raises(fk.FrameFileError) as err:
                 loads_frame(text)
-            assert len(str(err.value)) <= 120 and "\n" not in str(err.value)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+            messages.append(str(err.value))
+            assert len(messages[-1]) <= 120 and "\n" not in messages[-1]
+        return messages
+    messages, peak = traced_peak(refuse_all)
     assert peak < 1 << 20
+    assert messages[-2:] == ["row 0, entry 0: non-finite number"] * 2
 
 
 def test_read_frame_missing_file_names_path(tmp_path):
@@ -269,29 +272,20 @@ def test_cli_check_factors_only_f(capsys, tmp_path, monkeypatch):
     # stack of V*U - I and V*U
     f, g = random_dual_pair(3, 6, seed=5)
     fp, gp = write(tmp_path / "f.json", f), write(tmp_path / "g.json", g)
-    frames, calls = [], []
-
-    def read(path, _read=framekit.cli.read_frame):
-        frames.append(_read(path))
-        return frames[-1]
-
-    def counted(a, *rest, _svd=np.linalg.svd, **kw):
-        calls.append(("svd", np.shape(a), kw.get("compute_uv", True)))
-        return _svd(a, *rest, **kw)
-
-    def counted_eigvalsh(a, *rest, _eigvalsh=np.linalg.eigvalsh, **kw):
-        calls.append(("eigvalsh", np.shape(a)))
-        return _eigvalsh(a, *rest, **kw)
-    monkeypatch.setattr(framekit.cli, "read_frame", read)
-    monkeypatch.setattr(np.linalg, "svd", counted)
-    monkeypatch.setattr(np.linalg, "eigvalsh", counted_eigvalsh)
+    [check] = record_calls(monkeypatch, framekit.duals, "check_duality")
+    svd, eigvalsh = record_calls(monkeypatch, np.linalg, "svd", "eigvalsh")
     code, out, _ = run(capsys, "check", fp, gp)
     assert code == 0
     payload = json.loads(out)["payload"]
     assert payload["excess_f"] == payload["excess_g"] == 3
     assert payload["excess_equal"] is True
-    assert sorted(calls) == [("eigvalsh", (2, 3, 3)), ("svd", (6, 3), True)]
-    assert "svd" in vars(frames[0]) and "svd" not in vars(frames[1])
+    assert shapes(eigvalsh) == [(2, 3, 3)]
+    assert [(np.shape(call.args[0]), call.kwargs.get("compute_uv", True))
+            for call in svd.call_args_list] == [((6, 3), True)]
+    # the one SVD is f's cached Frame.svd: g's would be a second call
+    f_read, g_read = check.call_args.args[:2]
+    assert "svd" in vars(f_read) and "svd" not in vars(g_read)
+    npt.assert_array_equal(svd.call_args.args[0], fk.analysis_matrix(f_read))
 
 
 def test_cli_check_non_pseudo(files, capsys, tmp_path):
@@ -388,35 +382,23 @@ def test_cli_identity_runs_its_trials_in_blocks(files, big_parseval, capsys,
                                                monkeypatch):
     import framekit.identity as identity
 
-    batches = []
-    kernel = identity.identity_sides
-
-    def spy(f, j, x, tol):
-        batches.append(len(x))
-        return kernel(f, j, x, tol)
-
-    monkeypatch.setattr(identity, "identity_sides", spy)
+    [sides] = record_calls(monkeypatch, identity, "identity_sides")
     block = identity._TRIAL_BLOCK // 2000
     for path, trials, expected in ((files["mb3"], 50, [50]),
                                    (big_parseval, 1, [1]),
                                    (big_parseval, block, [block]),
                                    (big_parseval, block + 1, [block, 1]),
                                    (big_parseval, 5 * block + 3, [block] * 5 + [3])):
-        batches.clear()
+        sides.reset_mock()
         code, out, _ = run(capsys, "identity", path, "--j", "1,3",
                            "--trials", str(trials))
         assert code == 0 and json.loads(out)["verdict"] == "pass"
-        assert batches == expected
+        assert [len(call.args[2]) for call in sides.call_args_list] == expected
 
 
 def test_cli_identity_memory_does_not_grow_with_trials(big_parseval, capsys):
-    tracemalloc.start()
-    try:
-        code, out, _ = run(capsys, "identity", big_parseval, "--j", "1,3",
-                           "--trials", "20000")
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    (code, out, _), peak = traced_peak(run, capsys, "identity", big_parseval, "--j", "1,3",
+                                       "--trials", "20000")
     assert code == 0 and json.loads(out)["verdict"] == "pass"
     # one batch of all trials would hold 20000 x 2000 coefficients, 320 MB
     assert peak < 4 << 20
@@ -439,21 +421,12 @@ def test_cli_closed_stdout_exits_quietly(files):
 def test_cli_tail(files, capsys, monkeypatch):
     import framekit.identity as identity
 
-    calls = []
-
-    def counted(name, function):
-        def spy(*args, **kwargs):
-            calls.append(name)
-            return function(*args, **kwargs)
-        return spy
-
-    monkeypatch.setattr(np.linalg, "eigh", counted("eigh", np.linalg.eigh))
-    monkeypatch.setattr(identity, "tail_threshold",
-                        counted("tail_threshold", identity.tail_threshold))
+    [eigh] = record_calls(monkeypatch, np.linalg, "eigh")
+    [threshold] = record_calls(monkeypatch, identity, "tail_threshold")
     code, out, _ = run(capsys, "tail", files["mb3"], "--eps", "0.5")
     assert code == 0
     # one threshold, and one eigh each for J and its complement
-    assert sorted(calls) == ["eigh", "eigh", "tail_threshold"]
+    assert (eigh.call_count, threshold.call_count) == (2, 1)
     payload = json.loads(out)["payload"]
     assert payload["n0"] == 2
     assert payload["j"] == [1, 2]
@@ -540,6 +513,20 @@ def test_cli_gen_all_kinds(capsys, tmp_path):
     code, _, err = run(capsys, "gen", "--kind", "projected-basis", "--alpha",
                        "0.6,0.8", "--n", "3", "--out", str(tmp_path / "y.json"))
     assert code == 2
+    # the library's own refusals of bad sizes, fields, kinds and missing sizes
+    for bad in (lambda: fk.random_frame(3, 2, 0),
+                lambda: fk.random_frame(2, 3, 0, "quaternion"),
+                lambda: fk.near_riesz_frame(0, 1, 1),
+                lambda: fk.random_unit_alpha(1, 0),
+                lambda: fk.generate("near-riesz", n=5),
+                lambda: fk.generate("near-riesz", k=2),
+                lambda: fk.generate("projected-basis"),
+                lambda: fk.generate("spiral", dim=2, n=3)):
+        with pytest.raises(fk.BadParametersError):
+            bad()
+    # a Riesz basis (excess 0), and a near-riesz k derived as n - dim
+    for f, n in ((fk.near_riesz_frame(3, 0, 1), 3), (fk.generate("near-riesz", dim=3, n=5), 5)):
+        assert (f.n, f.dim, fk.excess(f, TOL).excess) == (n, 3, n - 3)
 
 
 def test_cli_error_paths(files, capsys, tmp_path):
@@ -554,13 +541,20 @@ def test_cli_error_paths(files, capsys, tmp_path):
     code, _, err = run(capsys, "analyze", files["mb3"], "--atol", "0")
     assert code == 2
 
-    # a file that is not UTF-8, and a free operator whose dim is 10^12
+    # a file that is not UTF-8, a free operator whose dim is 10^12, an index
+    # list and an alpha that are not numbers, a missing --proj, and more
+    # dimensions than vectors
     not_utf8 = tmp_path / "utf16.json"
     not_utf8.write_bytes(b"\xff\xfe")
     huge = tmp_path / "huge_dim.json"
     huge.write_text('{"dim": 1000000000000, "field": "real", "vectors": [[1]]}')
+    out_path = str(tmp_path / "out.json")
     for argv in (("analyze", str(not_utf8)),
-                 ("dual", files["mb3"], "--mode", "from-w", "--w", str(huge))):
+                 ("dual", files["mb3"], "--mode", "from-w", "--w", str(huge)),
+                 ("nu", files["mb3"], "--j", "1,x"),
+                 ("gen", "--kind", "projected-basis", "--alpha", "1,x", "--out", out_path),
+                 ("dual", files["mb3"], "--mode", "from-projection"),
+                 ("gen", "--kind", "random", "--dim", "3", "--n", "2", "--out", out_path)):
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == ""
         assert err.count("\n") == 1 and err.startswith("error:")

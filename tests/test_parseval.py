@@ -3,7 +3,6 @@ import os
 import pkgutil
 import subprocess
 import sys
-import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -13,7 +12,8 @@ import framekit as fk
 import framekit.frames
 import framekit.parseval
 from framekit.linalg import adjoint, operator_norm
-from helpers import admissible_frame, matrix_rank, scaled, searched_parseval_dual_residual
+from helpers import (admissible_frame, matrix_rank, record_calls, scaled,
+                     searched_parseval_dual_residual, traced_peak)
 
 
 def two_e1_e2():
@@ -68,26 +68,18 @@ def test_existence_requires_frame(basis2, tol):
 def test_parseval_chains_decide_the_rank_rule_once(monkeypatch, tol):
     # is_frame once per public call, and no second rank decision through
     # a kernel basis; non-frames keep each function's own NotAFrameError
-    decisions = []
-
-    def counted(name, original):
-        def call(*args):
-            decisions.append(name)
-            return original(*args)
-        return call
-
-    is_frame = counted("is_frame", framekit.frames.is_frame)
-    for module in (framekit.frames, framekit.parseval):
-        monkeypatch.setattr(module, "is_frame", is_frame)
-    monkeypatch.setattr(framekit.frames, "_range_basis",
-                        counted("_range_basis", framekit.frames._range_basis))
+    is_frame, range_basis = record_calls(monkeypatch, framekit.frames,
+                                         "is_frame", "_range_basis")
+    monkeypatch.setattr(framekit.parseval, "is_frame", is_frame)
     for field in ("real", "complex"):
         f = admissible_frame(3, 7, 2, seed=1, field=field)
         for call in (fk.parseval_dual_exists, fk.construct_parseval_dual,
                      fk.best_parseval_dual_residual):
-            decisions.clear()
+            is_frame.reset_mock()
+            range_basis.reset_mock()
             call(f, tol)
-            assert decisions == ["is_frame"], (call.__name__, field, decisions)
+            counts = (is_frame.call_count, range_basis.call_count)
+            assert counts == (1, 0), (call.__name__, field, counts)
     bad = fk.Frame(dim=2, field="real", vectors=[[1, 0], [2, 0]])
     for call, message in ((fk.parseval_dual_exists, "Parseval-dual existence needs a frame"),
                           (fk.construct_parseval_dual, "Parseval-dual existence needs a frame"),
@@ -169,12 +161,8 @@ def test_construct_keeps_three_n_by_d_arrays_live(tol):
     for seed, field in enumerate(("real", "complex")):
         f = fk.random_frame(200, 400, seed=60 + seed, field=field)
         assert fk.parseval_dual_exists(f, tol).deviation_dim == 200
-        tracemalloc.start()
-        try:
-            dual = fk.construct_parseval_dual(f, tol).dual
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        report, peak = traced_peak(fk.construct_parseval_dual, f, tol)
+        dual = report.dual
         assert peak < 4 * f.vectors.nbytes, (field, peak / f.vectors.nbytes)
         decisions = fk.verify_parseval_dual(f, dual, tol)
         assert all(d.holds for d in decisions), (field, decisions)

@@ -1,0 +1,66 @@
+"""Rules over the source files themselves: every line of `src/` and
+`tests/` fits in 100 characters, and outside `helpers.py` no test module
+sets an attribute of numpy.linalg, starts tracemalloc or keeps a library
+function as a default argument, the hand-written wrapper's way to reach
+the original; spies and memory probes go through `helpers.record_calls`
+and `helpers.traced_peak`."""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+TESTS = ROOT / "tests"
+MAX_LINE = 100
+LINALG = {"np.linalg", "numpy.linalg"}
+LIBRARIES = {"fk", "framekit", "np", "numpy"}
+
+
+def test_no_line_is_longer_than_the_limit():
+    sources = sorted((ROOT / "src").rglob("*.py")) + sorted(TESTS.glob("*.py"))
+    assert len(sources) > 20
+    long = [f"{path.relative_to(ROOT)}:{number}: {len(line)} characters"
+            for path in sources
+            for number, line in enumerate(path.read_text().splitlines(), 1)
+            if len(line) > MAX_LINE]
+    assert long == []
+
+
+def hand_written_probes(tree):
+    """The lines of tree that set an attribute of numpy.linalg, by setattr
+    (monkeypatch's, which also takes a dotted string, included) or by
+    assignment, that start tracemalloc, or that define a function with an
+    attribute of framekit or numpy as a default argument."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and node.args and (
+                getattr(node.func, "id", getattr(node.func, "attr", None)) == "setattr"):
+            owner = node.args[0]
+            hit = (owner.value.rpartition(".")[0] if isinstance(owner, ast.Constant)
+                   else ast.unparse(owner)) in LINALG
+        elif isinstance(node, ast.Assign):
+            hit = any(isinstance(target, ast.Attribute) and ast.unparse(target.value) in LINALG
+                      for target in node.targets)
+        elif isinstance(node, (ast.FunctionDef, ast.Lambda)):
+            defaults = node.args.defaults + [d for d in node.args.kw_defaults if d]
+            hit = any(isinstance(d, ast.Attribute)
+                      and ast.unparse(d).partition(".")[0] in LIBRARIES for d in defaults)
+        else:
+            hit = isinstance(node, ast.Attribute) and ast.unparse(node) == "tracemalloc.start"
+        if hit:
+            found.append(node.lineno)
+    return found
+
+
+def test_spies_and_memory_probes_go_through_the_helpers():
+    modules = [path for path in sorted(TESTS.glob("*.py")) if path.name != "helpers.py"]
+    assert len(modules) > 10
+    found = [f"{path.name}:{line}" for path in modules
+             for line in hand_written_probes(ast.parse(path.read_text()))]
+    assert found == []
+    for probe in ("monkeypatch.setattr(np.linalg, 'svd', spy)",
+                  "patch.setattr('numpy.linalg.qr', spy)",
+                  "np.linalg.eigvalsh = spy", "tracemalloc.start()",
+                  "def spy(x, _limit=framekit.identity._det_limit): pass",
+                  "def spy(a, *, _svd=np.linalg.svd): pass"):
+        assert hand_written_probes(ast.parse(probe)) == [1], probe
+    assert hand_written_probes(ast.parse("record_calls(monkeypatch, np.linalg, 'svd')")) == []
