@@ -7,10 +7,11 @@ parametrizations of all duals of a frame, decides and constructs
 Parseval duals, and evaluates the two-sided subset identity with its
 [3/4, 1] spectral bounds.
 
-Every public name below is importable from the package itself.
-`import framekit` loads no submodule: a name's submodule is imported
-the first time the name is looked up (PEP 562), and the name is then
-stored here, so later lookups cost a dict hit.
+Every public name below is importable from the package itself, and
+this table alone says which submodule holds it; the CLI reads its
+names here too.  `import framekit` loads no submodule: a name's
+submodule is imported the first time it is looked up (PEP 562), and
+the name is then stored here, so later lookups cost a dict hit.
 """
 
 from importlib import import_module

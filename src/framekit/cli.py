@@ -14,9 +14,9 @@ report was written (a reader such as `head` quit early). Diagnostics
 go to stderr, one line each, usage errors included. Every subcommand
 argument is echoed in the report's inputs (the tolerances in a section
 of their own); seed is the resolved one: --seed, else the
-FRAMEKIT_SEED environment variable, else 0, and never negative. Each
-handler imports the library functions it runs, so that a start loads
-only the modules of its subcommand.
+FRAMEKIT_SEED environment variable, else 0, and never negative. The
+handlers call the library as `fk.<name>`, through the package's lazy
+name table, so that a start loads only the modules of its subcommand.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
 
+import framekit as fk
 from .errors import BadParametersError, FramekitError
 from .frames import (
     COMPLEX,
@@ -64,17 +65,15 @@ def _resolve_seed(args: argparse.Namespace) -> int:
 
 
 def _parse_index_list(text: str, n: int):
-    from .identity import IndexSet
-
     text = text.strip()
     if not text:
-        return IndexSet(members=(), n=n)
+        return fk.IndexSet(members=(), n=n)
     try:
         members = tuple(int(part) for part in text.split(","))
     except ValueError as exc:
         raise BadParametersError(
             f"index list must be comma-separated integers, got {text!r}") from exc
-    return IndexSet(members=members, n=n)
+    return fk.IndexSet(members=members, n=n)
 
 
 def _parse_alpha(text: Optional[str]) -> Optional[np.ndarray]:
@@ -118,26 +117,23 @@ def _cmd_analyze(args: argparse.Namespace, tol: ToleranceConfig, seed: int) -> O
 
 
 def _cmd_dual(args: argparse.Namespace, tol: ToleranceConfig, seed: int) -> Outcome:
-    from .duals import (canonical_dual, check_duality, dual_from_free_operator,
-                        dual_from_projection, verify_excess_equality)
-
     f = read_frame(args.frame)
     if args.mode == "canonical":
-        g = canonical_dual(f, tol)
+        g = fk.canonical_dual(f, tol)
     elif args.mode == "from-projection":
         if not args.proj:
             raise BadParametersError("--proj is required for mode from-projection")
-        g = dual_from_projection(f, read_frame(args.proj).vectors, tol)
+        g = fk.dual_from_projection(f, read_frame(args.proj).vectors, tol)
     elif args.mode == "from-w":
         if not args.w:
             raise BadParametersError("--w is required for mode from-w")
-        g = dual_from_free_operator(f, read_frame(args.w).vectors, tol)
+        g = fk.dual_from_free_operator(f, read_frame(args.w).vectors, tol)
     else:  # random
         w = gaussian_matrix(np.random.default_rng(seed), f.n, f.dim,
                             f.field == COMPLEX)
-        g = dual_from_free_operator(f, w, tol)
-    report = check_duality(f, g, tol)
-    equal = verify_excess_equality(f, g, tol)  # True, or NotPseudoDualError
+        g = fk.dual_from_free_operator(f, w, tol)
+    report = fk.check_duality(f, g, tol)
+    equal = fk.verify_excess_equality(f, g, tol)  # True, or NotPseudoDualError
     if args.out:
         write_frame(g, args.out)
     payload = {
@@ -153,39 +149,34 @@ def _cmd_dual(args: argparse.Namespace, tol: ToleranceConfig, seed: int) -> Outc
 
 
 def _cmd_check(args: argparse.Namespace, tol: ToleranceConfig, seed: int) -> Outcome:
-    from .duals import check_duality, verify_excess_equality
-
     f = read_frame(args.frame)
     g = read_frame(args.other)
-    report = check_duality(f, g, tol)
+    report = fk.check_duality(f, g, tol)
     payload = report._asdict()
     payload["excess_f"] = f.n - f.dim  # check_duality passed: f and g are frames
     payload["excess_g"] = g.n - g.dim
     if not report.is_pseudo_dual:
         payload["excess_equal"] = None
         return "n/a", payload
-    payload["excess_equal"] = verify_excess_equality(f, g, tol)  # True for a pseudo-dual
+    payload["excess_equal"] = fk.verify_excess_equality(f, g, tol)  # True for a pseudo-dual
     return "pass", payload
 
 
 def _cmd_parseval_dual(args: argparse.Namespace, tol: ToleranceConfig,
                        seed: int) -> Outcome:
-    from .parseval import (construct_parseval_dual, nonexistence_reasons,
-                           parseval_dual_exists, verify_parseval_dual)
-
     f = read_frame(args.frame)
-    existence = parseval_dual_exists(f, tol)
+    existence = fk.parseval_dual_exists(f, tol)
     payload = {
         "exists": existence.exists,
         "a_opt": existence.a_opt,
         "deviation_dim": existence.deviation_dim,
         "excess": existence.excess_val,
-        "reasons": nonexistence_reasons(existence, tol),
+        "reasons": fk.nonexistence_reasons(existence, tol),
     }
     verdict = "pass"
     if existence.exists:
-        g = construct_parseval_dual(f, tol).dual
-        parseval, dual = verify_parseval_dual(f, g, tol)
+        g = fk.construct_parseval_dual(f, tol).dual
+        parseval, dual = fk.verify_parseval_dual(f, g, tol)
         payload["dual_vectors"] = g.vectors
         payload["residual_parseval"] = parseval.value
         payload["residual_dual"] = dual.value
@@ -197,67 +188,57 @@ def _cmd_parseval_dual(args: argparse.Namespace, tol: ToleranceConfig,
 
 
 def _cmd_nu(args: argparse.Namespace, tol: ToleranceConfig, seed: int) -> Outcome:
-    from .identity import nu_bounds, nu_in_range, nu_minus_global
-
     f = read_frame(args.frame)
     if args.global_min:
-        value, witness = nu_minus_global(f, tol)
+        value, witness = fk.nu_minus_global(f, tol)
         payload = {"mode": "global", "nu_minus": value,
                    "witness_j": witness.members}
-        in_range = nu_in_range(value, None, tol)
+        in_range = fk.nu_in_range(value, None, tol)
     else:
         j = _parse_index_list(args.j, f.n)
-        bounds = nu_bounds(f, j, tol)
-        in_range = nu_in_range(bounds.nu_minus, bounds.nu_plus, tol)
+        bounds = fk.nu_bounds(f, j, tol)
+        in_range = fk.nu_in_range(bounds.nu_minus, bounds.nu_plus, tol)
         payload = {"mode": "subset", "j": j.members, **bounds._asdict(),
                    "in_range": in_range}
     return "pass" if in_range else "fail", payload
 
 
 def _cmd_identity(args: argparse.Namespace, tol: ToleranceConfig, seed: int) -> Outcome:
-    from .identity import identity_residual
-
     f = read_frame(args.frame)
     if args.trials < 1:
         raise BadParametersError("--trials must be at least 1")
     j = _parse_index_list(args.j, f.n)
     rng = np.random.default_rng(seed)
     xs = _random_unit_vectors(rng, f.dim, args.trials, f.field == COMPLEX)
-    residual = identity_residual(f, j, xs, tol)
+    residual = fk.identity_residual(f, j, xs, tol)
     payload = {"j": j.members, "trials": args.trials,
                "max_residual": residual.value}
     return "pass" if residual.holds else "fail", payload
 
 
 def _cmd_tail(args: argparse.Namespace, tol: ToleranceConfig, seed: int) -> Outcome:
-    from .identity import verify_tail_bound
-
     f = read_frame(args.frame)
     j = None if args.j is None else _parse_index_list(args.j, f.n)
-    report = verify_tail_bound(f, args.eps, j, tol)
+    report = fk.verify_tail_bound(f, args.eps, j, tol)
     payload = report._asdict()
     payload["j"] = report.j.members
     return "pass" if report.holds else "fail", payload
 
 
 def _cmd_lemma(args: argparse.Namespace, tol: ToleranceConfig, seed: int) -> Outcome:
-    from .duals import verify_lemma_decomposition
-
     f = read_frame(args.frame)
     g = read_frame(args.other)
-    report = verify_lemma_decomposition(analysis_matrix(f), synthesis_matrix(g),
-                                        args.probes, seed, tol)
+    report = fk.verify_lemma_decomposition(analysis_matrix(f), synthesis_matrix(g),
+                                           args.probes, seed, tol)
     residuals = report._asdict()
     del residuals["holds"]
     return "pass" if report.holds else "fail", residuals
 
 
 def _cmd_gen(args: argparse.Namespace, tol: ToleranceConfig, seed: int) -> Outcome:
-    from .generators import generate
-
-    frame = generate(args.kind, dim=args.dim, n=args.n, seed=seed,
-                     field=args.field, k=args.k, alpha=_parse_alpha(args.alpha),
-                     tol=tol)
+    frame = fk.generate(args.kind, dim=args.dim, n=args.n, seed=seed,
+                        field=args.field, k=args.k, alpha=_parse_alpha(args.alpha),
+                        tol=tol)
     write_frame(frame, args.out)
     payload = {
         "kind": args.kind,

@@ -46,6 +46,7 @@ import numpy as np
 
 from .errors import (
     DimensionMismatchError,
+    FramekitError,
     IllConditionedError,
     NotAFrameError,
     NotAProjectionError,
@@ -156,6 +157,8 @@ def _cross_spectrum(vu: np.ndarray) -> Tuple[float, float, float]:
         lam = np.linalg.eigvalsh(grams)
         return (math.sqrt(max(lam[0, -1], 0.0)), math.sqrt(max(lam[1, 0], 0.0)),
                 math.sqrt(lam[1, -1]))
+    if not np.isfinite(vu).all():  # LAPACK's SVD would not converge
+        raise FramekitError("V*U must be finite; the products of the pair overflow")
     # E and V*U in one batched call: LAPACK sees each matrix exactly as in
     # two calls
     stack = np.array((vu, vu))

@@ -25,11 +25,11 @@ def inexact(m) -> np.ndarray:
 
 
 def operator_norm(m: np.ndarray) -> float:
-    """Largest singular value (spectral norm)."""
+    """Largest singular value (spectral norm); inf if an entry is not finite."""
     m = np.atleast_2d(np.asarray(m))
     if m.size == 0:
         return 0.0
-    return float(np.linalg.svd(m, compute_uv=False)[0])
+    return float(np.linalg.svd(m, compute_uv=False)[0]) if np.isfinite(m).all() else np.inf
 
 
 def fix_phase(v: np.ndarray) -> np.ndarray:

@@ -13,11 +13,13 @@ elimination over exact (Gaussian) rationals, the minor tables of the
 determinant bound numbered through a dict over every (I, J) pair, the
 eigenvalue-band verdicts by Sylvester inertia over exact rationals (a
 complex frame through its real embedding).  Spies and memory probes go
-through `record_calls` and `traced_peak`.
+through `record_calls` and `traced_peak`, and fresh interpreters start
+from `fresh_env`.
 """
 
 import itertools
 import math
+import os
 import tracemalloc
 from fractions import Fraction
 from itertools import combinations
@@ -62,6 +64,15 @@ def traced_peak(fn, *args):
     finally:
         tracemalloc.stop()
     return result, peak
+
+
+def fresh_env(**extra):
+    """The environment of a fresh interpreter that imports the framekit
+    under test: PYTHONPATH is the directory that holds the package,
+    FRAMEKIT_SEED is unset, and extra is added."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(fk.__file__)), **extra)
+    env.pop("FRAMEKIT_SEED", None)
+    return env
 
 
 def scaled(frame, c):

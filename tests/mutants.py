@@ -86,6 +86,11 @@ MUTANTS = (
            '"verdict": verdict, "payload": payload,',
            '"payload": payload, "verdict": verdict,',
            ("tests/test_reports.py",)),
+    Mutant("analyze loads the duals through the package's names",
+           "framekit/cli.py",
+           "    spanning = is_frame(f, tol)",
+           '    __import__("framekit").canonical_dual\n    spanning = is_frame(f, tol)',
+           ("tests/test_io_cli.py::test_cli_analyze_loads_only_its_modules",)),
     Mutant("pair rounding allowance made 1000 times larger",
            "framekit/duals.py",
            "noise = 4 * f.n * f.dim * _EPS * u_norm * v_norm",

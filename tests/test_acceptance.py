@@ -9,7 +9,6 @@ to the real stdout (bypassing capture), then asserts.
 """
 
 import json
-import os
 import subprocess
 import sys
 
@@ -25,6 +24,7 @@ from helpers import (
     deletion_excess,
     exact_lemma_ensemble,
     exact_lemma_verdict,
+    fresh_env,
     from_real_embedding,
     gaussian,
     kernel_identity_angle,
@@ -372,12 +372,9 @@ def test_acceptance_12_cli_determinism(tmp_path, capsys, monkeypatch, mb3,
               "        code = fk.run_command(argv)\n"
               "    results.append([code, out.getvalue()])\n"
               "print(json.dumps(results))\n")
-    env = dict(os.environ,
-               PYTHONPATH=os.path.dirname(os.path.dirname(fk.__file__)))
-    env.pop("FRAMEKIT_SEED", None)
     fresh = [json.loads(subprocess.run(
         [sys.executable, "-c", script], input=json.dumps([a for _, a in fixed]),
-        env=dict(env, OPENBLAS_NUM_THREADS=threads), capture_output=True,
+        env=fresh_env(OPENBLAS_NUM_THREADS=threads), capture_output=True,
         text=True, check=True).stdout) for threads in ("1", "2")]
     threads_ok = fresh[0] == fresh[1] == [list(r) for r in zip(codes1, outs1)]
     for code, out in zip(codes1, outs1):

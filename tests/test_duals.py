@@ -660,6 +660,20 @@ def test_non_finite_raw_matrices_are_refused_as_input(tol):
         refused(fk.transform_frame, f, transform, tol)
 
 
+def test_overflowing_products_are_refused(tol):
+    # finite frames whose S T or V*U overflows: the CLI's errstate lets
+    # inf and nan through, and numpy's SVD would not converge on them
+    big = fk.Frame(dim=2, field="real", vectors=np.vstack([np.eye(2), np.eye(2)]) * 1e160)
+    wide = fk.Frame(dim=2, field="complex",
+                    vectors=np.array([[1 + 1j, 0], [0, 1 + 1j], [1, 1]]) * 1e200)
+    with np.errstate(all="ignore"):
+        with pytest.raises(fk.NotLeftInverseError, match="by inf"):
+            fk.verify_lemma_decomposition(fk.analysis_matrix(big), fk.synthesis_matrix(big),
+                                          5, 0, tol)
+        with pytest.raises(fk.FramekitError, match="V\\*U must be finite"):
+            fk.check_duality(wide, wide, tol)
+
+
 def test_excess_equality_on_duals(mb3, tol):
     assert fk.verify_excess_equality(mb3, scaled(mb3, 1.5), tol)
     for seed in range(8):

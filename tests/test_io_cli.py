@@ -2,7 +2,6 @@ import gc
 import importlib
 import json
 import os
-import pkgutil
 import subprocess
 import sys
 
@@ -13,7 +12,8 @@ import pytest
 import framekit as fk
 import framekit.cli
 from framekit.io import canonical_json, dumps_frame, loads_frame
-from helpers import TOL, random_dual_pair, record_calls, scaled, shapes, traced_peak
+from helpers import (TOL, fresh_env, random_dual_pair, record_calls, scaled, shapes,
+                     traced_peak)
 
 
 def run(capsys, *argv):
@@ -272,7 +272,7 @@ def test_cli_check_factors_only_f(capsys, tmp_path, monkeypatch):
     # stack of V*U - I and V*U
     f, g = random_dual_pair(3, 6, seed=5)
     fp, gp = write(tmp_path / "f.json", f), write(tmp_path / "g.json", g)
-    [check] = record_calls(monkeypatch, framekit.duals, "check_duality")
+    [check] = record_calls(monkeypatch, fk, "check_duality")
     svd, eigvalsh = record_calls(monkeypatch, np.linalg, "svd", "eigvalsh")
     code, out, _ = run(capsys, "check", fp, gp)
     assert code == 0
@@ -406,12 +406,10 @@ def test_cli_identity_memory_does_not_grow_with_trials(big_parseval, capsys):
 
 def test_cli_closed_stdout_exits_quietly(files):
     # no process holds the read end of the child's stdout when it writes
-    env = dict(os.environ,
-               PYTHONPATH=os.path.dirname(os.path.dirname(fk.__file__)))
     read_end, write_end = os.pipe()
     proc = subprocess.Popen([sys.executable, "-m", "framekit", "analyze",
                              files["mb3"]], stdout=write_end,
-                            stderr=subprocess.PIPE, env=env)
+                            stderr=subprocess.PIPE, env=fresh_env())
     os.close(write_end)
     os.close(read_end)
     _, err = proc.communicate(timeout=60)
@@ -542,19 +540,28 @@ def test_cli_error_paths(files, capsys, tmp_path):
     assert code == 2
 
     # a file that is not UTF-8, a free operator whose dim is 10^12, an index
-    # list and an alpha that are not numbers, a missing --proj, and more
-    # dimensions than vectors
+    # list and an alpha that are not numbers, a missing --proj, more
+    # dimensions than vectors, and pairs whose S T or V*U overflows (S T =
+    # diag(inf) with a finite frame, V*U with nan entries)
     not_utf8 = tmp_path / "utf16.json"
     not_utf8.write_bytes(b"\xff\xfe")
     huge = tmp_path / "huge_dim.json"
     huge.write_text('{"dim": 1000000000000, "field": "real", "vectors": [[1]]}')
+    overflow_st = tmp_path / "overflow_st.json"
+    overflow_st.write_text('{"dim": 2, "field": "real", "vectors": '
+                           '[[1e160, 0], [0, 1e160], [1e160, 0], [0, 1e160]]}')
+    overflow_vu = tmp_path / "overflow_vu.json"
+    overflow_vu.write_text('{"dim": 2, "field": "complex", "vectors": [[[1e200, 1e200], [0, 0]], '
+                           '[[0, 0], [1e200, 1e200]], [[1e200, 0], [1e200, 0]]]}')
     out_path = str(tmp_path / "out.json")
     for argv in (("analyze", str(not_utf8)),
                  ("dual", files["mb3"], "--mode", "from-w", "--w", str(huge)),
                  ("nu", files["mb3"], "--j", "1,x"),
                  ("gen", "--kind", "projected-basis", "--alpha", "1,x", "--out", out_path),
                  ("dual", files["mb3"], "--mode", "from-projection"),
-                 ("gen", "--kind", "random", "--dim", "3", "--n", "2", "--out", out_path)):
+                 ("gen", "--kind", "random", "--dim", "3", "--n", "2", "--out", out_path),
+                 ("lemma", str(overflow_st), str(overflow_st)),
+                 ("check", str(overflow_vu), str(overflow_vu))):
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == ""
         assert err.count("\n") == 1 and err.startswith("error:")
@@ -716,59 +723,37 @@ def test_unknown_attribute_raises_attribute_error():
     assert not hasattr(fk, "no_such_name")
 
 
-def loaded_modules(tmp_path, *args):
-    """Modules a fresh `python -X importtime ARGS` imports, by name."""
-    env = dict(os.environ,
-               PYTHONPATH=os.path.dirname(os.path.dirname(fk.__file__)))
-    env.pop("FRAMEKIT_SEED", None)
-    proc = subprocess.run([sys.executable, "-X", "importtime", *args],
-                          cwd=tmp_path, env=env, capture_output=True,
-                          text=True, check=True)
-    return {line.rsplit("|", 1)[1].strip()
-            for line in proc.stderr.splitlines() if line.startswith("import time:")}
-
-
-def test_bare_import_loads_no_submodule(tmp_path):
-    loaded = loaded_modules(tmp_path, "-c", "import framekit")
+def test_bare_import_loads_no_submodule(loaded_after):
+    loaded = loaded_after["import"]
     assert "framekit" in loaded
     assert not {m for m in loaded if m.startswith("framekit.")}
 
 
-def test_cli_analyze_loads_only_its_modules(tmp_path, mb3):
-    loaded = loaded_modules(tmp_path, "-m", "framekit", "analyze",
-                            write(tmp_path / "f.json", mb3))
+def test_cli_analyze_loads_only_its_modules(loaded_after):
+    loaded = loaded_after["analyze"]
     assert "framekit.frames" in loaded
     for name in ("framekit.duals", "framekit.parseval", "framekit.identity",
                  "framekit.generators", "numpy.ma", "dataclasses"):
         assert name not in loaded
 
 
-def test_cli_global_min_loads_no_masked_arrays(tmp_path):
-    p = fk.parseval_projection_frame(3, 10, seed=2, field="complex")
-    loaded = loaded_modules(tmp_path, "-m", "framekit", "nu",
-                            write(tmp_path / "p.json", p), "--global-min")
+def test_cli_global_min_loads_no_masked_arrays(loaded_after):
+    loaded = loaded_after["nu"]
     assert "framekit.identity" in loaded
     for name in ("numpy.ma", "framekit.duals", "framekit.parseval", "dataclasses"):
         assert name not in loaded
 
 
 @pytest.mark.parametrize("command", ["check", "parseval-dual", "identity", "gen"])
-def test_cli_start_loads_no_dataclasses(tmp_path, mb3, command):
+def test_cli_start_loads_no_dataclasses(loaded_after, command):
     # framekit's records are NamedTuples and plain classes; numpy, argparse
     # and json load no dataclasses either
-    frame = write(tmp_path / "f.json", mb3)
-    argv = {"check": [frame, frame],
-            "parseval-dual": [frame],
-            "identity": [frame, "--j", "1"],
-            "gen": ["--kind", "random", "--dim", "2", "--n", "3",
-                    "--out", str(tmp_path / "g.json")]}[command]
-    loaded = loaded_modules(tmp_path, "-m", "framekit", command, *argv)
+    loaded = loaded_after[command]
     assert "framekit.cli" in loaded and "dataclasses" not in loaded
 
 
-def test_no_framekit_module_loads_dataclasses(tmp_path):
-    loaded = loaded_modules(tmp_path, "-c", "; ".join(
-        f"import framekit.{m.name}" for m in pkgutil.iter_modules(fk.__path__)))
+def test_no_framekit_module_loads_dataclasses(loaded_after):
+    loaded = loaded_after["modules"]
     assert "framekit.cli" in loaded and "framekit.identity" in loaded
     assert "dataclasses" not in loaded
 
@@ -788,11 +773,9 @@ def test_cli_main_freezes_the_import_heap(tmp_path, mb3):
             "    status = exc.code\n"
             "print(status, before, gc.get_freeze_count() > 0, gc.isenabled(),\n"
             "      file=sys.stderr)\n")
-    env = dict(os.environ,
-               PYTHONPATH=os.path.dirname(os.path.dirname(fk.__file__)))
     proc = subprocess.run([sys.executable, "-c", code, "analyze",
                            write(tmp_path / "f.json", mb3)],
-                          cwd=tmp_path, env=env, capture_output=True, text=True,
+                          cwd=tmp_path, env=fresh_env(), capture_output=True, text=True,
                           check=True)
     assert proc.stderr.split() == ["0", "0", "True", "True"]
     assert json.loads(proc.stdout)["command"] == "analyze"

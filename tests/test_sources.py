@@ -3,7 +3,8 @@
 sets an attribute of numpy.linalg, starts tracemalloc or keeps a library
 function as a default argument, the hand-written wrapper's way to reach
 the original; spies and memory probes go through `helpers.record_calls`
-and `helpers.traced_peak`."""
+and `helpers.traced_peak`.  No function of `cli.py` imports: handlers
+reach the library through the package's name table."""
 
 import ast
 from pathlib import Path
@@ -64,3 +65,18 @@ def test_spies_and_memory_probes_go_through_the_helpers():
                   "def spy(a, *, _svd=np.linalg.svd): pass"):
         assert hand_written_probes(ast.parse(probe)) == [1], probe
     assert hand_written_probes(ast.parse("record_calls(monkeypatch, np.linalg, 'svd')")) == []
+
+
+def function_imports(tree):
+    """The lines of the import statements inside a function of tree."""
+    return sorted({node.lineno for func in ast.walk(tree)
+                   if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+                   for node in ast.walk(func) if isinstance(node, (ast.Import, ast.ImportFrom))})
+
+
+def test_cli_imports_nothing_inside_a_function():
+    # `framekit._PUBLIC` alone says which submodule holds a name that a
+    # subcommand runs, and so which modules its start loads
+    assert function_imports(ast.parse((ROOT / "src" / "framekit" / "cli.py").read_text())) == []
+    assert function_imports(ast.parse("import os\ndef f():\n    from .duals import x\n"
+                                      "    def g():\n        import numpy\n")) == [3, 5]
