@@ -71,11 +71,12 @@ class ToleranceConfig(_ToleranceFields):
       relative to sigma_1, neither verdict changes when f is scaled;
     * the eigenvalues lambda_i of S, zero-padded to dim, are read off
       the same SVD (`Frame.eigenvalues`); an eigenvalue "equals one"
-      when |lambda_i - 1| <= eig_one_atol, and the frame is Parseval
-      when all lie within atol of 1.
+      when |lambda_i - 1| <= eig_one_atol, the one band for every such
+      decision: the frame is Parseval (`is_parseval`) when all of them
+      equal one, so exactly when its deviation dimension is 0.
 
-    Every other residual (an operator norm, a vector or an imaginary
-    part) passes when it is at most atol.
+    atol is for residuals only: an operator norm, a vector or an
+    imaginary part passes when it is at most atol.
     """
 
     __slots__ = ()
@@ -254,6 +255,8 @@ def derived_frame(field: str, vectors: np.ndarray, tol: ToleranceConfig) -> Fram
     operands (a complex free operator or transform, say) give complex
     results.  For a real field those carry imaginary parts that should
     be rounding dust: the dust is checked against atol and stripped.
+    Non-finite entries are reported as an overflow of the computed frame,
+    not as the bad input that `Frame` calls them.
     """
     arr = np.asarray(vectors)
     if field == REAL and np.iscomplexobj(arr):
@@ -262,7 +265,13 @@ def derived_frame(field: str, vectors: np.ndarray, tol: ToleranceConfig) -> Fram
             raise FramekitError(
                 f"operation on real-field data produced imaginary parts of size {dust:.3e}")
         arr = arr.real
-    return Frame(dim=arr.shape[1], field=field, vectors=arr)
+    try:
+        return Frame(dim=arr.shape[1], field=field, vectors=arr)
+    except FramekitError:
+        if np.isfinite(arr).all():  # scanned only once Frame has refused the array
+            raise
+        raise FramekitError(
+            "the computed frame overflowed: its entries are not all finite") from None
 
 
 class ExcessReport(NamedTuple):
@@ -315,11 +324,13 @@ def is_frame(f: Frame, tol: ToleranceConfig) -> bool:
 
 
 def is_parseval(f: Frame, tol: ToleranceConfig) -> bool:
-    """True when every eigenvalue of the frame operator lies within atol
-    of 1: both gaps, 1 - lambda_min and lambda_max - 1, on their two terms."""
+    """True when every eigenvalue of the frame operator "equals one", that
+    is, lies in the eig_one_atol band around 1: both gaps, 1 - lambda_min
+    and lambda_max - 1, on their two terms.  It holds exactly when the
+    deviation dimension (`parseval.deviation_dimension`) is 0."""
     lo, hi = f.eigenvalue_range
-    return (decide(1.0, "<=", tol.atol, minus=lo).holds
-            and decide(hi, "<=", tol.atol, minus=1.0).holds)
+    return (decide(1.0, "<=", tol.eig_one_atol, minus=lo).holds
+            and decide(hi, "<=", tol.eig_one_atol, minus=1.0).holds)
 
 
 def excess(f: Frame, tol: ToleranceConfig) -> ExcessReport:

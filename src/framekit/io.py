@@ -27,15 +27,30 @@ from .errors import FrameFileError, FramekitError
 from .frames import COMPLEX, FIELD_DTYPES, REAL, Frame
 
 
+class _NonFiniteError(FramekitError):
+    """A non-finite float met by `canonical_json`; `keys` holds the dict
+    keys that lead to it, innermost first, for the message."""
+
+    def __init__(self, x: float) -> None:
+        super().__init__(x)
+        self.keys = []
+
+    def __str__(self) -> str:
+        where = f" at {'.'.join(reversed(self.keys))}" if self.keys else ""
+        return f"cannot serialize non-finite value {self.args[0]!r}{where}"
+
+
 def _format_float(x: float) -> str:
     if not np.isfinite(x):
-        raise FramekitError(f"cannot serialize non-finite value {x!r}")
+        raise _NonFiniteError(x)
     return format(float(x), ".17g")
 
 
 def canonical_json(value: Any) -> str:
     """Render a value as deterministic JSON (see module docstring): an
-    array as nested lists, a complex entry as an ``[re, im]`` pair."""
+    array as nested lists, a complex entry as an ``[re, im]`` pair.  A
+    non-finite float raises a FramekitError that names the path of dict
+    keys to it."""
     if value is None:
         return "null"
     if isinstance(value, (bool, np.bool_)):
@@ -53,9 +68,14 @@ def canonical_json(value: Any) -> str:
             value = np.stack([value.real, value.imag], axis=-1)
         return canonical_json(value.tolist())
     if isinstance(value, dict):
-        return "{" + ",".join(
-            json.dumps(str(k)) + ":" + canonical_json(v) for k, v in value.items()
-        ) + "}"
+        parts = []
+        for k, v in value.items():
+            try:
+                parts.append(json.dumps(str(k)) + ":" + canonical_json(v))
+            except _NonFiniteError as exc:  # name the field: payload.a_opt, say
+                exc.keys.append(str(k))
+                raise
+        return "{" + ",".join(parts) + "}"
     raise TypeError(f"cannot serialize {type(value).__name__} canonically")
 
 

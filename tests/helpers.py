@@ -391,7 +391,7 @@ class ExactBandVerdict(NamedTuple):
 
     deviation_dim: int  # eigenvalues of S outside [1 - eig_one_atol, 1 + eig_one_atol]
     exists: bool  # no eigenvalue of S below 1 - eig_one_atol, deviation_dim <= excess
-    is_parseval: bool  # every eigenvalue of S in [1 - atol, 1 + atol]
+    is_parseval: bool  # deviation_dim == 0: every eigenvalue of S in that band
     excess: int  # n - rank U
 
 
@@ -426,20 +426,19 @@ def exact_quantity_matrix(rows, j):
 
 def exact_band_verdict(rows, tol):
     """`ExactBandVerdict` of the real or complex frame with these float
-    rows: S and the shifts 1 +- eig_one_atol and 1 +- atol are exact
-    rationals, so the counts of `inertia` are exact.  A complex frame is
-    decided on its `real_embedding`, whose counts are halved."""
+    rows: S and the shifts 1 +- eig_one_atol are exact rationals, so the
+    counts of `inertia` are exact.  A complex frame is decided on its
+    `real_embedding`, whose counts are halved."""
     copies = 2 if np.iscomplexobj(rows) else 1
     s = exact_frame_operator(rows)
-    band, atol = Fraction(tol.eig_one_atol), Fraction(tol.atol)
+    band = Fraction(tol.eig_one_atol)
     # (above c, below c) for each shift c
-    count = {c: [x // copies for x in inertia(s, c)]
-             for c in {1 + band, 1 - band, 1 + atol, 1 - atol}}
+    count = {c: [x // copies for x in inertia(s, c)] for c in (1 + band, 1 - band)}
     dev = count[1 + band][0] + count[1 - band][1]
     excess = len(rows) - rational_rank(real_embedding(rows)) // copies
     return ExactBandVerdict(
         deviation_dim=dev, exists=count[1 - band][1] == 0 and dev <= excess,
-        is_parseval=count[1 + atol][0] == 0 and count[1 - atol][1] == 0, excess=excess)
+        is_parseval=dev == 0, excess=excess)
 
 
 # A skew conference matrix (K*K = 3I): its Cayley transform is -(I + K)/2,

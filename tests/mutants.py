@@ -154,10 +154,22 @@ MUTANTS = (
            ("tests/test_decisions.py::test_gap_verdicts_are_exact_at_every_tolerance",)),
     Mutant("is_parseval on the rounded gap max(1 - lambda_min, lambda_max - 1)",
            "framekit/frames.py",
+           'return (decide(1.0, "<=", tol.eig_one_atol, minus=lo).holds\n'
+           '            and decide(hi, "<=", tol.eig_one_atol, minus=1.0).holds)',
+           'return decide(max(1.0 - lo, hi - 1.0), "<=", tol.eig_one_atol).holds',
+           ("tests/test_decisions.py::test_gap_verdicts_are_exact_at_every_tolerance",)),
+    Mutant("is_parseval against atol",
+           "framekit/frames.py",
+           'return (decide(1.0, "<=", tol.eig_one_atol, minus=lo).holds\n'
+           '            and decide(hi, "<=", tol.eig_one_atol, minus=1.0).holds)',
            'return (decide(1.0, "<=", tol.atol, minus=lo).holds\n'
            '            and decide(hi, "<=", tol.atol, minus=1.0).holds)',
-           'return decide(max(1.0 - lo, hi - 1.0), "<=", tol.atol).holds',
-           ("tests/test_decisions.py::test_gap_verdicts_are_exact_at_every_tolerance",)),
+           ("tests/test_decisions.py::test_is_parseval_is_a_deviation_dimension_of_zero",)),
+    Mutant("derived_frame blames the input",
+           "framekit/frames.py",
+           '"the computed frame overflowed: its entries are not all finite") from None',
+           '"frame entries must be finite") from None',
+           ("tests/test_io_cli.py::test_overflow_of_a_computed_frame_is_not_blamed_on_the_input",)),
     Mutant("deviation dimension on the rounded gap |lambda - 1|",
            "framekit/parseval.py",
            'decide(np.maximum(eigs, 1.0), ">", tol.eig_one_atol,\n'

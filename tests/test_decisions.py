@@ -223,11 +223,11 @@ def test_residual_checks_at_atol():
     fk.derived_frame("real", vectors, TOL._replace(atol=0.25))
     with pytest.raises(fk.FramekitError):
         fk.derived_frame("real", vectors, TOL._replace(atol=below(0.25)))
-    # Parseval within atol: eigenvalues 1 and 1/4
+    # Parseval within eig_one_atol: eigenvalues 1 and 1/4
     f = frame([[1, 0], [0, 0.5]])
     assert f.eigenvalue_range == (0.25, 1.0)
-    assert fk.is_parseval(f, TOL._replace(atol=0.75))
-    assert not fk.is_parseval(f, TOL._replace(atol=below(0.75)))
+    assert fk.is_parseval(f, TOL._replace(eig_one_atol=0.75))
+    assert not fk.is_parseval(f, TOL._replace(eig_one_atol=below(0.75)))
     # a unit coefficient vector up to atol
     alpha = np.array([0.5, 0.5])
     miss = abs(float(np.linalg.norm(alpha)) - 1.0)
@@ -321,6 +321,58 @@ def _match_band_oracle(field):
         main = [classes[name] for name in ("parseval", "dual, dev <", "dual, dev =",
                                            "no dual, dev >", "no dual, A < 1 - band")]
         assert min(main) >= max(main) / 2 and classes["A = 1 exactly"], classes
+
+
+def _two_tolerance_cases():
+    """(tol, t, field, rows): seeded real and complex `cayley_parseval`
+    frames whose longest row is scaled to move one eigenvalue of S to
+    1 + t, for |t| inside both tolerances, between them and outside both,
+    at tolerance pairs with atol below and above eig_one_atol."""
+    rng = np.random.default_rng(46)
+    for atol, band in ((1e-8, 1e-4), (1e-4, 1e-8), (1e-6, 1e-3), (1e-3, 1e-6)):
+        tol = TOL._replace(atol=atol, eig_one_atol=band)
+        low, high = sorted((atol, band))
+        for t in (low / 2, -low / 2, math.sqrt(low * high), -math.sqrt(low * high),
+                  2 * high, -2 * high):
+            for field in ("real", "complex"):
+                d = int(rng.integers(2, 5))
+                rows = cayley_parseval(rng, d + int(rng.integers(3)), d, field == "complex")
+                norms_sq = np.sum(np.abs(rows) ** 2, axis=1)
+                k = norms_sq.argmax()
+                rows[k] *= np.sqrt(1 + t / norms_sq[k])
+                yield tol, t, field, rows
+
+
+def test_is_parseval_is_a_deviation_dimension_of_zero():
+    # one band decides "equals one": an eigenvalue between atol and
+    # eig_one_atol makes the frame Parseval exactly when it is inside the
+    # band.  A Parseval frame has a Parseval dual: the build returns its
+    # canonical dual, whose ||V*V - I|| = max |1/lambda - 1| is about
+    # eig_one_atol, so it verifies when eig_one_atol <= atol / 2, and a
+    # fail is the correct verdict when eig_one_atol > atol
+    verdicts, duals = Counter(), Counter()
+    for tol, t, field, rows in _two_tolerance_cases():
+        f = fk.Frame(dim=rows.shape[1], field=field, vectors=rows)
+        exact = exact_band_verdict(rows, tol)
+        parseval = fk.is_parseval(f, tol)
+        assert parseval == (fk.deviation_dimension(f, tol) == 0) == exact.is_parseval, (tol, t)
+        pair = sorted((tol.atol, tol.eig_one_atol))
+        verdicts[tol.atol < tol.eig_one_atol, pair[0] < abs(t) < pair[1], parseval] += 1
+        if parseval:
+            assert fk.parseval_dual_exists(f, tol).exists
+            g = fk.construct_parseval_dual(f, tol).dual
+            residual, dual = fk.verify_parseval_dual(f, g, tol)
+            assert dual.holds and residual.value <= 2 * tol.eig_one_atol
+            narrow = tol.eig_one_atol <= tol.atol / 2
+            assert residual.holds or not narrow, (tol, t)
+            duals[narrow, residual.holds] += 1
+    # for either order of the two tolerances, frames between them are
+    # accepted by the band alone, and frames inside both and outside both
+    # get the same verdict under either rule
+    assert verdicts == {(True, True, True): 8, (False, True, False): 8,
+                        (True, False, True): 8, (False, False, True): 8,
+                        (True, False, False): 8, (False, False, False): 8}, verdicts
+    assert duals[True, True] and duals[False, False], duals
 
 
 def around(x):
@@ -420,7 +472,7 @@ def _nu_cases():
             atols = tuple(a * 4.0 ** -k for k in range(4))
         for _ in range(3):
             members = np.flatnonzero(rng.integers(2, size=n)) + 1
-            yield rows, fk.IndexSet(members, n), TOL._replace(atol=a), atols
+            yield rows, fk.IndexSet(members, n), TOL._replace(eig_one_atol=a), atols
 
 
 def test_nu_in_range_matches_the_exact_oracle():

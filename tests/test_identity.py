@@ -643,9 +643,9 @@ def test_verify_tail_bound(mb3, tol):
                                   1e-20, None, tol)
     assert (report.nu_minus, report.nu_minus_mirrored, report.bound) == (1.0, 1.0, 1.0)
     assert report.holds
-    # sqrt(0.9) e_1, sqrt(0.9) e_2 is Parseval only under a wide atol; its
-    # M_J has the eigenvalues 0.9 on J and 0.81 off it, below 1 - eps
-    wide = tol._replace(atol=0.2)
+    # sqrt(0.9) e_1, sqrt(0.9) e_2 is Parseval only under a wide eig_one_atol;
+    # its M_J has the eigenvalues 0.9 on J and 0.81 off it, below 1 - eps
+    wide = tol._replace(eig_one_atol=0.2)
     report = fk.verify_tail_bound(fk.Frame(dim=2, field="real",
                                            vectors=np.sqrt(0.9) * np.eye(2)),
                                   0.15, None, wide)

@@ -1,6 +1,7 @@
 import gc
 import importlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -337,6 +338,32 @@ def test_cli_parseval_dual_fails_with_abused_tolerance(files, capsys):
     assert report["payload"]["residual_dual"] <= 1e-10
 
 
+def test_cli_parseval_verdicts_agree_whichever_tolerance_is_wider(capsys, tmp_path):
+    # S = (1 + 1e-7) I.  One band decides "equals one" for analyze, nu and
+    # parseval-dual alike, and --atol is left to the residuals
+    b = write(tmp_path / "b.json",
+              fk.Frame(dim=2, field="real", vectors=math.sqrt(1 + 1e-7) * np.eye(2)))
+    wide_atol = ("--atol", "1e-6", "--eig-one-atol", "1e-9")
+    code, out, _ = run(capsys, "analyze", b, *wide_atol)
+    assert code == 0 and json.loads(out)["payload"]["is_parseval"] is False
+    code, out, _ = run(capsys, "parseval-dual", b, *wide_atol)
+    payload = json.loads(out)["payload"]
+    assert code == 0 and payload["exists"] is False
+    assert payload["reasons"] == ["deviation_dim 2 > excess 0"]
+    assert run(capsys, "nu", b, "--j", "1", *wide_atol) == (
+        2, "", "error: nu bounds are stated for Parseval frames\n")
+    wide_band = ("--atol", "1e-9", "--eig-one-atol", "1e-6")
+    code, out, _ = run(capsys, "analyze", b, *wide_band)
+    assert code == 0 and json.loads(out)["payload"]["is_parseval"] is True
+    # with excess 0 the canonical dual, S^-1 f, is the only dual, and its
+    # ||V*V - I|| = 1e-7 exceeds atol: fail is the correct verdict
+    code, out, _ = run(capsys, "parseval-dual", b, *wide_band)
+    report = json.loads(out)
+    assert code == 1 and report["verdict"] == "fail" and report["payload"]["exists"] is True
+    assert report["payload"]["residual_parseval"] == pytest.approx(1e-7, rel=1e-6)
+    assert report["payload"]["residual_dual"] <= 1e-15
+
+
 def test_cli_nu(files, big_parseval, capsys):
     code, out, _ = run(capsys, "nu", big_parseval, "--j", "1,3")
     assert code == 0 and json.loads(out)["verdict"] == "pass"
@@ -573,15 +600,119 @@ def test_cli_error_paths(files, capsys, tmp_path):
     assert code == 2 and err == ("framekit analyze: error: the following "
                                  "arguments are required: frame\n")
 
-    # b_opt overflows to inf: the report cannot be serialized
+    # b_opt overflows to inf: the report cannot be serialized, and the line
+    # names the field
     big = tmp_path / "big.json"
     big.write_text('{"dim":2,"field":"real","vectors":[[1e200,0],[0,1],[1,1]]}')
     code, out, err = run(capsys, "analyze", str(big))
     assert code == 2 and out == ""
     assert err.count("\n") == 1 and err.startswith("error:")
+    assert err.endswith("at payload.b_opt\n")
+
+    # computed quantities that leave the float range, from finite inputs:
+    # a_opt = b_opt = 1e320 of 1e160 I, and the dual from W = 1.7e308 sign(U),
+    # whose W*P overflows; each line names the quantity, not the input
+    p = fk.parseval_projection_frame(3, 6, seed=1)
+    w = write(tmp_path / "w.json", fk.Frame(dim=3, field="real",
+                                            vectors=1.7e308 * np.sign(fk.analysis_matrix(p))))
+    huge_basis = write(tmp_path / "huge_basis.json",
+                       fk.Frame(dim=2, field="real", vectors=1e160 * np.eye(2)))
+    for argv, named in ((("analyze", huge_basis), "at payload.a_opt"),
+                        (("parseval-dual", huge_basis), "at payload.a_opt"),
+                        (("dual", write(tmp_path / "p.json", p), "--mode", "from-w", "--w", w),
+                         "the computed frame overflowed")):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and err.startswith("error:") and named in err, err
 
     code, out, err = run(capsys, "--help")
     assert code == 0 and out.startswith("usage: framekit") and err == ""
+
+
+SCALES = (1e-300, 1e-200, 1e-160, 1e-150, 1e-100, 1.0, 1e100, 1e150, 1e160, 1e200, 1e300)
+SWEPT = {"real Parseval": fk.parseval_projection_frame(3, 6, 1),
+         "real random": fk.random_frame(3, 6, 2),
+         "complex Parseval": fk.parseval_projection_frame(2, 4, 5, "complex")}
+# The calls of the scale sweep whose exit 2 or fail verdict waits on a
+# ROADMAP item, with the start of what each reports today.  A case leaves
+# this table when its item lands.
+KNOWN_AT_SCALE = {
+    **{("dual --mode random", c): ("item 1", "error: cond(S) = ")
+       for c in (1e-300, 1e-200, 1e160, 1e200, 1e300)},
+    # the normal equations' S^-1 U* overflows
+    ("dual --mode random", 1e-160): ("item 1", "error: the computed frame overflowed"),
+    **{("dual --mode random", c): ("item 3, Problem E", "error: excess equality is claimed")
+       for c in (1e100, 1e150)},
+    # residual_dual 1.7e84 to 4.0e134, the rounding eps ||U|| ||V|| of V*U
+    **{("parseval-dual", c): ("item 3, Problem E", "fail") for c in (1e100, 1e150)},
+}
+
+
+def test_cli_scale_sweep(capsys, tmp_path):
+    # every subcommand on three frames scaled by c, and check and lemma on
+    # (c f, g / c), g the canonical dual of f: each call ends with a verdict,
+    # or with exit 2 and one line that names the input's fault or the
+    # computed quantity that left the float range
+    commands = {"analyze": (), "dual": (), "dual --mode random": ("--mode", "random"),
+                "check": None, "parseval-dual": (), "nu --j 1,2": ("--j", "1,2"),
+                "nu --global-min": ("--global-min",), "identity --j 1,2": ("--j", "1,2"),
+                "tail --eps 0.5": ("--eps", "0.5"), "lemma": None}
+    known = set()
+    for name, f in SWEPT.items():
+        g = fk.canonical_dual(f, TOL)
+        unscaled = (fk.is_frame(f, TOL), fk.excess(f, TOL).excess)
+        for c in SCALES:
+            cf = fk.Frame(dim=f.dim, field=f.field, vectors=c * f.vectors)
+            paths = [write(tmp_path / "f.json", cf),
+                     write(tmp_path / "g.json", fk.Frame(dim=f.dim, field=f.field,
+                                                         vectors=g.vectors / c))]
+            with np.errstate(over="ignore"):
+                parseval, bounds = fk.is_parseval(cf, TOL), fk.frame_bounds(cf)
+            verdicts = {}
+            for command, extra in commands.items():
+                head = command.split()[0]
+                argv = [head, *paths] if extra is None else [head, paths[0], *extra]
+                code, out, err = run(capsys, *argv)
+                outcome = verdicts[command] = err if code == 2 else json.loads(out)["verdict"]
+                where = (name, c, command, outcome)
+                if code == 2:
+                    assert out == "" and err.count("\n") == 1, where
+                    assert err.startswith("error: "), where
+                if (command, c) in KNOWN_AT_SCALE:
+                    known.add((name, command, c))
+                    assert outcome.startswith(KNOWN_AT_SCALE[command, c][1]), where
+                elif code != 2:
+                    assert code == 0 and outcome in ("pass", "n/a") and err == "", where
+                elif "stated for Parseval frames" in err:  # nu, identity and tail
+                    assert not parseval, where
+                else:  # a frame bound overflows: analyze and parseval-dual
+                    assert err.startswith("error: cannot serialize non-finite value inf"), where
+                    field = err.rpartition(" at payload.")[2].strip()
+                    assert math.isinf(getattr(bounds, field)), where
+                if command == "analyze" and math.isfinite(bounds.b_opt):  # sigma_1^2
+                    payload = json.loads(out)["payload"]
+                    assert (payload["is_frame"], payload["excess"]) == unscaled, where
+            # the canonical dual and the scaled pair pass at every c
+            assert verdicts["dual"] == verdicts["check"] == "pass", (name, c)
+    assert len(known) == len(SWEPT) * len(KNOWN_AT_SCALE)
+
+
+def test_overflow_of_a_computed_frame_is_not_blamed_on_the_input(tol):
+    # Frame refuses a non-finite input; a frame that an operation computed
+    # from finite inputs reports its overflow instead
+    p = fk.parseval_projection_frame(3, 6, seed=1)
+    w = 1.7e308 * np.sign(fk.analysis_matrix(p))
+    with np.errstate(all="ignore"), pytest.raises(fk.FramekitError,
+                                                  match="computed frame overflowed"):
+        fk.dual_from_free_operator(p, w, tol)
+    for rows in ([[np.inf, 0.0], [0.0, 1.0]], [[np.nan + 0j, 0], [0, 1]]):
+        with pytest.raises(fk.FramekitError, match="computed frame overflowed"):
+            fk.derived_frame("complex", rows, tol)
+        with pytest.raises(fk.FramekitError, match="frame entries must be finite"):
+            fk.Frame(dim=2, field="complex", vectors=rows)
+    # a finite array that Frame refuses keeps Frame's own diagnostic
+    with pytest.raises(fk.DimensionMismatchError):
+        fk.derived_frame("real", np.zeros((2, 3, 1)), tol)
 
 
 def test_cli_impossible_allocation_exits_2(files, capsys, monkeypatch, tmp_path):
