@@ -18,12 +18,12 @@ Every dual of a fixed frame arises in exactly two equivalent ways:
 The decomposition behind all of this -- for any left inverse S of T,
 the coefficient space splits as Im T (+) Ker S, with TS the oblique
 projection onto Im T along Ker S, and Ker S = (I - TS)(Ker T*) -- is
-verified numerically by `verify_lemma_decomposition`, whose kernel
-identity uses d x n and d x d products only, never a basis of the
-(n - d)-dimensional kernel.  Its headline consequence, that dual (even
-pseudo-dual) frames always carry the same excess, is in finite
-dimension the statement rank V = rank U = d, which an invertible V*U
-certifies: V* is then onto.  `check_duality` decides that certificate
+verified numerically by `verify_lemma_decomposition`, every claim of
+which is read from products of size d x n or smaller: no n x n array,
+and never a basis of the (n - d)-dimensional kernel.  Its headline
+consequence, that dual (even pseudo-dual) frames always carry the same
+excess, is in finite dimension the statement rank V = rank U = d, which
+an invertible V*U certifies: V* is then onto.  `check_duality` decides that certificate
 on the singular values of V*U, reading g only through V*U and ||V||_F,
 and computes g's SVD only when the certificate is too weak to decide
 `is_frame(g)`; `verify_excess_equality` returns its pseudo-dual grade.
@@ -45,6 +45,7 @@ from typing import NamedTuple, Sequence, Tuple
 import numpy as np
 
 from .errors import (
+    BadParametersError,
     DimensionMismatchError,
     FramekitError,
     IllConditionedError,
@@ -304,7 +305,8 @@ def dual_from_free_operator(f: Frame, w: np.ndarray, tol: ToleranceConfig) -> Fr
     range, so the W-term adds an arbitrary kernel component without
     disturbing V*U = I.  W = 0 gives the canonical dual; as W ranges
     over all n x d matrices this sweeps out every dual of f.  Raises
-    IllConditionedError when cond(S) >= 1/rank_rtol.
+    IllConditionedError when cond(S) >= 1/rank_rtol, and
+    BadParametersError when W has an entry that is not finite.
     """
     if not is_frame(f, tol):
         raise NotAFrameError("dual parametrization needs a frame")
@@ -325,7 +327,12 @@ def dual_from_free_operator(f: Frame, w: np.ndarray, tol: ToleranceConfig) -> Fr
     w_adj, p = adjoint(w), f.svd.p
     dual_synthesis = np.linalg.solve(frame_operator(f), synthesis_matrix(f)) + w_adj
     dual_synthesis -= (w_adj @ p) @ adjoint(p)
-    return derived_frame(f.field, dual_synthesis.T, tol)
+    try:
+        return derived_frame(f.field, dual_synthesis.T, tol)
+    except FramekitError:
+        if np.isfinite(w).all():  # scanned only once derived_frame has refused the result
+            raise
+        raise BadParametersError("free operator W must be finite") from None
 
 
 def oblique_projection(range_basis: Sequence[np.ndarray],
@@ -403,11 +410,26 @@ def verify_lemma_decomposition(t: np.ndarray, s: np.ndarray, probes: int,
     Reports residuals for the four claims: ST = I itself, the kernel
     identity Ker S = (I - TS)(Ker T*), the direct sum
     (coefficient space) = Im T (+) Ker S probed on seeded random
-    vectors, and idempotency of TS.  The direct-sum residual is the
-    worst recomposition/membership defect over the probes.  Im T and
-    Ker S = (Im S*)^perp come from the cached SVDs of two frames whose
-    analysis matrices are T and S*, complex if either input is, else real;
-    the probes are complex either way.
+    vectors, and idempotency of TS.  Im T and Ker S = (Im S*)^perp come
+    from the cached SVDs of two frames whose analysis matrices are T and
+    S*, complex if either input is, else real; the probes are complex
+    either way.  M = ST is formed once, and every product is d x n or
+    smaller: no n x n array is built.
+
+    The direct-sum residual is the worse of the two membership defects
+    over the probes y: TSy, formed as T(Sy), must lie in Im T, and
+    y - TSy in Ker S.  The recomposition y = TSy + (y - TSy) holds in
+    exact arithmetic for every T and S, so its defect measures rounding
+    only and decides nothing; it is not reported.
+
+    The idempotency residual is ||(TS)^2 - TS||_2 = ||T (M - I) S||_2,
+    read from a d x d core.  With the cached SVDs T = P Sigma R* and
+    S* = P' Sigma' R'*, that is S = R' Sigma' P'*,
+
+        T (M - I) S = P [Sigma R* (M - I) R' Sigma'] P'*,
+
+    and P, P' have orthonormal columns, so the spectral norm is that of
+    the bracket, a sigma-only SVD of d x d.
 
     The kernel residual, when the ranks of T and S agree, is the scaled
     distance between Ker S and E(Ker T*), E = I - T M^{-1} S, M = ST:
@@ -450,11 +472,13 @@ def verify_lemma_decomposition(t: np.ndarray, s: np.ndarray, probes: int,
     n, d = t.shape
     field = COMPLEX if np.iscomplexobj(t) or np.iscomplexobj(s) else REAL
     f, g = _analysis_frame(t, field), _analysis_frame(adjoint(s), field)
-    st_residual = operator_norm(s @ t - np.eye(d))
+    m = synthesis_matrix(g) @ analysis_matrix(f)
+    m_dev = m - np.eye(d)
+    st_residual = operator_norm(m_dev)
     if decide(st_residual, ">", tol.atol).holds:
         raise NotLeftInverseError(f"S T deviates from identity by {st_residual:.3e}")
-    ts = t @ s
-    idem_residual = operator_norm(ts @ ts - ts)
+    idem_residual = operator_norm(  # the d x d core Sigma R* (M - I) R' Sigma'
+        (f.svd.sigma[:, None] * f.svd.rh) @ m_dev @ (adjoint(g.svd.rh) * g.svd.sigma))
 
     im_t, im_s_adj = _range_basis(f, tol), _range_basis(g, tol)
     # the ranks compared are the codimensions of Ker T* and Ker S
@@ -462,7 +486,7 @@ def verify_lemma_decomposition(t: np.ndarray, s: np.ndarray, probes: int,
     if im_t.shape[1] == im_s_adj.shape[1]:
         basis, t_matrix, s_matrix = adjoint(im_s_adj), analysis_matrix(f), synthesis_matrix(g)
         # C M = B T, transposed to the M^T C^T = (B T)^T that solve takes
-        x = np.linalg.solve((s_matrix @ t_matrix).T, (basis @ t_matrix).T).T @ s_matrix
+        x = np.linalg.solve(m.T, (basis @ t_matrix).T).T @ s_matrix
         np.subtract(basis, x, out=x)
         scale = max(1.0, float(f.svd.sigma[0]) * float(g.svd.sigma[0]) / (1.0 - st_residual))
         kernel_residual = min(1.0, float(np.linalg.norm(x)) / scale)
@@ -470,13 +494,11 @@ def verify_lemma_decomposition(t: np.ndarray, s: np.ndarray, probes: int,
     draws = np.random.default_rng(seed).standard_normal((probes, 2, n))
     y = (draws[:, 0] + 1j * draws[:, 1]).T
     y /= np.linalg.norm(y, axis=0)
-    u_part = ts @ y
-    v_part = y - u_part
-    # per probe: recomposition, u_part in Im T, v_part in Ker S
+    u_part = t @ (s @ y)
+    # per probe: u_part = TSy in Im T, y - u_part in Ker S
     defects = np.stack([
-        np.linalg.norm(y - (u_part + v_part), axis=0),
         np.linalg.norm(u_part - im_t @ (adjoint(im_t) @ u_part), axis=0),
-        np.linalg.norm(adjoint(im_s_adj) @ v_part, axis=0),
+        np.linalg.norm(adjoint(im_s_adj) @ (y - u_part), axis=0),
     ])
     residuals = (float(st_residual), float(kernel_residual), float(defects.max()),
                  float(idem_residual))

@@ -41,7 +41,7 @@ class _NonFiniteError(FramekitError):
 
 
 def _format_float(x: float) -> str:
-    if not np.isfinite(x):
+    if not math.isfinite(x):
         raise _NonFiniteError(x)
     return format(float(x), ".17g")
 

@@ -111,6 +111,16 @@ MUTANTS = (
            "kernel_residual = min(1.0, float(np.linalg.norm(x)) / scale)",
            "kernel_residual = min(1.0, float(np.linalg.norm(x)) / 1.0)",
            ("tests/test_duals.py",)),
+    Mutant("lemma idempotency without Sigma'",
+           "framekit/duals.py",
+           "@ m_dev @ (adjoint(g.svd.rh) * g.svd.sigma))",
+           "@ m_dev @ adjoint(g.svd.rh))",
+           ("tests/test_duals.py::test_lemma_idempotency_matches_the_n_by_n_reference",)),
+    Mutant("lemma idempotency read as ST - I",
+           "framekit/duals.py",
+           "(f.svd.sigma[:, None] * f.svd.rh) @ m_dev @ (adjoint(g.svd.rh) * g.svd.sigma))",
+           "m_dev)",
+           ("tests/test_duals.py::test_lemma_idempotency_matches_the_n_by_n_reference",)),
     Mutant("verify_tail_bound reports holds=True unconditionally",
            "framekit/identity.py",
            'decide(1.0, "<", eps, minus=min(direct, mirrored)).holds)',

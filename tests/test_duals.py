@@ -595,6 +595,49 @@ def test_lemma_reads_the_cached_svds(monkeypatch, tol):
         assert len(calls) <= 2
         assert True not in calls
         assert dtypes and set(dtypes) == {np.dtype(dtype)}, (field, dtypes)
+        # one vector SVD each of T and S*; every sigma-only one is of a d x d
+        # matrix (M - I and the idempotency core), none of the 6 x 6 TS
+        pairs = list(zip((call.kwargs.get("compute_uv", True) for call in svd.call_args_list),
+                         shapes(svd)))
+        assert [shape for uv, shape in pairs if uv] == [(6, 3), (6, 3)], pairs
+        assert all(max(shape) <= 3 for uv, shape in pairs if not uv), pairs
+
+
+def oblique_left_inverse_pairs():
+    # (T, S) with S = (I + E) S0, S0 = pinv(T) + 30 N Q an oblique left
+    # inverse (Q the orthogonal projection onto (Im T)^perp) and ||E||_2 =
+    # 1e-9: ST misses I by about 1e-9, and TS misses idempotency by
+    # ||T E S0||, far more
+    for d, n in ((2, 4), (3, 6), (4, 9)):
+        for seed, complex_valued in enumerate((False, True)):
+            rng = np.random.default_rng(100 * d + seed)
+            t = gaussian(rng, n, d, complex_valued)
+            pinv = np.linalg.pinv(t)
+            s0 = pinv + 30.0 * gaussian(rng, d, n, complex_valued) @ (np.eye(n) - t @ pinv)
+            e = gaussian(rng, d, d, complex_valued)
+            yield t, (np.eye(d) + 1e-9 * e / operator_norm(e)) @ s0
+
+
+def test_lemma_idempotency_matches_the_n_by_n_reference():
+    tol = fk.ToleranceConfig(atol=1e-6)
+    for t, s in oblique_left_inverse_pairs():
+        report = fk.verify_lemma_decomposition(t, s, probes=5, seed=0, tol=tol)
+        ts = t @ s
+        reference = operator_norm(ts @ ts - ts)  # the n x n formula, kept here only
+        assert abs(report.idempotent_residual - reference) <= 1e-3 * reference, (
+            t.shape, t.dtype, report.idempotent_residual, reference)
+        assert report.idempotent_residual >= 10 * report.st_is_identity_residual, report
+
+
+def test_lemma_allocates_no_n_by_n_array(tol):
+    # a (3, 2000) Parseval frame and its canonical dual: TS would be
+    # 2000 x 2000, 30.5 MiB in float64
+    for field in ("real", "complex"):
+        f = fk.parseval_projection_frame(3, 2000, 1, field)
+        t, s = fk.analysis_matrix(f), fk.synthesis_matrix(fk.canonical_dual(f, tol))
+        report, peak = traced_peak(fk.verify_lemma_decomposition, t, s, 25, 0, tol)
+        assert report.holds
+        assert peak < 2000 * 2000 * 8, (field, peak / 2 ** 20)
 
 
 def test_lemma_rejects_non_left_inverse(e1e2e1, tol):

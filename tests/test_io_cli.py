@@ -705,6 +705,13 @@ def test_overflow_of_a_computed_frame_is_not_blamed_on_the_input(tol):
     with np.errstate(all="ignore"), pytest.raises(fk.FramekitError,
                                                   match="computed frame overflowed"):
         fk.dual_from_free_operator(p, w, tol)
+    # a non-finite W is the input's fault, and the error names it
+    for bad in (np.inf, np.nan):
+        w = np.zeros((6, 3))
+        w[0, 0] = bad
+        with np.errstate(all="ignore"), pytest.raises(fk.BadParametersError,
+                                                      match="free operator W must be finite"):
+            fk.dual_from_free_operator(p, w, tol)
     for rows in ([[np.inf, 0.0], [0.0, 1.0]], [[np.nan + 0j, 0], [0, 1]]):
         with pytest.raises(fk.FramekitError, match="computed frame overflowed"):
             fk.derived_frame("complex", rows, tol)
