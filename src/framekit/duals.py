@@ -326,7 +326,8 @@ def dual_from_free_operator(f: Frame, w: np.ndarray, tol: ToleranceConfig) -> Fr
     # W*Q = W* - (W*P)P*, P being the range basis of the cached SVD
     w_adj, p = adjoint(w), f.svd.p
     dual_synthesis = np.linalg.solve(frame_operator(f), synthesis_matrix(f)) + w_adj
-    dual_synthesis -= (w_adj @ p) @ adjoint(p)
+    with np.errstate(invalid="ignore"):  # inf * 0 from a non-finite W, named below
+        dual_synthesis -= (w_adj @ p) @ adjoint(p)
     try:
         return derived_frame(f.field, dual_synthesis.T, tol)
     except FramekitError:

@@ -17,8 +17,10 @@ analysis range.  The Householder reflectors of one QR of P give an
 orthonormal basis of the rest of the coefficient space, also cached
 (`Frame.range_complement`) and formed without the n x n Q; every
 synthesis-kernel basis is read from it.
-Nothing cached on a frame depends on a tolerance; pair-level results
-are kept by the pair checks in `duals.py`.
+Nothing cached on a frame depends on a tolerance: its rank and its
+eigenvalue band are decided once per frame and tolerance value, in two
+tables keyed weakly by the frame, and pair-level results are kept by
+the pair checks in `duals.py`.
 
 The number of vectors beyond a minimal spanning set -- the dimension
 of the synthesis kernel, n - rank -- is called the excess and is the
@@ -30,6 +32,7 @@ from __future__ import annotations
 
 import math
 import operator
+import weakref
 from functools import cached_property
 from typing import Any, List, NamedTuple
 
@@ -75,8 +78,10 @@ class ToleranceConfig(_ToleranceFields):
       decision: the frame is Parseval (`is_parseval`) when all of them
       equal one, so exactly when its deviation dimension is 0.
 
-    atol is for residuals only: an operator norm, a vector or an
-    imaginary part passes when it is at most atol.
+    Each frame's rank is decided once per rank_rtol value and its band
+    once per eig_one_atol value, whatever the other fields; atol is for
+    residuals only: an operator norm, a vector or an imaginary part
+    passes when it is at most atol.
     """
 
     __slots__ = ()
@@ -316,21 +321,50 @@ def frame_bounds(f: Frame) -> FrameBounds:
 
 def is_frame(f: Frame, tol: ToleranceConfig) -> bool:
     """True when the vectors span the whole space: the rank cutoff keeps
-    all dim singular values, that is, there are dim of them and the
-    smallest exceeds rank_rtol * sigma_1."""
-    sigma = f.svd.sigma
-    return sigma.size == f.dim and bool(
-        decide(sigma[-1], ">", tol.rank_rtol * sigma[0]).holds)
+    all dim singular values (`_rank`)."""
+    return _rank(f, tol) == f.dim
 
 
 def is_parseval(f: Frame, tol: ToleranceConfig) -> bool:
     """True when every eigenvalue of the frame operator "equals one", that
-    is, lies in the eig_one_atol band around 1: both gaps, 1 - lambda_min
-    and lambda_max - 1, on their two terms.  It holds exactly when the
+    is, lies in the eig_one_atol band around 1 (`_band`): exactly when the
     deviation dimension (`parseval.deviation_dimension`) is 0."""
-    lo, hi = f.eigenvalue_range
-    return (decide(1.0, "<=", tol.eig_one_atol, minus=lo).holds
-            and decide(hi, "<=", tol.eig_one_atol, minus=1.0).holds)
+    return _band(f, tol).outside == 0
+
+
+# The tolerance verdicts of each frame, decided on first use and keyed by
+# the one field each reads: f -> {rank_rtol: rank}, f -> {eig_one_atol: band}.
+# Frames are weak keys, so neither table keeps one alive.
+_RANKS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+_BANDS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+class _Band(NamedTuple):  # the eigenvalues of S against the eig_one_atol band around 1
+    below: int  # how many lie below it, 1 - lambda > eig_one_atol on its two terms
+    above: np.ndarray  # the indices of those above it, lambda - 1 > eig_one_atol
+    outside: int  # below + above.size: the deviation dimension
+
+
+def _rank(f: Frame, tol: ToleranceConfig) -> int:
+    """r = #{i : sigma_i > rank_rtol * sigma_1}, once per frame and rank_rtol."""
+    ranks = _RANKS.get(f) or _RANKS.setdefault(f, {})
+    key = tol.rank_rtol
+    if key not in ranks:
+        sigma = f.svd.sigma
+        ranks[key] = int(np.count_nonzero(decide(sigma, ">", tol.rank_rtol * sigma[0]).holds))
+    return ranks[key]
+
+
+def _band(f: Frame, tol: ToleranceConfig) -> _Band:
+    """The band of f's eigenvalues, once per frame and eig_one_atol."""
+    bands = _BANDS.get(f) or _BANDS.setdefault(f, {})
+    key = tol.eig_one_atol
+    if key not in bands:
+        lam, half_width = f.eigenvalues, tol.eig_one_atol
+        below = int(np.count_nonzero(decide(1.0, ">", half_width, minus=lam).holds))
+        above = np.flatnonzero(decide(lam, ">", half_width, minus=1.0).holds)
+        bands[key] = _Band(below, above, below + above.size)
+    return bands[key]
 
 
 def excess(f: Frame, tol: ToleranceConfig) -> ExcessReport:
@@ -352,8 +386,7 @@ def excess(f: Frame, tol: ToleranceConfig) -> ExcessReport:
 
 def _range_basis(f: Frame, tol: ToleranceConfig) -> np.ndarray:
     """The columns of the cached P that the rank cutoff keeps."""
-    sigma = f.svd.sigma
-    return f.svd.p[:, :np.count_nonzero(decide(sigma, ">", tol.rank_rtol * sigma[0]).holds)]
+    return f.svd.p[:, :_rank(f, tol)]
 
 
 def _analysis_frame(m: np.ndarray, field: str | None = None) -> Frame:
@@ -379,8 +412,7 @@ def kernel_of_synthesis(f: Frame, tol: ToleranceConfig) -> np.ndarray:
     not a copy: copy it before writing to it.  Columns are phase-fixed so
     repeated runs return identical vectors.
     """
-    p = f.svd.p
-    r = _range_basis(f, tol).shape[1]
+    p, r = f.svd.p, _rank(f, tol)
     if r == p.shape[1]:
         return f.range_complement
     return np.hstack([fix_phase(p[:, r:]), f.range_complement])

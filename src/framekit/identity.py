@@ -161,7 +161,9 @@ def identity_sides(f: Frame, j: IndexSet, x: np.ndarray, tol: ToleranceConfig
     (k, dim) stack of them, one per row, giving two length-k arrays; a
     squared norm that overflows counts as not finite.
     For a Parseval frame the two sides agree up to rounding for every x;
-    the pair is returned so the residual can be inspected directly.
+    the pair is returned so the residual can be inspected directly.  The
+    Parseval gate is one lookup: each frame's eigenvalue band is decided
+    once per eig_one_atol value (`is_parseval`).
     """
     if not is_parseval(f, tol):
         raise NotParsevalError("the identity is stated for Parseval frames")

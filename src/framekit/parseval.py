@@ -53,6 +53,7 @@ from .frames import (
     Decision,
     Frame,
     ToleranceConfig,
+    _band,
     analysis_matrix,
     decide,
     derived_frame,
@@ -76,19 +77,10 @@ class ParsevalDualReport(NamedTuple):
 
 def deviation_dimension(f: Frame, tol: ToleranceConfig) -> int:
     """dim Im(S - I): the number of frame-operator eigenvalues that are
-    not 1 (within eig_one_atol)."""
+    not 1 (outside the eig_one_atol band)."""
     if not is_frame(f, tol):
         raise NotAFrameError("deviation dimension needs a frame")
-    return _deviation_dim(f, tol)
-
-
-def _deviation_dim(f: Frame, tol: ToleranceConfig) -> int:
-    """`deviation_dimension` of f, which the caller has found a frame: the
-    gaps max(lambda, 1) - min(lambda, 1), on their two terms, above eig_one_atol."""
-    eigs = f.eigenvalues
-    outside = decide(np.maximum(eigs, 1.0), ">", tol.eig_one_atol,
-                     minus=np.minimum(eigs, 1.0))
-    return int(np.count_nonzero(outside.holds))
+    return _band(f, tol).outside
 
 
 def parseval_dual_exists(f: Frame, tol: ToleranceConfig) -> ParsevalDualReport:
@@ -96,12 +88,10 @@ def parseval_dual_exists(f: Frame, tol: ToleranceConfig) -> ParsevalDualReport:
     if not is_frame(f, tol):
         raise NotAFrameError("Parseval-dual existence needs a frame")
     # a frame: A is the least eigenvalue (`frame_bounds`), the excess n - dim
-    a_opt = f.eigenvalue_range.a_opt
-    dev = _deviation_dim(f, tol)
-    exc = f.n - f.dim
-    exists = not decide(1.0, ">", tol.eig_one_atol, minus=a_opt).holds and dev <= exc
-    return ParsevalDualReport(exists=exists, a_opt=a_opt,
-                              deviation_dim=dev, excess_val=exc)
+    band, exc = _band(f, tol), f.n - f.dim
+    exists = band.below == 0 and band.outside <= exc
+    return ParsevalDualReport(exists=exists, a_opt=f.eigenvalue_range.a_opt,
+                              deviation_dim=band.outside, excess_val=exc)
 
 
 def nonexistence_reasons(report: ParsevalDualReport,
@@ -139,7 +129,7 @@ def _nearest_parseval_dual(f: Frame, tol: ToleranceConfig) -> np.ndarray:
     has the bits of U S^{-1} + correction.
     """
     lam = f.eigenvalues
-    above = np.flatnonzero(decide(lam, ">", tol.eig_one_atol, minus=1.0).holds)[: f.n - f.dim]
+    above = _band(f, tol).above[: f.n - f.dim]
     if not above.size:
         return canonical_dual_analysis(f)
     k_cols = f.range_complement[:, : above.size]

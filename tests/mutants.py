@@ -38,9 +38,19 @@ class Mutant(NamedTuple):
 MUTANTS = (
     Mutant("rank cutoff made absolute",
            "framekit/frames.py",
-           'decide(sigma[-1], ">", tol.rank_rtol * sigma[0]).holds)',
-           'decide(sigma[-1], ">", tol.rank_rtol).holds)',
+           'decide(sigma, ">", tol.rank_rtol * sigma[0]).holds',
+           'decide(sigma, ">", tol.rank_rtol).holds',
            ("tests/test_frames.py",)),
+    Mutant("rank memo not keyed by rank_rtol",
+           "framekit/frames.py",
+           "key = tol.rank_rtol",
+           "key = None",
+           ("tests/test_frames.py::test_rank_is_decided_per_rank_rtol",)),
+    Mutant("band memo not keyed by eig_one_atol",
+           "framekit/frames.py",
+           "key = tol.eig_one_atol",
+           "key = None",
+           ("tests/test_frames.py::test_band_is_decided_per_eig_one_atol",)),
     Mutant("pseudo-dual grade without the rounding-noise test",
            "framekit/duals.py",
            "is_pseudo = is_approx or (sigma_min > noise and\n",
@@ -138,13 +148,13 @@ MUTANTS = (
            ("tests/test_identity.py",)),
     Mutant("Parseval-dual existence without its lower-bound condition",
            "framekit/parseval.py",
-           'exists = not decide(1.0, ">", tol.eig_one_atol, minus=a_opt).holds and dev <= exc',
-           "exists = dev <= exc",
+           "exists = band.below == 0 and band.outside <= exc",
+           "exists = band.outside <= exc",
            ("tests/test_decisions.py",)),
-    Mutant("Parseval-dual lower bound against the rounded fl(1 - eig_one_atol)",
-           "framekit/parseval.py",
-           'exists = not decide(1.0, ">", tol.eig_one_atol, minus=a_opt).holds and dev <= exc',
-           'exists = decide(a_opt, ">=", 1.0 - tol.eig_one_atol).holds and dev <= exc',
+    Mutant("band's lower edge against the rounded fl(1 - eig_one_atol)",
+           "framekit/frames.py",
+           'decide(1.0, ">", half_width, minus=lam)',
+           'decide(lam, "<", 1.0 - half_width)',
            ("tests/test_decisions.py::test_eigenvalue_one_band_at_its_edge",
             "tests/test_decisions.py::test_eigenvalue_band_verdicts_match_the_exact_oracle")),
     Mutant("nu_in_range against the rounded fl(3/4 - atol)",
@@ -162,35 +172,33 @@ MUTANTS = (
            'decide(max(norm, 1.0), ">", tol.atol, minus=min(norm, 1.0))',
            'decide(abs(norm - 1.0), ">", tol.atol)',
            ("tests/test_decisions.py::test_gap_verdicts_are_exact_at_every_tolerance",)),
-    Mutant("is_parseval on the rounded gap max(1 - lambda_min, lambda_max - 1)",
+    Mutant("band's upper edge leaves out lambda = 1 + eig_one_atol",
            "framekit/frames.py",
-           'return (decide(1.0, "<=", tol.eig_one_atol, minus=lo).holds\n'
-           '            and decide(hi, "<=", tol.eig_one_atol, minus=1.0).holds)',
-           'return decide(max(1.0 - lo, hi - 1.0), "<=", tol.eig_one_atol).holds',
-           ("tests/test_decisions.py::test_gap_verdicts_are_exact_at_every_tolerance",)),
-    Mutant("is_parseval against atol",
+           'decide(lam, ">", half_width, minus=1.0)',
+           'decide(lam, ">=", half_width, minus=1.0)',
+           ("tests/test_decisions.py::test_eigenvalue_one_band_at_its_edge",)),
+    Mutant("band with atol as its half-width",
            "framekit/frames.py",
-           'return (decide(1.0, "<=", tol.eig_one_atol, minus=lo).holds\n'
-           '            and decide(hi, "<=", tol.eig_one_atol, minus=1.0).holds)',
-           'return (decide(1.0, "<=", tol.atol, minus=lo).holds\n'
-           '            and decide(hi, "<=", tol.atol, minus=1.0).holds)',
-           ("tests/test_decisions.py::test_is_parseval_is_a_deviation_dimension_of_zero",)),
+           "lam, half_width = f.eigenvalues, tol.eig_one_atol",
+           "lam, half_width = f.eigenvalues, tol.atol",
+           ("tests/test_decisions.py::test_is_parseval_is_a_deviation_dimension_of_zero",
+            "tests/test_decisions.py::test_eigenvalue_band_verdicts_match_the_exact_oracle")),
     Mutant("derived_frame blames the input",
            "framekit/frames.py",
            '"the computed frame overflowed: its entries are not all finite") from None',
            '"frame entries must be finite") from None',
            ("tests/test_io_cli.py::test_overflow_of_a_computed_frame_is_not_blamed_on_the_input",)),
-    Mutant("deviation dimension on the rounded gap |lambda - 1|",
-           "framekit/parseval.py",
-           'decide(np.maximum(eigs, 1.0), ">", tol.eig_one_atol,\n'
-           '                     minus=np.minimum(eigs, 1.0))',
-           'decide(np.abs(eigs - 1.0), ">", tol.eig_one_atol)',
+    Mutant("band's lower edge on the rounded gap fl(1 - lambda)",
+           "framekit/frames.py",
+           'decide(1.0, ">", half_width, minus=lam)',
+           'decide(1.0 - lam, ">", half_width)',
            ("tests/test_decisions.py::test_gap_verdicts_are_exact_at_every_tolerance",)),
-    Mutant("deviation dimension with atol as the band half-width",
-           "framekit/parseval.py",
-           'decide(np.maximum(eigs, 1.0), ">", tol.eig_one_atol,',
-           'decide(np.maximum(eigs, 1.0), ">", tol.atol,',
-           ("tests/test_decisions.py",)),
+    Mutant("free operator lets numpy warn before naming a non-finite W",
+           "framekit/duals.py",
+           'with np.errstate(invalid="ignore"):',
+           "with np.errstate():",
+           ("tests/test_duals.py::"
+            "test_free_operator_names_a_non_finite_entry_before_any_warning",)),
     Mutant("identity_residual cuts a lone vector into blocks",
            "framekit/identity.py",
            "xs = np.atleast_2d(xs)  # one vector is one trial, whatever the block size",

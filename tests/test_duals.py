@@ -436,6 +436,20 @@ def test_dual_from_free_operator_errors(mb3, tol):
         fk.dual_from_free_operator(bad, np.zeros((3, 2)), tol)
 
 
+def test_free_operator_names_a_non_finite_entry_before_any_warning(tol):
+    # pytest's error::RuntimeWarning filter is on, so numpy's "invalid
+    # value" from the inf * 0 of the W*Q product would reach the caller
+    # first; BadParametersError must be what the caller sees
+    for field in ("real", "complex"):
+        f = fk.parseval_projection_frame(3, 6, seed=1, field=field)
+        for bad in (np.inf, -np.inf, np.nan):
+            for entry in ((0, 0), (5, 2)):
+                w = np.zeros((6, 3), dtype=fk.analysis_matrix(f).dtype)
+                w[entry] = bad
+                with pytest.raises(fk.BadParametersError, match="W must be finite"):
+                    fk.dual_from_free_operator(f, w, tol)
+
+
 def test_thin_frame_gets_an_exact_dual_or_an_error(tol):
     # a rotated [[1, 0], [0, 1e-6], [1, 0]]: a frame with cond(U) ~ 1.4e6,
     # where the normal equations would miss V*U = I by ~1e-4

@@ -1,12 +1,19 @@
+import gc
+import math
+import weakref
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 import framekit as fk
+import framekit.frames
 import framekit.identity
+from framekit.duals import canonical_dual_analysis
 from framekit.linalg import fix_phase, operator_norm
-from helpers import (gaussian, rank_from_singular_values, rational_rank, record_calls, scaled,
-                     seeded_cases, shapes)
+from framekit.parseval import _nearest_parseval_dual
+from helpers import (admissible_frame, gaussian, rank_from_singular_values, rational_rank,
+                     record_calls, scaled, seeded_cases, shapes)
 
 SQ23 = np.sqrt(2.0 / 3.0)
 
@@ -208,8 +215,8 @@ def test_is_frame(mb3, tol):
 
 
 def test_is_frame_agrees_with_the_rank_count(tol):
-    # is_frame compares sigma_d with rank_rtol * sigma_1 instead of counting
-    # the singular values above the cutoff; the verdicts must agree
+    # is_frame reads the rank of its memo, a count of the singular values
+    # above rank_rtol * sigma_1; it must agree with the helper's own count
     systems = [[[1, 0, 0], [0, 1, 0]],  # n < d
                [[0, 0], [0, 0], [0, 0]],
                [[1, 0], [0, 0], [0, 1]],  # with a zero row
@@ -301,6 +308,79 @@ def test_is_parseval(mb3, basis2, e1e2e1, tol):
     assert not fk.is_parseval(e1e2e1, tol)
     assert basis2.eigenvalue_range == (1.0, 1.0) and e1e2e1.eigenvalue_range == (1.0, 2.0)
     assert mb3.eigenvalue_range == (mb3.eigenvalues.min(), mb3.eigenvalues.max())
+
+
+def test_rank_is_decided_per_rank_rtol(tol):
+    # sigma_2 / sigma_1 = 1e-6 / sqrt(2): one frame asked at a rank_rtol on
+    # either side of that ratio, in either order, gets the rank of each
+    rows = [[1, 0], [0, 1e-6], [1, 0]]
+    for order in ((1e-7, 1e-5), (1e-5, 1e-7)):
+        f = fk.Frame(dim=2, field="real", vectors=rows)
+        for rtol in order:
+            at = tol._replace(rank_rtol=rtol)
+            spans = rtol < 1e-6 / math.sqrt(2)
+            assert fk.is_frame(f, at) is spans, order
+            assert fk.kernel_of_synthesis(f, at).shape == (3, 1 if spans else 2), order
+
+
+def test_band_is_decided_per_eig_one_atol(tol):
+    # one eigenvalue 1 + 2^-20 above 1, or (1 - 2^-21)^2 below it, both
+    # exact in floats and about 9.5e-7 from 1: one frame asked at an
+    # eig_one_atol on either side of that gap, in either order, gets the
+    # band of each
+    for rows, above in (([[1, 0], [0, 1], [0, 2.0 ** -10]], True),
+                        ([[1, 0], [0, 1.0 - 2.0 ** -21], [0, 0]], False)):
+        for order in ((1e-6, 1e-7), (1e-7, 1e-6)):
+            f = fk.Frame(dim=2, field="real", vectors=rows)
+            assert 1e-7 < np.abs(f.eigenvalues - 1.0).max() < 1e-6
+            for band in order:
+                at = tol._replace(eig_one_atol=band)
+                inside = band == 1e-6
+                assert fk.is_parseval(f, at) is inside, (above, order)
+                assert fk.deviation_dimension(f, at) == (0 if inside else 1), (above, order)
+                # below the band there is no Parseval dual; above it one is corrected
+                assert fk.parseval_dual_exists(f, at).exists is (inside or above)
+                corrected = not np.array_equal(_nearest_parseval_dual(f, at),
+                                               canonical_dual_analysis(f))
+                assert corrected is (above and not inside), (above, order)
+
+
+def test_each_verdict_is_decided_once_per_frame_and_tolerance(monkeypatch):
+    # the band's two edges and the rank are decided once across the
+    # Parseval-dual calls, and a tolerance that differs only in atol
+    # reuses both entries
+    [decide] = record_calls(monkeypatch, framekit.frames, "decide")
+    tol = fk.ToleranceConfig(eig_one_atol=1e-7)
+    for field in ("real", "complex"):
+        f = admissible_frame(3, 7, 2, seed=1, field=field)
+        decide.reset_mock()
+        assert not fk.is_parseval(f, tol)
+        assert fk.deviation_dimension(f, tol) == 2
+        assert fk.parseval_dual_exists(f, tol).exists
+        assert fk.construct_parseval_dual(f, tol).dual is not None
+        edges = [call for call in decide.call_args_list if "minus" in call.kwargs]
+        assert (len(edges), decide.call_count) == (2, 3), field
+        assert {call.args[2] for call in edges} == {tol.eig_one_atol}
+        decide.reset_mock()
+        wider = tol._replace(atol=1e-6)
+        assert fk.is_frame(f, wider) and not fk.is_parseval(f, wider)
+        assert fk.deviation_dimension(f, wider) == 2
+        assert fk.construct_parseval_dual(f, wider).dual is not None
+        assert not decide.called, field
+
+
+def test_the_verdict_tables_keep_no_frame_alive(tol):
+    tables = (framekit.frames._RANKS, framekit.frames._BANDS)
+    gc.collect()
+    sizes = [len(table) for table in tables]
+    f = fk.random_frame(3, 5, seed=2)
+    assert fk.is_frame(f, tol) and not fk.is_parseval(f, tol)
+    assert all(f in table for table in tables)
+    ref = weakref.ref(f)
+    del f
+    gc.collect()
+    assert ref() is None
+    assert [len(table) for table in tables] == sizes
 
 
 def test_band_summaries_are_the_eigenvalues_to_the_bit(monkeypatch, tol):

@@ -4,9 +4,12 @@ sets an attribute of numpy.linalg, starts tracemalloc or keeps a library
 function as a default argument, the hand-written wrapper's way to reach
 the original; spies and memory probes go through `helpers.record_calls`
 and `helpers.traced_peak`.  No function of `cli.py` imports: handlers
-reach the library through the package's name table."""
+reach the library through the package's name table.  Only the listed
+functions of `src/` read `rank_rtol` or `eig_one_atol`: every other
+rank or band verdict goes through the memos of `frames.py`."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -80,3 +83,44 @@ def test_cli_imports_nothing_inside_a_function():
     assert function_imports(ast.parse((ROOT / "src" / "framekit" / "cli.py").read_text())) == []
     assert function_imports(ast.parse("import os\ndef f():\n    from .duals import x\n"
                                       "    def g():\n        import numpy\n")) == [3, 5]
+
+
+# Each read of a rank or band tolerance in src/, by (file, function, field),
+# with its count.  A new single-frame verdict reads the memos instead.
+TOLERANCE_READS = {
+    ("frames.py", "_rank", "rank_rtol"): 2,  # the rank memo: its key and its rule
+    ("frames.py", "_band", "eig_one_atol"): 2,  # the band memo: its key and its rule
+    ("frames.py", "excess", "rank_rtol"): 1,  # the report's tolerance_used field
+    ("duals.py", "check_duality", "rank_rtol"): 2,  # the grade of V*U and its certificate
+    ("duals.py", "dual_from_free_operator", "rank_rtol"): 1,  # refuses cond(S) >= 1/rank_rtol
+    ("parseval.py", "nonexistence_reasons", "eig_one_atol"): 1,  # reads a report
+    ("cli.py", "build_parser", "rank_rtol"): 1,  # the option defaults
+    ("cli.py", "build_parser", "eig_one_atol"): 1,
+}
+
+
+def tolerance_reads(tree, name):
+    """Counter of (name, enclosing function, field) over the reads of
+    rank_rtol and eig_one_atol in tree."""
+    found = Counter()
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.Attribute) and node.attr in ("rank_rtol", "eig_one_atol"):
+            found[name, function, node.attr] += 1
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(tree, None)
+    return found
+
+
+def test_rank_and_band_tolerances_are_read_only_where_listed():
+    found = Counter()
+    for path in sorted((ROOT / "src" / "framekit").glob("*.py")):
+        found += tolerance_reads(ast.parse(path.read_text()), path.name)
+    assert found == Counter(TOLERANCE_READS)
+    probe = "def is_parseval(f, tol):\n    return f.gap <= tol.eig_one_atol\n"
+    assert tolerance_reads(ast.parse(probe), "frames.py") == {
+        ("frames.py", "is_parseval", "eig_one_atol"): 1}
